@@ -17,17 +17,15 @@ from .errors import (BracketError, CoercivityError, CoercivitySearchError,
                      GluingError, ProfileError, RankError, SolverError,
                      StepSizeError, StiffnessError, TruncationError)
 from .evans import EvansSample, evans_function, find_roots
-from .modes import (GlobalMode, PerturbationField, eval_mode, glue_mode,
-                    gluing_jumps, ode_residual, raw_trace_defects,
-                    reconstruct_fields)
+from .modes import (GlobalMode, PerturbationField, glue_mode, gluing_jumps,
+                    ode_residual, raw_trace_defects, reconstruct_fields)
 from .outer_compact import (BoundaryCoeffs, CompactOuterBasis,
                             compact_bc_coeffs, compact_outer_basis,
                             eval_outer, extension_coeffs)
 from .outer_general import (DecayingSolution, GammaBounds, OuterSolutions,
                             PicardSetup, SystemMatrices,
                             boundary_coeffs_general, coercive_window,
-                            decay_envelopes, gamma_bounds,
-                            picard_decaying_solutions, system_matrices,
+                            decay_envelopes, gamma_bounds, system_matrices,
                             truncation_points)
 from .pipeline import Pipeline, SolverOptions
 from .profiles import (COMPACT, INCREASING, DensityProfile, PhysicalParams,

@@ -26,6 +26,22 @@ _GL_XI, _GL_WEIGHT = np.polynomial.legendre.leggauss(5)
 _QP = 0.5 * (_GL_XI + 1.0)
 _QW = 0.5 * _GL_WEIGHT
 
+# Power-basis coefficients of the reference cubic Hermite shapes on [0, 1],
+# one column per local DOF (value 0, slope 0, value 1, slope 1).
+_HERMITE = np.array([[1.0, 0.0, 0.0, 0.0],
+                     [0.0, 1.0, 0.0, 0.0],
+                     [-3.0, -2.0, 3.0, -1.0],
+                     [2.0, 1.0, -2.0, 1.0]])
+
+
+def _hermite_shapes(t, deriv=0):
+    """t-derivative of order `deriv` (0..3) of the reference shapes at t;
+    shape (4, *t.shape)."""
+    if deriv not in (0, 1, 2, 3):
+        raise SolverError("deriv must be 0..3")
+    return np.polynomial.polynomial.polyval(
+        t, np.polynomial.polynomial.polyder(_HERMITE, deriv))
+
 
 @dataclass(frozen=True)
 class Mesh:
@@ -90,29 +106,13 @@ def build_mesh(x_minus, x_plus, n_elements, grading="uniform"):
 def _shape_tables(widths):
     """Hermite cubic shape values and x-derivatives at the panel Gauss points.
 
-    Returns arrays (Ne, 4, 5) for derivative orders 0..3; slope shapes carry
+    Returns arrays (Ne, 4, 5) for derivative orders 0..2; slope shapes carry
     the element width so the unknowns are nodal (value, slope) pairs.
     """
-    t = _QP
-    h = widths[:, None]
-    one = np.ones_like(t)
-    n0 = np.stack([1 - 3 * t**2 + 2 * t**3, t - 2 * t**2 + t**3,
-                   3 * t**2 - 2 * t**3, -t**2 + t**3])
-    d1 = np.stack([-6 * t + 6 * t**2, 1 - 4 * t + 3 * t**2,
-                   6 * t - 6 * t**2, -2 * t + 3 * t**2])
-    d2 = np.stack([-6 + 12 * t, (-4 + 6 * t), 6 - 12 * t, (-2 + 6 * t)])
-    d3 = np.stack([12 * one, 6 * one, -12 * one, 6 * one])
-    N0 = np.empty((len(widths), 4, 5))
-    N1 = np.empty_like(N0)
-    N2 = np.empty_like(N0)
-    N3 = np.empty_like(N0)
-    for e, he in enumerate(widths):
-        fac = np.array([1.0, he, 1.0, he])  # slope dofs scale with h
-        N0[e] = fac[:, None] * n0
-        N1[e] = fac[:, None] * d1 / he
-        N2[e] = fac[:, None] * d2 / he**2
-        N3[e] = fac[:, None] * d3 / he**3
-    return N0, N1, N2, N3
+    h = widths[:, None, None]
+    fac = np.ones((len(widths), 4, 1))
+    fac[:, 1::2] = h  # slope dofs scale with h
+    return tuple(fac * _hermite_shapes(_QP, d) / h**d for d in range(3))
 
 
 @dataclass(frozen=True)
@@ -131,13 +131,15 @@ class HermiteSpace:
         nodes = self.mesh.nodes
         return nodes[:-1, None] + self.mesh.widths[:, None] * _QP[None, :]
 
+    @property
+    def dof_map(self):
+        """(Ne, 4) global indices of each element's (v0, s0, v1, s1)."""
+        return 2 * np.arange(self.mesh.n_elements)[:, None] + np.arange(4)
+
     def tables(self):
         if self._tables is None:
             object.__setattr__(self, "_tables", _shape_tables(self.mesh.widths))
         return self._tables
-
-    def element_dofs(self, e):
-        return np.array([2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3])
 
     def evaluate(self, dofs, x, deriv=0):
         """phi^(deriv)(x) of the coefficient vector, piecewise cubic."""
@@ -151,25 +153,9 @@ class HermiteSpace:
                     self.mesh.n_elements - 1)
         h = self.mesh.widths[e]
         t = (xv - nodes[e]) / h
-        d = np.stack([dofs[2 * e], dofs[2 * e + 1] * h,
-                      dofs[2 * e + 2], dofs[2 * e + 3] * h])
-        if deriv == 0:
-            basis = np.stack([1 - 3 * t**2 + 2 * t**3, t - 2 * t**2 + t**3,
-                              3 * t**2 - 2 * t**3, -t**2 + t**3])
-            out = (d * basis).sum(axis=0)
-        elif deriv == 1:
-            basis = np.stack([-6 * t + 6 * t**2, 1 - 4 * t + 3 * t**2,
-                              6 * t - 6 * t**2, -2 * t + 3 * t**2])
-            out = (d * basis).sum(axis=0) / h
-        elif deriv == 2:
-            basis = np.stack([-6 + 12 * t, -4 + 6 * t, 6 - 12 * t, -2 + 6 * t])
-            out = (d * basis).sum(axis=0) / h**2
-        elif deriv == 3:
-            basis = np.stack([12 * np.ones_like(t), 6 * np.ones_like(t),
-                              -12 * np.ones_like(t), 6 * np.ones_like(t)])
-            out = (d * basis).sum(axis=0) / h**3
-        else:
-            raise SolverError("deriv must be 0..3")
+        d = np.asarray(dofs, dtype=float)[self.dof_map[e]].T
+        d[1::2] *= h  # slope dofs scale with h
+        out = (d * _hermite_shapes(t, deriv)).sum(axis=0) / h**deriv
         return float(out[0]) if scalar else out
 
     def interpolate(self, f, fprime):
@@ -196,11 +182,8 @@ class DiscreteForms:
 def _scatter(space, local):
     n = space.n_dofs
     out = np.zeros((n, n))
-    ne = space.mesh.n_elements
-    idx = np.arange(ne)[:, None] * 2 + np.array([0, 1, 2, 3])[None, :]
-    for i in range(4):
-        for j in range(4):
-            np.add.at(out, (idx[:, i], idx[:, j]), local[:, i, j])
+    idx = space.dof_map
+    np.add.at(out, (idx[:, :, None], idx[:, None, :]), local)
     return out
 
 
@@ -239,7 +222,7 @@ def assemble_forms(profile, params, lam, bc, space):
             abs(right.x - mesh.x_plus) > 1e-9 * max(1, abs(right.x)):
         raise SolverError("boundary coefficients were built for different endpoints")
     k, mu = params.k, params.mu
-    N0, N1, N2, N3 = space.tables()
+    N0, N1, N2 = space.tables()
     xq = space.quad_x
     rho = np.asarray(profile.rho(xq))
     drho = np.asarray(profile.drho(xq))

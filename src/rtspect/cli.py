@@ -31,7 +31,7 @@ _PROFILE_KEYS = {"kind", "rho_minus", "rho_plus", "ell", "a", "csv"}
 _PHYSICAL_KEYS = {"g", "mu", "k", "k_min", "k_max", "k_count", "k1", "k2"}
 _NUMERICAL_KEYS = {"n_elements", "grading", "tol", "eps_star", "n_modes",
                    "lambda_grid_points"}
-_OUTPUT_KEYS = {"directory", "formats"}
+_OUTPUT_KEYS = {"directory"}
 
 _SCHEMA = """\
 [profile]            # required
@@ -52,13 +52,12 @@ k1 = <float>  k2 = <float>      # optional split, k^2 = k1^2 + k2^2
 n_elements = 256
 grading = center:4 | uniform | geometric:<ratio>
 tol = 1e-8
-eps_star = <float>   # default 0.01*sqrt(g/L0)
+eps_star = <float>   # in (0, sqrt(g/L0)); default 0.01*sqrt(g/L0)
 n_modes = 8
 lambda_grid_points = 16
 
 [output]             # optional
 directory = .
-formats = csv
 """
 
 
@@ -180,6 +179,8 @@ def parse_config(text):
             default=opts.lambda_grid_points))
         if opts.tol <= 0 or opts.n_elements < 4 or opts.n_modes < 1:
             raise ConfigError("numerical values out of range")
+        if opts.eps_star is not None and opts.eps_star <= 0:
+            raise ConfigError("numerical.eps_star must be positive")
 
     out_dir = "."
     if "output" in cp:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .errors import SolverError, StiffnessError
 from .profiles import COMPACT
@@ -24,6 +25,8 @@ from .profiles import COMPACT
 # wedge basis ordering
 _PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 _RENORM_AT = 1e6
+# one fixed rule over the whole window for the integral of the removed shift
+_SHIFT_XI, _SHIFT_W = np.polynomial.legendre.leggauss(128)
 
 
 @dataclass(frozen=True)
@@ -116,8 +119,9 @@ def _integrate(profile, params, lam, x_from, x_to, w0, rtol):
     """Shifted wedge integration with running renormalization.
 
     The growth-dominant rate of the target plane is +-(k + sigma0), which is
-    removed as a running shift so the state stays O(1); the accumulated
-    shift plus renormalizations is returned as a log scale.
+    removed as a running shift so the state stays O(1); the log of the
+    renormalizations is returned, and `_shift_integral` gives the log of
+    the removed shift.
     """
     k, mu = params.k, params.mu
     direction = 1.0 if x_to > x_from else -1.0
@@ -144,8 +148,16 @@ def _integrate(profile, params, lam, x_from, x_to, w0, rtol):
         if nrm > _RENORM_AT or nrm < 1.0 / _RENORM_AT:
             w /= nrm
             log_scale += math.log(nrm)
-    # account for the removed shift (a positive factor, sign-neutral)
     return w, log_scale
+
+
+def _shift_integral(profile, params, lam, x_minus, x_plus):
+    """int_{x_minus}^{x_plus} (k + sigma0) dx, the log of the positive
+    factor the shifted integrations from both ends remove together."""
+    k, mu = params.k, params.mu
+    half, mid = 0.5 * (x_plus - x_minus), 0.5 * (x_plus + x_minus)
+    rho = np.asarray(profile.rho(mid + half * _SHIFT_XI), dtype=float)
+    return half * float(_SHIFT_W @ (k + np.sqrt(k * k + lam * rho / mu)))
 
 
 def _matching_bounds(profile, params, lam_ref=None):
@@ -179,34 +191,28 @@ def evans_function(profile, params, lam, x_minus=None, x_plus=None,
     w_r, log_r = _integrate(profile, params, lam, x_plus, m, w_r, rtol)
     w_l, log_l = _integrate(profile, params, lam, x_minus, m, w_l, rtol)
     raw = _pairing(w_l, w_r)
+    shift = _shift_integral(profile, params, lam, x_minus, x_plus)
     return EvansSample(lam=float(lam), value=float(raw),
-                       scale_exponent=log_r + log_l + log_r0 + log_l0)
+                       scale_exponent=log_r + log_l + log_r0 + log_l0 + shift)
 
 
 def find_roots(profile, params, scan_grid, tol=1e-10, rtol=1e-10):
-    """Bisect every sign change of the Evans value over `scan_grid`."""
+    """Refine every sign change of the Evans value over `scan_grid` by
+    Brent's method; each root is returned within tol/2 (plus round-off)."""
     grid = np.sort(np.asarray(scan_grid, dtype=float))
-    vals = [evans_function(profile, params, lam, rtol=rtol).value for lam in grid]
+    vals = {lam: evans_function(profile, params, lam, rtol=rtol).value
+            for lam in grid}
+
+    def value(lam):
+        # brentq starts by evaluating both scan points again
+        if lam not in vals:
+            vals[lam] = evans_function(profile, params, lam, rtol=rtol).value
+        return vals[lam]
+
     roots = []
-    for i in range(len(grid) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
-            roots.append(float(grid[i]))
-            continue
-        if va * vb < 0:
-            a, b = grid[i], grid[i + 1]
-            fa = va
-            while b - a > tol:
-                mid = 0.5 * (a + b)
-                fm = evans_function(profile, params, mid, rtol=rtol).value
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if fa * fm < 0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            roots.append(0.5 * (a + b))
-    if vals[-1] == 0.0:
+    for a, b in zip(grid[:-1], grid[1:]):
+        if vals[a] == 0.0 or vals[a] * vals[b] < 0:
+            roots.append(brentq(value, a, b, xtol=0.5 * tol))
+    if vals[grid[-1]] == 0.0:
         roots.append(float(grid[-1]))
     return roots

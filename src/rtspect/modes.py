@@ -61,11 +61,6 @@ class GlobalMode:
         return _tail_fourth_derivative(self, side, np.asarray(x, dtype=float))
 
 
-def eval_mode(mode, x):
-    """(phi, phi', phi'', phi''') of a glued mode at x; functional form."""
-    return mode.eval(x)
-
-
 def _eval_tail(mode, side, x):
     data = mode.outer_right if side == "right" else mode.outer_left
     if data[0] == "compact":

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
 from .errors import (CoercivitySearchError, SolverError, TruncationError)
 from .outer_compact import BoundaryCoeffs
@@ -223,16 +224,14 @@ def _solve_monotone_level(f, start, direction, scale, max_factor=1e6):
             raise TruncationError(
                 "profile approaches its limit too slowly to truncate; "
                 "use a faster-decaying profile")
-    lo, hi = x - direction * step / 2.0, x  # f(lo) may be > 0, f(hi) <= 0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if abs(hi - lo) < 1e-12 * max(1.0, abs(hi)):
-            break
-    return hi
+    lo = x - direction * step / 2.0  # f(lo) > 0 unless the loop never ran
+    if f(lo) <= 0:
+        return lo
+    xtol = 1e-12 * max(1.0, abs(x))
+    root = brentq(f, lo, x, xtol=xtol)
+    # the crossing lies less than 2*xtol from root, on either side; step
+    # past it when needed, since the callers rely on f(x) <= 0
+    return root if f(root) <= 0 else root + 2.0 * direction * xtol
 
 
 @dataclass
@@ -245,17 +244,10 @@ class PicardSetup:
     gbounds: GammaBounds
     right_edges: np.ndarray
     left_edges: np.ndarray
-    _k: float = 1.0
     right_nodes: np.ndarray = field(repr=False, default=None)
     left_nodes: np.ndarray = field(repr=False, default=None)
     right_widths: np.ndarray = field(repr=False, default=None)
     left_widths: np.ndarray = field(repr=False, default=None)
-
-    def alpha_plus(self, x):
-        return self._k * (np.asarray(x, dtype=float) - self.x_tilde_plus)
-
-    def alpha_minus(self, x):
-        return self._k * (self.x_tilde_minus - np.asarray(x, dtype=float))
 
 
 def _graded_edges(start, stop, n_panels, ratio, w_cap):
@@ -313,7 +305,6 @@ def truncation_points(profile, params, gbounds, margin=0.3,
         x_tilde_minus=x_t_minus, x_tilde_plus=x_t_plus,
         X_min=X_min, X_max=X_max, margin=margin, gbounds=gbounds,
         right_edges=right_edges, left_edges=left_edges)
-    setup._k = params.k
     for side in ("right", "left"):
         edges = getattr(setup, f"{side}_edges")
         widths = np.diff(edges)
@@ -596,14 +587,6 @@ class OuterSolutions:
         k, mu = self.params.k, self.params.mu
         return (math.sqrt(k * k + lam * self.profile.rho_minus / mu),
                 math.sqrt(k * k + lam * self.profile.rho_plus / mu))
-
-
-def picard_decaying_solutions(profile, params, lam, setup):
-    """The four decaying solutions (U1+, U2+, U3-, U4-) at one lambda."""
-    eng = OuterSolutions(profile, params, setup)
-    sols = eng.solve(lam)
-    return (sols["right"]["U1+"], sols["right"]["U2+"],
-            sols["left"]["U3-"], sols["left"]["U4-"])
 
 
 def boundary_coeffs_general(solutions, x_end, end, params=None, lam=None):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import HermiteSpace, build_mesh
-from .errors import BracketError
+from .errors import BracketError, SolverError
 from .modes import glue_mode
 from .outer_compact import compact_bc_coeffs, compact_outer_basis
 from .outer_general import (OuterSolutions, boundary_coeffs_general,
@@ -45,14 +45,14 @@ class Pipeline:
         self.params = params
         self.opts = opts or SolverOptions()
         self.bounds = profile_bounds(profile, params)
-        self.eps_star = (self.opts.eps_star if self.opts.eps_star
-                         else 0.01 * self.bounds.lambda_max)
-        self.x_mid = self._gradient_peak()
+        lmax = self.bounds.lambda_max
+        self.eps_star = (0.01 * lmax if self.opts.eps_star is None
+                         else self.opts.eps_star)
+        if not 0.0 < self.eps_star < lmax:
+            raise SolverError(f"eps_star = {self.eps_star!r} must lie in "
+                              f"(0, sqrt(g/L0) = {lmax:.6g})")
+        self.x_mid = self.bounds.x_rho_m
         self._built = False
-
-    def _gradient_peak(self):
-        xs = np.linspace(self.bounds.x_lo, self.bounds.x_hi, 2001)
-        return float(xs[np.argmax(self.profile.drho(xs))])
 
     def build(self):
         if self._built:

@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq, minimize_scalar
 
 from .errors import ProfileError
 
@@ -75,7 +76,11 @@ class DensityProfile:
 
 @dataclass(frozen=True)
 class ProfileBounds:
-    """sup rho0'/rho0 packaged as L0 and the growth-rate ceiling sqrt(g/L0)."""
+    """sup rho0'/rho0 packaged as L0 and the growth-rate ceiling sqrt(g/L0).
+
+    x_peak maximizes rho0'/rho0; x_rho_m maximizes rho0', whose maximum is
+    rho_m.
+    """
 
     L0: float
     rho_m: float
@@ -83,6 +88,7 @@ class ProfileBounds:
     x_peak: float
     x_lo: float
     x_hi: float
+    x_rho_m: float
 
 
 @dataclass(frozen=True)
@@ -240,44 +246,21 @@ def limit_box(profile, rel_tol=_LIMIT_TOL, max_factor=1e6):
         x *= 2.0
         if x > max_factor * profile.scale:
             raise ProfileError("profile approaches its limits too slowly")
-    lo = _bisect_level(lambda t: profile.rho(t) - profile.rho_minus - tol, -x, 0.0)
-    hi = _bisect_level(lambda t: profile.rho_plus - profile.rho(t) - tol, x, 0.0)
+    # rho0 is within tol of both limits beyond +-x, so [-x, x] brackets both
+    lo = brentq(lambda t: profile.rho(t) - profile.rho_minus - tol, -x, x,
+                xtol=1e-12, rtol=1e-12)
+    hi = brentq(lambda t: profile.rho_plus - profile.rho(t) - tol, -x, x,
+                xtol=1e-12, rtol=1e-12)
     return lo, hi
 
 
-def _bisect_level(f, far, near):
-    # f(far) <= 0 <= f(near); returns the crossing toward `far`.
-    a, b = far, near
-    fa = f(a)
-    if fa > 0:
-        return a
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        if f(m) <= 0:
-            a = m
-        else:
-            b = m
-        if abs(b - a) < 1e-12 * (1.0 + abs(a)):
-            break
-    return a
-
-
-def _golden_max(f, a, b, tol):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while abs(b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def _refined_max(f, grid, vals, xatol):
+    """(x, f(x)) at the maximum of f near the grid maximizer of `vals`."""
+    i = int(np.argmax(vals))
+    res = minimize_scalar(lambda t: -float(f(t)), method="bounded",
+                          bounds=(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]),
+                          options={"xatol": xatol})
+    return float(res.x), -float(res.fun)
 
 
 def profile_bounds(profile, params):
@@ -287,27 +270,21 @@ def profile_bounds(profile, params):
     lambda_max = sqrt(g * sup(rho0'/rho0)); this caps every root bracket
     downstream.  The supremum is found on a 4096-point grid over the box
     where the profile is numerically at its limits, then refined by
-    golden-section (the ratio is smooth and unimodal for all families).
+    Brent's bounded minimization (the ratio is smooth and unimodal for all
+    families).
     """
     x_lo, x_hi = limit_box(profile)
     grid = np.linspace(x_lo, x_hi, _SUP_GRID)
-    ratio = profile.drho(grid) / profile.rho(grid)
-    i = int(np.argmax(ratio))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, _SUP_GRID - 1)]
-    span = (x_hi - x_lo)
-    x_peak, r_peak = _golden_max(
-        lambda t: float(profile.drho(t) / profile.rho(t)), lo, hi,
-        tol=1e-12 * max(1.0, span))
+    drho = profile.drho(grid)
+    xatol = 1e-12 * max(1.0, x_hi - x_lo)
+    x_peak, r_peak = _refined_max(lambda t: profile.drho(t) / profile.rho(t),
+                                  grid, drho / profile.rho(grid), xatol)
     if r_peak <= 0:
         raise ProfileError("profile has no positive density gradient")
-    j = int(np.argmax(profile.drho(grid)))
-    _, dmax = _golden_max(lambda t: float(profile.drho(t)),
-                          grid[max(j - 1, 0)], grid[min(j + 1, _SUP_GRID - 1)],
-                          tol=1e-12 * max(1.0, span))
+    x_rho_m, dmax = _refined_max(profile.drho, grid, drho, xatol)
     return ProfileBounds(L0=1.0 / r_peak, rho_m=dmax,
                          lambda_max=math.sqrt(params.g * r_peak),
-                         x_peak=x_peak, x_lo=x_lo, x_hi=x_hi)
+                         x_peak=x_peak, x_lo=x_lo, x_hi=x_hi, x_rho_m=x_rho_m)
 
 
 def validate(profile, n_samples=2001):

@@ -5,9 +5,9 @@ M_rho c = gamma K c; its positive eigenvalues gamma_1 >= gamma_2 >= ... play
 the role of the compact-operator spectrum, and a growth rate is any lambda
 with gamma_n(lambda) = lambda / (g k^2).  For compact-gradient profiles each
 curve is strictly decreasing so f_n = g k^2 gamma_n - lambda has exactly one
-root and plain bisection is safe; for strictly increasing profiles the
-curves are only continuous, so a scan-then-bisect strategy returns every
-root it can bracket.
+root, which Brent's method finds from the bracket alone; for strictly
+increasing profiles the curves are only continuous, so a scan locates the
+sign changes and Brent's method refines every root it can bracket.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.optimize import brentq
 
-from .assembly import assemble_forms, coercivity_check
+from .assembly import _QW, assemble_forms, coercivity_check
 from .errors import BracketError, RankError, SolverError, StepSizeError
 from .outer_compact import compact_bc_coeffs, compact_outer_basis
 from .outer_general import boundary_coeffs_general
@@ -154,30 +155,13 @@ def general_builder(profile, params, space, n_max, engine, x_minus, x_plus,
                         check_coercivity)
 
 
-def _bisect_root(f, lo, hi, flo, fhi, tol_x, tol_f):
-    # f(lo) > 0 > f(hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= tol_f and (hi - lo) <= 4.0 * tol_x:
-            return mid, fm
-        if fm > 0:
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-        if hi - lo <= tol_x:
-            break
-    mid = 0.5 * (lo + hi)
-    return mid, f(mid)
-
-
 def solve_dispersion(builder, kind, n, bracket, tol=DEFAULT_TOL, n_scan=SCAN_POINTS):
     """Roots of f_n(lambda) = g k^2 gamma_n(lambda) - lambda inside `bracket`.
 
     kind == COMPACT: f_n is strictly decreasing, returns the single
-    DispersionPoint.  Otherwise: scans n_scan points, bisects every sign
-    change, returns the list of DispersionPoint (>= 1 expected for
-    n <= N(eps_star)).
+    DispersionPoint.  Otherwise: scans n_scan points, refines every sign
+    change by Brent's method, returns the list of DispersionPoint (>= 1
+    expected for n <= N(eps_star)).
     """
     params = builder.params
     gk2 = params.g * params.k**2
@@ -188,13 +172,11 @@ def solve_dispersion(builder, kind, n, bracket, tol=DEFAULT_TOL, n_scan=SCAN_POI
     def f(lam):
         return gk2 * builder.gamma(lam, n) - lam
 
-    tol_x = tol * hi
-    tol_f = tol * gk2
-
-    def finish(lam_root, fval):
-        sl = builder(lam_root)
-        return DispersionPoint(n=n, lam=float(lam_root),
-                               residual=abs(float(fval)),
+    def root(a, b):
+        # brentq ends on a point it evaluated, so f(lam) is a cache hit
+        lam = brentq(f, a, b, xtol=tol * hi)
+        sl = builder(lam)
+        return DispersionPoint(n=n, lam=float(lam), residual=abs(f(lam)),
                                dofs=sl.vectors[:, n - 1].copy(),
                                gamma=float(sl.gammas[n - 1]),
                                margin=sl.margin)
@@ -207,23 +189,14 @@ def solve_dispersion(builder, kind, n, bracket, tol=DEFAULT_TOL, n_scan=SCAN_POI
         if fhi >= 0:
             raise BracketError(
                 f"f_{n}(lambda_hi={hi:.3e}) = {fhi:.3e} >= 0; widen toward sqrt(g/L0)")
-        lam, fv = _bisect_root(f, lo, hi, flo, fhi, tol_x, tol_f)
-        return finish(lam, fv)
+        return root(lo, hi)
 
     grid = np.linspace(lo, hi, n_scan)
     vals = np.array([f(x) for x in grid])
     roots = []
     for i in range(n_scan - 1):
-        a, b = grid[i], grid[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(finish(a, 0.0))
-        elif fa > 0 > fb:
-            lam, fv = _bisect_root(f, a, b, fa, fb, tol_x, tol_f)
-            roots.append(finish(lam, fv))
-        elif fa < 0 < fb:
-            lam, fv = _bisect_root(lambda x: -f(x), a, b, -fa, -fb, tol_x, tol_f)
-            roots.append(finish(lam, -fv))
+        if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0:
+            roots.append(root(grid[i], grid[i + 1]))
     if not roots:
         raise BracketError(
             f"no sign change of f_{n} on [{lo:.4g}, {hi:.4g}] with {n_scan} "
@@ -269,10 +242,9 @@ def gamma_derivative_check(builder, profile, params, n, lam, h):
     space = builder.space
     c = sl.vectors[:, idx]
     xq = space.quad_x
-    N0, N1, _, _ = space.tables()
-    wq = space.mesh.widths[:, None] * (np.polynomial.legendre.leggauss(5)[1] * 0.5)[None, :]
-    idx_map = np.arange(space.mesh.n_elements)[:, None] * 2 + np.arange(4)[None, :]
-    ce = c[idx_map]
+    N0, N1, _ = space.tables()
+    wq = space.mesh.widths[:, None] * _QW[None, :]
+    ce = c[space.dof_map]
     phi_q = np.einsum("ei,eiq->eq", ce, N0)
     dphi_q = np.einsum("ei,eiq->eq", ce, N1)
     rho_q = np.asarray(profile.rho(xq))

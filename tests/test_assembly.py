@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from rtspect.assembly import (HermiteSpace, assemble_forms, build_mesh,
-                              coercivity_check, endpoint_block,
+from rtspect.assembly import (HermiteSpace, _scatter, assemble_forms,
+                              build_mesh, coercivity_check, endpoint_block,
                               whole_line_identity_check)
 from rtspect.errors import SolverError
 from rtspect.outer_compact import (BoundaryCoeffs, compact_bc_coeffs,
@@ -77,6 +77,30 @@ def test_hermite_reproduces_cubics():
     assert space.evaluate(dofs, xs, 2) == pytest.approx(1.8 * xs - 2, abs=1e-10)
     assert space.evaluate(dofs, xs, 3) == pytest.approx(
         np.full_like(xs, 1.8), abs=1e-9)
+
+
+def test_shape_tables_and_scatter_match_loop_reference():
+    # the per-element loops the vectorized tables and scatter replaced
+    space = HermiteSpace(build_mesh(-1.0, 2.0, 7, "geometric:1.3"))
+    t = 0.5 * (np.polynomial.legendre.leggauss(5)[0] + 1.0)
+    n0 = np.stack([1 - 3 * t**2 + 2 * t**3, t - 2 * t**2 + t**3,
+                   3 * t**2 - 2 * t**3, -t**2 + t**3])
+    d1 = np.stack([-6 * t + 6 * t**2, 1 - 4 * t + 3 * t**2,
+                   6 * t - 6 * t**2, -2 * t + 3 * t**2])
+    d2 = np.stack([-6 + 12 * t, -4 + 6 * t, 6 - 12 * t, -2 + 6 * t])
+    for got, ref, order in zip(space.tables(), (n0, d1, d2), range(3)):
+        for e, he in enumerate(space.mesh.widths):
+            fac = np.array([1.0, he, 1.0, he])[:, None]
+            assert got[e] == pytest.approx(fac * ref / he**order,
+                                           rel=1e-13, abs=1e-13)
+    local = np.random.default_rng(5).standard_normal((7, 4, 4))
+    expect = np.zeros((space.n_dofs, space.n_dofs))
+    for e in range(7):
+        dofs = [2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3]
+        for i in range(4):
+            for j in range(4):
+                expect[dofs[i], dofs[j]] += local[e, i, j]
+    assert np.array_equal(_scatter(space, local), expect)
 
 
 def test_constant_mode_volume_term():

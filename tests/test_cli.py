@@ -47,6 +47,26 @@ def test_parse_rejects_unknown_key():
         parse_config(bad)
 
 
+def test_eps_star_not_positive_exit_2(tmp_path):
+    text = MINIMAL + "\n[numerical]\neps_star = 0\n"
+    with pytest.raises(ConfigError, match="eps_star"):
+        parse_config(text)
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(text)
+    assert main(["outer-coeffs", "--config", str(cfgfile),
+                 "--out", str(tmp_path)]) == 2
+
+
+def test_output_formats_key_rejected(tmp_path):
+    text = MINIMAL + "\n[output]\nformats = csv\n"
+    with pytest.raises(ConfigError, match="formats"):
+        parse_config(text)
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(text)
+    assert main(["outer-coeffs", "--config", str(cfgfile),
+                 "--out", str(tmp_path)]) == 2
+
+
 def test_parse_missing_section_names_schema():
     with pytest.raises(ConfigError, match=r"\[physical\]"):
         parse_config("[profile]\nkind = tanh\nrho_minus = 1\nrho_plus = 2\nell = 1\n")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from rtspect import evans as ev
 from rtspect.errors import SolverError
@@ -72,6 +73,31 @@ def test_matching_point_invariance(bump_profile, params):
     s1 = ev.evans_function(bump_profile, params, 0.29, match_x=0.2)
     assert s0.sign == s1.sign
     assert s0.log_magnitude == pytest.approx(s1.log_magnitude, abs=1e-6)
+
+
+def test_log_magnitude_matches_unshifted_integration(bump_profile, params):
+    # the bump window (+-1.001) is short enough to integrate the wedge
+    # system without the shift: the pairing at the matching point is then
+    # the Evans value at its full scale
+    lam = 0.29
+    s = ev.evans_function(bump_profile, params, lam)
+    lo, hi = ev._matching_bounds(bump_profile, params)
+    m = 0.5 * (lo + hi)
+
+    def rhs(x, w):
+        return ev._wedge_matrix(ev._companion(bump_profile, params, lam, x)) @ w
+
+    planes, log0 = [], 0.0
+    for side, x0 in (("left", lo), ("right", hi)):
+        w0, log_w0 = ev._initial_plane(bump_profile, params, lam, side)
+        sol = solve_ivp(rhs, (x0, m), w0, method="DOP853",
+                        rtol=1e-12, atol=1e-14)
+        planes.append(sol.y[:, -1])
+        log0 += log_w0
+    direct = ev._pairing(*planes)
+    assert s.sign == math.copysign(1.0, direct)
+    assert s.log_magnitude == pytest.approx(math.log(abs(direct)) + log0,
+                                            abs=1e-6)
 
 
 def test_scale_invariance_under_plane_rescaling():

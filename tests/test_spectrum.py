@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rtspect.errors import BracketError, RankError, StepSizeError
+from rtspect.errors import BracketError, RankError, SolverError, StepSizeError
+from rtspect.pipeline import Pipeline, SolverOptions
 from rtspect.profiles import COMPACT, PhysicalParams
 from rtspect.spectrum import (compact_builder, gamma_derivative_check,
                               gamma_spectrum, general_builder, mode_count,
@@ -74,6 +75,25 @@ def test_compact_roots_decreasing_below_bound(bump_pipe, bump_bounds):
     assert all(lams[i + 1] < lams[i] for i in range(3))
     assert all(l <= bump_bounds.lambda_max for l in lams)
     assert all(p.residual <= 1e-8 for p in pts)
+
+
+def test_compact_root_search_cost(bump_profile, params):
+    # Brent's method assembles 17 slices for these four roots, bisection 93;
+    # counted on a fresh cache so no other test's slices are included
+    pipe = Pipeline(bump_profile, params,
+                    SolverOptions(n_elements=128, n_modes=8)).build()
+    for n in (1, 2, 3, 4):
+        pipe.solve_mode_index(n)
+    assert len(pipe.builder._cache) <= 40
+
+
+def test_pipeline_rejects_eps_star_outside_bound(bump_profile, params,
+                                                  bump_bounds):
+    for eps in (0.0, -0.01, bump_bounds.lambda_max):
+        with pytest.raises(SolverError, match="eps_star"):
+            Pipeline(bump_profile, params, SolverOptions(eps_star=eps))
+    pipe = Pipeline(bump_profile, params, SolverOptions(eps_star=0.02))
+    assert pipe.eps_star == 0.02
 
 
 def test_bracket_errors(bump_pipe, bump_bounds):
