@@ -11,6 +11,12 @@ matrix.  Assembled objects:
   M_rho int rho0' th rh   (weighted mass; right-hand side of the pencil)
   G     int (th rh + th' rh' + th'' rh'')   (H2 Gram, for the coercivity
         floor mu * min(k^4, 2k^2, 1))
+
+An element couples the four unknowns of its two nodes, so all three matrices
+have half-bandwidth 3.  They are assembled straight into LAPACK lower band
+storage, ab[i - j, j] = A[i, j] for 0 <= i - j <= 3 (shape 4 x n_dofs), and
+every solver downstream works on the bands; dense matrices exist only as
+on-demand views.
 """
 
 from __future__ import annotations
@@ -18,13 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eig_banded
+from scipy.linalg.lapack import dpbtrf
 
 from .errors import CoercivityError, SolverError
+from .profiles import GL5_NODES, GL5_WEIGHTS
 
-_GL_XI, _GL_WEIGHT = np.polynomial.legendre.leggauss(5)
-_QP = 0.5 * (_GL_XI + 1.0)
-_QW = 0.5 * _GL_WEIGHT
+BANDWIDTH = 3            # half-bandwidth of the C1 cubic Hermite matrices
+COERCIVITY_RTOL = 1e-13  # relative width at which the margin bisection stops
 
 # Power-basis coefficients of the reference cubic Hermite shapes on [0, 1],
 # one column per local DOF (value 0, slope 0, value 1, slope 1).
@@ -112,7 +119,7 @@ def _shape_tables(widths):
     h = widths[:, None, None]
     fac = np.ones((len(widths), 4, 1))
     fac[:, 1::2] = h  # slope dofs scale with h
-    return tuple(fac * _hermite_shapes(_QP, d) / h**d for d in range(3))
+    return tuple(fac * _hermite_shapes(GL5_NODES, d) / h**d for d in range(3))
 
 
 @dataclass(frozen=True)
@@ -121,6 +128,7 @@ class HermiteSpace:
 
     mesh: Mesh
     _tables: tuple = field(default=None, repr=False, compare=False)
+    _gram: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def n_dofs(self):
@@ -129,7 +137,7 @@ class HermiteSpace:
     @property
     def quad_x(self):
         nodes = self.mesh.nodes
-        return nodes[:-1, None] + self.mesh.widths[:, None] * _QP[None, :]
+        return nodes[:-1, None] + self.mesh.widths[:, None] * GL5_NODES
 
     @property
     def dof_map(self):
@@ -140,6 +148,17 @@ class HermiteSpace:
         if self._tables is None:
             object.__setattr__(self, "_tables", _shape_tables(self.mesh.widths))
         return self._tables
+
+    def gram_band(self):
+        """Band of the H2 Gram matrix G, which depends on the mesh alone;
+        built once and shared, read-only, by every assembled slice."""
+        if self._gram is None:
+            w = self.mesh.widths[:, None] * GL5_WEIGHTS
+            gram = _scatter(self, sum(_element_form(N, w)
+                                      for N in self.tables()))
+            gram.flags.writeable = False
+            object.__setattr__(self, "_gram", gram)
+        return self._gram
 
     def evaluate(self, dofs, x, deriv=0):
         """phi^(deriv)(x) of the coefficient vector, piecewise cubic."""
@@ -165,26 +184,74 @@ class HermiteSpace:
         return dofs
 
 
+def band_to_dense(ab):
+    """Full symmetric matrix of the lower band storage `ab`."""
+    n = ab.shape[1]
+    out = np.zeros((n, n))
+    for d in range(ab.shape[0]):
+        i = np.arange(n - d)
+        out[i + d, i] = ab[d, :n - d]
+        out[i, i + d] = ab[d, :n - d]
+    return out
+
+
 @dataclass
 class DiscreteForms:
-    """Assembled matrices at one lambda, plus the endpoint data that built them."""
+    """Assembled matrices at one lambda, plus the endpoint data that built them.
+
+    K_band, M_band and G_band hold K, M_rho and G in LAPACK lower band
+    storage (4 x n_dofs, see the module docstring); `K`, `M_rho` and `G`
+    build dense copies on demand, for tests, `verify` and matrix dumps.
+    K is stored symmetrized; `asymmetry_norm` is the Frobenius norm of the
+    antisymmetric part of the two endpoint blocks, the only source of
+    asymmetry in the continuous form (nonzero only for finite-window
+    closures of strictly increasing profiles).
+    """
 
     lam: float
-    K: np.ndarray
-    M_rho: np.ndarray
-    G: np.ndarray
+    K_band: np.ndarray
+    M_band: np.ndarray
+    G_band: np.ndarray
     asymmetry_norm: float
     bc: tuple
     space: HermiteSpace
     threshold: float  # mu * min(k^4, 2k^2, 1)
 
+    @property
+    def K(self):
+        return band_to_dense(self.K_band)
+
+    @property
+    def M_rho(self):
+        return band_to_dense(self.M_band)
+
+    @property
+    def G(self):
+        return band_to_dense(self.G_band)
+
+
+def _element_form(N, weight):
+    """Element blocks sum_q weight[e, q] N[e, i, q] N[e, j, q], (Ne, 4, 4)."""
+    return (N * weight[:, None, :]) @ N.transpose(0, 2, 1)
+
 
 def _scatter(space, local):
-    n = space.n_dofs
-    out = np.zeros((n, n))
+    """Sum (Ne, 4, 4) element blocks, symmetrized, into lower band storage."""
+    rows, cols = np.tril_indices(4)
     idx = space.dof_map
-    np.add.at(out, (idx[:, :, None], idx[:, None, :]), local)
-    return out
+    ab = np.zeros((BANDWIDTH + 1, space.n_dofs))
+    np.add.at(ab, (rows - cols, idx[:, cols]),
+              0.5 * (local[:, rows, cols] + local[:, cols, rows]))
+    return ab
+
+
+def _add_endpoint(ab, j, block):
+    """Add the symmetric part of a 2x2 block on DOFs (j, j + 1); returns the
+    Frobenius norm of the antisymmetric part that is dropped."""
+    ab[0, j] += block[0, 0]
+    ab[1, j] += 0.5 * (block[1, 0] + block[0, 1])
+    ab[0, j + 1] += block[1, 1]
+    return float(np.sqrt(2.0) * abs(block[1, 0] - block[0, 1]))
 
 
 def endpoint_block(coeffs, params, rho_end, lam):
@@ -210,11 +277,12 @@ def endpoint_block(coeffs, params, rho_end, lam):
 
 
 def assemble_forms(profile, params, lam, bc, space):
-    """Assemble (K, M_rho, G) for the window and boundary closure in `bc`.
+    """Assemble (K, M_rho, G) in band storage for the closure in `bc`.
 
     bc is the (left, right) BoundaryCoeffs pair produced for this same lam;
-    K is symmetrized after recording the pre-symmetrization defect (nonzero
-    only for finite-window closures of strictly increasing profiles).
+    the element and endpoint blocks are symmetrized before they are summed,
+    and the endpoint blocks' antisymmetric part is recorded as
+    `asymmetry_norm`.
     """
     left, right = bc
     mesh = space.mesh
@@ -226,29 +294,22 @@ def assemble_forms(profile, params, lam, bc, space):
     xq = space.quad_x
     rho = np.asarray(profile.rho(xq))
     drho = np.asarray(profile.drho(xq))
-    w = space.mesh.widths[:, None] * _QW[None, :]
-
-    def form(A, B, weight):
-        return np.einsum("eq,eiq,ejq->eij", weight, A, B)
-
-    K_loc = (lam * (form(N0, N0, w * rho * k**2) + form(N1, N1, w * rho))
-             + mu * (form(N2, N2, w) + 2.0 * k**2 * form(N1, N1, w)
-                     + k**4 * form(N0, N0, w)))
-    M_loc = form(N0, N0, w * drho)
-    G_loc = form(N0, N0, w) + form(N1, N1, w) + form(N2, N2, w)
-
-    K = _scatter(space, K_loc)
-    M_rho = _scatter(space, M_loc)
-    G = _scatter(space, G_loc)
+    w = mesh.widths[:, None] * GL5_WEIGHTS
+    K_loc = (_element_form(N0, w * (lam * k**2 * rho + mu * k**4))
+             + _element_form(N1, w * (lam * rho + 2.0 * mu * k**2))
+             + _element_form(N2, mu * w))
+    K_band = _scatter(space, K_loc)
+    M_band = _scatter(space, _element_form(N0, w * drho))
 
     n = space.n_dofs
-    K[0:2, 0:2] += endpoint_block(left, params, float(profile.rho(left.x)), lam)
-    K[n - 2:n, n - 2:n] += endpoint_block(right, params,
-                                          float(profile.rho(right.x)), lam)
-    asym = float(np.linalg.norm(K - K.T, "fro"))
-    K = 0.5 * (K + K.T)
-    return DiscreteForms(lam=float(lam), K=K, M_rho=M_rho, G=G,
-                         asymmetry_norm=asym, bc=bc, space=space,
+    asym = np.hypot(
+        _add_endpoint(K_band, 0, endpoint_block(
+            left, params, float(profile.rho(left.x)), lam)),
+        _add_endpoint(K_band, n - 2, endpoint_block(
+            right, params, float(profile.rho(right.x)), lam)))
+    return DiscreteForms(lam=float(lam), K_band=K_band, M_band=M_band,
+                         G_band=space.gram_band(), asymmetry_norm=float(asym),
+                         bc=bc, space=space,
                          threshold=mu * min(k**4, 2.0 * k**2, 1.0))
 
 
@@ -269,17 +330,48 @@ def dump_forms(forms, path):
 def coercivity_check(forms, params):
     """Margin of the discrete lower bound K >= mu*min(k^4, 2k^2, 1)*G.
 
-    Returns (smallest generalized eigenvalue of (K, G)) - threshold; raises
-    if it dips below the round-off allowance -1e-8*||K||.
+    Returns eta_min - threshold, eta_min the smallest generalized eigenvalue
+    of (K, G); raises if it dips below the round-off allowance -1e-8*||K||_2.
+    Because G is positive definite, the banded Cholesky factorization of
+    K - s G succeeds exactly when s < eta_min (Sylvester's law of inertia),
+    so eta_min is bisected to COERCIVITY_RTOL between the threshold (or a
+    point below it, when the margin is negative) and the smallest diagonal
+    ratio K_ii / G_ii, a Rayleigh quotient and hence an upper bound.  The
+    returned margin is the bisection's lower end, so it is nonnegative
+    exactly when K - threshold*G factors.
     """
-    eta = eigh(forms.K, forms.G, subset_by_index=[0, 0], eigvals_only=True)[0]
-    margin = float(eta - forms.threshold)
-    knorm = float(np.linalg.norm(forms.K, 2))
-    if margin < -1e-8 * knorm:
-        left, right = forms.bc
-        raise CoercivityError(
-            f"coercivity failed at lambda={forms.lam:.6g}: margin {margin:.3e} "
-            f"(endpoints x={left.x:.4g}, {right.x:.4g})")
+    K, G = forms.K_band, forms.G_band
+
+    def definite(s):
+        return dpbtrf(K - s * G, lower=1)[1] == 0
+
+    thr = forms.threshold
+    lo, hi = thr, float(np.min(K[0] / G[0]))
+    if not (lo < hi and definite(lo)):
+        hi = min(lo, hi)
+        step = 1e-8 * max(1.0, abs(thr))
+        while not definite(thr - step):
+            hi = thr - step
+            step *= 16.0
+            if not np.isfinite(step):  # only for non-finite K or G
+                raise SolverError("coercivity bisection found no shift s "
+                                  "with K - s G positive definite")
+        lo = thr - step
+    while hi - lo > COERCIVITY_RTOL * max(1.0, abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if definite(mid):
+            lo = mid
+        else:
+            hi = mid
+    margin = float(lo - thr)
+    if margin < 0.0:
+        knorm = float(np.abs(eig_banded(K, lower=True,
+                                        eigvals_only=True)).max())
+        if margin < -1e-8 * knorm:
+            left, right = forms.bc
+            raise CoercivityError(
+                f"coercivity failed at lambda={forms.lam:.6g}: margin "
+                f"{margin:.3e} (endpoints x={left.x:.4g}, {right.x:.4g})")
     return margin
 
 

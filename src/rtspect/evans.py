@@ -160,7 +160,7 @@ def _shift_integral(profile, params, lam, x_minus, x_plus):
     return half * float(_SHIFT_W @ (k + np.sqrt(k * k + lam * rho / mu)))
 
 
-def _matching_bounds(profile, params, lam_ref=None):
+def _matching_bounds(profile, params):
     if profile.kind == COMPACT:
         pad = 1e-3 * profile.a
         return -profile.a - pad, profile.a + pad

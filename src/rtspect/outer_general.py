@@ -23,22 +23,18 @@ from scipy.optimize import brentq
 
 from .errors import (CoercivitySearchError, SolverError, TruncationError)
 from .outer_compact import BoundaryCoeffs
-from .profiles import profile_bounds
+from .profiles import GL5_NODES, GL5_WEIGHTS, profile_bounds
 
 MAX_PICARD_ITER = 64
 PICARD_TOL = 1e-12
 CONTRACTION_SLACK = 1e-6
 TAIL_DROP = 1e-10  # Gamma_m * (rho_limit_gap) at the numerical infinity cutoff
 
-_GL_XI, _GL_W = np.polynomial.legendre.leggauss(5)
-_REF_NODES = 0.5 * (_GL_XI + 1.0)      # on [0, 1]
-_REF_WEIGHTS = 0.5 * _GL_W
-
 
 def _partial_integration_matrix():
     # S[q, i] = integral over [0, t_q] of the i-th Lagrange basis on the
     # 5 Gauss nodes; exact for the degree-4 interpolant of panel samples.
-    t = _REF_NODES
+    t = GL5_NODES
     S = np.zeros((5, 5))
     for i in range(5):
         roots = np.delete(t, i)
@@ -308,7 +304,7 @@ def truncation_points(profile, params, gbounds, margin=0.3,
     for side in ("right", "left"):
         edges = getattr(setup, f"{side}_edges")
         widths = np.diff(edges)
-        nodes = edges[:-1, None] + widths[:, None] * _REF_NODES[None, :]
+        nodes = edges[:-1, None] + widths[:, None] * GL5_NODES[None, :]
         setattr(setup, f"{side}_widths", widths)
         setattr(setup, f"{side}_nodes", nodes)
     return setup
@@ -326,7 +322,7 @@ def _scan_prefix(psi_n, psi_e, f_n, widths):
     P = f_n.shape[0]
     K = f_n.shape[-1]
     G = np.exp(-(psi_e[1:, None, :] - psi_n)) * f_n          # (P,5,K)
-    full = widths[:, None] * np.einsum("q,pqk->pk", _REF_WEIGHTS, G)
+    full = widths[:, None] * np.einsum("q,pqk->pk", GL5_WEIGHTS, G)
     decay = np.exp(-(psi_e[1:] - psi_e[:-1]))                # (P,K)
     C = np.zeros((P + 1, K))
     for p in range(P):
@@ -342,13 +338,13 @@ def _scan_suffix(psi_n, psi_e, f_n, widths):
     P = f_n.shape[0]
     K = f_n.shape[-1]
     G = np.exp(-(psi_n - psi_e[:-1, None, :])) * f_n
-    full = widths[:, None] * np.einsum("q,pqk->pk", _REF_WEIGHTS, G)
+    full = widths[:, None] * np.einsum("q,pqk->pk", GL5_WEIGHTS, G)
     decay = np.exp(-(psi_e[1:] - psi_e[:-1]))
     D = np.zeros((P + 1, K))
     for p in range(P - 1, -1, -1):
         D[p] = decay[p] * D[p + 1] + full[p]
     rest = widths[:, None, None] * (
-        np.einsum("i,pik->pk", _REF_WEIGHTS, G)[:, None, :]
+        np.einsum("i,pik->pk", GL5_WEIGHTS, G)[:, None, :]
         - np.einsum("qi,pik->pqk", _S_PARTIAL, G))
     J_n = (np.exp(-(psi_e[1:, None, :] - psi_n)) * D[1:, None, :]
            + np.exp(psi_n - psi_e[:-1, None, :]) * rest)
@@ -456,7 +452,7 @@ class OuterSolutions:
         sig_n = _sigma0(rho_n, self.params, lam)
         alpha_n = k * (nodes - edges[0])
         alpha_e = k * (edges - edges[0])
-        panel_beta = widths * np.einsum("q,pq->p", _REF_WEIGHTS, sig_n)
+        panel_beta = widths * np.einsum("q,pq->p", GL5_WEIGHTS, sig_n)
         beta_e = np.concatenate([[0.0], np.cumsum(panel_beta)])
         beta_n = beta_e[:-1, None] + widths[:, None] * np.einsum(
             "qi,pi->pq", _S_PARTIAL, sig_n)

@@ -104,7 +104,11 @@ class ProfileReport:
         return "\n".join(lines)
 
 
-_GL5_X, _GL5_W = np.polynomial.legendre.leggauss(5)
+# The one 5-point Gauss-Legendre panel rule, mapped to [0, 1]; the bump
+# table, the Hermite assembly and the Picard panels all integrate with it.
+_GL_XI, _GL_WEIGHT = np.polynomial.legendre.leggauss(5)
+GL5_NODES = 0.5 * (_GL_XI + 1.0)
+GL5_WEIGHTS = 0.5 * _GL_WEIGHT
 
 
 def _bump_integrand(u):
@@ -118,10 +122,9 @@ def _bump_gradient_table():
     # points get a partial-panel Gauss rule on top, so evaluation is exact to
     # round-off (a spline here leaks ~1e-7 into finite-difference checks).
     edges = np.linspace(-1.0, 1.0, 2049)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    pts = mid[:, None] + half[:, None] * _GL5_X[None, :]
-    panel = (half[:, None] * _GL5_W[None, :] * _bump_integrand(pts)).sum(axis=1)
+    width = np.diff(edges)[:, None]
+    pts = edges[:-1, None] + width * GL5_NODES
+    panel = (width * GL5_WEIGHTS * _bump_integrand(pts)).sum(axis=1)
     cum = np.concatenate([[0.0], np.cumsum(panel)])
     return edges, cum
 
@@ -134,11 +137,10 @@ def _bump_cumulative(u):
     u = np.asarray(u, dtype=float)
     j = np.clip(np.searchsorted(_BUMP_EDGES, u, side="right") - 1,
                 0, len(_BUMP_EDGES) - 2)
-    a = _BUMP_EDGES[j]
-    half = 0.5 * (u - a)
-    mid = 0.5 * (u + a)
-    pts = mid[..., None] + half[..., None] * _GL5_X
-    partial = (half[..., None] * _GL5_W * _bump_integrand(pts)).sum(axis=-1)
+    a = _BUMP_EDGES[j][..., None]
+    width = u[..., None] - a
+    pts = a + width * GL5_NODES
+    partial = (width * GL5_WEIGHTS * _bump_integrand(pts)).sum(axis=-1)
     return _BUMP_CUMTAB[j] + partial
 
 

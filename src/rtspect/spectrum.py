@@ -1,13 +1,14 @@
 """Eigenvalue curves gamma_n(lambda) and the dispersion roots gamma_n = lambda/(g k^2).
 
 The reduced problem at fixed lambda is the symmetric-definite pencil
-M_rho c = gamma K c; its positive eigenvalues gamma_1 >= gamma_2 >= ... play
-the role of the compact-operator spectrum, and a growth rate is any lambda
-with gamma_n(lambda) = lambda / (g k^2).  For compact-gradient profiles each
-curve is strictly decreasing so f_n = g k^2 gamma_n - lambda has exactly one
-root, which Brent's method finds from the bracket alone; for strictly
-increasing profiles the curves are only continuous, so a scan locates the
-sign changes and Brent's method refines every root it can bracket.
+M_rho c = gamma K c, with K and M_rho banded; its positive eigenvalues
+gamma_1 >= gamma_2 >= ... play the role of the compact-operator spectrum,
+and a growth rate is any lambda with gamma_n(lambda) = lambda / (g k^2).
+For compact-gradient profiles each curve is strictly decreasing so
+f_n = g k^2 gamma_n - lambda has exactly one root, which Brent's method
+finds from the bracket alone; for strictly increasing profiles the curves
+are only continuous, so a scan locates the sign changes and Brent's method
+refines every root it can bracket.
 """
 
 from __future__ import annotations
@@ -16,14 +17,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eig_banded
+from scipy.linalg.blas import dsbmv, dtbsv
+from scipy.linalg.lapack import dpbtrf, dtbtrs
 from scipy.optimize import brentq
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .assembly import _QW, assemble_forms, coercivity_check
+from .assembly import BANDWIDTH, assemble_forms, coercivity_check
 from .errors import BracketError, RankError, SolverError, StepSizeError
 from .outer_compact import compact_bc_coeffs, compact_outer_basis
 from .outer_general import boundary_coeffs_general
-from .profiles import COMPACT
+from .profiles import COMPACT, GL5_WEIGHTS
 
 DEFAULT_TOL = 1e-8
 SCAN_POINTS = 64
@@ -57,35 +61,49 @@ class ModeCount:
     N: int
 
 
+def mass_rank(forms):
+    """Numerical rank of M_rho (lambda-independent), from its band."""
+    w = eig_banded(forms.M_band, lower=True, eigvals_only=True)
+    return int(np.count_nonzero(w > max(w[-1], 0.0) * 1e-12))
+
+
 def gamma_spectrum(forms, n_max, want_margin=False, params=None, rank=None):
     """n_max largest eigenpairs of M_rho c = gamma K c.
 
-    Solved through the symmetric-definite reduction (Cholesky of K) done by
-    LAPACK; returned vectors are renormalized to c^T M_rho c = 1, which is
-    the natural scaling for the compact-operator eigenfunctions.  Passing
-    the (lambda-independent) rank of M_rho lets the solver extract only the
-    top eigenpairs.
+    With K = L L^T from the banded Cholesky factorization, the pencil is the
+    standard symmetric problem A y = gamma y, A = L^-1 M_rho L^-T, c = L^-T y.
+    Lanczos (ARPACK `eigsh`, started from a fixed vector so that every run
+    takes the same steps) finds the top n_max pairs, applying A by two
+    banded triangular solves (BLAS dtbsv) and one banded product (dsbmv).
+    Returned vectors are renormalized to c^T M_rho c = 1, the natural
+    scaling for the compact-operator eigenfunctions.  `rank` is the
+    (lambda-independent) rank of M_rho; it is computed when not given.
     """
-    n = forms.K.shape[0]
     if rank is None:
-        w, v = eigh(forms.M_rho, forms.K)
-        gam = w[::-1]
-        vec = v[:, ::-1]
-        rank = int(np.count_nonzero(gam > max(gam[0], 0.0) * 1e-12))
-        if n_max > rank:
-            raise RankError(f"requested {n_max} eigenpairs but the weighted "
-                            f"mass matrix has numerical rank {rank}")
-        gam = gam[:n_max].copy()
-        vec = vec[:, :n_max].copy()
-    else:
-        if n_max > rank:
-            raise RankError(f"requested {n_max} eigenpairs but the weighted "
-                            f"mass matrix has numerical rank {rank}")
-        w, v = eigh(forms.M_rho, forms.K, subset_by_index=[n - n_max, n - 1])
-        gam = w[::-1].copy()
-        vec = v[:, ::-1].copy()
-    # eigh returns K-orthonormal vectors; c^T M_rho c = gamma then
-    vec /= np.sqrt(gam)[None, :]
+        rank = mass_rank(forms)
+    if n_max > rank:
+        raise RankError(f"requested {n_max} eigenpairs but the weighted "
+                        f"mass matrix has numerical rank {rank}")
+    L, info = dpbtrf(forms.K_band, lower=1)
+    if info != 0:
+        raise SolverError(f"K is not positive definite at lambda={forms.lam:.6g}")
+    M = forms.M_band
+    n = L.shape[1]
+
+    def apply(y):
+        z = dtbsv(BANDWIDTH, L, y.ravel(), lower=1, trans=1)
+        return dtbsv(BANDWIDTH, L, dsbmv(BANDWIDTH, 1.0, M, z, lower=1), lower=1)
+
+    op = LinearOperator((n, n), matvec=apply, dtype=float)
+    try:
+        w, y = eigsh(op, k=n_max, which="LA", v0=np.ones(n), tol=0)
+    except ArpackNoConvergence as exc:
+        raise SolverError(f"Lanczos found {len(exc.eigenvalues)} of {n_max} "
+                          f"pencil eigenpairs at lambda={forms.lam:.6g}") from exc
+    order = np.argsort(w)[::-1]
+    gam = w[order]
+    # c = L^-T y is K-orthonormal; c^T M_rho c = gamma then
+    vec = dtbtrs(L, y[:, order], uplo="L", trans="T")[0] / np.sqrt(gam)
     margin = math.nan
     if want_margin:
         margin = coercivity_check(forms, params)
@@ -116,9 +134,7 @@ class SliceBuilder:
             bc = self.bc_factory(key)
             forms = assemble_forms(self.profile, self.params, key, bc, self.space)
             if self._rank is None:
-                # rank of the weighted mass matrix is lambda-independent
-                wm = np.linalg.eigvalsh(forms.M_rho)
-                self._rank = int(np.count_nonzero(wm > max(wm[-1], 0.0) * 1e-12))
+                self._rank = mass_rank(forms)
             sl = gamma_spectrum(forms, self.n_max,
                                 want_margin=self.check_coercivity,
                                 params=self.params, rank=self._rank)
@@ -243,7 +259,7 @@ def gamma_derivative_check(builder, profile, params, n, lam, h):
     c = sl.vectors[:, idx]
     xq = space.quad_x
     N0, N1, _ = space.tables()
-    wq = space.mesh.widths[:, None] * _QW[None, :]
+    wq = space.mesh.widths[:, None] * GL5_WEIGHTS
     ce = c[space.dof_map]
     phi_q = np.einsum("ei,eiq->eq", ce, N0)
     dphi_q = np.einsum("ei,eiq->eq", ce, N1)

@@ -14,13 +14,12 @@ import pytest
 
 from rtspect import evans
 from rtspect.assembly import HermiteSpace, build_mesh, whole_line_identity_check
-from rtspect.errors import SolverError
 from rtspect.modes import gluing_jumps, ode_residual, reconstruct_fields
 from rtspect.outer_general import (boundary_coeffs_general, decay_envelopes,
-                                   gamma_bounds, limit_boundary_coeffs)
+                                   limit_boundary_coeffs)
 from rtspect.pipeline import Pipeline, SolverOptions
-from rtspect.profiles import PhysicalParams, make_profile, profile_bounds
-from rtspect.spectrum import general_builder, gamma_derivative_check, mode_count
+from rtspect.profiles import PhysicalParams
+from rtspect.spectrum import general_builder, gamma_derivative_check
 
 
 def report(num, name, ok, detail):

@@ -1,17 +1,20 @@
 import copy
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from rtspect.assembly import (HermiteSpace, _scatter, assemble_forms,
-                              build_mesh, coercivity_check, endpoint_block,
-                              whole_line_identity_check)
-from rtspect.errors import SolverError
+                              band_to_dense, build_mesh, coercivity_check,
+                              endpoint_block, whole_line_identity_check)
+from rtspect.errors import CoercivityError, SolverError
 from rtspect.outer_compact import (BoundaryCoeffs, compact_bc_coeffs,
                                    compact_outer_basis)
-from rtspect.profiles import COMPACT, DensityProfile, PhysicalParams, \
-    make_profile
+from rtspect.pipeline import Pipeline, SolverOptions
+from rtspect.profiles import COMPACT, DensityProfile, PhysicalParams
 
 
 def constant_profile(value=1.0, a=1.0):
@@ -93,14 +96,16 @@ def test_shape_tables_and_scatter_match_loop_reference():
             fac = np.array([1.0, he, 1.0, he])[:, None]
             assert got[e] == pytest.approx(fac * ref / he**order,
                                            rel=1e-13, abs=1e-13)
+    # the band holds symmetric matrices, so the element blocks are too
     local = np.random.default_rng(5).standard_normal((7, 4, 4))
+    local = local + local.transpose(0, 2, 1)
     expect = np.zeros((space.n_dofs, space.n_dofs))
     for e in range(7):
         dofs = [2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3]
         for i in range(4):
             for j in range(4):
                 expect[dofs[i], dofs[j]] += local[e, i, j]
-    assert np.array_equal(_scatter(space, local), expect)
+    assert np.array_equal(band_to_dense(_scatter(space, local)), expect)
 
 
 def test_constant_mode_volume_term():
@@ -188,6 +193,63 @@ def test_coercivity_margins(bump_profile, params, bump_pipe, bump_bounds):
         assert sl.margin <= 1e-5
 
 
+@pytest.mark.parametrize("frac", (0.1, 0.5, 1.0))
+@pytest.mark.parametrize("fixture", ("bump_pipe", "tanh_pipe"))
+def test_coercivity_margin_matches_dense(request, fixture, frac):
+    # the Cholesky-inertia bisection against the dense generalized eigensolve
+    pipe = request.getfixturevalue(fixture)
+    forms = pipe.builder(frac * pipe.bounds.lambda_max).forms
+    eta = eigh(forms.K, forms.G, subset_by_index=[0, 0], eigvals_only=True)[0]
+    margin = coercivity_check(forms, pipe.params)
+    assert abs(margin - (eta - forms.threshold)) <= 1e-9 * max(1.0, eta)
+
+
+def exact_quadratic_form(ab, x):
+    """x^T A x for the lower band storage `ab`, summed exactly in rationals."""
+    xf = [Fraction(v) for v in x]
+    total = Fraction(0)
+    for d in range(ab.shape[0]):
+        for j in range(ab.shape[1] - d):
+            term = Fraction(ab[d, j]) * xf[j] * xf[j + d]
+            total += term if d == 0 else 2 * term
+    return total
+
+
+@pytest.mark.parametrize("frac", (0.1, 0.5))
+def test_coercivity_margin_small_k_within_rounding(bump_profile, frac):
+    # at k = 0.5, ||K||_2 ~ 1e8 and both float64 solvers sit a few 1e-8 from
+    # the exact eta_min of the stored matrices (the dense one too).  The
+    # Rayleigh quotient of the dense eigenvector, summed exactly, bounds
+    # eta_min from above to second order; the bisection must land within
+    # a few eps * ||K||_2 of it.
+    par = PhysicalParams(g=1.0, mu=1.0, k=0.5)
+    pipe = Pipeline(bump_profile, par,
+                    SolverOptions(n_elements=128, n_modes=8)).build()
+    forms = pipe.builder(frac * pipe.bounds.lambda_max).forms
+    x = eigh(forms.K, forms.G, subset_by_index=[0, 0])[1][:, 0]
+    rq = float(exact_quadratic_form(forms.K_band, x)
+               / exact_quadratic_form(forms.G_band, x))
+    eta = coercivity_check(forms, par) + forms.threshold
+    assert abs(eta - rq) <= 4e-16 * np.linalg.norm(forms.K, 2)
+
+
+def test_negative_margin_returned_or_raised(bump_pipe, params):
+    # raising the threshold by d is the test of the shifted pencil
+    # (K - d G, G): just below zero the negative margin is returned, beyond
+    # the -1e-8 ||K||_2 allowance CoercivityError is raised
+    forms = bump_pipe.builder(0.3).forms
+    knorm = float(np.linalg.norm(forms.K, 2))
+    eta = eigh(forms.K, forms.G, subset_by_index=[0, 0], eigvals_only=True)[0]
+    for deficit, raises in ((1e-10, False), (1e-7, True)):
+        shifted = dataclasses.replace(forms, threshold=eta + deficit * knorm)
+        if raises:
+            with pytest.raises(CoercivityError, match="coercivity failed"):
+                coercivity_check(shifted, params)
+        else:
+            got = coercivity_check(shifted, params)
+            assert got == pytest.approx(-deficit * knorm, rel=1e-6)
+
+
 def test_threshold_values():
     prof = constant_profile()
     space = HermiteSpace(build_mesh(-1, 1, 8, "uniform"))
@@ -202,7 +264,6 @@ def test_threshold_values():
 def test_coercivity_check_constant_coefficients():
     # constant density with its exact tail closures: the discrete bound
     # K >= mu min(k^4, 2k^2, 1) G holds with nonnegative margin
-    import dataclasses
     from rtspect.outer_general import limit_boundary_coeffs
     prof = constant_profile()
     par = PhysicalParams(g=1, mu=1.0, k=1.0)
@@ -261,7 +322,6 @@ def test_identity_straddling_compact(bump_mode, bump_profile, params):
 
 def test_identity_detects_broken_closure(bump_mode, bump_profile, params):
     space, dofs = window_test_dofs(-1.9, 1.9)
-    import dataclasses
     left, right = bump_mode.bc
     broken = copy.copy(bump_mode)
     broken.bc = (left, dataclasses.replace(right, n12=right.n12 * 1.02))

@@ -1,10 +1,9 @@
 import csv
-import os
 
 import numpy as np
 import pytest
 
-from rtspect.cli import main, parse_config, run
+from rtspect.cli import main, parse_config
 from rtspect.errors import ConfigError
 
 MINIMAL = """
@@ -170,6 +169,23 @@ def test_threaded_k_grid_and_matrix_dump(tmp_path):
     name, i, j, val = dump[1].split()
     assert name in {"K", "M_rho", "G"}
     float(val)
+
+
+def test_threads_output_byte_identical(tmp_path):
+    # each k is solved on its own; the fixed Lanczos start vector keeps the
+    # eigensolve, and so the table, independent of the thread schedule
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(MINIMAL.replace(
+        "k = 1.0", "k_min = 0.5\nk_max = 2.0\nk_count = 3")
+        + "\n[numerical]\nn_elements = 48\nn_modes = 3\n")
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        assert main(["dispersion", "--config", str(cfgfile), "--out", str(out),
+                     "--threads", threads]) == 0
+        tables.append((out / "dispersion.csv").read_bytes())
+    assert tables[0].count(b"\n") == 10  # header + 3 k's x 3 modes
+    assert tables[0] == tables[1]
 
 
 def test_verify_exits_zero_on_bump_fixture(tmp_path):

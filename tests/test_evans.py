@@ -6,7 +6,6 @@ from scipy.integrate import solve_ivp
 
 from rtspect import evans as ev
 from rtspect.errors import SolverError
-from rtspect.profiles import PhysicalParams, make_profile
 
 from conftest import BUMP_ORACLE_LAM1
 

@@ -5,8 +5,7 @@ import pytest
 
 from rtspect import outer_general as og
 from rtspect.errors import SolverError
-from rtspect.outer_compact import compact_bc_coeffs, compact_outer_basis
-from rtspect.profiles import PhysicalParams, make_profile, profile_bounds
+from rtspect.profiles import PhysicalParams, make_profile
 
 # frozen regression values (tanh 1..3, ell=1, g=mu=k=1)
 GAMMA_M_EPS001 = 15360.215415

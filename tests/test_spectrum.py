@@ -1,14 +1,14 @@
-import math
-
 import numpy as np
 import pytest
+from scipy.linalg import eigh
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from rtspect import spectrum
 from rtspect.errors import BracketError, RankError, SolverError, StepSizeError
 from rtspect.pipeline import Pipeline, SolverOptions
-from rtspect.profiles import COMPACT, PhysicalParams
-from rtspect.spectrum import (compact_builder, gamma_derivative_check,
-                              gamma_spectrum, general_builder, mode_count,
-                              solve_dispersion)
+from rtspect.profiles import COMPACT
+from rtspect.spectrum import (gamma_derivative_check, gamma_spectrum,
+                              general_builder, mode_count, solve_dispersion)
 
 
 def test_pencil_residual_and_orthonormality(bump_pipe):
@@ -21,6 +21,33 @@ def test_pencil_residual_and_orthonormality(bump_pipe):
         assert r <= 1e-10 * knorm * np.linalg.norm(c)
     gram = sl.vectors.T @ M @ sl.vectors
     assert np.abs(gram - np.eye(len(sl.gammas))).max() <= 1e-10
+
+
+@pytest.mark.parametrize("frac", (0.1, 0.5, 1.0))
+@pytest.mark.parametrize("fixture", ("bump_pipe", "tanh_pipe"))
+def test_banded_pencil_matches_dense(request, fixture, frac):
+    # Lanczos on L^-1 M_rho L^-T against the dense generalized eigensolve
+    pipe = request.getfixturevalue(fixture)
+    sl = pipe.builder(frac * pipe.bounds.lambda_max)
+    w, v = eigh(sl.forms.M_rho, sl.forms.K)
+    n = len(sl.gammas)
+    gam = w[::-1][:n]
+    vec = v[:, ::-1][:, :n] / np.sqrt(gam)
+    assert sl.gammas == pytest.approx(gam, rel=1e-9, abs=0)
+    sign = np.sign(np.einsum("ij,ij->j", vec, sl.vectors))
+    assert np.abs(sl.vectors - sign * vec).max() <= 1e-8 * np.abs(vec).max()
+
+
+def test_lanczos_failure_is_solver_error(bump_pipe, monkeypatch):
+    forms = bump_pipe.builder(0.3).forms
+
+    def stalled(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence",
+                                  np.ones(2), np.ones((forms.K_band.shape[1], 2)))
+
+    monkeypatch.setattr(spectrum, "eigsh", stalled)
+    with pytest.raises(SolverError, match="Lanczos found 2 of 4"):
+        gamma_spectrum(forms, 4)
 
 
 def test_gammas_positive_descending(bump_pipe):
