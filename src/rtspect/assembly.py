@@ -32,6 +32,7 @@ from .profiles import GL5_NODES, GL5_WEIGHTS
 
 BANDWIDTH = 3            # half-bandwidth of the C1 cubic Hermite matrices
 COERCIVITY_RTOL = 1e-13  # relative width at which the margin bisection stops
+_GL10_X, _GL10_W = np.polynomial.legendre.leggauss(10)
 
 # Power-basis coefficients of the reference cubic Hermite shapes on [0, 1],
 # one column per local DOF (value 0, slope 0, value 1, slope 1).
@@ -83,8 +84,6 @@ def build_mesh(x_minus, x_plus, n_elements, grading="uniform"):
         raise SolverError("need x_minus < x_plus")
     if n_elements < 4:
         raise SolverError("need at least 4 elements")
-    if isinstance(grading, tuple):
-        grading = f"{grading[0]}:{grading[1]}"
     if grading == "uniform":
         nodes = np.linspace(x_minus, x_plus, n_elements + 1)
         return Mesh(nodes=nodes)
@@ -375,8 +374,18 @@ def coercivity_check(forms, params):
     return margin
 
 
-def whole_line_identity_check(mode, profile, params, test_space, test_dofs,
-                              n_quad_cells=400):
+def gauss_points(breaks):
+    """10-point Gauss-Legendre nodes and weights on the cells between the
+    sorted breakpoints (repeated breakpoints give zero-weight cells)."""
+    breaks = np.array(sorted(breaks))
+    mids = 0.5 * (breaks[:-1] + breaks[1:])
+    halves = 0.5 * np.diff(breaks)
+    xq = (mids[:, None] + halves[:, None] * _GL10_X[None, :]).ravel()
+    wq = (halves[:, None] * _GL10_W[None, :]).ravel()
+    return xq, wq
+
+
+def whole_line_identity_check(mode, profile, params, test_space, test_dofs):
     """Defect of the whole-line weak form against its reduced-window split.
 
     LHS integrates lam*rho0(k^2 phi th + phi' th') + mu(phi'' th''
@@ -396,13 +405,7 @@ def whole_line_identity_check(mode, profile, params, test_space, test_dofs,
     breaks = set(test_space.mesh.nodes.tolist())
     breaks.update(t for t in mode.space.mesh.nodes.tolist() if w_lo < t < w_hi)
     breaks.update([x_lo, x_hi, w_lo, w_hi])
-    breaks = np.array(sorted(b for b in breaks if w_lo <= b <= w_hi))
-
-    xi, wi = np.polynomial.legendre.leggauss(10)
-    mids = 0.5 * (breaks[:-1] + breaks[1:])
-    halves = 0.5 * np.diff(breaks)
-    xq = (mids[:, None] + halves[:, None] * xi[None, :]).ravel()
-    wq = (halves[:, None] * wi[None, :]).ravel()
+    xq, wq = gauss_points(b for b in breaks if w_lo <= b <= w_hi)
 
     phi, dphi, d2phi, _ = mode.eval(xq)
     th = test_space.evaluate(test_dofs, xq, 0)

@@ -22,7 +22,8 @@ import numpy as np
 from .errors import ConfigError, SolverError
 from .evans import evans_function
 from .modes import reconstruct_fields
-from .outer_general import _sigma0
+from .outer_general import (_sigma0, boundary_coeffs_general,
+                            endpoint_psd_margins)
 from .pipeline import Pipeline, SolverOptions
 from .profiles import COMPACT, PhysicalParams, make_profile
 from .verification import format_results, run_verification
@@ -46,7 +47,7 @@ csv = <path>         # tabulated only: two columns x, rho
 g = <positive float>
 mu = <positive float>
 k = <positive float>            # or k_min/k_max/k_count for a grid
-k1 = <float>  k2 = <float>      # optional split, k^2 = k1^2 + k2^2
+k1 = <float>  k2 = <float>      # optional split of a single k, k^2 = k1^2 + k2^2
 
 [numerical]          # optional
 n_elements = 256
@@ -72,7 +73,7 @@ class RunConfig:
     out_dir: str = "."
 
     def params_for(self, k):
-        if self.k_split is not None and len(self.k_values) == 1:
+        if self.k_split is not None:
             k1, k2 = self.k_split
             return PhysicalParams(g=self.g, mu=self.mu, k=k, k1=k1, k2=k2)
         return PhysicalParams(g=self.g, mu=self.mu, k=k)
@@ -161,6 +162,9 @@ def parse_config(text):
         raise ConfigError("physical.k must be positive")
     k_split = None
     if "k1" in sec or "k2" in sec:
+        if len(k_values) > 1:
+            raise ConfigError("physical.k1/k2 split a single k; "
+                              "they cannot be combined with a k grid")
         k_split = (_getfloat(sec, "k1", "physical", required=True),
                    _getfloat(sec, "k2", "physical", required=True))
 
@@ -224,9 +228,8 @@ def cmd_dispersion(cfg, out_dir, threads, dump_dir=None):
     header = ["k", "n", "lambda_n", "residual", "coercivity_margin",
               "N_eps_star"]
     ks = cfg.k_values
-    if threads != 1 and len(ks) > 1:
-        workers = threads if threads > 0 else min(len(ks), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if threads > 1 and len(ks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             all_rows = list(pool.map(
                 lambda k: _dispersion_rows(cfg, k, dump_dir), ks))
     else:
@@ -272,29 +275,21 @@ def cmd_outer_coeffs(cfg, out_dir, threads):
     par = pipe.params
     grid = np.linspace(pipe.eps_star, pipe.bounds.lambda_max, 8)
     rows = []
-    if cfg.profile.kind == COMPACT:
-        for lam in grid:
-            for c in pipe.boundary_coeffs(lam):
-                sig = float(_sigma0(cfg.profile.rho(c.x), par, lam))
-                disc = (c.n11 - c.n22 - par.k**2 - sig**2)**2 \
-                    + 4 * c.n12 * c.n21
-                rows.append([c.end, f"{c.x:.9e}", f"{lam:.9e}",
-                             *(f"{v:.12e}" for v in c.as_tuple()),
-                             f"{disc:.12e}"])
-    else:
-        from .outer_general import boundary_coeffs_general
-        for lam in grid:
+    for lam in grid:
+        if cfg.profile.kind == COMPACT:
+            coeffs = pipe.builder.bc_factory(lam)
+        else:
             sols = pipe.engine.solve(lam)
-            for end, edges in (("left", pipe.setup.left_edges[::6][::-1]),
-                               ("right", pipe.setup.right_edges[::6])):
-                for x_end in edges:
-                    c = boundary_coeffs_general(sols[end], x_end, end)
-                    sig = float(_sigma0(cfg.profile.rho(x_end), par, lam))
-                    disc = (c.n11 - c.n22 - par.k**2 - sig**2)**2 \
-                        + 4 * c.n12 * c.n21
-                    rows.append([end, f"{x_end:.9e}", f"{lam:.9e}",
-                                 *(f"{v:.12e}" for v in c.as_tuple()),
-                                 f"{disc:.12e}"])
+            ends = [("left", x) for x in pipe.setup.left_edges[::6][::-1]]
+            ends += [("right", x) for x in pipe.setup.right_edges[::6]]
+            coeffs = [boundary_coeffs_general(sols[end], x, end)
+                      for end, x in ends]
+        for c in coeffs:
+            sig = float(_sigma0(cfg.profile.rho(c.x), par, lam))
+            disc = -endpoint_psd_margins(c, par.k, sig)[2]
+            rows.append([c.end, f"{c.x:.9e}", f"{lam:.9e}",
+                         *(f"{v:.12e}" for v in c.as_tuple()),
+                         f"{disc:.12e}"])
     path = os.path.join(out_dir, "outer_coeffs.csv")
     _write_csv(path, ["end", "x_end", "lambda", "n11", "n12", "n21", "n22",
                       "discriminant"], rows)
@@ -334,11 +329,13 @@ _COMMANDS = {
 }
 
 
-def run(command, cfg, out_dir=None, threads=0, seed=0, dump_matrices=False):
+def run(command, cfg, out_dir=None, threads=1, seed=0, dump_matrices=False):
     """Dispatch one command on a parsed config; returns the exit code."""
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}; "
                           f"choose from {sorted(_COMMANDS)}")
+    if threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {threads}")
     out_dir = out_dir or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     if command == "verify":
@@ -357,8 +354,8 @@ def main(argv=None):
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to the config file")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=0,
-                        help="k-grid fan-out (0 = auto)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="threads solving the k grid (at least 1)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized probes in verify")
     parser.add_argument("--dump-matrices", action="store_true",

@@ -70,17 +70,18 @@ def compact_outer_basis(profile, params, lam):
         a=float(profile.a))
 
 
+def exponential_closure(end, x, k, tau):
+    """Relations annihilating the tail span {e^{-k|x|}, e^{-tau|x|}} at one end."""
+    s = 1.0 if end == "right" else -1.0
+    return BoundaryCoeffs(end, x, n11=k * tau, n12=s * (k + tau),
+                          n21=-s * k * tau * (k + tau),
+                          n22=-(k * k + k * tau + tau * tau))
+
+
 def compact_bc_coeffs(basis):
     """Endpoint relations annihilating the decaying spans at -a and +a."""
-    k = basis.k
-    tm, tp = basis.tau_minus, basis.tau_plus
-    left = BoundaryCoeffs("left", -basis.a,
-                          n11=k * tm, n12=-(k + tm),
-                          n21=k * tm * (k + tm), n22=-(k * k + k * tm + tm * tm))
-    right = BoundaryCoeffs("right", basis.a,
-                           n11=k * tp, n12=(k + tp),
-                           n21=-k * tp * (k + tp), n22=-(k * k + k * tp + tp * tp))
-    return left, right
+    return (exponential_closure("left", -basis.a, basis.k, basis.tau_minus),
+            exponential_closure("right", basis.a, basis.k, basis.tau_plus))
 
 
 def extension_coeffs(phi_end, dphi_end, basis, side):

@@ -22,7 +22,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .errors import (CoercivitySearchError, SolverError, TruncationError)
-from .outer_compact import BoundaryCoeffs
+from .outer_compact import BoundaryCoeffs, exponential_closure
 from .profiles import GL5_NODES, GL5_WEIGHTS, profile_bounds
 
 MAX_PICARD_ITER = 64
@@ -209,14 +209,14 @@ def gamma_bounds(profile, params, eps_star, pbounds=None):
                        Gamma_p=gamma_p, Gamma_m=gamma_m, lambda_max=lmax)
 
 
-def _solve_monotone_level(f, start, direction, scale, max_factor=1e6):
+def _solve_monotone_level(f, start, direction, scale):
     # smallest |x| in the given direction with f(x) <= 0, f monotone decreasing
     x = start
     step = scale
     while f(x) > 0:
         x += direction * step
         step *= 2.0
-        if abs(x) > max_factor * scale:
+        if abs(x) > 1e6 * scale:
             raise TruncationError(
                 "profile approaches its limit too slowly to truncate; "
                 "use a faster-decaying profile")
@@ -389,23 +389,20 @@ class DecayingSolution:
     limit: np.ndarray               # (4,)
     updates: tuple
     x_anchor: float                 # phase reference (x_tilde on its side)
-    _splines: list = field(default_factory=list, repr=False)
-    _phase_spline: object = field(default=None, repr=False)
+    _spline: object = field(default=None, repr=False)
 
-    def _ensure_splines(self):
-        if not self._splines:
-            self._splines = [CubicSpline(self.xs, self.normalized[:, j])
-                             for j in range(4)]
-            self._phase_spline = CubicSpline(self.xs, self.phase)
+    def samples_at(self, x, nu=0):
+        """nu-th x-derivative of (normalized, phase), shape (..., 5), splined."""
+        if self._spline is None:
+            self._spline = CubicSpline(
+                self.xs, np.column_stack([self.normalized, self.phase]))
+        return self._spline(np.asarray(x, dtype=float), nu)
 
     def normalized_at(self, x):
-        self._ensure_splines()
-        x = np.asarray(x, dtype=float)
-        return np.stack([s(x) for s in self._splines], axis=-1)
+        return self.samples_at(x)[..., :4]
 
     def phase_at(self, x):
-        self._ensure_splines()
-        return self._phase_spline(np.asarray(x, dtype=float))
+        return self.samples_at(x)[..., 4]
 
     def raw_at(self, x):
         return np.exp(-self.phase_at(x))[..., None] * self.normalized_at(x)
@@ -585,7 +582,7 @@ class OuterSolutions:
                 math.sqrt(k * k + lam * self.profile.rho_plus / mu))
 
 
-def boundary_coeffs_general(solutions, x_end, end, params=None, lam=None):
+def boundary_coeffs_general(solutions, x_end, end):
     """Boundary coefficients n_ij at x_end from the decaying pair.
 
     solutions: the side dict {"U1+": ..., "U2+": ...} (right) or the left
@@ -615,14 +612,8 @@ def boundary_coeffs_general(solutions, x_end, end, params=None, lam=None):
 
 def limit_boundary_coeffs(params, sigma, end):
     """x -> +-inf limits of the boundary coefficients (closed form)."""
-    k = params.k
-    if end == "right":
-        return BoundaryCoeffs("right", math.inf, n11=k * sigma, n12=k + sigma,
-                              n21=-k * sigma * (k + sigma),
-                              n22=-(k * k + k * sigma + sigma * sigma))
-    return BoundaryCoeffs("left", -math.inf, n11=k * sigma, n12=-(k + sigma),
-                          n21=k * sigma * (k + sigma),
-                          n22=-(k * k + k * sigma + sigma * sigma))
+    x = math.inf if end == "right" else -math.inf
+    return exponential_closure(end, x, params.k, sigma)
 
 
 def endpoint_psd_margins(coeffs, k, sigma0_at_end):

@@ -15,9 +15,8 @@ import numpy as np
 from .assembly import HermiteSpace, build_mesh
 from .errors import BracketError, SolverError
 from .modes import glue_mode
-from .outer_compact import compact_bc_coeffs, compact_outer_basis
-from .outer_general import (OuterSolutions, boundary_coeffs_general,
-                            coercive_window, gamma_bounds, truncation_points)
+from .outer_general import (OuterSolutions, coercive_window, gamma_bounds,
+                            truncation_points)
 from .profiles import COMPACT, profile_bounds
 from .spectrum import (ModeCount, compact_builder, general_builder,
                        mode_count, solve_dispersion)
@@ -33,8 +32,6 @@ class SolverOptions:
     eps_star: float | None = None       # default 0.01 * sqrt(g/L0)
     n_modes: int = 8
     lambda_grid_points: int = 16
-    picard_margin: float = 0.3
-    picard_panels: int = 160
 
 
 class Pipeline:
@@ -66,9 +63,7 @@ class Pipeline:
             self.gbounds = gamma_bounds(self.profile, self.params,
                                         self.eps_star, self.bounds)
             self.setup = truncation_points(self.profile, self.params,
-                                           self.gbounds,
-                                           margin=opts.picard_margin,
-                                           n_panels=opts.picard_panels)
+                                           self.gbounds)
             self.engine = OuterSolutions(self.profile, self.params, self.setup)
             grid = np.linspace(self.eps_star, self.bounds.lambda_max,
                                opts.lambda_grid_points)
@@ -94,23 +89,23 @@ class Pipeline:
         """Dispersion root(s) for curve n; compact kinds walk the floor down."""
         self.build()
         lmax = self.bounds.lambda_max
-        if self.profile.kind == COMPACT:
-            lo = LAMBDA_FLOOR_FACTOR * lmax
-            floor = 4e-8 * self.params.k**2 * self.params.mu / self.profile.rho_plus
-            while True:
-                try:
-                    pt = solve_dispersion(self.builder, COMPACT, n, (lo, lmax),
-                                          tol=self.opts.tol)
-                    return [pt]
-                except BracketError:
-                    if lo <= floor:
-                        raise
-                    lo = max(lo / 100.0, floor)
-        return solve_dispersion(self.builder, self.profile.kind, n,
-                                (self.eps_star, lmax), tol=self.opts.tol)
+        if self.profile.kind != COMPACT:
+            return solve_dispersion(self.builder, n, (self.eps_star, lmax),
+                                    tol=self.opts.tol)
+        lo = LAMBDA_FLOOR_FACTOR * lmax
+        floor = 4e-8 * self.params.k**2 * self.params.mu / self.profile.rho_plus
+        while True:
+            try:
+                # f_n is strictly decreasing: the bracket ends decide
+                return solve_dispersion(self.builder, n, (lo, lmax),
+                                        tol=self.opts.tol, n_scan=2)
+            except BracketError:
+                if lo <= floor:
+                    raise
+                lo = max(lo / 100.0, floor)
 
     def dispersion(self, n_modes=None):
-        """Points for n = 1..n_modes, flattened, with duplicates merged."""
+        """Points for n = 1..n_modes, flattened in order of n."""
         self.build()
         n_modes = n_modes or self.opts.n_modes
         out = []
@@ -133,12 +128,3 @@ class Pipeline:
         bc = self.builder.bc_factory(point.lam)
         return glue_mode(point, self.profile, self.params, self.space, bc,
                          outer=outer, x_mid=self.x_mid)
-
-    def boundary_coeffs(self, lam):
-        self.build()
-        if self.profile.kind == COMPACT:
-            return compact_bc_coeffs(
-                compact_outer_basis(self.profile, self.params, lam))
-        sols = self.engine.solve(lam)
-        return (boundary_coeffs_general(sols["left"], self.window[0], "left"),
-                boundary_coeffs_general(sols["right"], self.window[1], "right"))

@@ -236,7 +236,7 @@ def make_profile(family, *, rho_minus=None, rho_plus=None, ell=None, a=None,
     raise ProfileError(f"unknown profile family '{family}'")
 
 
-def limit_box(profile, rel_tol=_LIMIT_TOL, max_factor=1e6):
+def limit_box(profile, rel_tol=_LIMIT_TOL):
     """Interval outside which rho0 sits within rel_tol*(rho+ - rho-) of its limits."""
     if profile.kind == COMPACT and profile.a is not None:
         return -profile.a, profile.a
@@ -246,7 +246,7 @@ def limit_box(profile, rel_tol=_LIMIT_TOL, max_factor=1e6):
     while (profile.rho_plus - profile.rho(x) > tol
            or profile.rho(-x) - profile.rho_minus > tol):
         x *= 2.0
-        if x > max_factor * profile.scale:
+        if x > 1e6 * profile.scale:
             raise ProfileError("profile approaches its limits too slowly")
     # rho0 is within tol of both limits beyond +-x, so [-x, x] brackets both
     lo = brentq(lambda t: profile.rho(t) - profile.rho_minus - tol, -x, x,

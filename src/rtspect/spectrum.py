@@ -4,11 +4,12 @@ The reduced problem at fixed lambda is the symmetric-definite pencil
 M_rho c = gamma K c, with K and M_rho banded; its positive eigenvalues
 gamma_1 >= gamma_2 >= ... play the role of the compact-operator spectrum,
 and a growth rate is any lambda with gamma_n(lambda) = lambda / (g k^2).
-For compact-gradient profiles each curve is strictly decreasing so
-f_n = g k^2 gamma_n - lambda has exactly one root, which Brent's method
-finds from the bracket alone; for strictly increasing profiles the curves
-are only continuous, so a scan locates the sign changes and Brent's method
-refines every root it can bracket.
+One root search serves every profile: f_n = g k^2 gamma_n - lambda is
+scanned on a grid over the bracket and Brent's method refines every sign
+change.  For compact-gradient profiles each curve is strictly decreasing,
+so f_n has exactly one root and a two-point scan (the bracket ends)
+suffices; for strictly increasing profiles the curves are only continuous
+and the scan is finer.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class SpectrumSlice:
     lam: float
     gammas: np.ndarray            # descending, length n_max
     vectors: np.ndarray           # (n_dofs, n_max)
-    margin: float = math.nan      # coercivity margin, if requested
+    margin: float = math.nan      # coercivity margin, set by SliceBuilder
     forms: object = field(default=None, repr=False)
 
 
@@ -67,7 +68,7 @@ def mass_rank(forms):
     return int(np.count_nonzero(w > max(w[-1], 0.0) * 1e-12))
 
 
-def gamma_spectrum(forms, n_max, want_margin=False, params=None, rank=None):
+def gamma_spectrum(forms, n_max, rank=None):
     """n_max largest eigenpairs of M_rho c = gamma K c.
 
     With K = L L^T from the banded Cholesky factorization, the pencil is the
@@ -104,24 +105,22 @@ def gamma_spectrum(forms, n_max, want_margin=False, params=None, rank=None):
     gam = w[order]
     # c = L^-T y is K-orthonormal; c^T M_rho c = gamma then
     vec = dtbtrs(L, y[:, order], uplo="L", trans="T")[0] / np.sqrt(gam)
-    margin = math.nan
-    if want_margin:
-        margin = coercivity_check(forms, params)
-    return SpectrumSlice(lam=forms.lam, gammas=gam, vectors=vec,
-                         margin=margin, forms=forms)
+    return SpectrumSlice(lam=forms.lam, gammas=gam, vectors=vec, forms=forms)
 
 
 class SliceBuilder:
-    """Callable lambda -> SpectrumSlice with caching; owns the bc source."""
+    """Callable lambda -> SpectrumSlice with caching; owns the bc source.
 
-    def __init__(self, profile, params, space, n_max, bc_factory,
-                 check_coercivity=True):
+    Every new slice also gets its coercivity margin (`coercivity_check`),
+    which raises CoercivityError when the closed form is not coercive.
+    """
+
+    def __init__(self, profile, params, space, n_max, bc_factory):
         self.profile = profile
         self.params = params
         self.space = space
         self.n_max = n_max
         self.bc_factory = bc_factory
-        self.check_coercivity = check_coercivity
         self.margins = {}
         self._cache = {}
         self._rank = None
@@ -135,9 +134,8 @@ class SliceBuilder:
             forms = assemble_forms(self.profile, self.params, key, bc, self.space)
             if self._rank is None:
                 self._rank = mass_rank(forms)
-            sl = gamma_spectrum(forms, self.n_max,
-                                want_margin=self.check_coercivity,
-                                params=self.params, rank=self._rank)
+            sl = gamma_spectrum(forms, self.n_max, rank=self._rank)
+            sl.margin = coercivity_check(forms, self.params)
             self.margins[key] = sl.margin
             self._cache[key] = sl
         return self._cache[key]
@@ -146,19 +144,17 @@ class SliceBuilder:
         return float(self(lam).gammas[n - 1])
 
 
-def compact_builder(profile, params, space, n_max, check_coercivity=True):
+def compact_builder(profile, params, space, n_max):
     """Slice builder closing the window at +-a with the exact tail rates."""
 
     def factory(lam):
         basis = compact_outer_basis(profile, params, lam)
         return compact_bc_coeffs(basis)
 
-    return SliceBuilder(profile, params, space, n_max, factory,
-                        check_coercivity)
+    return SliceBuilder(profile, params, space, n_max, factory)
 
 
-def general_builder(profile, params, space, n_max, engine, x_minus, x_plus,
-                    check_coercivity=True):
+def general_builder(profile, params, space, n_max, engine, x_minus, x_plus):
     """Slice builder recomputing n_ij at every lambda the root-finder visits."""
 
     def factory(lam):
@@ -167,17 +163,18 @@ def general_builder(profile, params, space, n_max, engine, x_minus, x_plus,
         right = boundary_coeffs_general(sols["right"], x_plus, "right")
         return left, right
 
-    return SliceBuilder(profile, params, space, n_max, factory,
-                        check_coercivity)
+    return SliceBuilder(profile, params, space, n_max, factory)
 
 
-def solve_dispersion(builder, kind, n, bracket, tol=DEFAULT_TOL, n_scan=SCAN_POINTS):
+def solve_dispersion(builder, n, bracket, tol=DEFAULT_TOL, n_scan=SCAN_POINTS):
     """Roots of f_n(lambda) = g k^2 gamma_n(lambda) - lambda inside `bracket`.
 
-    kind == COMPACT: f_n is strictly decreasing, returns the single
-    DispersionPoint.  Otherwise: scans n_scan points, refines every sign
-    change by Brent's method, returns the list of DispersionPoint (>= 1
-    expected for n <= N(eps_star)).
+    Evaluates f_n at n_scan evenly spaced points from lambda_lo to
+    lambda_hi (n_scan = 2 scans the bracket ends alone), refines every sign
+    change by Brent's method and returns the list of DispersionPoint
+    (>= 1 expected for n <= N(eps_star)).  Without a sign change the
+    BracketError names the end to move: the floor when f_n < 0 throughout,
+    the top otherwise.
     """
     params = builder.params
     gk2 = params.g * params.k**2
@@ -197,27 +194,21 @@ def solve_dispersion(builder, kind, n, bracket, tol=DEFAULT_TOL, n_scan=SCAN_POI
                                gamma=float(sl.gammas[n - 1]),
                                margin=sl.margin)
 
-    if kind == COMPACT:
-        flo, fhi = f(lo), f(hi)
-        if flo <= 0:
-            raise BracketError(
-                f"f_{n}(lambda_lo={lo:.3e}) = {flo:.3e} <= 0; lower the bracket floor")
-        if fhi >= 0:
-            raise BracketError(
-                f"f_{n}(lambda_hi={hi:.3e}) = {fhi:.3e} >= 0; widen toward sqrt(g/L0)")
-        return root(lo, hi)
-
     grid = np.linspace(lo, hi, n_scan)
     vals = np.array([f(x) for x in grid])
     roots = []
     for i in range(n_scan - 1):
         if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0:
             roots.append(root(grid[i], grid[i + 1]))
-    if not roots:
+    if roots:
+        return roots
+    if vals[0] < 0:
         raise BracketError(
-            f"no sign change of f_{n} on [{lo:.4g}, {hi:.4g}] with {n_scan} "
-            "scan points; refine the scan grid")
-    return roots
+            f"f_{n}(lambda_lo={lo:.3e}) = {vals[0]:.3e} < 0 and no sign change "
+            f"in {n_scan} scan points; lower the bracket floor")
+    raise BracketError(
+        f"f_{n}(lambda_hi={hi:.3e}) = {vals[-1]:.3e} >= 0 and no sign change "
+        f"in {n_scan} scan points; widen toward sqrt(g/L0) or refine the scan")
 
 
 def mode_count(builder, eps_star, lambda_grid):

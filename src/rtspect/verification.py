@@ -21,7 +21,7 @@ from .profiles import COMPACT, validate
 from .spectrum import gamma_derivative_check
 
 
-def run_verification(pipe, seed=0, quick=False):
+def run_verification(pipe, seed=0):
     """Invariant checks on a built Pipeline; returns a list of results."""
     rng = np.random.default_rng(seed)
     results = []
@@ -33,7 +33,7 @@ def run_verification(pipe, seed=0, quick=False):
                     "; ".join(d for _, ok, d in rep.checks if not ok) or "ok"))
 
     lmax = pipe.bounds.lambda_max
-    grid = np.linspace(pipe.eps_star, lmax, 8 if quick else 16)
+    grid = np.linspace(pipe.eps_star, lmax, 16)
     try:
         slices = [pipe.builder(l) for l in grid]
         margins = [s.margin for s in slices]
@@ -107,11 +107,10 @@ def run_verification(pipe, seed=0, quick=False):
                     f"margin {lmax - pt.lam:.4e}"))
 
     if prof.kind == COMPACT:
-        scan = np.linspace(0.5 * pt.lam, min(1.5 * pt.lam, 0.999 * lmax),
-                           9 if quick else 17)
+        scan = np.linspace(0.5 * pt.lam, min(1.5 * pt.lam, 0.999 * lmax), 17)
     else:
         scan = np.linspace(max(pipe.eps_star, 0.5 * pt.lam),
-                           min(1.5 * pt.lam, 0.999 * lmax), 9 if quick else 17)
+                           min(1.5 * pt.lam, 0.999 * lmax), 17)
     roots = find_roots(prof, par, scan, tol=1e-8)
     agree = min((abs(r / pt.lam - 1.0) for r in roots), default=math.inf)
     results.append(("lambda_1 confirmed by the shooting oracle (1e-4)",

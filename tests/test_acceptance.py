@@ -268,10 +268,8 @@ def test_criterion_12_mesh_convergence(accept_tanh, tanh_profile, params):
         mesh = build_mesh(*pipe.window, ne, "center:4")
         space = HermiteSpace(mesh)
         builder = general_builder(tanh_profile, params, space, 1,
-                                  pipe.engine, *pipe.window,
-                                  check_coercivity=False)
-        pts = solve_dispersion(builder, tanh_profile.kind, 1, bracket,
-                               tol=1e-12, n_scan=5)
+                                  pipe.engine, *pipe.window)
+        pts = solve_dispersion(builder, 1, bracket, tol=1e-12, n_scan=5)
         lams[ne] = max(p.lam for p in pts)
     diff = abs(lams[256] - lams[512]) / lams[512]
     report(12, "lambda_1 Cauchy difference between 256 and 512 elements",

@@ -77,6 +77,27 @@ def test_parse_k_range():
     assert cfg.k_values == pytest.approx([1.0, 2.0, 3.0, 4.0])
 
 
+def test_k_split_with_k_grid_rejected(tmp_path):
+    # k1/k2 split a single k, so a k grid with them is an error
+    text = MINIMAL.replace(
+        "k = 1.0", "k_min = 0.5\nk_max = 1.0\nk_count = 2\nk1 = 0.3\nk2 = 0.4")
+    with pytest.raises(ConfigError, match="k1/k2"):
+        parse_config(text)
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(text)
+    assert main(["dispersion", "--config", str(cfgfile),
+                 "--out", str(tmp_path)]) == 2
+
+
+def test_threads_below_one_exit_2(tmp_path):
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(MINIMAL + SMALL_NUMERICS)
+    for threads in ("0", "-1"):
+        assert main(["dispersion", "--config", str(cfgfile), "--out",
+                     str(tmp_path / "out"), "--threads", threads]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_tabulated_csv(tmp_path):
     path = tmp_path / "prof.csv"
     xs = np.linspace(-2, 2, 21)

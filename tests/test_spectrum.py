@@ -6,7 +6,6 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from rtspect import spectrum
 from rtspect.errors import BracketError, RankError, SolverError, StepSizeError
 from rtspect.pipeline import Pipeline, SolverOptions
-from rtspect.profiles import COMPACT
 from rtspect.spectrum import (gamma_derivative_check, gamma_spectrum,
                               general_builder, mode_count, solve_dispersion)
 
@@ -68,7 +67,7 @@ def test_rayleigh_quotient_bound(bump_pipe):
 def test_gamma_decay_regression(tanh_pipe, tanh_bounds):
     b40 = general_builder(tanh_pipe.profile, tanh_pipe.params,
                           tanh_pipe.space, 40, tanh_pipe.engine,
-                          *tanh_pipe.window, check_coercivity=False)
+                          *tanh_pipe.window)
     sl = b40(0.5 * tanh_bounds.lambda_max)
     assert sl.gammas[39] <= 1e-2 * sl.gammas[0]
 
@@ -125,12 +124,14 @@ def test_pipeline_rejects_eps_star_outside_bound(bump_profile, params,
 
 def test_bracket_errors(bump_pipe, bump_bounds):
     with pytest.raises(BracketError, match="lower the bracket floor"):
-        solve_dispersion(bump_pipe.builder, COMPACT, 8,
-                         (0.5 * bump_bounds.lambda_max, bump_bounds.lambda_max))
+        solve_dispersion(bump_pipe.builder, 8,
+                         (0.5 * bump_bounds.lambda_max, bump_bounds.lambda_max),
+                         n_scan=2)
     with pytest.raises(BracketError, match="widen"):
-        solve_dispersion(bump_pipe.builder, COMPACT, 1,
+        solve_dispersion(bump_pipe.builder, 1,
                          (1e-4 * bump_bounds.lambda_max,
-                          0.5 * bump_pipe.solve_mode_index(1)[0].lam))
+                          0.5 * bump_pipe.solve_mode_index(1)[0].lam),
+                         n_scan=2)
 
 
 def test_general_roots_reverified(tanh_pipe, tanh_bounds):
