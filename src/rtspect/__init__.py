@@ -20,8 +20,8 @@ from .evans import EvansSample, evans_function, find_roots
 from .modes import (GlobalMode, PerturbationField, glue_mode, gluing_jumps,
                     ode_residual, raw_trace_defects, reconstruct_fields)
 from .outer_compact import (BoundaryCoeffs, CompactOuterBasis,
-                            compact_bc_coeffs, compact_outer_basis,
-                            eval_outer, extension_coeffs)
+                            compact_bc_coeffs, compact_decaying_solutions,
+                            compact_outer_basis)
 from .outer_general import (DecayingSolution, GammaBounds, OuterSolutions,
                             PicardSetup, SystemMatrices,
                             boundary_coeffs_general, coercive_window,

@@ -326,7 +326,7 @@ def dump_forms(forms, path):
                 fh.write(f"{name} {i} {j} {mat[i, j]:.17g}\n")
 
 
-def coercivity_check(forms, params):
+def coercivity_check(forms):
     """Margin of the discrete lower bound K >= mu*min(k^4, 2k^2, 1)*G.
 
     Returns eta_min - threshold, eta_min the smallest generalized eigenvalue

@@ -241,7 +241,7 @@ def cmd_dispersion(cfg, out_dir, threads, dump_dir=None):
     return 0
 
 
-def cmd_modes(cfg, out_dir, threads):
+def cmd_modes(cfg, out_dir):
     k = cfg.k_values[0]
     pipe = Pipeline(cfg.profile, cfg.params_for(k), cfg.opts)
     points = pipe.dispersion()
@@ -269,7 +269,7 @@ def cmd_modes(cfg, out_dir, threads):
     return 0
 
 
-def cmd_outer_coeffs(cfg, out_dir, threads):
+def cmd_outer_coeffs(cfg, out_dir):
     k = cfg.k_values[0]
     pipe = Pipeline(cfg.profile, cfg.params_for(k), cfg.opts).build()
     par = pipe.params
@@ -297,7 +297,7 @@ def cmd_outer_coeffs(cfg, out_dir, threads):
     return 0
 
 
-def cmd_oracle(cfg, out_dir, threads):
+def cmd_oracle(cfg, out_dir):
     k = cfg.k_values[0]
     pipe = Pipeline(cfg.profile, cfg.params_for(k), cfg.opts)
     lo = pipe.eps_star
@@ -312,7 +312,7 @@ def cmd_oracle(cfg, out_dir, threads):
     return 0
 
 
-def cmd_verify(cfg, out_dir, threads, seed=0):
+def cmd_verify(cfg, seed=0):
     k = cfg.k_values[0]
     pipe = Pipeline(cfg.profile, cfg.params_for(k), cfg.opts)
     results = run_verification(pipe, seed=seed)
@@ -339,11 +339,11 @@ def run(command, cfg, out_dir=None, threads=1, seed=0, dump_matrices=False):
     out_dir = out_dir or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     if command == "verify":
-        return cmd_verify(cfg, out_dir, threads, seed=seed)
+        return cmd_verify(cfg, seed=seed)
     if command == "dispersion":
         return cmd_dispersion(cfg, out_dir, threads,
                               dump_dir=out_dir if dump_matrices else None)
-    return _COMMANDS[command](cfg, out_dir, threads)
+    return _COMMANDS[command](cfg, out_dir)
 
 
 def main(argv=None):

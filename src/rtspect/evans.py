@@ -160,7 +160,7 @@ def _shift_integral(profile, params, lam, x_minus, x_plus):
     return half * float(_SHIFT_W @ (k + np.sqrt(k * k + lam * rho / mu)))
 
 
-def _matching_bounds(profile, params):
+def _matching_bounds(profile):
     if profile.kind == COMPACT:
         pad = 1e-3 * profile.a
         return -profile.a - pad, profile.a + pad
@@ -179,7 +179,7 @@ def evans_function(profile, params, lam, x_minus=None, x_plus=None,
     """
     if lam <= 0:
         raise SolverError("Evans function needs lambda > 0")
-    lo, hi = _matching_bounds(profile, params)
+    lo, hi = _matching_bounds(profile)
     x_minus = lo if x_minus is None else x_minus
     x_plus = hi if x_plus is None else x_plus
     if x_minus > lo + 1e-12 or x_plus < hi - 1e-12:

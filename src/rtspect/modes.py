@@ -1,11 +1,15 @@
 """Global modes: inner Galerkin solution glued to decaying tails.
 
-A dispersion root gives the inner coefficients on the window; the tails are
-pinned by matching (phi, phi') at the endpoints, which is exact by
-construction, while the continuity of phi'' and phi''' across the endpoints
-is then a consequence of the boundary closure and converges with the mesh.
-Modes are normalized to sup |phi| = 1 with the sign fixed at the density-
-gradient maximizer.
+A dispersion root gives the inner coefficients on the window; past each
+endpoint the mode is a combination b1 U_a + b2 U_b of the two decaying
+solutions on that side.  Both profile kinds supply those pairs through one
+interface (`samples_at`, `reach`, `eval_limit`): closed-form exponentials
+for compact-gradient profiles (`outer_compact`), sampled Picard solutions
+for strictly increasing ones (`outer_general`).  The amplitudes match
+(phi, phi') at the endpoints, which is exact by construction, while the
+continuity of phi'' and phi''' across the endpoints is then a consequence of
+the boundary closure and converges with the mesh.  Modes are normalized to
+sup |phi| = 1 with the sign fixed at the density-gradient maximizer.
 """
 
 from __future__ import annotations
@@ -17,9 +21,45 @@ import numpy as np
 
 from .assembly import gauss_points
 from .errors import ExtrapolationError, GluingError
-from .outer_compact import (compact_outer_basis, eval_outer, extension_coeffs,
-                            outer_fourth_derivative)
-from .profiles import COMPACT
+
+
+@dataclass
+class Tail:
+    """b1 U_a + b2 U_b past one window end, phases referenced at that end."""
+
+    side: str
+    amps: tuple                    # (b1, b2)
+    sols: tuple                    # (U_a, U_b), decaying solutions
+    phase0: tuple                  # their phases at the window end
+
+    @property
+    def reach(self):
+        """Far end of the span scanned for sup |phi| and residuals."""
+        return self.sols[0].reach
+
+    def eval(self, x):
+        """(phi, phi', phi'', phi''') at points x past the window end."""
+        limit = self.sols[0].eval_limit
+        beyond = x > limit if self.side == "right" else x < limit
+        if np.any(beyond):
+            raise ExtrapolationError(
+                "evaluation beyond the truncated outer grid; enlarge X_max")
+        (b1, b2), (sol_a, sol_b), (ph_a0, ph_b0) = (self.amps, self.sols,
+                                                    self.phase0)
+        ua = sol_a.normalized_at(x) * np.exp(-(sol_a.phase_at(x) - ph_a0))[..., None]
+        ub = sol_b.normalized_at(x) * np.exp(-(sol_b.phase_at(x) - ph_b0))[..., None]
+        vals = b1 * ua + b2 * ub
+        return tuple(vals[..., j] for j in range(4))
+
+    def fourth_derivative(self, x):
+        """phi'''' at x, from the solutions' samples and their slopes."""
+        out = 0.0
+        for bcoef, sol, ph0 in zip(self.amps, self.sols, self.phase0):
+            v, dv = sol.samples_at(x), sol.samples_at(x, 1)
+            u4, phase = v[..., 3], v[..., 4]
+            du4, dphase = dv[..., 3], dv[..., 4]
+            out = out + bcoef * np.exp(-(phase - ph0)) * (du4 - dphase * u4)
+        return out
 
 
 @dataclass
@@ -28,16 +68,18 @@ class GlobalMode:
 
     lam: float
     n: int
-    kind: str
     space: object
     dofs: np.ndarray
     bc: tuple                      # (left, right) BoundaryCoeffs
-    outer_left: tuple              # compact: ("compact", A1, A2, basis)
-    outer_right: tuple             # general: ("general", B1, B2, sol_a, sol_b)
+    outer_left: Tail
+    outer_right: Tail
     x_minus: float
     x_plus: float
     x_mid: float
     norm_scale: float = 1.0
+
+    def tail(self, side):
+        return self.outer_right if side == "right" else self.outer_left
 
     def eval(self, x):
         """(phi, phi', phi'', phi''') at x, piecewise inner/outer."""
@@ -51,7 +93,7 @@ class GlobalMode:
                 out[j, inner] = self.space.evaluate(self.dofs, xv[inner], j)
         for side, mask in (("right", xv > self.x_plus), ("left", xv < self.x_minus)):
             if mask.any():
-                vals = _eval_tail(self, side, xv[mask])
+                vals = self.tail(side).eval(xv[mask])
                 for j in range(4):
                     out[j, mask] = vals[j]
         if scalar:
@@ -59,78 +101,34 @@ class GlobalMode:
         return tuple(out[j] for j in range(4))
 
 
-def _eval_tail(mode, side, x):
-    data = mode.outer_right if side == "right" else mode.outer_left
-    if data[0] == "compact":
-        _, a1, a2, basis = data
-        return eval_outer(a1, a2, basis, side, x)
-    _, b1, b2, sol_a, sol_b, ph_a0, ph_b0 = data
-    hi = sol_a.xs[-1] if side == "right" else math.inf
-    lo = -math.inf if side == "right" else sol_a.xs[0]
-    if np.any(x > hi) or np.any(x < lo):
-        raise ExtrapolationError(
-            "evaluation beyond the truncated outer grid; enlarge X_max")
-    ua = sol_a.normalized_at(x) * np.exp(-(sol_a.phase_at(x) - ph_a0))[..., None]
-    ub = sol_b.normalized_at(x) * np.exp(-(sol_b.phase_at(x) - ph_b0))[..., None]
-    vals = b1 * ua + b2 * ub
-    return tuple(vals[..., j] for j in range(4))
-
-
-def _tail_fourth_derivative(mode, side, x):
-    data = mode.outer_right if side == "right" else mode.outer_left
-    if data[0] == "compact":
-        _, a1, a2, basis = data
-        return outer_fourth_derivative(a1, a2, basis, side, x)
-    _, b1, b2, sol_a, sol_b, ph_a0, ph_b0 = data
-    out = 0.0
-    for bcoef, sol, ph0 in ((b1, sol_a, ph_a0), (b2, sol_b, ph_b0)):
-        v, dv = sol.samples_at(x), sol.samples_at(x, 1)
-        u4, phase = v[..., 3], v[..., 4]
-        du4, dphase = dv[..., 3], dv[..., 4]
-        out = out + bcoef * np.exp(-(phase - ph0)) * (du4 - dphase * u4)
-    return out
-
-
-def glue_mode(point, profile, params, space, bc, outer=None, x_mid=0.0):
+def glue_mode(point, space, bc, outer, x_mid=0.0):
     """Extend a dispersion eigenvector by decaying tails into a global mode.
 
-    outer: None for compact-gradient profiles (closed forms), or the
-    per-lambda dict of decaying solutions from the outer engine.  The tail
-    amplitudes match (phi, phi') at the endpoints exactly; the mode is then
-    normalized to sup |phi| = 1 with phi(x_mid) >= 0 (falling back to the
-    slope when the mode vanishes at x_mid).
+    outer: the per-lambda dict of decaying pairs, {"right": {"U1+", "U2+"},
+    "left": {"U3-", "U4-"}}, from `outer_compact.compact_decaying_solutions`
+    or `OuterSolutions.solve`.  The tail amplitudes match (phi, phi') at the
+    endpoints exactly; the mode is then normalized to sup |phi| = 1 with
+    phi(x_mid) >= 0 (falling back to the slope when the mode vanishes at
+    x_mid).
     """
     dofs = np.asarray(point.dofs, dtype=float).copy()
     if not np.any(np.abs(dofs) > 0):
         raise GluingError("trivial inner solution cannot be glued into a mode")
-    lam = point.lam
     x_minus, x_plus = space.mesh.x_minus, space.mesh.x_plus
-    phi_l, dphi_l = dofs[0], dofs[1]
-    phi_r, dphi_r = dofs[-2], dofs[-1]
-
-    if profile.kind == COMPACT and outer is None:
-        basis = compact_outer_basis(profile, params, lam)
-        a1r, a2r = extension_coeffs(phi_r, dphi_r, basis, "right")
-        a1l, a2l = extension_coeffs(phi_l, dphi_l, basis, "left")
-        outer_right = ("compact", a1r, a2r, basis)
-        outer_left = ("compact", a1l, a2l, basis)
-    else:
-        sols_r = outer["right"]
-        sols_l = outer["left"]
-        outer_right = _general_tail(sols_r["U1+"], sols_r["U2+"], x_plus,
-                                    phi_r, dphi_r)
-        outer_left = _general_tail(sols_l["U3-"], sols_l["U4-"], x_minus,
-                                   phi_l, dphi_l)
-
-    mode = GlobalMode(lam=lam, n=point.n, kind=profile.kind, space=space,
-                      dofs=dofs, bc=bc, outer_left=outer_left,
-                      outer_right=outer_right, x_minus=x_minus, x_plus=x_plus,
-                      x_mid=x_mid)
-    _normalize(mode, profile)
+    sols_r, sols_l = outer["right"], outer["left"]
+    mode = GlobalMode(
+        lam=point.lam, n=point.n, space=space, dofs=dofs, bc=bc,
+        outer_left=glue_tail("left", sols_l["U3-"], sols_l["U4-"], x_minus,
+                             dofs[0], dofs[1]),
+        outer_right=glue_tail("right", sols_r["U1+"], sols_r["U2+"], x_plus,
+                              dofs[-2], dofs[-1]),
+        x_minus=x_minus, x_plus=x_plus, x_mid=x_mid)
+    _normalize(mode)
     return mode
 
 
-def _general_tail(sol_a, sol_b, x_end, phi_end, dphi_end):
+def glue_tail(side, sol_a, sol_b, x_end, phi_end, dphi_end):
+    """Tail through (phi, phi') = (phi_end, dphi_end) at the window end."""
     ph_a0 = float(sol_a.phase_at(x_end))
     ph_b0 = float(sol_b.phase_at(x_end))
     ua = sol_a.normalized_at(x_end)
@@ -140,19 +138,19 @@ def _general_tail(sol_a, sol_b, x_end, phi_end, dphi_end):
     if abs(det) < 1e-10 * (np.linalg.norm(A[0]) * np.linalg.norm(A[1]) + 1e-300):
         raise GluingError(f"gluing system singular at x={x_end:.4g}")
     b1, b2 = np.linalg.solve(A, np.array([phi_end, dphi_end]))
-    return ("general", float(b1), float(b2), sol_a, sol_b, ph_a0, ph_b0)
+    return Tail(side, (float(b1), float(b2)), (sol_a, sol_b), (ph_a0, ph_b0))
 
 
-def _normalize(mode, profile):
+def _normalize(mode):
     xs_in = np.unique(np.concatenate(
         [mode.space.mesh.nodes,
          mode.space.quad_x.ravel()]))
     phi_in = mode.space.evaluate(mode.dofs, xs_in, 0)
     peak = float(np.max(np.abs(phi_in)))
-    for side, x0, x1 in (("right", mode.x_plus, _tail_reach(mode, "right")),
-                         ("left", _tail_reach(mode, "left"), mode.x_minus)):
+    for tail, x0, x1 in ((mode.outer_right, mode.x_plus, mode.outer_right.reach),
+                         (mode.outer_left, mode.outer_left.reach, mode.x_minus)):
         xs = np.linspace(x0, x1, 200)
-        vals = _eval_tail(mode, side, xs)[0]
+        vals = tail.eval(xs)[0]
         peak = max(peak, float(np.max(np.abs(vals))))
     if peak == 0.0:
         raise GluingError("mode vanishes identically")
@@ -163,24 +161,8 @@ def _normalize(mode, profile):
     scale = s / peak
     mode.dofs *= scale
     mode.norm_scale = scale
-    for attr in ("outer_left", "outer_right"):
-        data = getattr(mode, attr)
-        if data[0] == "compact":
-            setattr(mode, attr, ("compact", data[1] * scale, data[2] * scale,
-                                 data[3]))
-        else:
-            setattr(mode, attr, ("general", data[1] * scale, data[2] * scale,
-                                 *data[3:]))
-
-
-def _tail_reach(mode, side):
-    data = mode.outer_right if side == "right" else mode.outer_left
-    if data[0] == "compact":
-        k = data[3].k
-        reach = 12.0 / k
-        return mode.x_plus + reach if side == "right" else mode.x_minus - reach
-    sol = data[3]
-    return sol.xs[-1] if side == "right" else sol.xs[0]
+    for tail in (mode.outer_left, mode.outer_right):
+        tail.amps = (tail.amps[0] * scale, tail.amps[1] * scale)
 
 
 def gluing_jumps(mode):
@@ -202,7 +184,7 @@ def gluing_jumps(mode):
         inner = [p, dp,
                  -coeffs.n11 * p - coeffs.n12 * dp,
                  -coeffs.n21 * p - coeffs.n22 * dp]
-        tail = [float(v[0]) for v in _eval_tail(mode, side, np.array([x_e]))]
+        tail = [float(v[0]) for v in mode.tail(side).eval(np.array([x_e]))]
         for j in range(4):
             scale = max(abs(inner[j]), abs(tail[j]), 1e-300)
             out[(side, j)] = abs(inner[j] - tail[j]) / scale
@@ -267,8 +249,7 @@ def ode_residual(mode, profile, params, rho_m):
     scale = g * k**2 * rho_m
     span = mode.x_plus - mode.x_minus
     w = span / 16.0
-    reach_r = _tail_reach(mode, "right")
-    reach_l = _tail_reach(mode, "left")
+    reach_r, reach_l = mode.outer_right.reach, mode.outer_left.reach
     centers = np.linspace(max(mode.x_minus - 0.5 * w, reach_l + 1.01 * w),
                           min(mode.x_plus + 0.5 * w, reach_r - 1.01 * w),
                           24)
@@ -297,8 +278,8 @@ def ode_residual(mode, profile, params, rho_m):
         x1 = reach_r if side == "right" else mode.x_minus
         pad = 1e-6 * (x1 - x0)
         xs = np.linspace(x0 + pad, x1 - pad, 200)
-        p, dp, d2p, d3p = _eval_tail(mode, side, xs)
-        d4p = _tail_fourth_derivative(mode, side, xs)
+        p, dp, d2p, d3p = mode.tail(side).eval(xs)
+        d4p = mode.tail(side).fourth_derivative(xs)
         rr = np.asarray(profile.rho(xs))
         dr = np.asarray(profile.drho(xs))
         res = (-lam**2 * (rr * k**2 * p - dr * dp - rr * d2p)

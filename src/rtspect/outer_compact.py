@@ -5,7 +5,10 @@ the solutions decaying at +inf are spanned by exp(-k(x-a)) and
 exp(-tau_plus(x-a)) with tau = sqrt(k^2 + lambda*rho/mu); mirrored at -inf.
 Membership in that span is encoded as two linear relations on
 (phi, phi', phi'', phi''') at each endpoint, which close the problem on
-[-a, a].
+[-a, a].  The spanning exponentials are also offered as decaying solutions
+read exactly like the sampled ones of `outer_general` (a constant
+phase-normalized vector and a linear phase), so that modes glue and
+evaluate both profile kinds through one interface.
 """
 
 from __future__ import annotations
@@ -35,9 +38,6 @@ class CompactOuterBasis:
     tau_plus: float
     a: float
 
-    def tau(self, side):
-        return self.tau_plus if side == "right" else self.tau_minus
-
 
 @dataclass(frozen=True)
 class BoundaryCoeffs:
@@ -52,6 +52,52 @@ class BoundaryCoeffs:
 
     def as_tuple(self):
         return (self.n11, self.n12, self.n21, self.n22)
+
+
+class PhaseNormalized:
+    """Reading of a decaying solution U(x) = e^{-phase(x)} normalized(x).
+
+    Subclasses supply samples_at(x, nu): the nu-th x-derivative of
+    (normalized, phase), shape (..., 5); `reach` (how far out the tail is
+    scanned) and `eval_limit` (the last x at which it may be evaluated).
+    """
+
+    def normalized_at(self, x):
+        return self.samples_at(x)[..., :4]
+
+    def phase_at(self, x):
+        return self.samples_at(x)[..., 4]
+
+    def raw_at(self, x):
+        return np.exp(-self.phase_at(x))[..., None] * self.normalized_at(x)
+
+
+@dataclass(frozen=True)
+class ExponentialSolution(PhaseNormalized):
+    """e^{-rate |x - x_end|} past one end of the support of rho0'.
+
+    The normalized vector is the constant (1, -+rate, rate^2, -+rate^3)
+    (upper signs on the right) and the phase is rate*|x - x_end|; the
+    solution is exact arbitrarily far out.
+    """
+
+    side: str
+    rate: float
+    x_end: float
+    reach: float
+    eval_limit: float
+
+    def samples_at(self, x, nu=0):
+        x = np.asarray(x, dtype=float)
+        s = 1.0 if self.side == "right" else -1.0
+        r = self.rate
+        out = np.zeros(x.shape + (5,))
+        if nu == 0:
+            out[..., :4] = (1.0, -s * r, r * r, -s * r**3)
+            out[..., 4] = s * r * (x - self.x_end)
+        elif nu == 1:
+            out[..., 4] = s * r
+        return out
 
 
 def compact_outer_basis(profile, params, lam):
@@ -70,6 +116,28 @@ def compact_outer_basis(profile, params, lam):
         a=float(profile.a))
 
 
+def compact_decaying_solutions(basis):
+    """The decaying pairs {e^{-k|x-+a|}, e^{-tau|x-+a|}} on both sides.
+
+    Keyed like `OuterSolutions.solve`: {"right": {"U1+", "U2+"},
+    "left": {"U3-", "U4-"}}, slow rate k first.
+    """
+    k = basis.k
+    out = {}
+    for side, names, tau, x_end, s in (
+            ("right", ("U1+", "U2+"), basis.tau_plus, basis.a, 1.0),
+            ("left", ("U3-", "U4-"), basis.tau_minus, -basis.a, -1.0)):
+        if tau - k < DEGENERATE_REL * k:
+            raise DegenerateBasisError(
+                f"tau - k = {tau - k:.3e} at lambda = {basis.lam:.6e}: "
+                "outer exponentials numerically collinear")
+        reach = x_end + s * 12.0 / k      # sup |phi| scan: 12 slow lengths
+        out[side] = {name: ExponentialSolution(side, rate, x_end, reach,
+                                               s * math.inf)
+                     for name, rate in zip(names, (k, tau))}
+    return out
+
+
 def exponential_closure(end, x, k, tau):
     """Relations annihilating the tail span {e^{-k|x|}, e^{-tau|x|}} at one end."""
     s = 1.0 if end == "right" else -1.0
@@ -82,55 +150,3 @@ def compact_bc_coeffs(basis):
     """Endpoint relations annihilating the decaying spans at -a and +a."""
     return (exponential_closure("left", -basis.a, basis.k, basis.tau_minus),
             exponential_closure("right", basis.a, basis.k, basis.tau_plus))
-
-
-def extension_coeffs(phi_end, dphi_end, basis, side):
-    """Tail amplitudes (A1, A2) matching (phi, phi') at the endpoint.
-
-    Right tail: phi = A1 e^{-k(x-a)} + A2 e^{-tau(x-a)}, so phi'(a) carries
-    -k and -tau; left tail: phi = A1 e^{k(x+a)} + A2 e^{tau(x+a)}.
-    """
-    k = basis.k
-    tau = basis.tau(side)
-    if tau - k < DEGENERATE_REL * k:
-        raise DegenerateBasisError(
-            f"tau - k = {tau - k:.3e} at lambda = {basis.lam:.6e}: "
-            "outer exponentials numerically collinear")
-    if side == "right":
-        a1 = (tau * phi_end + dphi_end) / (tau - k)
-        a2 = -(k * phi_end + dphi_end) / (tau - k)
-    else:
-        a1 = (tau * phi_end - dphi_end) / (tau - k)
-        a2 = (dphi_end - k * phi_end) / (tau - k)
-    return a1, a2
-
-
-def eval_outer(a1, a2, basis, side, x):
-    """(phi, phi', phi'', phi''') of the tail at x (right: x >= a, left: x <= -a)."""
-    x = np.asarray(x, dtype=float)
-    k = basis.k
-    tau = basis.tau(side)
-    if side == "right":
-        if np.any(x < basis.a * (1 - 1e-12) - 1e-300):
-            raise SolverError("right tail evaluated inside (-a, a)")
-        s = x - basis.a
-        rk, rt = -k, -tau
-    else:
-        if np.any(x > -basis.a * (1 - 1e-12) + 1e-300):
-            raise SolverError("left tail evaluated inside (-a, a)")
-        s = x + basis.a
-        rk, rt = k, tau
-    ek = np.exp(rk * s)
-    et = np.exp(rt * s)
-    out = tuple(a1 * rk**j * ek + a2 * rt**j * et for j in range(4))
-    return out
-
-
-def outer_fourth_derivative(a1, a2, basis, side, x):
-    """Analytic phi'''' of the tail (exact; used by residual diagnostics)."""
-    x = np.asarray(x, dtype=float)
-    k = basis.k
-    tau = basis.tau(side)
-    s = x - basis.a if side == "right" else x + basis.a
-    rk, rt = (-k, -tau) if side == "right" else (k, tau)
-    return a1 * rk**4 * np.exp(rk * s) + a2 * rt**4 * np.exp(rt * s)

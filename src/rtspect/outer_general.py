@@ -22,13 +22,17 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .errors import (CoercivitySearchError, SolverError, TruncationError)
-from .outer_compact import BoundaryCoeffs, exponential_closure
+from .outer_compact import (BoundaryCoeffs, PhaseNormalized,
+                            exponential_closure)
 from .profiles import GL5_NODES, GL5_WEIGHTS, profile_bounds
 
 MAX_PICARD_ITER = 64
 PICARD_TOL = 1e-12
 CONTRACTION_SLACK = 1e-6
 TAIL_DROP = 1e-10  # Gamma_m * (rho_limit_gap) at the numerical infinity cutoff
+# Picard updates at or below this are round-off: their ratios say nothing
+# about contraction
+UPDATE_FLOOR = 1e-10
 
 
 def _partial_integration_matrix():
@@ -372,15 +376,15 @@ _LEFT_TARGETS = (2, 3)   # e3, e4
 
 
 @dataclass
-class DecayingSolution:
+class DecayingSolution(PhaseNormalized):
     """One solution of the first-order system pinned to a decaying direction.
 
     normalized holds e^{phase(x)} U(x) sampled on xs (so it tends to `limit`
-    at the far end); phase_rate gives d(phase)/dx for reconstructing raw
-    values and derivatives without overflow.
+    at the far end); the splined phase and its slope rebuild raw values and
+    derivatives without overflow.  The far end of xs is both the
+    reach of the tail and its evaluation limit: nothing is known beyond it.
     """
 
-    which: str
     side: str
     lam: float
     xs: np.ndarray
@@ -388,7 +392,6 @@ class DecayingSolution:
     phase: np.ndarray               # (N,)
     limit: np.ndarray               # (4,)
     updates: tuple
-    x_anchor: float                 # phase reference (x_tilde on its side)
     _spline: object = field(default=None, repr=False)
 
     def samples_at(self, x, nu=0):
@@ -398,19 +401,18 @@ class DecayingSolution:
                 self.xs, np.column_stack([self.normalized, self.phase]))
         return self._spline(np.asarray(x, dtype=float), nu)
 
-    def normalized_at(self, x):
-        return self.samples_at(x)[..., :4]
+    @property
+    def reach(self):
+        return self.xs[-1] if self.side == "right" else self.xs[0]
 
-    def phase_at(self, x):
-        return self.samples_at(x)[..., 4]
-
-    def raw_at(self, x):
-        return np.exp(-self.phase_at(x))[..., None] * self.normalized_at(x)
+    eval_limit = reach
 
     @property
     def contraction_ratios(self):
+        """Ratios of successive Picard updates, after updates above round-off."""
         u = self.updates
-        return tuple(u[i + 1] / u[i] for i in range(len(u) - 1) if u[i] > 1e-300)
+        return tuple(u[i + 1] / u[i] for i in range(len(u) - 1)
+                     if u[i] > UPDATE_FLOOR)
 
 
 class OuterSolutions:
@@ -519,7 +521,7 @@ class OuterSolutions:
             if it >= 1:
                 for s in range(nsol):
                     prev, cur = updates[s][-2], updates[s][-1]
-                    if prev > 1e-10 and cur > (0.5 + CONTRACTION_SLACK) * prev:
+                    if prev > UPDATE_FLOOR and cur > (0.5 + CONTRACTION_SLACK) * prev:
                         raise SolverError(
                             f"fixed-point contraction ratio {cur / prev:.3f} > 1/2 "
                             f"at lambda={lam:.6g}; truncation points misplaced")
@@ -558,7 +560,6 @@ class OuterSolutions:
             limits = (np.array([-k**-3, k**-2, -k**-1, 1.0]),
                       np.array([-sig_inf**-3, sig_inf**-2, -sig_inf**-1, 1.0]))
             phases = (alpha_all, beta_all)
-            anchor = setup.x_tilde_plus
         else:
             sig_inf = math.sqrt(k * k + lam * self.profile.rho_minus / mu)
             names = ("U3-", "U4-")
@@ -567,13 +568,12 @@ class OuterSolutions:
             # phases grow toward -inf: alpha_all/beta_all run from X_min upward,
             # so the decay phase is their value at x_tilde_minus minus at x.
             phases = (alpha_all[-1] - alpha_all, beta_all[-1] - beta_all)
-            anchor = setup.x_tilde_minus
         for s in range(nsol):
             U_norm = np.einsum("nij,njs->nis", Pmat, W_all)[:, :, s]
             sols[names[s]] = DecayingSolution(
-                which=names[s], side=side, lam=lam, xs=xs,
-                normalized=U_norm, phase=np.asarray(phases[s], dtype=float),
-                limit=limits[s], updates=tuple(updates[s]), x_anchor=anchor)
+                side=side, lam=lam, xs=xs, normalized=U_norm,
+                phase=np.asarray(phases[s], dtype=float),
+                limit=limits[s], updates=tuple(updates[s]))
         return sols
 
     def sigma_limits(self, lam):

@@ -1,9 +1,10 @@
 """End-to-end orchestration: profile + parameters -> roots and global modes.
 
 Wraps the per-module machinery with the default numerical policy: the
-reduction window, mesh and builders are set up once per (profile, k) and the
-root search walks mode indices with an adaptive bracket floor (deep modes of
-compact-gradient profiles sit orders of magnitude below the first one).
+reduction window, mesh, builders and source of decaying tail pairs are set
+up once per (profile, k) and the root search walks mode indices with an
+adaptive bracket floor (deep modes of compact-gradient profiles sit orders
+of magnitude below the first one).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from .assembly import HermiteSpace, build_mesh
 from .errors import BracketError, SolverError
 from .modes import glue_mode
+from .outer_compact import compact_decaying_solutions, compact_outer_basis
 from .outer_general import (OuterSolutions, coercive_window, gamma_bounds,
                             truncation_points)
 from .profiles import COMPACT, profile_bounds
@@ -59,12 +61,15 @@ class Pipeline:
             self.engine = None
             self.setup = None
             self.window = (-self.profile.a, self.profile.a)
+            self.decaying_solutions = lambda lam: compact_decaying_solutions(
+                compact_outer_basis(self.profile, self.params, lam))
         else:
             self.gbounds = gamma_bounds(self.profile, self.params,
                                         self.eps_star, self.bounds)
             self.setup = truncation_points(self.profile, self.params,
                                            self.gbounds)
             self.engine = OuterSolutions(self.profile, self.params, self.setup)
+            self.decaying_solutions = self.engine.solve
             grid = np.linspace(self.eps_star, self.bounds.lambda_max,
                                opts.lambda_grid_points)
             x_minus, x_plus, self.window_report = coercive_window(
@@ -121,10 +126,6 @@ class Pipeline:
 
     def mode(self, point):
         self.build()
-        if self.profile.kind == COMPACT:
-            outer = None
-        else:
-            outer = self.engine.solve(point.lam)
+        outer = self.decaying_solutions(point.lam)
         bc = self.builder.bc_factory(point.lam)
-        return glue_mode(point, self.profile, self.params, self.space, bc,
-                         outer=outer, x_mid=self.x_mid)
+        return glue_mode(point, self.space, bc, outer, x_mid=self.x_mid)

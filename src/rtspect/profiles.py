@@ -219,7 +219,7 @@ def make_profile(family, *, rho_minus=None, rho_plus=None, ell=None, a=None,
         dinterp = interp.derivative()
         x0, x1 = xs[0], xs[-1]
 
-        def rho(x, interp=interp, x0=x0, x1=x1, lo=rs[0], hi=rs[-1]):
+        def rho(x, interp=interp, x0=x0, x1=x1):
             xc = np.clip(np.asarray(x, dtype=float), x0, x1)
             return interp(xc)
 

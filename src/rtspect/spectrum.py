@@ -135,7 +135,7 @@ class SliceBuilder:
             if self._rank is None:
                 self._rank = mass_rank(forms)
             sl = gamma_spectrum(forms, self.n_max, rank=self._rank)
-            sl.margin = coercivity_check(forms, self.params)
+            sl.margin = coercivity_check(forms)
             self.margins[key] = sl.margin
             self._cache[key] = sl
         return self._cache[key]

@@ -168,10 +168,7 @@ def test_criterion_8_picard_contraction_and_envelopes(accept_tanh,
                                   (env.env_u3, env.env_u4))):
             for key, env_f in zip(keys, envs):
                 s = sols[side][key]
-                ratios = s.contraction_ratios
-                for j, r in enumerate(ratios):
-                    if s.updates[j] > 1e-10:
-                        worst_ratio = max(worst_ratio, r)
+                worst_ratio = max([worst_ratio, *s.contraction_ratios])
                 dev = np.linalg.norm(s.normalized - s.limit[None, :], axis=1)
                 worst_env = max(worst_env, float(
                     np.max(dev / np.maximum(env_f(s.xs), 1e-300))))

@@ -202,7 +202,7 @@ def test_coercivity_margin_matches_dense(request, fixture, frac):
     pipe = request.getfixturevalue(fixture)
     forms = pipe.builder(frac * pipe.bounds.lambda_max).forms
     eta = eigh(forms.K, forms.G, subset_by_index=[0, 0], eigvals_only=True)[0]
-    margin = coercivity_check(forms, pipe.params)
+    margin = coercivity_check(forms)
     assert abs(margin - (eta - forms.threshold)) <= 1e-9 * max(1.0, eta)
 
 
@@ -231,7 +231,7 @@ def test_coercivity_margin_small_k_within_rounding(bump_profile, frac):
     x = eigh(forms.K, forms.G, subset_by_index=[0, 0])[1][:, 0]
     rq = float(exact_quadratic_form(forms.K_band, x)
                / exact_quadratic_form(forms.G_band, x))
-    eta = coercivity_check(forms, par) + forms.threshold
+    eta = coercivity_check(forms) + forms.threshold
     assert abs(eta - rq) <= 4e-16 * np.linalg.norm(forms.K, 2)
 
 
@@ -246,9 +246,9 @@ def test_negative_margin_returned_or_raised(bump_pipe, params):
         shifted = dataclasses.replace(forms, threshold=eta + deficit * knorm)
         if raises:
             with pytest.raises(CoercivityError, match="coercivity failed"):
-                coercivity_check(shifted, params)
+                coercivity_check(shifted)
         else:
-            got = coercivity_check(shifted, params)
+            got = coercivity_check(shifted)
             assert got == pytest.approx(-deficit * knorm, rel=1e-6)
 
 
@@ -276,7 +276,7 @@ def test_coercivity_check_constant_coefficients():
     space = HermiteSpace(build_mesh(-1, 1, 16, "uniform"))
     forms = assemble_forms(prof, par, lam, (left, right), space)
     assert forms.asymmetry_norm <= 1e-12 * np.linalg.norm(forms.K, "fro")
-    assert coercivity_check(forms, par) >= -1e-10
+    assert coercivity_check(forms) >= -1e-10
 
 
 def test_bc_endpoint_mismatch_rejected(bump_profile, params):

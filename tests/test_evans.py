@@ -80,7 +80,7 @@ def test_log_magnitude_matches_unshifted_integration(bump_profile, params):
     # the Evans value at its full scale
     lam = 0.29
     s = ev.evans_function(bump_profile, params, lam)
-    lo, hi = ev._matching_bounds(bump_profile, params)
+    lo, hi = ev._matching_bounds(bump_profile)
     m = 0.5 * (lo + hi)
 
     def rhs(x, w):

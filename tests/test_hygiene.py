@@ -1,5 +1,6 @@
 """Source hygiene: no module in the package or the tests imports a name it
-never uses.  A stdlib `ast` scan, so no linter is needed."""
+never uses, and no function in the package takes a parameter it never
+reads.  A stdlib `ast` scan, so no linter is needed."""
 
 import ast
 import pathlib
@@ -23,6 +24,28 @@ def _unused_imports(path):
                   if name not in used)
 
 
+def _unused_parameters(path):
+    """(line, function, parameter) for every parameter its body never reads;
+    `self`, `cls` and `_`-prefixed names are exempt."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [
+            p for p in (a.vararg, a.kwarg) if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        used = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        found += [(node.lineno, getattr(node, "name", "<lambda>"), p.arg)
+                  for p in params
+                  if p.arg not in used and p.arg not in ("self", "cls")
+                  and not p.arg.startswith("_")]
+    return sorted(found)
+
+
 def _modules():
     for top in (ROOT / "src" / "rtspect", ROOT / "tests"):
         for path in sorted(top.glob("*.py")):
@@ -42,3 +65,25 @@ def test_scan_flags_an_unused_import(tmp_path):
                    "import os\nimport numpy as np\nfrom math import pi, tau\n"
                    "x = np.linalg.norm(pi)\n")
     assert _unused_imports(src) == [(2, "os"), (4, "tau")]
+
+
+def test_no_unused_parameters():
+    found = [f"{path.relative_to(ROOT)}:{line}: {func}({name})"
+             for path in sorted((ROOT / "src" / "rtspect").glob("*.py"))
+             for line, func, name in _unused_parameters(path)]
+    assert not found, "unused parameters:\n" + "\n".join(found)
+
+
+def test_scan_flags_an_unused_parameter(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("class C:\n"
+                   "    def f(self, a, b, _c, *args, d=1, **kw):\n"
+                   "        return a + kw['x']\n"
+                   "    @classmethod\n"
+                   "    def g(cls, e):\n"
+                   "        def h(y=e):\n"
+                   "            return y\n"
+                   "        return h\n"
+                   "key = lambda u, v: u\n")
+    assert _unused_parameters(src) == [
+        (2, "f", "args"), (2, "f", "b"), (2, "f", "d"), (9, "<lambda>", "v")]

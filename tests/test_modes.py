@@ -7,6 +7,7 @@ import pytest
 from rtspect.errors import ExtrapolationError, GluingError
 from rtspect.modes import (glue_mode, gluing_jumps, ode_residual,
                            raw_trace_defects, reconstruct_fields)
+from rtspect.outer_compact import compact_outer_basis
 from rtspect.pipeline import Pipeline, SolverOptions
 from rtspect.profiles import PhysicalParams
 
@@ -63,13 +64,32 @@ def test_mode_normalization_and_sign(bump_mode, bump_pipe):
     assert mode.eval(bump_pipe.x_mid)[0] >= 0
 
 
-def test_eval_matches_tail_formula(bump_mode):
+def test_eval_matches_tail_formula(bump_mode, bump_profile, params):
     mode, _ = bump_mode
-    _, a1, a2, basis = mode.outer_right
+    a1, a2 = mode.outer_right.amps
+    basis = compact_outer_basis(bump_profile, params, mode.lam)
     x = mode.x_plus + 10.0
     expect = (a1 * math.exp(-basis.k * (x - basis.a))
               + a2 * math.exp(-basis.tau_plus * (x - basis.a)))
     assert mode.eval(x)[0] == pytest.approx(expect, rel=1e-12)
+
+
+def test_tail_matches_closed_form_beyond_reach(bump_mode, bump_profile,
+                                               params):
+    # the glued tail is A1 e^{-k s} + A2 e^{-tau s}, s = x - a, exactly and
+    # arbitrarily far out: up to a + 20/k, past the 12/k scanned for sup |phi|
+    mode, _ = bump_mode
+    tail = mode.outer_right
+    basis = compact_outer_basis(bump_profile, params, mode.lam)
+    k, tau, a = basis.k, basis.tau_plus, basis.a
+    xs = a + np.linspace(0.0, 20.0 / k, 101)[1:]
+    assert xs[-1] > tail.reach
+    a1, a2 = tail.amps
+    got = list(mode.eval(xs)) + [tail.fourth_derivative(xs)]
+    for j in range(5):
+        expect = (a1 * (-k)**j * np.exp(-k * (xs - a))
+                  + a2 * (-tau)**j * np.exp(-tau * (xs - a)))
+        assert got[j] == pytest.approx(expect, rel=1e-12), f"derivative {j}"
 
 
 def test_eval_endpoint_continuity(bump_mode):
@@ -80,9 +100,10 @@ def test_eval_endpoint_continuity(bump_mode):
     assert inner[1] == pytest.approx(outer[1], rel=1e-9)
 
 
-def test_decay_bound(bump_mode, tanh_mode, tanh_pipe):
+def test_decay_bound(bump_mode, bump_pipe, tanh_mode, tanh_pipe):
     mode, _ = bump_mode
-    _, a1, a2, basis = mode.outer_right
+    a1, a2 = mode.outer_right.amps
+    basis = compact_outer_basis(bump_pipe.profile, bump_pipe.params, mode.lam)
     xs = np.linspace(mode.x_plus, mode.x_plus + 8, 200)
     phi = mode.eval(xs)[0]
     bound = 2 * np.maximum(abs(a1) * np.exp(-basis.k * (xs - mode.x_plus)),
@@ -94,20 +115,20 @@ def test_decay_bound(bump_mode, tanh_mode, tanh_pipe):
                       + tanh_pipe.eps_star * rho_minus / tanh_pipe.params.mu)
     xs = np.linspace(gmode.x_plus, tanh_pipe.setup.X_max - 1e-6, 200)
     phi = gmode.eval(xs)[0]
-    b1, b2 = gmode.outer_right[1], gmode.outer_right[2]
+    b1, b2 = gmode.outer_right.amps
     k = tanh_pipe.params.k
     bound = 2 * np.maximum(abs(b1) * np.exp(-k * (xs - gmode.x_plus)),
                            abs(b2) * np.exp(-delta * (xs - gmode.x_plus)))
     assert np.all(np.abs(phi) <= bound * (1 + 1e-9) + 1e-14)
 
 
-def test_trivial_inner_rejected(bump_pipe, bump_profile, params):
+def test_trivial_inner_rejected(bump_pipe):
     pt = bump_pipe.solve_mode_index(1)[0]
     bad = copy.copy(pt)
     bad.dofs = np.zeros_like(pt.dofs)
     with pytest.raises(GluingError):
-        glue_mode(bad, bump_profile, params, bump_pipe.space,
-                  bump_pipe.builder.bc_factory(pt.lam))
+        glue_mode(bad, bump_pipe.space, bump_pipe.builder.bc_factory(pt.lam),
+                  bump_pipe.decaying_solutions(pt.lam))
 
 
 def test_extrapolation_error_beyond_truncation(tanh_mode, tanh_pipe):

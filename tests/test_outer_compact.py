@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtspect.errors import DegenerateBasisError, SolverError
-from rtspect.outer_compact import (compact_bc_coeffs, compact_outer_basis,
-                                   eval_outer, extension_coeffs)
+from rtspect.modes import Tail, glue_tail
+from rtspect.outer_compact import (CompactOuterBasis, compact_bc_coeffs,
+                                   compact_decaying_solutions,
+                                   compact_outer_basis)
 from rtspect.profiles import PhysicalParams, make_profile
 
 
@@ -47,10 +49,25 @@ def test_rejects_nonpositive_lambda():
 
 def _basis(k, tau_minus, tau_plus, a=1.0, lam=1.0):
     # direct construction for closed-form checks
-    from rtspect.outer_compact import CompactOuterBasis
     return CompactOuterBasis(k=k, lam=lam, nu_minus=(tau_minus**2 - k**2) / lam,
                              nu_plus=(tau_plus**2 - k**2) / lam,
                              tau_minus=tau_minus, tau_plus=tau_plus, a=a)
+
+
+def _tail(basis, side, a1, a2):
+    """a1 e^{-k|x -+ a|} + a2 e^{-tau|x -+ a|}, phases referenced at +-a."""
+    pair = compact_decaying_solutions(basis)[side]
+    sols = tuple(pair.values())
+    x_end = basis.a if side == "right" else -basis.a
+    return Tail(side, (a1, a2), sols,
+                tuple(float(s.phase_at(x_end)) for s in sols))
+
+
+def _glue(basis, side, phi, dphi):
+    """Amplitudes of the tail through (phi, phi') at +-a, by the mode gluing."""
+    pair = compact_decaying_solutions(basis)[side]
+    x_end = basis.a if side == "right" else -basis.a
+    return glue_tail(side, *pair.values(), x_end, phi, dphi).amps
 
 
 def test_bc_coefficient_values():
@@ -74,9 +91,10 @@ def test_bc_annihilates_decaying_span(a1, a2, lam, k):
     par = PhysicalParams(g=1.0, mu=1.0, k=k)
     basis = compact_outer_basis(prof, par, lam)
     left, right = compact_bc_coeffs(basis)
-    for side, coeffs, x in (("right", right, 1.0), ("left", left, -1.0)):
-        p, dp, d2p, d3p = eval_outer(a1, a2, basis, side, x)
-        scale = max(abs(a1), abs(a2), 1.0) * max(basis.tau(side), k)**3
+    for side, coeffs, x, tau in (("right", right, 1.0, basis.tau_plus),
+                                 ("left", left, -1.0, basis.tau_minus)):
+        p, dp, d2p, d3p = _tail(basis, side, a1, a2).eval(np.array(x))
+        scale = max(abs(a1), abs(a2), 1.0) * max(tau, k)**3
         assert abs(coeffs.n11 * p + coeffs.n12 * dp + d2p) <= 1e-12 * scale
         assert abs(coeffs.n21 * p + coeffs.n22 * dp + d3p) <= 1e-12 * scale
 
@@ -84,13 +102,13 @@ def test_bc_annihilates_decaying_span(a1, a2, lam, k):
 def test_extension_identity_cases():
     b = _basis(1.0, 2.0, 2.0)
     # pure slow tail: phi' = -k phi
-    a1, a2 = extension_coeffs(1.0, -1.0, b, "right")
+    a1, a2 = _glue(b, "right", 1.0, -1.0)
     assert (a1, a2) == pytest.approx((1.0, 0.0), abs=1e-14)
     # pure fast tail: phi' = -tau phi
-    a1, a2 = extension_coeffs(1.0, -2.0, b, "right")
+    a1, a2 = _glue(b, "right", 1.0, -2.0)
     assert (a1, a2) == pytest.approx((0.0, 1.0), abs=1e-14)
     # left identity cases mirror with growing exponentials
-    a1, a2 = extension_coeffs(1.0, 1.0, b, "left")
+    a1, a2 = _glue(b, "left", 1.0, 1.0)
     assert (a1, a2) == pytest.approx((1.0, 0.0), abs=1e-14)
 
 
@@ -101,26 +119,20 @@ def test_extension_roundtrip(phi, dphi, lam, side):
     prof = make_profile("bump", rho_minus=1.0, rho_plus=3.0, a=1.0)
     par = PhysicalParams(g=1.0, mu=1.0, k=1.0)
     basis = compact_outer_basis(prof, par, lam)
-    a1, a2 = extension_coeffs(phi, dphi, basis, side)
+    a1, a2 = _glue(basis, side, phi, dphi)
     x = 1.0 if side == "right" else -1.0
-    p, dp, _, _ = eval_outer(a1, a2, basis, side, x)
+    p, dp, _, _ = _tail(basis, side, a1, a2).eval(np.array(x))
     scale = max(abs(phi), abs(dphi), 1e-12)
     assert abs(p - phi) <= 1e-12 * scale
     assert abs(dp - dphi) <= 1e-12 * scale
 
 
-def test_eval_outer_values():
+def test_closed_form_tail_values():
     b = _basis(1.0, 2.0, 2.0)
-    vals = eval_outer(1.0, 0.0, b, "right", 1.0)
+    vals = _tail(b, "right", 1.0, 0.0).eval(np.array(1.0))
     assert vals == pytest.approx((1.0, -1.0, 1.0, -1.0))
-    vals = eval_outer(0.0, 1.0, b, "left", -1.0)
+    vals = _tail(b, "left", 0.0, 1.0).eval(np.array(-1.0))
     assert vals == pytest.approx((1.0, 2.0, 4.0, 8.0))
-
-
-def test_eval_outer_rejects_interior():
-    b = _basis(1.0, 2.0, 2.0)
-    with pytest.raises(SolverError):
-        eval_outer(1.0, 0.0, b, "right", 0.5)
 
 
 def test_outer_ode_residual_is_tiny():
@@ -130,10 +142,9 @@ def test_outer_ode_residual_is_tiny():
     lam = 0.4
     basis = compact_outer_basis(prof, par, lam)
     xs = np.linspace(1.0, 6.0, 50)
-    a1, a2 = 0.7, -0.4
-    p, dp, d2p, d3p = eval_outer(a1, a2, basis, "right", xs)
-    from rtspect.outer_compact import outer_fourth_derivative
-    d4p = outer_fourth_derivative(a1, a2, basis, "right", xs)
+    tail = _tail(basis, "right", 0.7, -0.4)
+    p, dp, d2p, d3p = tail.eval(xs)
+    d4p = tail.fourth_derivative(xs)
     nu = basis.nu_plus
     k = par.k
     res = -lam * nu * (k**2 * p - d2p) - (d4p - 2 * k**2 * d2p + k**4 * p)
@@ -160,4 +171,4 @@ def test_endpoint_quadratic_form_nonnegative(theta, dtheta, lam):
 def test_degenerate_basis_rejected():
     b = _basis(1.0, 1.0 + 1e-10, 1.0 + 1e-10)
     with pytest.raises(DegenerateBasisError, match="lambda"):
-        extension_coeffs(1.0, -1.0, b, "right")
+        compact_decaying_solutions(b)

@@ -141,7 +141,7 @@ def test_picard_contraction_and_updates(ctx):
                 u = s.updates
                 assert u[0] <= 1.0 + 1e-12
                 for j in range(1, len(u)):
-                    if u[j - 1] > 1e-10:
+                    if u[j - 1] > og.UPDATE_FLOOR:
                         assert u[j] <= (0.5 + 1e-6) * u[j - 1]
                 # cumulative halving of the update norms
                 for j, uj in enumerate(u[:-1]):
