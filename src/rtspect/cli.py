@@ -30,8 +30,7 @@ from .verification import format_results, run_verification
 
 _PROFILE_KEYS = {"kind", "rho_minus", "rho_plus", "ell", "a", "csv"}
 _PHYSICAL_KEYS = {"g", "mu", "k", "k_min", "k_max", "k_count", "k1", "k2"}
-_NUMERICAL_KEYS = {"n_elements", "grading", "tol", "eps_star", "n_modes",
-                   "lambda_grid_points"}
+_NUMERICAL_KEYS = {"n_elements", "grading", "tol", "eps_star", "n_modes"}
 _OUTPUT_KEYS = {"directory"}
 
 _SCHEMA = """\
@@ -55,7 +54,6 @@ grading = center:4 | uniform | geometric:<ratio>
 tol = 1e-8
 eps_star = <float>   # in (0, sqrt(g/L0)); default 0.01*sqrt(g/L0)
 n_modes = 8
-lambda_grid_points = 16
 
 [output]             # optional
 directory = .
@@ -178,9 +176,6 @@ def parse_config(text):
         opts.eps_star = _getfloat(sec, "eps_star", "numerical", default=None)
         opts.n_modes = int(_getfloat(sec, "n_modes", "numerical",
                                      default=opts.n_modes))
-        opts.lambda_grid_points = int(_getfloat(
-            sec, "lambda_grid_points", "numerical",
-            default=opts.lambda_grid_points))
         if opts.tol <= 0 or opts.n_elements < 4 or opts.n_modes < 1:
             raise ConfigError("numerical values out of range")
         if opts.eps_star is not None and opts.eps_star <= 0:
@@ -251,13 +246,7 @@ def cmd_modes(cfg, out_dir):
             best[p.n] = p
     for n, p in sorted(best.items()):
         mode = pipe.mode(p)
-        if cfg.profile.kind == COMPACT:
-            reach = 8.0 / pipe.params.k
-            lo, hi = mode.x_minus - reach, mode.x_plus + reach
-        else:
-            lo = pipe.setup.X_min + 1e-9
-            hi = pipe.setup.X_max - 1e-9
-        xs = np.linspace(lo, hi, 2001)
+        xs = np.linspace(mode.outer_left.reach, mode.outer_right.reach, 2001)
         f = reconstruct_fields(mode, cfg.profile, pipe.params, xs)
         rows = np.column_stack([f.x, f.phi, f.dphi, f.d2phi, f.d3phi,
                                 f.zeta, f.psi, f.theta, f.q])

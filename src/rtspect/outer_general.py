@@ -634,20 +634,14 @@ def endpoint_psd_margins(coeffs, k, sigma0_at_end):
     return A, C, -disc
 
 
-def coercive_window(profile, params, eps_star, lambda_grid, setup=None,
-                    engine=None, gbounds=None):
+def coercive_window(profile, params, eps_star, lambda_grid, setup, engine,
+                    gbounds):
     """Smallest window (x_minus, x_plus) with PSD endpoint forms on the grid.
 
     Marches outward one panel edge at a time from the truncation points,
     testing the sign conditions at every lambda in the grid; the first edge
     passing for all of them wins.  Returns (x_minus, x_plus, report).
     """
-    if gbounds is None:
-        gbounds = gamma_bounds(profile, params, eps_star)
-    if setup is None:
-        setup = truncation_points(profile, params, gbounds)
-    if engine is None:
-        engine = OuterSolutions(profile, params, setup)
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.min() < eps_star * (1 - 1e-12) or \
             lambda_grid.max() > gbounds.lambda_max * (1 + 1e-12):

@@ -1,10 +1,10 @@
 """End-to-end orchestration: profile + parameters -> roots and global modes.
 
 Wraps the per-module machinery with the default numerical policy: the
-reduction window, mesh, builders and source of decaying tail pairs are set
-up once per (profile, k) and the root search walks mode indices with an
-adaptive bracket floor (deep modes of compact-gradient profiles sit orders
-of magnitude below the first one).
+reduction window, mesh, builders, source of decaying tail pairs and mode
+count grid are set up once per (profile, k) and the root search walks mode
+indices with an adaptive bracket floor (deep modes of compact-gradient
+profiles sit orders of magnitude below the first one).
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ from .outer_compact import compact_decaying_solutions, compact_outer_basis
 from .outer_general import (OuterSolutions, coercive_window, gamma_bounds,
                             truncation_points)
 from .profiles import COMPACT, profile_bounds
-from .spectrum import (ModeCount, compact_builder, general_builder,
-                       mode_count, solve_dispersion)
+from .spectrum import (SCAN_POINTS, ModeCount, compact_builder,
+                       general_builder, mode_count, solve_dispersion)
 
 LAMBDA_FLOOR_FACTOR = 1e-4     # default bracket floor, fraction of sqrt(g/L0)
+WINDOW_GRID_POINTS = 16        # lambdas at which the window search tests PSD
 
 
 @dataclass
@@ -33,7 +34,6 @@ class SolverOptions:
     tol: float = 1e-8
     eps_star: float | None = None       # default 0.01 * sqrt(g/L0)
     n_modes: int = 8
-    lambda_grid_points: int = 16
 
 
 class Pipeline:
@@ -57,12 +57,15 @@ class Pipeline:
         if self._built:
             return self
         opts = self.opts
+        lmax = self.bounds.lambda_max
         if self.profile.kind == COMPACT:
             self.engine = None
             self.setup = None
             self.window = (-self.profile.a, self.profile.a)
             self.decaying_solutions = lambda lam: compact_decaying_solutions(
                 compact_outer_basis(self.profile, self.params, lam))
+            # every curve decreases: its infimum is at the top bracket end
+            self.count_grid = (lmax,)
         else:
             self.gbounds = gamma_bounds(self.profile, self.params,
                                         self.eps_star, self.bounds)
@@ -70,12 +73,13 @@ class Pipeline:
                                            self.gbounds)
             self.engine = OuterSolutions(self.profile, self.params, self.setup)
             self.decaying_solutions = self.engine.solve
-            grid = np.linspace(self.eps_star, self.bounds.lambda_max,
-                               opts.lambda_grid_points)
+            grid = np.linspace(self.eps_star, lmax, WINDOW_GRID_POINTS)
             x_minus, x_plus, self.window_report = coercive_window(
                 self.profile, self.params, self.eps_star, grid,
                 self.setup, self.engine, self.gbounds)
             self.window = (x_minus, x_plus)
+            # the scan grid every solve_mode_index evaluates
+            self.count_grid = np.linspace(self.eps_star, lmax, SCAN_POINTS)
         mesh = build_mesh(self.window[0], self.window[1], opts.n_elements,
                           opts.grading)
         self.space = HermiteSpace(mesh)
@@ -119,10 +123,14 @@ class Pipeline:
         return out
 
     def count_modes(self) -> ModeCount:
+        """N(eps_star) on `count_grid`; after a search it builds no slice.
+
+        The grid is the top slice for compact kinds and the 64-point scan
+        grid for increasing ones.  Counting first on an increasing profile
+        builds the 64 scan slices, which the search then reuses.
+        """
         self.build()
-        grid = np.linspace(self.eps_star, self.bounds.lambda_max,
-                           max(16, self.opts.lambda_grid_points))
-        return mode_count(self.builder, self.eps_star, grid)
+        return mode_count(self.builder, self.eps_star, self.count_grid)
 
     def mode(self, point):
         self.build()

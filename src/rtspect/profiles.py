@@ -79,7 +79,10 @@ class ProfileBounds:
     """sup rho0'/rho0 packaged as L0 and the growth-rate ceiling sqrt(g/L0).
 
     x_peak maximizes rho0'/rho0; x_rho_m maximizes rho0', whose maximum is
-    rho_m.
+    rho_m.  Both come from scipy's bounded Brent, which stops at about
+    sqrt(eps)|x| + xatol/3: about 1e-8 at the bump's x = -0.37, and
+    xatol/3 near x = 0.  L0, rho_m and lambda_max are unaffected, because
+    the location error enters them quadratically.
     """
 
     L0: float

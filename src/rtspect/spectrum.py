@@ -212,10 +212,10 @@ def solve_dispersion(builder, n, bracket, tol=DEFAULT_TOL, n_scan=SCAN_POINTS):
 
 
 def mode_count(builder, eps_star, lambda_grid):
-    """N(eps_star) = largest n whose curve infimum stays above eps_star/(g k^2)."""
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
-    if lambda_grid.size < 16:
-        raise SolverError("mode counting needs at least 16 grid points")
+    """N(eps_star) = largest n whose curve infimum stays above eps_star/(g k^2).
+
+    The infimum b_n is a grid infimum, the minimum over `lambda_grid` only.
+    """
     gk2 = builder.params.g * builder.params.k**2
     gam = np.stack([builder(lam).gammas for lam in lambda_grid])
     b = gam.min(axis=0)

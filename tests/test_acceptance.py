@@ -84,7 +84,7 @@ def test_criterion_2_upper_bound_over_k_grid(bump_profile):
            f"{violations} violations")
 
 
-def test_criterion_3_compact_sequence_structure(accept_bump, bump_profile):
+def test_criterion_3_compact_sequence_structure(accept_bump):
     pipe = accept_bump["pipe"]
     lams = [p.lam for p in accept_bump["points"]]
     decreasing = all(lams[i + 1] < lams[i] for i in range(7))

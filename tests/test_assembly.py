@@ -168,7 +168,7 @@ def test_general_block_symmetric_at_limit_coeffs(params):
     assert abs(blk[0, 1] - blk[1, 0]) <= 1e-12 * np.abs(blk).max()
 
 
-def test_forms_symmetry_and_psd(bump_profile, params, bump_pipe):
+def test_forms_symmetry_and_psd(bump_profile, bump_pipe):
     sl = bump_pipe.builder(0.3)
     forms = sl.forms
     assert np.array_equal(forms.K, forms.K.T)
@@ -183,7 +183,7 @@ def test_forms_symmetry_and_psd(bump_profile, params, bump_pipe):
     assert rank <= supported
 
 
-def test_coercivity_margins(bump_profile, params, bump_pipe, bump_bounds):
+def test_coercivity_margins(bump_pipe, bump_bounds):
     # frozen regression: margins at {0.1, 0.5, 1.0} lambda_max stay tiny but
     # nonnegative (the continuum bound is nearly attained); the values are
     # those of dense eigh(K, G), pinned to the tolerance of the dense test
@@ -235,7 +235,7 @@ def test_coercivity_margin_small_k_within_rounding(bump_profile, frac):
     assert abs(eta - rq) <= 4e-16 * np.linalg.norm(forms.K, 2)
 
 
-def test_negative_margin_returned_or_raised(bump_pipe, params):
+def test_negative_margin_returned_or_raised(bump_pipe):
     # raising the threshold by d is the test of the shifted pencil
     # (K - d G, G): just below zero the negative margin is returned, beyond
     # the -1e-8 ||K||_2 allowance CoercivityError is raised
@@ -288,7 +288,7 @@ def test_bc_endpoint_mismatch_rejected(bump_profile, params):
 
 
 @pytest.fixture(scope="module")
-def bump_mode(bump_pipe, bump_profile, params):
+def bump_mode(bump_pipe):
     pt = bump_pipe.solve_mode_index(1)[0]
     return bump_pipe.mode(pt)
 

@@ -66,6 +66,17 @@ def test_output_formats_key_rejected(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+def test_lambda_grid_points_key_rejected(tmp_path):
+    # the count reads the search's own slices, so the grid size is no option
+    text = MINIMAL + "\n[numerical]\nlambda_grid_points = 16\n"
+    with pytest.raises(ConfigError, match="lambda_grid_points"):
+        parse_config(text)
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(text)
+    assert main(["outer-coeffs", "--config", str(cfgfile),
+                 "--out", str(tmp_path)]) == 2
+
+
 def test_parse_missing_section_names_schema():
     with pytest.raises(ConfigError, match=r"\[physical\]"):
         parse_config("[profile]\nkind = tanh\nrho_minus = 1\nrho_plus = 2\nell = 1\n")
@@ -162,6 +173,16 @@ def test_modes_dump(tmp_path):
     assert np.max(np.abs(phi)) == pytest.approx(1.0, abs=1e-2)
 
 
+def test_modes_grid_spans_tail_reach(tmp_path):
+    # the x grid spans the tails' reach, -(a + 12/k) to a + 12/k = 13
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(MINIMAL + "\n[numerical]\nn_elements = 64\nn_modes = 1\n")
+    assert main(["modes", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "mode_1.csv") as fh:
+        xs = [float(r[0]) for r in list(csv.reader(fh))[1:]]
+    assert (xs[0], xs[-1]) == (-13.0, 13.0)
+
+
 def test_oracle_dump(tmp_path):
     cfgfile = tmp_path / "c.ini"
     cfgfile.write_text(MINIMAL + SMALL_NUMERICS)
@@ -238,7 +259,7 @@ def test_verify_exits_zero_on_tanh_fixture(tmp_path):
     assert main(["verify", "--config", str(cfgfile)]) == 0
 
 
-def test_outer_coeffs_dump(tmp_path, tanh_pipe):
+def test_outer_coeffs_dump(tmp_path):
     cfgfile = tmp_path / "c.ini"
     cfgfile.write_text(TANH + "\n[numerical]\nn_elements = 64\n")
     assert main(["outer-coeffs", "--config", str(cfgfile),

@@ -123,8 +123,7 @@ def test_rejects_endpoints_inside_truncation(bump_profile, params):
         ev.evans_function(bump_profile, params, 0.3, x_minus=-0.5, x_plus=0.5)
 
 
-def test_root_set_stable_under_matching_shift(tanh_profile, params,
-                                              tanh_bounds):
+def test_root_set_stable_under_matching_shift(tanh_profile, params):
     grid = np.linspace(0.2, 0.35, 7)
     vals0 = [ev.evans_function(tanh_profile, params, l, match_x=0.0).sign
              for l in grid]

@@ -1,6 +1,6 @@
 """Source hygiene: no module in the package or the tests imports a name it
-never uses, and no function in the package takes a parameter it never
-reads.  A stdlib `ast` scan, so no linter is needed."""
+never uses or defines a function (test or fixture included) taking a
+parameter it never reads.  A stdlib `ast` scan, so no linter is needed."""
 
 import ast
 import pathlib
@@ -69,7 +69,7 @@ def test_scan_flags_an_unused_import(tmp_path):
 
 def test_no_unused_parameters():
     found = [f"{path.relative_to(ROOT)}:{line}: {func}({name})"
-             for path in sorted((ROOT / "src" / "rtspect").glob("*.py"))
+             for path in _modules()
              for line, func, name in _unused_parameters(path)]
     assert not found, "unused parameters:\n" + "\n".join(found)
 

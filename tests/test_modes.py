@@ -167,7 +167,7 @@ def test_fields_divergence_free(bump_mode, bump_profile, params):
     assert np.max(np.abs(div)) <= 1e-10
 
 
-def test_fields_divergence_free_split_wavevector(bump_pipe, bump_profile):
+def test_fields_divergence_free_split_wavevector(bump_profile):
     par = PhysicalParams(g=1.0, mu=1.0, k=math.sqrt(2.0), k1=1.0, k2=1.0)
     pipe = Pipeline(bump_profile, par, SolverOptions(n_elements=96, n_modes=1))
     mode = pipe.mode(pipe.solve_mode_index(1)[0])

@@ -90,7 +90,7 @@ def test_transformed_gravity_block_structure(ctx):
     assert core[1, 1] == pytest.approx(-pref * b_m, rel=1e-12)
 
 
-def test_gamma_p_values(tanh_profile, tanh_bounds):
+def test_gamma_p_values(tanh_profile):
     gb1 = og.gamma_bounds(tanh_profile, PhysicalParams(g=1, mu=1, k=1.0), 0.01)
     assert gb1.Gamma_p == 1.0
     gbh = og.gamma_bounds(tanh_profile, PhysicalParams(g=1, mu=1, k=0.5), 0.01)

@@ -62,7 +62,7 @@ def test_params_consistency():
         PhysicalParams(g=-1.0, mu=1.0, k=1.0)
 
 
-def test_tanh_bounds_match_golden_oracle(tanh_profile, params, tanh_bounds):
+def test_tanh_bounds_match_golden_oracle(tanh_profile, tanh_bounds):
     f = lambda x: float(tanh_profile.drho(x) / tanh_profile.rho(x))
     x_star = golden_max(f, -3.0, 1.0)
     sup_oracle = f(x_star)
@@ -74,7 +74,7 @@ def test_tanh_bounds_match_golden_oracle(tanh_profile, params, tanh_bounds):
     assert tanh_bounds.lambda_max**2 * tanh_bounds.L0 == pytest.approx(1.0, rel=1e-12)
 
 
-def test_bump_sup_sits_inside_support(bump_profile, params, bump_bounds):
+def test_bump_sup_sits_inside_support(bump_profile, bump_bounds):
     assert abs(bump_bounds.x_peak) < bump_profile.a
     assert bump_profile.drho(bump_profile.a + 0.5) == 0.0
 

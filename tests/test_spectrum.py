@@ -40,7 +40,7 @@ def test_banded_pencil_matches_dense(request, fixture, frac):
 def test_lanczos_failure_is_solver_error(bump_pipe, monkeypatch):
     forms = bump_pipe.builder(0.3).forms
 
-    def stalled(*args, **kwargs):
+    def stalled(*_args, **_kwargs):
         raise ArpackNoConvergence("ARPACK error -1: No convergence",
                                   np.ones(2), np.ones((forms.K_band.shape[1], 2)))
 
@@ -134,7 +134,7 @@ def test_bracket_errors(bump_pipe, bump_bounds):
                          n_scan=2)
 
 
-def test_general_roots_reverified(tanh_pipe, tanh_bounds):
+def test_general_roots_reverified(tanh_pipe):
     pts = tanh_pipe.solve_mode_index(1)
     assert len(pts) >= 1
     gk2 = tanh_pipe.params.g * tanh_pipe.params.k**2
@@ -155,6 +155,23 @@ def test_mode_count_monotonicity(tanh_pipe, tanh_bounds):
     assert lower.N >= base.N >= higher.N
 
 
+@pytest.mark.parametrize("fixture, n_roots", (("tanh_profile", 3),
+                                              ("bump_profile", 1)))
+def test_count_reads_only_search_slices(request, params, fixture, n_roots):
+    # a fresh Pipeline: the shared fixtures clear their caches at 512 slices
+    pipe = Pipeline(request.getfixturevalue(fixture), params,
+                    SolverOptions(n_elements=64)).build()
+    for n in range(1, n_roots + 1):
+        pipe.solve_mode_index(n)
+    built = len(pipe.builder.margins)
+    count = pipe.count_modes()
+    assert len(pipe.builder.margins) == built
+    grid = np.linspace(pipe.eps_star, pipe.bounds.lambda_max, 16)
+    ref = mode_count(pipe.builder, pipe.eps_star, grid)
+    assert count.N == ref.N
+    assert np.array_equal(count.b, ref.b)
+
+
 def test_derivative_identity_bump(bump_pipe, bump_profile, params,
                                   bump_bounds):
     lam = 0.5 * bump_bounds.lambda_max
@@ -163,8 +180,7 @@ def test_derivative_identity_bump(bump_pipe, bump_profile, params,
     assert err <= 1e-3
 
 
-def test_derivative_identity_positive_rhs(bump_pipe, bump_profile, params,
-                                          bump_bounds):
+def test_derivative_identity_positive_rhs(bump_pipe, bump_bounds):
     # the analytic side is a sum of positive terms: 1/gamma_n increases
     lam = 0.5 * bump_bounds.lambda_max
     h = 1e-3 * lam
