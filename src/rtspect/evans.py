@@ -5,9 +5,9 @@ meets the plane decaying at -inf.  Both planes are integrated toward a
 matching point as 2-vectors in wedge coordinates (the standard stiffness
 cure: raw columns collapse onto the dominant direction, the wedge of the
 pair does not), and the Evans value is their 4-form pairing there.  This
-path shares nothing with the Galerkin machinery: it builds the companion
-system directly from the mode equation and integrates it with an adaptive
-Runge-Kutta pair.
+path shares nothing with the Galerkin machinery: it integrates the second
+compound of the mode equation's companion system, a fixed 6x6 structure
+written out from three coefficients, with an adaptive Runge-Kutta pair.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from .profiles import COMPACT
 # wedge basis ordering
 _PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 _RENORM_AT = 1e6
+# relative tolerance of every wedge integration (absolute: 1e-2 of it)
+_RTOL = 1e-10
 # one fixed rule over the whole window for the integral of the removed shift
 _SHIFT_XI, _SHIFT_W = np.polynomial.legendre.leggauss(128)
 
@@ -45,46 +47,6 @@ class EvansSample:
             if self.value != 0 else -math.inf
 
 
-def _companion(profile, params, lam, x):
-    """A(x) of U' = A U for U = (phi, phi', phi'', phi''')."""
-    k, mu, g = params.k, params.mu, params.g
-    rho = float(profile.rho(x))
-    drho = float(profile.drho(x))
-    A = np.zeros((4, 4))
-    A[0, 1] = A[1, 2] = A[2, 3] = 1.0
-    A[3, 0] = -lam * k**2 * rho / mu - k**4 + drho * g * k**2 / (lam * mu)
-    A[3, 1] = drho * lam / mu
-    A[3, 2] = lam * rho / mu + 2.0 * k**2
-    return A
-
-
-def _wedge_index_tables():
-    # B[(i,j),(k,l)] = A[i,k] d_jl - A[i,l] d_jk - A[j,k] d_il + A[j,l] d_ik
-    rows, cols, src_i, src_j, sgn = [], [], [], [], []
-    for r, (i, j) in enumerate(_PAIRS):
-        for c, (k, l) in enumerate(_PAIRS):
-            for s, (a, b, d1, d2) in enumerate(((i, k, j, l), (i, l, j, k),
-                                                (j, k, i, l), (j, l, i, k))):
-                if d1 == d2:
-                    rows.append(r)
-                    cols.append(c)
-                    src_i.append(a)
-                    src_j.append(b)
-                    sgn.append(1.0 if s in (0, 3) else -1.0)
-    return (np.array(rows), np.array(cols), np.array(src_i),
-            np.array(src_j), np.array(sgn))
-
-
-_W_ROWS, _W_COLS, _W_I, _W_J, _W_SGN = _wedge_index_tables()
-
-
-def _wedge_matrix(A):
-    """Induced action on 2-vectors: d(u ^ v) = Au ^ v + u ^ Av."""
-    B = np.zeros((6, 6))
-    np.add.at(B, (_W_ROWS, _W_COLS), _W_SGN * A[_W_I, _W_J])
-    return B
-
-
 def _wedge_of(u, v):
     return np.array([u[i] * v[j] - u[j] * v[i] for i, j in _PAIRS])
 
@@ -93,6 +55,31 @@ def _pairing(a, b):
     """Coefficient of e0^e1^e2^e3 in a ^ b."""
     return (a[0] * b[5] - a[1] * b[4] + a[2] * b[3]
             + a[3] * b[2] - a[4] * b[1] + a[5] * b[0])
+
+
+def _wedge_rhs(profile, params, lam, x, w, direction):
+    """(u ^ v)' for U' = A(x) U, minus direction * (k + sigma0(x)) * (u ^ v).
+
+    U = (phi, phi', phi'', phi''') and A is the companion matrix of the mode
+    equation: a shift, plus the last row (a0, a1, a2, 0) that solves the
+    equation for phi''''.  The induced action Au ^ v + u ^ Av is written
+    out in `_PAIRS` order.  direction is +1 forward, -1 backward and 0 for
+    no shift.
+    """
+    k, mu = params.k, params.mu
+    rho = float(profile.rho(x))
+    drho = float(profile.drho(x))
+    a0 = -lam * k**2 * rho / mu - k**4 + drho * params.g * k**2 / (lam * mu)
+    a1 = drho * lam / mu
+    a2 = lam * rho / mu + 2.0 * k**2
+    s = direction * (k + math.sqrt(k * k + lam * rho / mu))
+    w01, w02, w03, w12, w13, w23 = w
+    return np.array([w02 - s * w01,
+                     w03 + w12 - s * w02,
+                     a1 * w01 + a2 * w02 + w13 - s * w03,
+                     w13 - s * w12,
+                     -a0 * w01 + a2 * w12 + w23 - s * w13,
+                     -a0 * w02 - a1 * w12 - s * w23])
 
 
 def _decay_rates(profile, params, lam, side):
@@ -115,7 +102,7 @@ def _initial_plane(profile, params, lam, side):
     return w / nrm, math.log(nrm)
 
 
-def _integrate(profile, params, lam, x_from, x_to, w0, rtol):
+def _integrate(profile, params, lam, x_from, x_to, w0):
     """Shifted wedge integration with running renormalization.
 
     The growth-dominant rate of the target plane is +-(k + sigma0), which is
@@ -123,15 +110,10 @@ def _integrate(profile, params, lam, x_from, x_to, w0, rtol):
     renormalizations is returned, and `_shift_integral` gives the log of
     the removed shift.
     """
-    k, mu = params.k, params.mu
     direction = 1.0 if x_to > x_from else -1.0
 
-    def shift(x):
-        return k + math.sqrt(k * k + lam * float(profile.rho(x)) / mu)
-
     def rhs(x, w):
-        B = _wedge_matrix(_companion(profile, params, lam, x))
-        return (B - direction * shift(x) * np.eye(6)) @ w
+        return _wedge_rhs(profile, params, lam, x, w, direction)
 
     n_seg = max(2, int(abs(x_to - x_from) / 8.0))
     xs = np.linspace(x_from, x_to, n_seg + 1)
@@ -139,7 +121,7 @@ def _integrate(profile, params, lam, x_from, x_to, w0, rtol):
     log_scale = 0.0
     for a, b in zip(xs[:-1], xs[1:]):
         sol = solve_ivp(rhs, (a, b), w, method="RK45",
-                        rtol=rtol, atol=rtol * 1e-2, dense_output=False)
+                        rtol=_RTOL, atol=_RTOL * 1e-2, dense_output=False)
         if not sol.success:
             raise StiffnessError(f"wedge integration failed on [{a:.3g}, {b:.3g}]: "
                                  f"{sol.message}; reduce the step / tolerance")
@@ -169,44 +151,39 @@ def _matching_bounds(profile):
     return lo, hi
 
 
-def evans_function(profile, params, lam, x_minus=None, x_plus=None,
-                   match_x=None, rtol=1e-10):
+def evans_function(profile, params, lam, match_x=None):
     """Signed Evans value at one lambda.
 
-    Integrates the decaying 2-plane from x_plus backward and from x_minus
-    forward to the matching point (midpoint by default) and pairs them.
-    Zero exactly at growth rates; the sign is continuous along lambda scans.
+    Integrates the decaying 2-plane backward from the right truncation
+    point and forward from the left one to the matching point (midpoint by
+    default) and pairs them.  Zero exactly at growth rates; the sign is
+    continuous along lambda scans.
     """
     if lam <= 0:
         raise SolverError("Evans function needs lambda > 0")
-    lo, hi = _matching_bounds(profile)
-    x_minus = lo if x_minus is None else x_minus
-    x_plus = hi if x_plus is None else x_plus
-    if x_minus > lo + 1e-12 or x_plus < hi - 1e-12:
-        raise SolverError("endpoints must sit at or beyond the truncation points")
+    x_minus, x_plus = _matching_bounds(profile)
     m = 0.5 * (x_minus + x_plus) if match_x is None else float(match_x)
 
     w_r, log_r0 = _initial_plane(profile, params, lam, "right")
     w_l, log_l0 = _initial_plane(profile, params, lam, "left")
-    w_r, log_r = _integrate(profile, params, lam, x_plus, m, w_r, rtol)
-    w_l, log_l = _integrate(profile, params, lam, x_minus, m, w_l, rtol)
+    w_r, log_r = _integrate(profile, params, lam, x_plus, m, w_r)
+    w_l, log_l = _integrate(profile, params, lam, x_minus, m, w_l)
     raw = _pairing(w_l, w_r)
     shift = _shift_integral(profile, params, lam, x_minus, x_plus)
     return EvansSample(lam=float(lam), value=float(raw),
                        scale_exponent=log_r + log_l + log_r0 + log_l0 + shift)
 
 
-def find_roots(profile, params, scan_grid, tol=1e-10, rtol=1e-10):
+def find_roots(profile, params, scan_grid, tol=1e-10):
     """Refine every sign change of the Evans value over `scan_grid` by
     Brent's method; each root is returned within tol/2 (plus round-off)."""
     grid = np.sort(np.asarray(scan_grid, dtype=float))
-    vals = {lam: evans_function(profile, params, lam, rtol=rtol).value
-            for lam in grid}
+    vals = {lam: evans_function(profile, params, lam).value for lam in grid}
 
     def value(lam):
         # brentq starts by evaluating both scan points again
         if lam not in vals:
-            vals[lam] = evans_function(profile, params, lam, rtol=rtol).value
+            vals[lam] = evans_function(profile, params, lam).value
         return vals[lam]
 
     roots = []

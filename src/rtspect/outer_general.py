@@ -381,8 +381,10 @@ class DecayingSolution(PhaseNormalized):
 
     normalized holds e^{phase(x)} U(x) sampled on xs (so it tends to `limit`
     at the far end); the splined phase and its slope rebuild raw values and
-    derivatives without overflow.  The far end of xs is both the
-    reach of the tail and its evaluation limit: nothing is known beyond it.
+    derivatives without overflow.  The spline is built on the first
+    `samples_at` call, which only a glued tail makes; boundary closures
+    read the samples directly.  The far end of xs is both the reach of
+    the tail and its evaluation limit: nothing is known beyond it.
     """
 
     side: str
@@ -588,14 +590,18 @@ def boundary_coeffs_general(solutions, x_end, end):
     solutions: the side dict {"U1+": ..., "U2+": ...} (right) or the left
     analogue.  The two relations annihilate both decaying solutions; they are
     obtained from two 2x2 solves on the phase-normalized samples (row phases
-    cancel).
+    cancel).  x_end must be a sample of the solutions' grid (every panel
+    edge is one), so no spline is built.
     """
     if end == "right":
         u_a, u_b = solutions["U1+"], solutions["U2+"]
     else:
         u_a, u_b = solutions["U3-"], solutions["U4-"]
-    ra = u_a.normalized_at(x_end)
-    rb = u_b.normalized_at(x_end)
+    i = int(np.searchsorted(u_a.xs, x_end))
+    if i == u_a.xs.size or u_a.xs[i] != x_end:
+        raise SolverError(f"x={x_end!r} is not a sample of the outer grid; "
+                          "closure points must be panel edges")
+    ra, rb = u_a.normalized[i], u_b.normalized[i]
     A = np.array([[ra[0], ra[1]], [rb[0], rb[1]]])
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
     scale = np.linalg.norm(A[0]) * np.linalg.norm(A[1])

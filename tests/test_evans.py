@@ -19,30 +19,37 @@ def test_pairing_equals_full_determinant():
         assert pair == pytest.approx(det, rel=1e-10, abs=1e-12)
 
 
-def test_wedge_matrix_action():
-    rng = np.random.default_rng(4)
-    A = rng.standard_normal((4, 4))
-    u, v = rng.standard_normal((2, 4))
-    lhs = ev._wedge_matrix(A) @ ev._wedge_of(u, v)
-    rhs = ev._wedge_of(A @ u, v) + ev._wedge_of(u, A @ v)
-    assert np.abs(lhs - rhs).max() <= 1e-12
-
-
-def test_companion_matches_mode_equation(bump_profile, params):
-    # the last row reproduces the solved-for fourth derivative
-    lam, x = 0.4, 0.3
-    A = ev._companion(bump_profile, params, lam, x)
-    rho = float(bump_profile.rho(x))
-    drho = float(bump_profile.drho(x))
+def _companion(profile, params, lam, x):
+    """A(x) of U' = A U for U = (phi, phi', phi'', phi''')."""
+    rho = float(profile.rho(x))
+    drho = float(profile.drho(x))
     k, mu, g = params.k, params.mu, params.g
-    U = np.array([0.7, -0.3, 0.2, 0.1])
-    d4 = A[3] @ U
-    # -lam^2(rho k^2 phi - (rho phi')') = lam mu (phi'''' - 2k^2 phi'' + k^4 phi)
-    #   - g k^2 rho' phi, solved for phi''''
-    resid = (-lam**2 * (rho * k**2 * U[0] - drho * U[1] - rho * U[2])
-             - lam * mu * (d4 - 2 * k**2 * U[2] + k**4 * U[0])
-             + g * k**2 * drho * U[0])
-    assert abs(resid) <= 1e-12
+
+    def fourth(U):
+        # -lam^2(rho k^2 phi - (rho phi')') = lam mu (phi'''' - 2k^2 phi'' + k^4 phi)
+        #   - g k^2 rho' phi, solved for phi''''
+        return ((-lam**2 * (rho * k**2 * U[0] - drho * U[1] - rho * U[2])
+                 + g * k**2 * drho * U[0]) / (lam * mu)
+                + 2 * k**2 * U[2] - k**4 * U[0])
+
+    A = np.eye(4, k=1)
+    A[3] = [fourth(e) for e in np.eye(4)]
+    return A
+
+
+@pytest.mark.parametrize("fixture", ("bump_profile", "tanh_profile"))
+def test_wedge_rhs_is_compound_of_mode_equation(request, params, fixture):
+    # unshifted, the written-out system is d(u ^ v) = Au ^ v + u ^ Av with
+    # the companion matrix of the mode equation
+    profile = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(4)
+    for lam in (0.05, 0.3, 0.9):
+        for x in (-0.7, 0.0, 0.45):
+            A = _companion(profile, params, lam, x)
+            u, v = rng.standard_normal((2, 4))
+            lhs = ev._wedge_rhs(profile, params, lam, x, ev._wedge_of(u, v), 0.0)
+            rhs = ev._wedge_of(A @ u, v) + ev._wedge_of(u, A @ v)
+            assert np.abs(lhs - rhs).max() <= 1e-12
 
 
 def test_off_spectrum_value_nonzero(bump_profile, params, bump_bounds):
@@ -84,7 +91,7 @@ def test_log_magnitude_matches_unshifted_integration(bump_profile, params):
     m = 0.5 * (lo + hi)
 
     def rhs(x, w):
-        return ev._wedge_matrix(ev._companion(bump_profile, params, lam, x)) @ w
+        return ev._wedge_rhs(bump_profile, params, lam, x, w, 0.0)
 
     planes, log0 = [], 0.0
     for side, x0 in (("left", lo), ("right", hi)):
@@ -116,11 +123,6 @@ def test_scale_invariance_under_plane_rescaling():
 def test_rejects_nonpositive_lambda(bump_profile, params):
     with pytest.raises(SolverError):
         ev.evans_function(bump_profile, params, 0.0)
-
-
-def test_rejects_endpoints_inside_truncation(bump_profile, params):
-    with pytest.raises(SolverError):
-        ev.evans_function(bump_profile, params, 0.3, x_minus=-0.5, x_plus=0.5)
 
 
 def test_root_set_stable_under_matching_shift(tanh_profile, params):

@@ -3,6 +3,7 @@ never uses or defines a function (test or fixture included) taking a
 parameter it never reads.  A stdlib `ast` scan, so no linter is needed."""
 
 import ast
+import importlib
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -87,3 +88,20 @@ def test_scan_flags_an_unused_parameter(tmp_path):
                    "key = lambda u, v: u\n")
     assert _unused_parameters(src) == [
         (2, "f", "args"), (2, "f", "b"), (2, "f", "d"), (9, "<lambda>", "v")]
+
+
+def test_benchmark_hooks_resolve():
+    # the traced benchmark run wraps these names from outside the package;
+    # a refactor that moves one would otherwise break that run silently.
+    # The tables are read with `ast`, so nothing under perfbench/ runs.
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    tables = {node.targets[0].id: ast.literal_eval(node.value)
+              for node in tree.body if isinstance(node, ast.Assign)
+              and node.targets[0].id in ("FUNCTIONS", "METHODS")}
+    assert tables["FUNCTIONS"] and tables["METHODS"]
+    missing = [f"{mod}.{attr}" for mod, attr, _ in tables["FUNCTIONS"]
+               if not hasattr(importlib.import_module(mod), attr)]
+    missing += [f"{mod}.{cls}.{meth}" for mod, cls, meth in tables["METHODS"]
+                if meth not in vars(getattr(importlib.import_module(mod), cls))]
+    assert not missing, "benchmark hooks that do not resolve:\n" + \
+        "\n".join(missing)

@@ -5,6 +5,7 @@ import pytest
 
 from rtspect import outer_general as og
 from rtspect.errors import SolverError
+from rtspect.pipeline import Pipeline, SolverOptions
 from rtspect.profiles import PhysicalParams, make_profile
 
 # frozen regression values (tanh 1..3, ell=1, g=mu=k=1)
@@ -236,6 +237,21 @@ def test_general_matches_compact_formulas_far_out(ctx):
     ref = og.limit_boundary_coeffs(par, tau, "right")
     for a, b in zip(right.as_tuple(), ref.as_tuple()):
         assert abs(a - b) <= 1e-6 * max(abs(b), 1.0)
+
+
+def test_closure_reads_samples_and_builds_no_spline(tanh_profile, params):
+    # the window ends are panel edges, so the root search reads the stored
+    # samples and splines none of the cached solutions
+    pipe = Pipeline(tanh_profile, params, SolverOptions(n_elements=64))
+    pipe.dispersion(3)
+    cached = [sol for sides in pipe.engine._cache.values()
+              for side in sides.values() for sol in side.values()]
+    assert cached and all(sol._spline is None for sol in cached)
+    sols = pipe.engine.solve(0.3)["right"]
+    x_plus = pipe.window[1]
+    for x in (np.nextafter(x_plus, math.inf), sols["U1+"].xs[-1] + 1.0):
+        with pytest.raises(SolverError):
+            og.boundary_coeffs_general(sols, x, "right")
 
 
 def test_decay_envelopes(ctx):
