@@ -291,10 +291,8 @@ def cmd_oracle(cfg, out_dir):
     pipe = Pipeline(cfg.profile, cfg.params_for(k), cfg.opts)
     lo = pipe.eps_star
     grid = np.linspace(lo, pipe.bounds.lambda_max, 65)
-    rows = []
-    for lam in grid:
-        s = evans_function(cfg.profile, pipe.params, lam)
-        rows.append([f"{lam:.12e}", f"{s.sign:+.0f}", f"{s.log_magnitude:.9e}"])
+    rows = [[f"{s.lam:.12e}", f"{s.sign:+.0f}", f"{s.log_magnitude:.9e}"]
+            for s in evans_function(cfg.profile, pipe.params, grid)]
     path = os.path.join(out_dir, "oracle.csv")
     _write_csv(path, ["lambda", "sign", "log_magnitude"], rows)
     print(f"wrote {path} ({len(rows)} rows)")

@@ -7,7 +7,10 @@ cure: raw columns collapse onto the dominant direction, the wedge of the
 pair does not), and the Evans value is their 4-form pairing there.  This
 path shares nothing with the Galerkin machinery: it integrates the second
 compound of the mode equation's companion system, a fixed 6x6 structure
-written out from three coefficients, with an adaptive Runge-Kutta pair.
+written out from three coefficients, with the 8th-order Dormand-Prince
+pair.  The system is linear in the state and cheap per lambda, so a whole
+array of lambdas is integrated as one state: a scan, and each round of the
+root refinement, is one integration.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import SolverError, StiffnessError
 from .profiles import COMPACT
@@ -25,10 +27,16 @@ from .profiles import COMPACT
 # wedge basis ordering
 _PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 _RENORM_AT = 1e6
-# relative tolerance of every wedge integration (absolute: 1e-2 of it)
+# relative tolerance of every wedge integration, per lambda (absolute: 1e-2
+# of it)
 _RTOL = 1e-10
 # one fixed rule over the whole window for the integral of the removed shift
 _SHIFT_XI, _SHIFT_W = np.polynomial.legendre.leggauss(128)
+# interior points per open bracket in each round of the root refinement:
+# a round shrinks every bracket 16-fold
+_SECTIONS = 15
+# relative bracket width below which a round could add no new float
+_ROUNDOFF = 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -64,82 +72,93 @@ def _wedge_rhs(profile, params, lam, x, w, direction):
     equation: a shift, plus the last row (a0, a1, a2, 0) that solves the
     equation for phi''''.  The induced action Au ^ v + u ^ Av is written
     out in `_PAIRS` order.  direction is +1 forward, -1 backward and 0 for
-    no shift.
+    no shift.  lam may be an array of m lambdas with w of shape (6, m);
+    rho and rho' are evaluated once for all of them.
     """
-    k, mu = params.k, params.mu
-    rho = float(profile.rho(x))
-    drho = float(profile.drho(x))
-    a0 = -lam * k**2 * rho / mu - k**4 + drho * params.g * k**2 / (lam * mu)
-    a1 = drho * lam / mu
-    a2 = lam * rho / mu + 2.0 * k**2
-    s = direction * (k + math.sqrt(k * k + lam * rho / mu))
+    k = params.k
+    rho = float(profile.rho(x)) / params.mu
+    drho = float(profile.drho(x)) / params.mu
+    lam_rho = lam * rho
+    a0 = -k**2 * lam_rho - k**4 + drho * params.g * k**2 / lam
+    a1 = drho * lam
+    a2 = lam_rho + 2.0 * k**2
+    s = direction * (k + np.sqrt(k * k + lam_rho))
     w01, w02, w03, w12, w13, w23 = w
-    return np.array([w02 - s * w01,
-                     w03 + w12 - s * w02,
-                     a1 * w01 + a2 * w02 + w13 - s * w03,
-                     w13 - s * w12,
-                     -a0 * w01 + a2 * w12 + w23 - s * w13,
-                     -a0 * w02 - a1 * w12 - s * w23])
+    return np.array([w02,
+                     w03 + w12,
+                     a1 * w01 + a2 * w02 + w13,
+                     w13,
+                     a2 * w12 + w23 - a0 * w01,
+                     -a0 * w02 - a1 * w12]) - s * w
 
 
 def _decay_rates(profile, params, lam, side):
     k, mu = params.k, params.mu
     rho = profile.rho_plus if side == "right" else profile.rho_minus
-    sig = math.sqrt(k * k + lam * rho / mu)
+    sig = np.sqrt(k * k + lam * rho / mu)
     return k, sig
 
 
 def _initial_plane(profile, params, lam, side):
+    """Unit wedge of the decaying pair at the truncation point, one column
+    per lambda, and the log of the norm removed."""
     k, sig = _decay_rates(profile, params, lam, side)
-    if side == "right":
-        u = np.array([1.0, -k, k * k, -k**3])
-        v = np.array([1.0, -sig, sig * sig, -sig**3])
-    else:
-        u = np.array([1.0, k, k * k, k**3])
-        v = np.array([1.0, sig, sig * sig, sig**3])
+    r = -1.0 if side == "right" else 1.0
+    u = np.array([1.0, r * k, k * k, r * k**3])
+    v = np.array([np.ones_like(sig), r * sig, sig * sig, r * sig**3])
     w = _wedge_of(u, v)
-    nrm = np.linalg.norm(w)
-    return w / nrm, math.log(nrm)
+    nrm = np.linalg.norm(w, axis=0)
+    return w / nrm, np.log(nrm)
 
 
 def _integrate(profile, params, lam, x_from, x_to, w0):
-    """Shifted wedge integration with running renormalization.
+    """Shifted wedge integration with running renormalization, of one
+    column of w0 per lambda, all in one state.
 
     The growth-dominant rate of the target plane is +-(k + sigma0), which is
     removed as a running shift so the state stays O(1); the log of the
-    renormalizations is returned, and `_shift_integral` gives the log of
-    the removed shift.
+    renormalizations is returned per lambda, and `_shift_integral` gives
+    the log of the removed shift.  solve_ivp's error norm is the RMS over
+    all 6m components, so both tolerances are divided by sqrt(m): each
+    lambda's own 6-component norm then stays within the single-lambda
+    tolerance.
     """
     direction = 1.0 if x_to > x_from else -1.0
+    shape = w0.shape
+    scale = math.sqrt(np.size(lam))
 
-    def rhs(x, w):
-        return _wedge_rhs(profile, params, lam, x, w, direction)
+    def rhs(x, y):
+        return _wedge_rhs(profile, params, lam, x, y.reshape(shape),
+                          direction).ravel()
 
     n_seg = max(2, int(abs(x_to - x_from) / 8.0))
     xs = np.linspace(x_from, x_to, n_seg + 1)
-    w = w0.copy()
-    log_scale = 0.0
+    w = w0
+    log_scale = np.zeros(shape[1:])
     for a, b in zip(xs[:-1], xs[1:]):
-        sol = solve_ivp(rhs, (a, b), w, method="RK45",
-                        rtol=_RTOL, atol=_RTOL * 1e-2, dense_output=False)
+        sol = solve_ivp(rhs, (a, b), w.ravel(), method="DOP853",
+                        rtol=_RTOL / scale, atol=_RTOL * 1e-2 / scale)
         if not sol.success:
-            raise StiffnessError(f"wedge integration failed on [{a:.3g}, {b:.3g}]: "
-                                 f"{sol.message}; reduce the step / tolerance")
-        w = sol.y[:, -1]
-        nrm = np.linalg.norm(w)
-        if nrm > _RENORM_AT or nrm < 1.0 / _RENORM_AT:
-            w /= nrm
-            log_scale += math.log(nrm)
+            raise StiffnessError(
+                f"wedge integration failed on [{a:.3g}, {b:.3g}] for lambda "
+                f"in [{np.min(lam):.6g}, {np.max(lam):.6g}]: {sol.message}")
+        w = sol.y[:, -1].reshape(shape)
+        nrm = np.linalg.norm(w, axis=0)
+        nrm = np.where((nrm > _RENORM_AT) | (nrm < 1.0 / _RENORM_AT), nrm, 1.0)
+        w = w / nrm
+        log_scale += np.log(nrm)
     return w, log_scale
 
 
 def _shift_integral(profile, params, lam, x_minus, x_plus):
-    """int_{x_minus}^{x_plus} (k + sigma0) dx, the log of the positive
-    factor the shifted integrations from both ends remove together."""
+    """int_{x_minus}^{x_plus} (k + sigma0) dx per lambda, the log of the
+    positive factor the shifted integrations from both ends remove
+    together."""
     k, mu = params.k, params.mu
     half, mid = 0.5 * (x_plus - x_minus), 0.5 * (x_plus + x_minus)
     rho = np.asarray(profile.rho(mid + half * _SHIFT_XI), dtype=float)
-    return half * float(_SHIFT_W @ (k + np.sqrt(k * k + lam * rho / mu)))
+    return half * ((k + np.sqrt(k * k + np.multiply.outer(lam, rho) / mu))
+                   @ _SHIFT_W)
 
 
 def _matching_bounds(profile):
@@ -152,44 +171,76 @@ def _matching_bounds(profile):
 
 
 def evans_function(profile, params, lam, match_x=None):
-    """Signed Evans value at one lambda.
+    """Signed Evans value at one lambda, or at each of a 1-D array of them.
 
     Integrates the decaying 2-plane backward from the right truncation
     point and forward from the left one to the matching point (midpoint by
     default) and pairs them.  Zero exactly at growth rates; the sign is
-    continuous along lambda scans.
+    continuous along lambda scans.  A scalar lam gives one `EvansSample`;
+    an array gives a tuple of them, from one integration of all lambdas
+    together (a scalar is the batch of one).  Each lambda is integrated to
+    the same tolerance as on its own, so values differ from single calls
+    only at that level.
     """
-    if lam <= 0:
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    if lams.ndim != 1 or lams.size == 0:
+        raise SolverError("Evans function needs a scalar or a non-empty "
+                          "1-D array of lambdas")
+    if not np.all(lams > 0):
         raise SolverError("Evans function needs lambda > 0")
     x_minus, x_plus = _matching_bounds(profile)
     m = 0.5 * (x_minus + x_plus) if match_x is None else float(match_x)
 
-    w_r, log_r0 = _initial_plane(profile, params, lam, "right")
-    w_l, log_l0 = _initial_plane(profile, params, lam, "left")
-    w_r, log_r = _integrate(profile, params, lam, x_plus, m, w_r)
-    w_l, log_l = _integrate(profile, params, lam, x_minus, m, w_l)
+    w_r, log_r0 = _initial_plane(profile, params, lams, "right")
+    w_l, log_l0 = _initial_plane(profile, params, lams, "left")
+    w_r, log_r = _integrate(profile, params, lams, x_plus, m, w_r)
+    w_l, log_l = _integrate(profile, params, lams, x_minus, m, w_l)
     raw = _pairing(w_l, w_r)
-    shift = _shift_integral(profile, params, lam, x_minus, x_plus)
-    return EvansSample(lam=float(lam), value=float(raw),
-                       scale_exponent=log_r + log_l + log_r0 + log_l0 + shift)
+    shift = _shift_integral(profile, params, lams, x_minus, x_plus)
+    exponent = log_r + log_l + log_r0 + log_l0 + shift
+    samples = tuple(EvansSample(lam=float(l), value=float(v),
+                                scale_exponent=float(e))
+                    for l, v, e in zip(lams, raw, exponent))
+    return samples if np.ndim(lam) else samples[0]
+
+
+def _signs(profile, params, lams):
+    return np.array([s.sign for s in evans_function(profile, params, lams)])
 
 
 def find_roots(profile, params, scan_grid, tol=1e-10):
-    """Refine every sign change of the Evans value over `scan_grid` by
-    Brent's method; each root is returned within tol/2 (plus round-off)."""
+    """Every sign change of the Evans value over `scan_grid`, refined by
+    batched k-section.
+
+    The scan is one batched evaluation.  Each round then evaluates
+    `_SECTIONS` equally spaced interior points of every open bracket in one
+    batched call and keeps the first sign change in each; an exact zero
+    closes its bracket.  A bracket is open while it is wider than tol (plus
+    round-off), and each root is returned as its midpoint, so within tol/2
+    (plus round-off) of a sign change.  A scan point where the value is
+    exactly zero is returned as it is.
+    """
     grid = np.sort(np.asarray(scan_grid, dtype=float))
-    vals = {lam: evans_function(profile, params, lam).value for lam in grid}
-
-    def value(lam):
-        # brentq starts by evaluating both scan points again
-        if lam not in vals:
-            vals[lam] = evans_function(profile, params, lam).value
-        return vals[lam]
-
-    roots = []
-    for a, b in zip(grid[:-1], grid[1:]):
-        if vals[a] == 0.0 or vals[a] * vals[b] < 0:
-            roots.append(brentq(value, a, b, xtol=0.5 * tol))
-    if vals[grid[-1]] == 0.0:
-        roots.append(float(grid[-1]))
-    return roots
+    s = _signs(profile, params, grid)
+    # one bracket [lo, hi] per root, in grid order, with the sign s_lo at
+    # lo; an exact zero is a closed bracket of width 0
+    starts = np.flatnonzero((s == 0) | (s * np.append(s[1:], 0.0) < 0))
+    lo = grid[starts]
+    hi = np.where(s[starts] == 0, lo,
+                  grid[np.minimum(starts + 1, grid.size - 1)])
+    s_lo = s[starts]
+    frac = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
+    while True:
+        live = np.flatnonzero(hi - lo > tol + _ROUNDOFF * np.abs(hi))
+        if live.size == 0:
+            return [float(r) for r in 0.5 * (lo + hi)]
+        pts = lo[live, None] + (hi - lo)[live, None] * frac
+        q = np.column_stack([lo[live], pts, hi[live]])
+        s_pts = _signs(profile, params, pts.ravel()).reshape(pts.shape)
+        sq = np.column_stack([s_lo[live], s_pts, -s_lo[live]])
+        # every sign before the first change equals s_lo, so the first
+        # change is a sign flip or an exact zero
+        i = np.argmax(sq[:, 1:] != sq[:, :-1], axis=1)
+        rows = np.arange(live.size)
+        hi[live] = q[rows, i + 1]
+        lo[live] = np.where(sq[rows, i + 1] == 0, hi[live], q[rows, i])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rtspect.cli import main, parse_config
+from rtspect.evans import evans_function
 from rtspect.errors import ConfigError
 
 MINIMAL = """
@@ -193,6 +194,12 @@ def test_oracle_dump(tmp_path):
     signs = [float(r[1]) for r in rows[1:]]
     assert set(signs) <= {-1.0, 1.0}
     assert len(rows) == 66
+    # the grid is one batched call: rows agree with single evaluations
+    cfg = parse_config(MINIMAL + SMALL_NUMERICS)
+    for lam, sign, log_mag in (rows[1], rows[33], rows[65]):
+        s = evans_function(cfg.profile, cfg.params_for(1.0), float(lam))
+        assert float(sign) == s.sign
+        assert float(log_mag) == pytest.approx(s.log_magnitude, abs=1e-8)
 
 
 def test_threaded_k_grid_and_matrix_dump(tmp_path):

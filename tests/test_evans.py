@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from rtspect import evans as ev
-from rtspect.errors import SolverError
+from rtspect.errors import SolverError, StiffnessError
 
 from conftest import BUMP_ORACLE_LAM1
 
@@ -40,16 +40,27 @@ def _companion(profile, params, lam, x):
 @pytest.mark.parametrize("fixture", ("bump_profile", "tanh_profile"))
 def test_wedge_rhs_is_compound_of_mode_equation(request, params, fixture):
     # unshifted, the written-out system is d(u ^ v) = Au ^ v + u ^ Av with
-    # the companion matrix of the mode equation
+    # the companion matrix of the mode equation; on an array of lambdas it
+    # is the per-lambda calls stacked as columns, bit for bit (the same
+    # arithmetic per element), with or without the shift
     profile = request.getfixturevalue(fixture)
     rng = np.random.default_rng(4)
-    for lam in (0.05, 0.3, 0.9):
+    lams = np.array([0.05, 0.3, 0.9])
+    for lam in lams:
         for x in (-0.7, 0.0, 0.45):
             A = _companion(profile, params, lam, x)
             u, v = rng.standard_normal((2, 4))
             lhs = ev._wedge_rhs(profile, params, lam, x, ev._wedge_of(u, v), 0.0)
             rhs = ev._wedge_of(A @ u, v) + ev._wedge_of(u, A @ v)
             assert np.abs(lhs - rhs).max() <= 1e-12
+    w = rng.standard_normal((6, lams.size))
+    for x in (-0.7, 0.0, 0.45):
+        for direction in (-1.0, 0.0, 1.0):
+            batch = ev._wedge_rhs(profile, params, lams, x, w, direction)
+            single = np.column_stack([
+                ev._wedge_rhs(profile, params, lam, x, w[:, j], direction)
+                for j, lam in enumerate(lams)])
+            assert np.array_equal(batch, single)
 
 
 def test_off_spectrum_value_nonzero(bump_profile, params, bump_bounds):
@@ -70,6 +81,40 @@ def test_root_matches_frozen_value(bump_profile, params):
                           tol=1e-9)
     assert len(roots) == 1
     assert roots[0] == pytest.approx(BUMP_ORACLE_LAM1, abs=2e-9)
+
+
+def test_roots_bracketed_within_half_tol(bump_profile, params):
+    # the refinement contract: the scalar Evans sign changes across every
+    # returned root +- tol/2
+    tol = 1e-9
+    roots = ev.find_roots(bump_profile, params, np.linspace(0.02, 0.6, 12),
+                          tol=tol)
+    assert len(roots) >= 2
+    for r in roots:
+        lo = ev.evans_function(bump_profile, params, r - 0.5 * tol)
+        hi = ev.evans_function(bump_profile, params, r + 0.5 * tol)
+        assert lo.sign * hi.sign < 0
+
+
+def test_k_section_keeps_exact_zeros(monkeypatch, params):
+    # a fake Evans value with an exact zero on the scan grid, one at an
+    # interior k-section point of the first round, and a plain sign change
+    zeros = (0.25, 0.5 + 0.25 * 3 / 16, 0.8)
+    calls = []
+
+    def fake(_profile, _params, lam):
+        calls.append(np.size(lam))
+        return tuple(ev.EvansSample(lam=float(l), value=float(np.prod(
+            [l - z for z in zeros])), scale_exponent=0.0) for l in lam)
+
+    monkeypatch.setattr(ev, "evans_function", fake)
+    tol = 1e-9
+    roots = ev.find_roots(None, params, np.linspace(0.0, 1.0, 5), tol=tol)
+    assert roots[:2] == [0.25, 0.546875]
+    assert abs(roots[2] - 0.8) <= 0.5 * tol
+    # the scan, then one batch per round over the brackets still open
+    assert calls[0] == 5 and set(calls[1:]) == {2 * ev._SECTIONS,
+                                                ev._SECTIONS}
 
 
 def test_matching_point_invariance(bump_profile, params):
@@ -123,6 +168,54 @@ def test_scale_invariance_under_plane_rescaling():
 def test_rejects_nonpositive_lambda(bump_profile, params):
     with pytest.raises(SolverError):
         ev.evans_function(bump_profile, params, 0.0)
+    with pytest.raises(SolverError):
+        ev.evans_function(bump_profile, params, np.array([0.3, -0.1]))
+
+
+def test_batch_matches_single_calls_on_tanh_scan(tanh_profile, params):
+    # the benchmark's 64-point scan: one array call against 64 scalar calls
+    from rtspect.pipeline import Pipeline
+    pipe = Pipeline(tanh_profile, params)
+    grid = np.linspace(pipe.eps_star, pipe.bounds.lambda_max, 64)
+    batch = ev.evans_function(tanh_profile, params, grid)
+    assert isinstance(batch, tuple) and len(batch) == grid.size
+    for lam, b in zip(grid, batch):
+        s = ev.evans_function(tanh_profile, params, lam)
+        assert isinstance(s, ev.EvansSample)
+        assert b.lam == s.lam == lam
+        assert b.sign == s.sign != 0
+        assert b.log_magnitude == pytest.approx(s.log_magnitude, abs=1e-8)
+
+
+def test_batch_tolerance_is_per_lambda(monkeypatch, bump_profile, params):
+    # solve_ivp's error norm is an RMS over all 6m components: tolerances
+    # divided by sqrt(m) keep each lambda's own norm within _RTOL
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append((args[2].size, kwargs["rtol"], kwargs["atol"]))
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(ev, "solve_ivp", recording)
+    ev.evans_function(bump_profile, params, 0.3)
+    ev.evans_function(bump_profile, params, np.linspace(0.2, 0.5, 16))
+    assert {s[1:] for s in seen if s[0] == 6} == {(ev._RTOL, ev._RTOL * 1e-2)}
+    assert {s[1:] for s in seen if s[0] == 96} == {(ev._RTOL / 4,
+                                                    ev._RTOL * 1e-2 / 4)}
+
+
+def test_failed_integration_names_segment(monkeypatch, bump_profile, params):
+    class Failed:
+        success = False
+        message = "step size too small"
+
+    monkeypatch.setattr(ev, "solve_ivp", lambda *_args, **_kwargs: Failed())
+    # the bump window is +-1.001; the first segment runs from its right end
+    # to the halfway point
+    with pytest.raises(StiffnessError,
+                       match=r"on \[1, 0\.5\] for lambda in \[0\.3, 0\.3\]: "
+                             r"step size too small"):
+        ev.evans_function(bump_profile, params, 0.3)
 
 
 def test_root_set_stable_under_matching_shift(tanh_profile, params):
