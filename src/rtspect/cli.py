@@ -269,8 +269,9 @@ def cmd_outer_coeffs(cfg, out_dir):
             coeffs = pipe.builder.bc_factory(lam)
         else:
             sols = pipe.engine.solve(lam)
-            ends = [("left", x) for x in pipe.setup.left_edges[::6][::-1]]
-            ends += [("right", x) for x in pipe.setup.right_edges[::6]]
+            x_left = -pipe.setup.left.edges[::-1]     # ascending in x
+            ends = [("left", x) for x in x_left[::6][::-1]]
+            ends += [("right", x) for x in pipe.setup.right.edges[::6]]
             coeffs = [boundary_coeffs_general(sols[end], x, end)
                       for end, x in ends]
         for c in coeffs:

@@ -4,9 +4,13 @@ The fourth-order mode equation is rewritten as U' = (L(x) + rho0'(x) R) U on
 U = (phi, phi', phi'', phi''').  L has simple eigenvalues (-k, -s, k, s) with
 s = sigma0(x, lam) = sqrt(k^2 + lam*rho0(x)/mu); diagonalizing U = P V turns
 the system into V' = (D + rho0' M) V with a coupling M that is integrable at
-both infinities.  The two solutions decaying at +inf (and the two at -inf)
-are built by a contractive fixed-point iteration on a truncated half line,
-with every kernel expressed in phase-difference form so nothing overflows.
+both infinities.  The two solutions decaying at +inf are built by a
+contractive fixed-point iteration on a truncated half line, with every
+kernel expressed in phase-difference form so nothing overflows.  The pair
+decaying at -inf is the same construction for the mirrored problem: in
+t = -x the equation keeps its form with rho0(-t) and g replaced by -g
+(U(x) = S U~(-x), S = diag(1, -1, 1, -1)), so each half line is solved in
+its outward coordinate t = sign*x by one code path and read back in x.
 The decaying pairs yield the boundary coefficients n_ij closing the problem
 on a finite window, and the window itself is found by marching outward until
 both endpoint quadratic forms are positive semidefinite.
@@ -22,8 +26,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .errors import (CoercivitySearchError, SolverError, TruncationError)
-from .outer_compact import (BoundaryCoeffs, PhaseNormalized,
-                            exponential_closure)
+from .outer_compact import BoundaryCoeffs, PhaseNormalized
 from .profiles import GL5_NODES, GL5_WEIGHTS, profile_bounds
 
 MAX_PICARD_ITER = 64
@@ -69,10 +72,11 @@ def _matrix_L(rho, params, lam):
     L[..., 3, 2] = lam * rho / mu + 2.0 * k**2
     return L
 
-def _matrix_R(params, lam):
+def _matrix_R(params, lam, sign):
+    # in t = sign*x the reflection flips only the gravity entry
     k, mu, g = params.k, params.mu, params.g
     R = np.zeros((4, 4))
-    R[3, 0] = g * k**2 / (lam * mu)
+    R[3, 0] = sign * g * k**2 / (lam * mu)
     R[3, 1] = lam / mu
     return R
 
@@ -132,8 +136,8 @@ def _matrix_dPdsig(sig):
     return dP
 
 
-def _matrix_M(rho, params, lam):
-    """Coupling of V' = (D + rho0' M) V.
+def _matrix_M(rho, params, lam, sign):
+    """Coupling of V' = (D + rho0' M) V in the coordinate t = sign*x.
 
     Derived by differentiating U = P V: M = P^-1 R P - (lam / (2 mu sigma0))
     P^-1 dP/dsigma0, the second factor being dsigma0/drho0 by the chain rule
@@ -142,7 +146,7 @@ def _matrix_M(rho, params, lam):
     sig = _sigma0(rho, params, lam)
     P = _matrix_P(sig, params)
     Pinv = _matrix_Pinv(sig, rho, params, lam)
-    R = _matrix_R(params, lam)
+    R = _matrix_R(params, lam, sign)
     core = Pinv @ R @ P
     corr = (lam / (2.0 * params.mu * sig))[..., None, None] * (Pinv @ _matrix_dPdsig(sig))
     return core - corr
@@ -171,11 +175,11 @@ def system_matrices(profile, params, x, lam):
     return SystemMatrices(
         x=float(x), lam=float(lam), sigma0=sig,
         L=_matrix_L(rho, params, lam),
-        R=_matrix_R(params, lam),
+        R=_matrix_R(params, lam, 1.0),
         D=np.diag([-k, -sig, k, sig]),
         P=_matrix_P(sig, params),
         Pinv=_matrix_Pinv(np.asarray(sig), np.asarray(rho), params, lam),
-        M=_matrix_M(np.asarray(rho), params, lam))
+        M=_matrix_M(np.asarray(rho), params, lam, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -213,25 +217,47 @@ def gamma_bounds(profile, params, eps_star, pbounds=None):
                        Gamma_p=gamma_p, Gamma_m=gamma_m, lambda_max=lmax)
 
 
-def _solve_monotone_level(f, start, direction, scale):
-    # smallest |x| in the given direction with f(x) <= 0, f monotone decreasing
-    x = start
+def _rho_limit(profile, sign):
+    return profile.rho_plus if sign > 0 else profile.rho_minus
+
+
+def _solve_monotone_level(f, start, scale):
+    # smallest t >= start with f(t) <= 0, f monotone decreasing
+    t = start
     step = scale
-    while f(x) > 0:
-        x += direction * step
+    while f(t) > 0:
+        t += step
         step *= 2.0
-        if abs(x) > 1e6 * scale:
+        if abs(t) > 1e6 * scale:
             raise TruncationError(
                 "profile approaches its limit too slowly to truncate; "
                 "use a faster-decaying profile")
-    lo = x - direction * step / 2.0  # f(lo) > 0 unless the loop never ran
+    lo = t - step / 2.0  # f(lo) > 0 unless the loop never ran
     if f(lo) <= 0:
         return lo
-    xtol = 1e-12 * max(1.0, abs(x))
-    root = brentq(f, lo, x, xtol=xtol)
+    xtol = 1e-12 * max(1.0, abs(t))
+    root = brentq(f, lo, t, xtol=xtol)
     # the crossing lies less than 2*xtol from root, on either side; step
-    # past it when needed, since the callers rely on f(x) <= 0
-    return root if f(root) <= 0 else root + 2.0 * direction * xtol
+    # past it when needed, since the callers rely on f(t) <= 0
+    return root if f(root) <= 0 else root + 2.0 * xtol
+
+
+@dataclass(frozen=True)
+class HalfLine:
+    """One truncated half line in its outward coordinate t = sign*x.
+
+    edges ascend in t from sign*x_tilde to sign*X, finest at the start;
+    nodes are the 5 Gauss points of each panel.
+    """
+
+    sign: float
+    edges: np.ndarray
+    widths: np.ndarray = field(repr=False)
+    nodes: np.ndarray = field(repr=False)
+
+    @property
+    def side(self):
+        return "right" if self.sign > 0 else "left"
 
 
 @dataclass
@@ -242,12 +268,8 @@ class PicardSetup:
     X_max: float
     margin: float
     gbounds: GammaBounds
-    right_edges: np.ndarray
-    left_edges: np.ndarray
-    right_nodes: np.ndarray = field(repr=False, default=None)
-    left_nodes: np.ndarray = field(repr=False, default=None)
-    right_widths: np.ndarray = field(repr=False, default=None)
-    left_widths: np.ndarray = field(repr=False, default=None)
+    right: HalfLine
+    left: HalfLine
 
 
 def _graded_edges(start, stop, n_panels, ratio, w_cap):
@@ -268,50 +290,39 @@ def truncation_points(profile, params, gbounds, margin=0.3,
                       n_panels=160, ratio=1.03):
     """Pick the half-line truncations and build the quadrature grids.
 
-    x_tilde_plus is the innermost point with Gamma_m*(rho_plus - rho0) <=
-    margin (< 1/2 keeps the fixed-point map a contraction uniformly in
-    lambda); X_max pushes the same product below 1e-10 so the discarded tail
-    is negligible.  Panels are geometrically graded, finest near x_tilde
-    where rho0' is largest.  The default margin sits below the 1/2 ceiling
-    because Gamma_m tracks the entry scale of the coupling rather than its
-    full Frobenius norm; 0.3 keeps the observed contraction under 1/2 with
-    room to spare.
+    On each half line, in t = sign*x, x_tilde is the innermost point with
+    Gamma_m*|rho_limit - rho0| <= margin (< 1/2 keeps the fixed-point map a
+    contraction uniformly in lambda); X pushes the same product below 1e-10
+    so the discarded tail is negligible.  Panels are geometrically graded,
+    finest near x_tilde where rho0' is largest.  The default margin sits
+    below the 1/2 ceiling because Gamma_m tracks the entry scale of the
+    coupling rather than its full Frobenius norm; 0.3 keeps the observed
+    contraction under 1/2 with room to spare.
     """
     if not 0.0 < margin < 0.5:
         raise SolverError("margin must lie in (0, 1/2)")
     gm = gbounds.Gamma_m
-    start = 0.0
-    x_t_plus = _solve_monotone_level(
-        lambda x: gm * (profile.rho_plus - float(profile.rho(x))) - margin,
-        start, +1.0, profile.scale)
-    x_t_minus = _solve_monotone_level(
-        lambda x: gm * (float(profile.rho(x)) - profile.rho_minus) - margin,
-        start, -1.0, profile.scale)
-    X_max = _solve_monotone_level(
-        lambda x: gm * (profile.rho_plus - float(profile.rho(x))) - TAIL_DROP,
-        x_t_plus, +1.0, profile.scale)
-    X_min = _solve_monotone_level(
-        lambda x: gm * (float(profile.rho(x)) - profile.rho_minus) - TAIL_DROP,
-        x_t_minus, -1.0, profile.scale)
-
     w_cap = 1.5 / (params.k + gbounds.delta_s)
-    right_edges = _graded_edges(x_t_plus, X_max, n_panels, ratio, w_cap)
-    # mirror: finest panels near x_tilde_minus
-    offsets = _graded_edges(0.0, x_t_minus - X_min, n_panels, ratio, w_cap)
-    left_edges = (x_t_minus - offsets)[::-1].copy()
-    left_edges[0] = X_min
+    lines = []
+    for sign in (1.0, -1.0):
+        rho_lim = _rho_limit(profile, sign)
 
-    setup = PicardSetup(
-        x_tilde_minus=x_t_minus, x_tilde_plus=x_t_plus,
-        X_min=X_min, X_max=X_max, margin=margin, gbounds=gbounds,
-        right_edges=right_edges, left_edges=left_edges)
-    for side in ("right", "left"):
-        edges = getattr(setup, f"{side}_edges")
+        def scaled_gap(t, sign=sign, rho_lim=rho_lim):
+            return gm * sign * (rho_lim - float(profile.rho(sign * t)))
+
+        t_tilde = _solve_monotone_level(lambda t: scaled_gap(t) - margin,
+                                        0.0, profile.scale)
+        t_end = _solve_monotone_level(lambda t: scaled_gap(t) - TAIL_DROP,
+                                      t_tilde, profile.scale)
+        edges = _graded_edges(t_tilde, t_end, n_panels, ratio, w_cap)
         widths = np.diff(edges)
         nodes = edges[:-1, None] + widths[:, None] * GL5_NODES[None, :]
-        setattr(setup, f"{side}_widths", widths)
-        setattr(setup, f"{side}_nodes", nodes)
-    return setup
+        lines.append(HalfLine(sign, edges, widths, nodes))
+    right, left = lines
+    return PicardSetup(
+        x_tilde_minus=-left.edges[0], x_tilde_plus=right.edges[0],
+        X_min=-left.edges[-1], X_max=right.edges[-1], margin=margin,
+        gbounds=gbounds, right=right, left=left)
 
 
 # ---------------------------------------------------------------------------
@@ -338,41 +349,27 @@ def _scan_prefix(psi_n, psi_e, f_n, widths):
 
 
 def _scan_suffix(psi_n, psi_e, f_n, widths):
-    """J(x) = int_x^{top} exp(-(psi(tau) - psi(x))) f(tau) dtau."""
-    P = f_n.shape[0]
-    K = f_n.shape[-1]
-    G = np.exp(-(psi_n - psi_e[:-1, None, :])) * f_n
-    full = widths[:, None] * np.einsum("q,pqk->pk", GL5_WEIGHTS, G)
-    decay = np.exp(-(psi_e[1:] - psi_e[:-1]))
-    D = np.zeros((P + 1, K))
-    for p in range(P - 1, -1, -1):
-        D[p] = decay[p] * D[p + 1] + full[p]
-    rest = widths[:, None, None] * (
-        np.einsum("i,pik->pk", GL5_WEIGHTS, G)[:, None, :]
-        - np.einsum("qi,pik->pqk", _S_PARTIAL, G))
-    J_n = (np.exp(-(psi_e[1:, None, :] - psi_n)) * D[1:, None, :]
-           + np.exp(psi_n - psi_e[:-1, None, :]) * rest)
-    return J_n, D
+    """J(x) = int_x^{top} exp(-(psi(tau) - psi(x))) f(tau) dtau.
+
+    The prefix scan of the reversed grid, where -psi is nondecreasing (the
+    Gauss rule is symmetric, so reversed nodes are nodes).
+    """
+    J_n, J_e = _scan_prefix(-psi_n[::-1, ::-1], -psi_e[::-1],
+                            f_n[::-1, ::-1], widths[::-1])
+    return J_n[::-1, ::-1], J_e[::-1]
 
 
-# kernel tables: (solution index on the side, component, phase spec, orientation)
+# kernel tables: (solution index, component, phase spec) per scan direction.
 # phase spec: (coef_alpha, coef_beta) multiplying the increasing primitives
-# alpha(x) = k*(x - bottom edge), beta(x) = int sigma0 from the bottom edge.
-_RIGHT_KERNELS = {
-    "prefix": [(0, 1, (-1.0, 1.0))],
-    "suffix": [(0, 0, (0.0, 0.0)), (0, 2, (2.0, 0.0)), (0, 3, (1.0, 1.0)),
-               (1, 0, (-1.0, 1.0)), (1, 1, (0.0, 0.0)),
-               (1, 2, (1.0, 1.0)), (1, 3, (0.0, 2.0))],
-}
-# left side: solutions (U3-, U4-) target e3, e4; prefix runs from X_min.
-_LEFT_KERNELS = {
-    "prefix": [(0, 0, (2.0, 0.0)), (0, 1, (1.0, 1.0)), (0, 2, (0.0, 0.0)),
-               (1, 0, (1.0, 1.0)), (1, 1, (0.0, 2.0)),
-               (1, 2, (-1.0, 1.0)), (1, 3, (0.0, 0.0))],
-    "suffix": [(0, 3, (-1.0, 1.0))],
-}
-_RIGHT_TARGETS = (0, 1)  # e1, e2 in V coordinates
-_LEFT_TARGETS = (2, 3)   # e3, e4
+# alpha(t) = k*(t - bottom edge), beta(t) = int sigma0 from the bottom edge.
+_PREFIX_KERNELS = [(0, 1, (-1.0, 1.0))]
+_SUFFIX_KERNELS = [(0, 0, (0.0, 0.0)), (0, 2, (2.0, 0.0)), (0, 3, (1.0, 1.0)),
+                   (1, 0, (-1.0, 1.0)), (1, 1, (0.0, 0.0)),
+                   (1, 2, (1.0, 1.0)), (1, 3, (0.0, 2.0))]
+_TARGETS = (0, 1)  # e1, e2 in V coordinates: decay like e^{-kt}, e^{-sigma t}
+# a mirrored solution U~(t) read back in x: U(x) = -S U~(-x), S = diag(1, -1,
+# 1, -1); the overall sign keeps the left limits as (k^-3, k^-2, k^-1, 1)
+_FLIP = np.array([-1.0, 1.0, -1.0, 1.0])
 
 
 @dataclass
@@ -418,60 +415,47 @@ class DecayingSolution(PhaseNormalized):
 
 
 class OuterSolutions:
-    """Per-lambda factory and cache for the four decaying solutions."""
+    """Per-lambda factory and cache for the four decaying solutions.
+
+    solve(lam) returns {"right": {"U1+", "U2+"}, "left": {"U3-", "U4-"}},
+    slow solution first.  The left pair is the right-side construction on
+    the mirrored half line, reflected back into x.
+    """
 
     def __init__(self, profile, params, setup):
         self.profile = profile
         self.params = params
-        self.setup = setup
         self._cache = {}
-        self._node_rho = {}
-        for side in ("right", "left"):
-            nodes = getattr(setup, f"{side}_nodes")
-            edges = getattr(setup, f"{side}_edges")
-            self._node_rho[side] = (np.asarray(profile.rho(nodes)),
-                                    np.asarray(profile.drho(nodes)),
-                                    np.asarray(profile.rho(edges)))
+        # rho0 and d/dt rho0(sign*t) at each half line's nodes
+        self._lines = [(hl, np.asarray(profile.rho(hl.sign * hl.nodes)),
+                        hl.sign * np.asarray(profile.drho(hl.sign * hl.nodes)))
+                       for hl in (setup.right, setup.left)]
 
     def solve(self, lam):
         key = float(lam)
         if key not in self._cache:
             if len(self._cache) > 1024:
                 self._cache.clear()
-            right = self._solve_side("right", lam)
-            left = self._solve_side("left", lam)
-            self._cache[key] = {"right": right, "left": left}
+            self._cache[key] = {hl.side: self._solve_half_line(hl, rho_n,
+                                                               drho_n, lam)
+                                for hl, rho_n, drho_n in self._lines}
         return self._cache[key]
 
-    # -- internals ---------------------------------------------------------
-    def _phases(self, side, lam):
-        nodes = getattr(self.setup, f"{side}_nodes")
-        edges = getattr(self.setup, f"{side}_edges")
-        widths = getattr(self.setup, f"{side}_widths")
-        rho_n, _, rho_e = self._node_rho[side]
-        k = self.params.k
-        sig_n = _sigma0(rho_n, self.params, lam)
+    def _solve_half_line(self, hl, rho_n, drho_n, lam):
+        """The pair decaying as t = sign*x -> inf, sampled in ascending x."""
+        params = self.params
+        k, mu = params.k, params.mu
+        nodes, edges, widths = hl.nodes, hl.edges, hl.widths
+        P = nodes.shape[0]
+
+        sig_n = _sigma0(rho_n, params, lam)
         alpha_n = k * (nodes - edges[0])
         alpha_e = k * (edges - edges[0])
         panel_beta = widths * np.einsum("q,pq->p", GL5_WEIGHTS, sig_n)
         beta_e = np.concatenate([[0.0], np.cumsum(panel_beta)])
         beta_n = beta_e[:-1, None] + widths[:, None] * np.einsum(
             "qi,pi->pq", _S_PARTIAL, sig_n)
-        return alpha_n, alpha_e, beta_n, beta_e, sig_n
-
-    def _solve_side(self, side, lam):
-        setup = self.setup
-        params = self.params
-        nodes = getattr(setup, f"{side}_nodes")
-        edges = getattr(setup, f"{side}_edges")
-        widths = getattr(setup, f"{side}_widths")
-        rho_n, drho_n, rho_e = self._node_rho[side]
-        P = nodes.shape[0]
-        kernels = _RIGHT_KERNELS if side == "right" else _LEFT_KERNELS
-        targets = _RIGHT_TARGETS if side == "right" else _LEFT_TARGETS
-
-        alpha_n, alpha_e, beta_n, beta_e, sig_n = self._phases(side, lam)
-        Mn = _matrix_M(rho_n, params, lam)
+        Mn = _matrix_M(rho_n, params, lam, hl.sign)
 
         def stack_phases(entries):
             psi_n = np.stack([ca * alpha_n + cb * beta_n
@@ -480,14 +464,14 @@ class OuterSolutions:
                               for _, _, (ca, cb) in entries], axis=-1)
             return psi_n, psi_e
 
-        pre, suf = kernels["prefix"], kernels["suffix"]
-        psi_pre = stack_phases(pre) if pre else None
-        psi_suf = stack_phases(suf) if suf else None
+        # the prefix integrals add, the suffix ones subtract
+        scans = ((_scan_prefix, _PREFIX_KERNELS, stack_phases(_PREFIX_KERNELS), 1.0),
+                 (_scan_suffix, _SUFFIX_KERNELS, stack_phases(_SUFFIX_KERNELS), -1.0))
 
         nsol = 2
         base_n = np.zeros((P, 5, 4, nsol))
         base_e = np.zeros((P + 1, 4, nsol))
-        for s, comp in enumerate(targets):
+        for s, comp in enumerate(_TARGETS):
             base_n[:, :, comp, s] = 1.0
             base_e[:, comp, s] = 1.0
 
@@ -499,18 +483,13 @@ class OuterSolutions:
             F_n = drho_n[..., None, None] * np.einsum("pqij,pqjs->pqis", Mn, W_n)
             new_n = base_n.copy()
             new_e = base_e.copy()
-            if pre:
-                f = np.stack([F_n[:, :, comp, s] for s, comp, _ in pre], axis=-1)
-                J_n, J_e = _scan_prefix(psi_pre[0], psi_pre[1], f, widths)
-                for idx, (s, comp, _) in enumerate(pre):
-                    new_n[:, :, comp, s] += J_n[..., idx]
-                    new_e[:, comp, s] += J_e[..., idx]
-            if suf:
-                f = np.stack([F_n[:, :, comp, s] for s, comp, _ in suf], axis=-1)
-                J_n, J_e = _scan_suffix(psi_suf[0], psi_suf[1], f, widths)
-                for idx, (s, comp, _) in enumerate(suf):
-                    new_n[:, :, comp, s] -= J_n[..., idx]
-                    new_e[:, comp, s] -= J_e[..., idx]
+            for scan, entries, (psi_n, psi_e), sgn in scans:
+                f = np.stack([F_n[:, :, comp, s] for s, comp, _ in entries],
+                             axis=-1)
+                J_n, J_e = scan(psi_n, psi_e, f, widths)
+                for idx, (s, comp, _) in enumerate(entries):
+                    new_n[:, :, comp, s] += sgn * J_n[..., idx]
+                    new_e[:, comp, s] += sgn * J_e[..., idx]
             dn = new_n - W_n
             de = new_e - W_e
             for s in range(nsol):
@@ -535,68 +514,46 @@ class OuterSolutions:
 
         # interleave edges and nodes into one ascending sample set
         N = P * 6 + 1
-        xs = np.empty(N)
+        ts = np.empty(N)
         W_all = np.empty((N, 4, nsol))
-        ph_all = np.empty((N, 2))
-        alpha_all = np.empty(N)
-        beta_all = np.empty(N)
-        xs[0::6] = edges
-        alpha_all[0::6] = alpha_e
-        beta_all[0::6] = beta_e
+        phases = np.empty((nsol, N))
+        ts[0::6] = edges
+        phases[:, 0::6] = alpha_e, beta_e
         W_all[0::6] = W_e
         for q in range(5):
-            xs[1 + q::6] = nodes[:, q]
-            alpha_all[1 + q::6] = alpha_n[:, q]
-            beta_all[1 + q::6] = beta_n[:, q]
+            ts[1 + q::6] = nodes[:, q]
+            phases[:, 1 + q::6] = alpha_n[:, q], beta_n[:, q]
             W_all[1 + q::6] = W_n[:, q]
 
-        rho_all = np.asarray(self.profile.rho(xs))
-        sig_all = _sigma0(rho_all, params, lam)
-        Pmat = _matrix_P(sig_all, params)
-        k = params.k
-        mu = params.mu
-        sols = {}
-        if side == "right":
-            sig_inf = math.sqrt(k * k + lam * self.profile.rho_plus / mu)
-            names = ("U1+", "U2+")
-            limits = (np.array([-k**-3, k**-2, -k**-1, 1.0]),
-                      np.array([-sig_inf**-3, sig_inf**-2, -sig_inf**-1, 1.0]))
-            phases = (alpha_all, beta_all)
-        else:
-            sig_inf = math.sqrt(k * k + lam * self.profile.rho_minus / mu)
+        rho_all = np.asarray(self.profile.rho(hl.sign * ts))
+        U = np.einsum("nij,njs->nis", _matrix_P(_sigma0(rho_all, params, lam),
+                                                params), W_all)
+        sig_inf = math.sqrt(k * k + lam * _rho_limit(self.profile, hl.sign) / mu)
+        limits = np.array([[-k**-3, k**-2, -k**-1, 1.0],
+                           [-sig_inf**-3, sig_inf**-2, -sig_inf**-1, 1.0]])
+        xs = ts
+        names = ("U1+", "U2+")
+        if hl.sign < 0:
+            xs, U, phases = -ts[::-1], U[::-1] * _FLIP[:, None], phases[:, ::-1]
+            limits = limits * _FLIP
             names = ("U3-", "U4-")
-            limits = (np.array([k**-3, k**-2, k**-1, 1.0]),
-                      np.array([sig_inf**-3, sig_inf**-2, sig_inf**-1, 1.0]))
-            # phases grow toward -inf: alpha_all/beta_all run from X_min upward,
-            # so the decay phase is their value at x_tilde_minus minus at x.
-            phases = (alpha_all[-1] - alpha_all, beta_all[-1] - beta_all)
-        for s in range(nsol):
-            U_norm = np.einsum("nij,njs->nis", Pmat, W_all)[:, :, s]
-            sols[names[s]] = DecayingSolution(
-                side=side, lam=lam, xs=xs, normalized=U_norm,
-                phase=np.asarray(phases[s], dtype=float),
-                limit=limits[s], updates=tuple(updates[s]))
-        return sols
-
-    def sigma_limits(self, lam):
-        k, mu = self.params.k, self.params.mu
-        return (math.sqrt(k * k + lam * self.profile.rho_minus / mu),
-                math.sqrt(k * k + lam * self.profile.rho_plus / mu))
+        return {name: DecayingSolution(
+                    side=hl.side, lam=lam, xs=xs, normalized=U[:, :, s],
+                    phase=phases[s], limit=limits[s], updates=tuple(updates[s]))
+                for s, name in enumerate(names)}
 
 
 def boundary_coeffs_general(solutions, x_end, end):
     """Boundary coefficients n_ij at x_end from the decaying pair.
 
     solutions: the side dict {"U1+": ..., "U2+": ...} (right) or the left
-    analogue.  The two relations annihilate both decaying solutions; they are
-    obtained from two 2x2 solves on the phase-normalized samples (row phases
-    cancel).  x_end must be a sample of the solutions' grid (every panel
-    edge is one), so no spline is built.
+    analogue, slow solution first as `OuterSolutions.solve` returns it.  The
+    two relations annihilate both decaying solutions; they are obtained from
+    two 2x2 solves on the phase-normalized samples (row phases cancel).
+    x_end must be a sample of the solutions' grid (every panel edge is
+    one), so no spline is built.
     """
-    if end == "right":
-        u_a, u_b = solutions["U1+"], solutions["U2+"]
-    else:
-        u_a, u_b = solutions["U3-"], solutions["U4-"]
+    u_a, u_b = solutions.values()
     i = int(np.searchsorted(u_a.xs, x_end))
     if i == u_a.xs.size or u_a.xs[i] != x_end:
         raise SolverError(f"x={x_end!r} is not a sample of the outer grid; "
@@ -614,12 +571,6 @@ def boundary_coeffs_general(solutions, x_end, end):
     return BoundaryCoeffs(end=end, x=float(x_end),
                           n11=float(n1[0]), n12=float(n1[1]),
                           n21=float(n2[0]), n22=float(n2[1]))
-
-
-def limit_boundary_coeffs(params, sigma, end):
-    """x -> +-inf limits of the boundary coefficients (closed form)."""
-    x = math.inf if end == "right" else -math.inf
-    return exponential_closure(end, x, params.k, sigma)
 
 
 def endpoint_psd_margins(coeffs, k, sigma0_at_end):
@@ -656,14 +607,13 @@ def coercive_window(profile, params, eps_star, lambda_grid, setup, engine,
     sols = {lam: engine.solve(lam) for lam in lambda_grid}
     report = {"right": [], "left": []}
 
-    def find_edge(side):
-        edges = setup.right_edges if side == "right" else setup.left_edges[::-1]
-        end = side
-        for j, x_end in enumerate(edges):
+    def find_edge(hl):
+        side = hl.side
+        for x_end in hl.sign * hl.edges:
             worst = math.inf
             ok = True
             for lam in lambda_grid:
-                coeffs = boundary_coeffs_general(sols[lam][side], x_end, end)
+                coeffs = boundary_coeffs_general(sols[lam][side], x_end, side)
                 sig = float(_sigma0(profile.rho(x_end), params, lam))
                 margins = endpoint_psd_margins(coeffs, params.k, sig)
                 worst = min(worst, *margins)
@@ -672,13 +622,13 @@ def coercive_window(profile, params, eps_star, lambda_grid, setup, engine,
                     break
             report[side].append((float(x_end), worst))
             if ok:
-                return float(x_end), j
+                return float(x_end)
         raise CoercivitySearchError(
             f"no coercive endpoint found on the {side} side; "
             f"margins: {report[side][-3:]}")
 
-    x_plus, j_plus = find_edge("right")
-    x_minus, j_minus = find_edge("left")
+    x_plus = find_edge(setup.right)
+    x_minus = find_edge(setup.left)
     return x_minus, x_plus, report
 
 
@@ -706,9 +656,12 @@ class DecayEnvelopes:
 def decay_envelopes(profile, params, setup, gbounds):
     """Printed envelopes for the decaying solutions, per side.
 
-    The slow term carries exp(-(delta - k)(x - x_tilde)); the convolution
-    int rho0(tau) e^{-(delta-k)(x-tau)} dtau is evaluated by panel quadrature
-    on the setup grid and splined.
+    With t = sign*x the outward coordinate, gap = |rho_limit - rho0(x)| and
+    t_tilde = sign*x_tilde, the slow envelope is
+    2 Gamma_p Gamma_m (gap + rho0(x_tilde) e^{-(delta-k)(t - t_tilde)}
+    + |rho0(x) - (delta-k) int_{t_tilde}^{t} rho0(sign*s) e^{-(delta-k)(t-s)} ds|)
+    and the fast one (C_p + 2 Gamma_p Gamma_m) gap.  The convolution is
+    evaluated by panel quadrature on the half line's grid and splined.
     """
     gp, gm = gbounds.Gamma_p, gbounds.Gamma_m
     delta, delta_s = gbounds.delta_eps, gbounds.delta_s
@@ -717,43 +670,23 @@ def decay_envelopes(profile, params, setup, gbounds):
     const_p = lmax * math.sqrt(4.0 * delta**10 + 16.0 * delta**12
                                + 9.0 * delta_s**4) / (4.0 * params.mu * delta**8)
 
-    def build(side):
-        edges = getattr(setup, f"{side}_edges")
-        nodes = getattr(setup, f"{side}_nodes")
-        widths = getattr(setup, f"{side}_widths")
-        rho_n = np.asarray(profile.rho(nodes))
-        if side == "right":
-            psi_n = rate * (nodes - edges[0])
-            psi_e = rate * (edges - edges[0])
-            _, conv_e = _scan_prefix(psi_n[..., None], psi_e[:, None],
-                                     rho_n[..., None], widths)
-            anchor = setup.x_tilde_plus
-            anchor_rho = float(profile.rho(anchor))
-
-            def dist(x):
-                return np.asarray(x, dtype=float) - anchor
-
-            def gap(x):
-                return profile.rho_plus - np.asarray(profile.rho(x))
-        else:
-            psi_n = rate * (edges[-1] - nodes)
-            psi_e = rate * (edges[-1] - edges)
-            _, conv_e = _scan_suffix(psi_n[..., None], psi_e[:, None],
-                                     rho_n[..., None], widths)
-            anchor = setup.x_tilde_minus
-            anchor_rho = float(profile.rho(anchor))
-
-            def dist(x):
-                return anchor - np.asarray(x, dtype=float)
-
-            def gap(x):
-                return np.asarray(profile.rho(x)) - profile.rho_minus
-
+    def build(hl):
+        sign, edges, t0 = hl.sign, hl.edges, hl.edges[0]
+        rho_lim = _rho_limit(profile, sign)
+        _, conv_e = _scan_prefix(rate * (hl.nodes - t0)[..., None],
+                                 rate * (edges - t0)[:, None],
+                                 np.asarray(profile.rho(sign * hl.nodes))[..., None],
+                                 hl.widths)
         conv = CubicSpline(edges, conv_e[:, 0])
+        anchor_rho = float(profile.rho(sign * t0))
+
+        def gap(x):
+            return sign * (rho_lim - np.asarray(profile.rho(x)))
 
         def env_slow(x):
-            term3 = np.abs(np.asarray(profile.rho(x)) - rate * conv(x))
-            return 2.0 * gp * gm * (gap(x) + anchor_rho * np.exp(-rate * dist(x))
+            t = sign * np.asarray(x, dtype=float)
+            term3 = np.abs(np.asarray(profile.rho(x)) - rate * conv(t))
+            return 2.0 * gp * gm * (gap(x) + anchor_rho * np.exp(-rate * (t - t0))
                                     + term3)
 
         def env_fast(x):
@@ -761,6 +694,6 @@ def decay_envelopes(profile, params, setup, gbounds):
 
         return env_slow, env_fast
 
-    env1, env2 = build("right")
-    env3, env4 = build("left")
+    env1, env2 = build(setup.right)
+    env3, env4 = build(setup.left)
     return DecayEnvelopes(env_u1=env1, env_u2=env2, env_u3=env3, env_u4=env4)

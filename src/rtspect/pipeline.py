@@ -114,12 +114,25 @@ class Pipeline:
                 lo = max(lo / 100.0, floor)
 
     def dispersion(self, n_modes=None):
-        """Points for n = 1..n_modes, flattened in order of n."""
+        """Points for n = 1..n_modes, flattened in order of n.
+
+        For strictly increasing profiles the table ends at the first curve
+        with f_n < 0 at every scan point: gamma_{n+1} <= gamma_n, so no
+        later curve has a root on that grid either.
+        """
         self.build()
         n_modes = n_modes or self.opts.n_modes
+        gk2 = self.params.g * self.params.k**2
         out = []
         for n in range(1, n_modes + 1):
-            out.extend(self.solve_mode_index(n))
+            try:
+                out.extend(self.solve_mode_index(n))
+            except BracketError:
+                if self.profile.kind == COMPACT or any(
+                        gk2 * self.builder.gamma(lam, n) >= lam
+                        for lam in self.count_grid):
+                    raise
+                break
         return out
 
     def count_modes(self) -> ModeCount:

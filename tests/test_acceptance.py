@@ -15,8 +15,8 @@ import pytest
 from rtspect import evans
 from rtspect.assembly import HermiteSpace, build_mesh, whole_line_identity_check
 from rtspect.modes import gluing_jumps, ode_residual, reconstruct_fields
-from rtspect.outer_general import (boundary_coeffs_general, decay_envelopes,
-                                   limit_boundary_coeffs)
+from rtspect.outer_compact import exponential_closure
+from rtspect.outer_general import boundary_coeffs_general, decay_envelopes
 from rtspect.pipeline import Pipeline, SolverOptions
 from rtspect.profiles import PhysicalParams
 from rtspect.spectrum import general_builder, gamma_derivative_check
@@ -183,9 +183,10 @@ def test_criterion_9_boundary_coefficient_limits(accept_tanh, tanh_profile,
     lam = 0.3
     sols = pipe.engine.solve(lam)
     sig_p = math.sqrt(params.k**2 + lam * tanh_profile.rho_plus / params.mu)
-    lim = np.array(limit_boundary_coeffs(params, sig_p, "right").as_tuple())
+    lim = np.array(exponential_closure("right", math.inf, params.k,
+                                       sig_p).as_tuple())
     gaps, errs = [], []
-    for x_end in pipe.setup.right_edges[:-1:4]:
+    for x_end in pipe.setup.right.edges[:-1:4]:
         c = boundary_coeffs_general(sols["right"], x_end, "right")
         err = np.abs(np.array(c.as_tuple()) - lim).max()
         gap = tanh_profile.rho_plus - float(tanh_profile.rho(x_end))

@@ -160,10 +160,10 @@ def test_compact_endpoint_block_sum_of_squares(bump_profile, params):
 
 def test_general_block_symmetric_at_limit_coeffs(params):
     # n11 + n22 + sigma0^2 + k^2 = 0 at the limits kills the defect
-    from rtspect.outer_general import limit_boundary_coeffs
+    from rtspect.outer_compact import exponential_closure
     sig = 2.0
     lam = (sig**2 - params.k**2) * params.mu / 3.0  # rho_end = 3
-    c = limit_boundary_coeffs(params, sig, "right")
+    c = exponential_closure("right", math.inf, params.k, sig)
     blk = endpoint_block(c, params, 3.0, lam)
     assert abs(blk[0, 1] - blk[1, 0]) <= 1e-12 * np.abs(blk).max()
 
@@ -266,13 +266,13 @@ def test_threshold_values():
 def test_coercivity_check_constant_coefficients():
     # constant density with its exact tail closures: the discrete bound
     # K >= mu min(k^4, 2k^2, 1) G holds with nonnegative margin
-    from rtspect.outer_general import limit_boundary_coeffs
+    from rtspect.outer_compact import exponential_closure
     prof = constant_profile()
     par = PhysicalParams(g=1, mu=1.0, k=1.0)
     lam = 0.2
     tau = math.sqrt(par.k**2 + lam * 1.0 / par.mu)
-    left = dataclasses.replace(limit_boundary_coeffs(par, tau, "left"), x=-1.0)
-    right = dataclasses.replace(limit_boundary_coeffs(par, tau, "right"), x=1.0)
+    left = exponential_closure("left", -1.0, par.k, tau)
+    right = exponential_closure("right", 1.0, par.k, tau)
     space = HermiteSpace(build_mesh(-1, 1, 16, "uniform"))
     forms = assemble_forms(prof, par, lam, (left, right), space)
     assert forms.asymmetry_norm <= 1e-12 * np.linalg.norm(forms.K, "fro")

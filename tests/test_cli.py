@@ -3,9 +3,11 @@ import csv
 import numpy as np
 import pytest
 
+from conftest import TANH_ORACLE_ROOTS
 from rtspect.cli import main, parse_config
 from rtspect.evans import evans_function
 from rtspect.errors import ConfigError
+from rtspect.pipeline import Pipeline
 
 MINIMAL = """
 [profile]
@@ -276,6 +278,27 @@ def test_outer_coeffs_dump(tmp_path):
     assert rows[0][:3] == ["end", "x_end", "lambda"]
     ends = {r[0] for r in rows[1:]}
     assert ends == {"left", "right"}
-    # discriminants nonpositive at coercive endpoints
-    right_far = [r for r in rows[1:] if r[0] == "right"]
-    assert all(float(r[-1]) < 0 for r in right_far)
+    # negative discriminants on both sides, the left rows lying outside
+    # x_tilde_minus (they are built from the mirrored half line)
+    cfg = parse_config(cfgfile.read_text())
+    setup = Pipeline(cfg.profile, cfg.params_for(1.0), cfg.opts).build().setup
+    for side in ("left", "right"):
+        side_rows = [r for r in rows[1:] if r[0] == side]
+        assert side_rows and all(float(r[-1]) < 0 for r in side_rows)
+    assert all(float(r[1]) <= setup.x_tilde_minus
+               for r in rows[1:] if r[0] == "left")
+
+
+def test_dispersion_on_tanh_defaults(tmp_path):
+    # the default n_modes = 8 asks for more curves than the tanh fixture
+    # has roots above eps_star (4): the table ends at the first curve
+    # below the scan grid instead of failing
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(TANH + "\n[numerical]\nn_elements = 64\n")
+    assert main(["dispersion", "--config", str(cfgfile),
+                 "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "dispersion.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [int(r[1]) for r in rows] == [1, 2, 3, 4]
+    lams = [float(r[2]) for r in rows]
+    assert lams == pytest.approx(TANH_ORACLE_ROOTS, abs=1e-4)

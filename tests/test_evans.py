@@ -220,8 +220,7 @@ def test_failed_integration_names_segment(monkeypatch, bump_profile, params):
 
 def test_root_set_stable_under_matching_shift(tanh_profile, params):
     grid = np.linspace(0.2, 0.35, 7)
-    vals0 = [ev.evans_function(tanh_profile, params, l, match_x=0.0).sign
-             for l in grid]
-    vals1 = [ev.evans_function(tanh_profile, params, l, match_x=0.8).sign
-             for l in grid]
-    assert vals0 == vals1
+    signs = [[s.sign for s in ev.evans_function(tanh_profile, params, grid,
+                                                 match_x=m)]
+             for m in (0.0, 0.8)]
+    assert signs[0] == signs[1]

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from rtspect import outer_general as og
 from rtspect.errors import SolverError
+from rtspect.outer_compact import exponential_closure
 from rtspect.pipeline import Pipeline, SolverOptions
 from rtspect.profiles import PhysicalParams, make_profile
 
@@ -172,35 +174,38 @@ def test_solutions_satisfy_the_system(ctx):
     lam = 0.3
     sols = eng.solve(lam)
     h = 1e-5
-    for s in (sols["right"]["U1+"], sols["left"]["U4-"]):
-        xs = (np.linspace(setup.x_tilde_plus + 0.5, setup.x_tilde_plus + 3, 5)
-              if s.side == "right"
-              else np.linspace(setup.x_tilde_minus - 3, setup.x_tilde_minus - 0.5, 5))
-        for x in xs:
-            U = s.raw_at(x)
-            dU = (s.raw_at(x + h) - s.raw_at(x - h)) / (2 * h)
-            sm = og.system_matrices(prof, par, x, lam)
-            rhs = (sm.L + float(prof.drho(x)) * sm.R) @ U
-            assert np.abs(dU - rhs).max() <= 1e-8 * max(np.abs(rhs).max(), 1e-30)
+    # the left pair is built on the mirrored problem (t = -x, g -> -g);
+    # in x all four must solve the original system
+    for side, x_tilde, out in (("right", setup.x_tilde_plus, 1.0),
+                               ("left", setup.x_tilde_minus, -1.0)):
+        for s in sols[side].values():
+            for x in x_tilde + out * np.linspace(0.5, 3, 5):
+                U = s.raw_at(x)
+                dU = (s.raw_at(x + h) - s.raw_at(x - h)) / (2 * h)
+                sm = og.system_matrices(prof, par, x, lam)
+                rhs = (sm.L + float(prof.drho(x)) * sm.R) @ U
+                assert np.abs(dU - rhs).max() <= 1e-8 * max(np.abs(rhs).max(), 1e-30)
 
 
 def test_boundary_coeff_limits(ctx):
     prof, par, pb, eps, gb, setup, eng = ctx
     lam = 0.4
     sols = eng.solve(lam)
-    sig_m, sig_p = eng.sigma_limits(lam)
-    right = og.boundary_coeffs_general(sols["right"], setup.right_edges[-1], "right")
-    lim_r = og.limit_boundary_coeffs(par, sig_p, "right")
+    k, mu = par.k, par.mu
+    sig_m = math.sqrt(k * k + lam * prof.rho_minus / mu)
+    sig_p = math.sqrt(k * k + lam * prof.rho_plus / mu)
+    right = og.boundary_coeffs_general(sols["right"], setup.X_max, "right")
+    lim_r = exponential_closure("right", math.inf, k, sig_p)
     assert right.as_tuple() == pytest.approx(lim_r.as_tuple(), abs=1e-9)
-    left = og.boundary_coeffs_general(sols["left"], setup.left_edges[0], "left")
-    lim_l = og.limit_boundary_coeffs(par, sig_m, "left")
+    left = og.boundary_coeffs_general(sols["left"], setup.X_min, "left")
+    lim_l = exponential_closure("left", -math.inf, k, sig_m)
     assert left.as_tuple() == pytest.approx(lim_l.as_tuple(), abs=1e-9)
 
 
 def test_limit_discriminant_closed_form():
     # k=1, sigma+=2: (n11 - n22 - k^2 - sigma^2)^2 + 4 n12 n21 = -56
     par = PhysicalParams(g=1.0, mu=1.0, k=1.0)
-    c = og.limit_boundary_coeffs(par, 2.0, "right")
+    c = exponential_closure("right", math.inf, par.k, 2.0)
     disc = (c.n11 - c.n22 - 1.0 - 4.0)**2 + 4 * c.n12 * c.n21
     assert disc == pytest.approx(-56.0)
     assert disc == pytest.approx(-4 * 1.0 * 2.0 * (1 + 2 + 4))
@@ -210,7 +215,7 @@ def test_limit_discriminant_closed_form():
 
 def test_left_end_sign_pattern_mirrors():
     par = PhysicalParams(g=1.0, mu=1.0, k=1.0)
-    c = og.limit_boundary_coeffs(par, 2.0, "left")
+    c = exponential_closure("left", -math.inf, par.k, 2.0)
     assert c.n12 < 0 < c.n21
     margins = og.endpoint_psd_margins(c, 1.0, 2.0)
     assert min(margins) > 0
@@ -230,11 +235,11 @@ def test_general_matches_compact_formulas_far_out(ctx):
     prof, par, pb, eps, gb, setup, eng = ctx
     lam = 0.25
     sols = eng.solve(lam)
-    x_end = setup.right_edges[-1]
+    x_end = setup.X_max
     assert prof.rho_plus - float(prof.rho(x_end)) < 1e-9
     right = og.boundary_coeffs_general(sols["right"], x_end, "right")
     tau = math.sqrt(par.k**2 + lam * float(prof.rho(x_end)) / par.mu)
-    ref = og.limit_boundary_coeffs(par, tau, "right")
+    ref = exponential_closure("right", math.inf, par.k, tau)
     for a, b in zip(right.as_tuple(), ref.as_tuple()):
         assert abs(a - b) <= 1e-6 * max(abs(b), 1.0)
 
@@ -282,6 +287,33 @@ def test_decay_envelopes(ctx):
             s = sols[side][key]
             dev = np.linalg.norm(s.normalized - s.limit[None, :], axis=1)
             assert np.all(dev <= getattr(env, name)(s.xs) + 1e-30)
+
+
+def test_slow_envelopes_match_the_documented_formula(tanh_profile, params,
+                                                     tanh_bounds):
+    # 2 Gamma_p Gamma_m (gap + rho0(x_t) e^{-r|x - x_t|}
+    #                    + |rho0(x) - r int rho0(tau) e^{-r|x - tau|} dtau|),
+    # r = delta - k and the integral over [x_t, x], on both sides
+    eps = 0.3 * tanh_bounds.lambda_max
+    gb = og.gamma_bounds(tanh_profile, params, eps, tanh_bounds)
+    setup = og.truncation_points(tanh_profile, params, gb)
+    env = og.decay_envelopes(tanh_profile, params, setup, gb)
+    r = gb.delta_eps - params.k
+
+    def rho(x):
+        return float(tanh_profile.rho(x))
+
+    for env_slow, x_t, rho_lim, out in (
+            (env.env_u1, setup.x_tilde_plus, tanh_profile.rho_plus, 1.0),
+            (env.env_u3, setup.x_tilde_minus, tanh_profile.rho_minus, -1.0)):
+        for d in (2.0, 10.0):
+            x = x_t + out * d
+            conv = quad(lambda tau: rho(tau) * math.exp(-r * abs(x - tau)),
+                        min(x, x_t), max(x, x_t), epsabs=0.0, epsrel=1e-12)[0]
+            expect = 2 * gb.Gamma_p * gb.Gamma_m * (
+                abs(rho_lim - rho(x)) + rho(x_t) * math.exp(-r * d)
+                + abs(rho(x) - r * conv))
+            assert float(env_slow(x)) == pytest.approx(expect, rel=1e-6)
 
 
 def test_coercive_window_shrinks_with_eps(tanh_profile, params, tanh_bounds):
