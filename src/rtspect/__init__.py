@@ -22,8 +22,8 @@ from .modes import (GlobalMode, PerturbationField, glue_mode, gluing_jumps,
 from .outer_compact import (BoundaryCoeffs, CompactOuterBasis,
                             compact_bc_coeffs, compact_decaying_solutions,
                             compact_outer_basis)
-from .outer_general import (DecayingSolution, GammaBounds, OuterSolutions,
-                            PicardSetup, SystemMatrices,
+from .outer_general import (BoundaryFit, DecayingSolution, GammaBounds,
+                            OuterSolutions, PicardSetup, SystemMatrices,
                             boundary_coeffs_general, coercive_window,
                             decay_envelopes, gamma_bounds, system_matrices,
                             truncation_points)

@@ -263,17 +263,16 @@ def cmd_outer_coeffs(cfg, out_dir):
     pipe = Pipeline(cfg.profile, cfg.params_for(k), cfg.opts).build()
     par = pipe.params
     grid = np.linspace(pipe.eps_star, pipe.bounds.lambda_max, 8)
+    if cfg.profile.kind == COMPACT:
+        per_lam = [pipe.builder.bc_factory(lam) for lam in grid]
+    else:
+        x_left = -pipe.setup.left.edges[::-1]     # ascending in x
+        ends = [("left", x) for x in x_left[::6][::-1]]
+        ends += [("right", x) for x in pipe.setup.right.edges[::6]]
+        per_lam = [[boundary_coeffs_general(sols[end], x, end)
+                    for end, x in ends] for sols in pipe.engine.solve(grid)]
     rows = []
-    for lam in grid:
-        if cfg.profile.kind == COMPACT:
-            coeffs = pipe.builder.bc_factory(lam)
-        else:
-            sols = pipe.engine.solve(lam)
-            x_left = -pipe.setup.left.edges[::-1]     # ascending in x
-            ends = [("left", x) for x in x_left[::6][::-1]]
-            ends += [("right", x) for x in pipe.setup.right.edges[::6]]
-            coeffs = [boundary_coeffs_general(sols[end], x, end)
-                      for end, x in ends]
+    for lam, coeffs in zip(grid, per_lam):
         for c in coeffs:
             sig = float(_sigma0(cfg.profile.rho(c.x), par, lam))
             disc = -endpoint_psd_margins(c, par.k, sig)[2]

@@ -11,9 +11,11 @@ decaying at -inf is the same construction for the mirrored problem: in
 t = -x the equation keeps its form with rho0(-t) and g replaced by -g
 (U(x) = S U~(-x), S = diag(1, -1, 1, -1)), so each half line is solved in
 its outward coordinate t = sign*x by one code path and read back in x.
-The decaying pairs yield the boundary coefficients n_ij closing the problem
-on a finite window, and the window itself is found by marching outward until
-both endpoint quadratic forms are positive semidefinite.
+One Picard iteration serves a whole array of lambdas at once.  The decaying
+pairs yield the boundary coefficients n_ij closing the problem on a finite
+window; the root search reads them from a Chebyshev interpolant in log
+lambda (`BoundaryFit`).  The window itself is found by marching outward
+until both endpoint quadratic forms are positive semidefinite.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
@@ -36,6 +39,13 @@ TAIL_DROP = 1e-10  # Gamma_m * (rho_limit_gap) at the numerical infinity cutoff
 # Picard updates at or below this are round-off: their ratios say nothing
 # about contraction
 UPDATE_FLOOR = 1e-10
+# boundary-coefficient fit: first degree (17 points), degree cap, trailing
+# over largest Chebyshev coefficient that ends the doubling, and the largest
+# relative miss against a direct solve that `BoundaryFit.check` accepts
+FIT_FIRST_DEGREE = 16
+FIT_MAX_DEGREE = 256
+FIT_TAIL_TOL = 1e-13
+FIT_CHECK_TOL = 1e-10
 
 
 def _partial_integration_matrix():
@@ -75,9 +85,9 @@ def _matrix_L(rho, params, lam):
 def _matrix_R(params, lam, sign):
     # in t = sign*x the reflection flips only the gravity entry
     k, mu, g = params.k, params.mu, params.g
-    R = np.zeros((4, 4))
-    R[3, 0] = sign * g * k**2 / (lam * mu)
-    R[3, 1] = lam / mu
+    R = np.zeros(np.shape(lam) + (4, 4))
+    R[..., 3, 0] = sign * g * k**2 / (lam * mu)
+    R[..., 3, 1] = lam / mu
     return R
 
 
@@ -328,48 +338,90 @@ def truncation_points(profile, params, gbounds, margin=0.3,
 # ---------------------------------------------------------------------------
 # phase-weighted panel scans
 
-def _scan_prefix(psi_n, psi_e, f_n, widths):
+def _scan_weights(psi_n, psi_e):
+    """The exponentials `_scan_prefix` applies for the phases psi.
+
+    psi is nondecreasing along the grid, sampled at the panel Gauss nodes
+    (P, 5, ...) and edges (P+1, ...).  Every exponent is a phase difference
+    within one panel, so nothing overflows; the factors depend on psi alone
+    and are computed once per solve, not once per Picard iteration.
+    """
+    rise = psi_e[1:, None] - psi_n                 # node to its panel's top
+    return (np.exp(-rise), np.exp(rise), np.exp(-(psi_e[1:] - psi_e[:-1])),
+            np.exp(-(psi_n - psi_e[:-1, None])))
+
+
+def _scan_prefix(weights, f_n, widths):
     """J(x) = int_{bottom}^{x} exp(-(psi(x) - psi(tau))) f(tau) dtau.
 
-    psi nondecreasing; f sampled on panel Gauss nodes.  Returns J at nodes
-    (P,5,K) and edges (P+1,K).
+    weights = _scan_weights(psi_n, psi_e); f is sampled on the panel Gauss
+    nodes, shape (P, 5, ...) like psi_n.  Returns J at nodes (P, 5, ...) and
+    edges (P+1, ...).
     """
+    to_top, from_top, decay, from_bottom = weights
     P = f_n.shape[0]
-    K = f_n.shape[-1]
-    G = np.exp(-(psi_e[1:, None, :] - psi_n)) * f_n          # (P,5,K)
-    full = widths[:, None] * np.einsum("q,pqk->pk", GL5_WEIGHTS, G)
-    decay = np.exp(-(psi_e[1:] - psi_e[:-1]))                # (P,K)
-    C = np.zeros((P + 1, K))
+    trail = f_n.shape[2:]
+    G = (to_top * f_n).reshape(P, 5, -1)
+    full = widths[:, None] * (GL5_WEIGHTS @ G)                # (P, T)
+    decay = decay.reshape(P, -1)
+    C = np.zeros((P + 1, full.shape[1]))
     for p in range(P):
         C[p + 1] = decay[p] * C[p] + full[p]
-    partial = widths[:, None, None] * np.einsum("qi,pik->pqk", _S_PARTIAL, G)
-    J_n = (np.exp(-(psi_n - psi_e[:-1, None, :])) * C[:-1, None, :]
-           + np.exp(psi_e[1:, None, :] - psi_n) * partial)
-    return J_n, C
+    partial = (widths[:, None, None] * (_S_PARTIAL @ G)).reshape(f_n.shape)
+    J_n = from_bottom * C[:-1].reshape((P, 1) + trail) + from_top * partial
+    return J_n, C.reshape((P + 1,) + trail)
 
 
-def _scan_suffix(psi_n, psi_e, f_n, widths):
+def _suffix_weights(psi_n, psi_e):
+    """`_scan_weights` of the reversed grid, on which -psi is nondecreasing."""
+    return _scan_weights(-psi_n[::-1, ::-1], -psi_e[::-1])
+
+
+def _scan_suffix(weights, f_n, widths):
     """J(x) = int_x^{top} exp(-(psi(tau) - psi(x))) f(tau) dtau.
 
-    The prefix scan of the reversed grid, where -psi is nondecreasing (the
-    Gauss rule is symmetric, so reversed nodes are nodes).
+    weights = _suffix_weights(psi_n, psi_e).  The prefix scan of the
+    reversed grid (the Gauss rule is symmetric, so reversed nodes are
+    nodes).
     """
-    J_n, J_e = _scan_prefix(-psi_n[::-1, ::-1], -psi_e[::-1],
-                            f_n[::-1, ::-1], widths[::-1])
+    J_n, J_e = _scan_prefix(weights, f_n[::-1, ::-1], widths[::-1])
     return J_n[::-1, ::-1], J_e[::-1]
 
 
-# kernel tables: (solution index, component, phase spec) per scan direction.
-# phase spec: (coef_alpha, coef_beta) multiplying the increasing primitives
-# alpha(t) = k*(t - bottom edge), beta(t) = int sigma0 from the bottom edge.
-_PREFIX_KERNELS = [(0, 1, (-1.0, 1.0))]
-_SUFFIX_KERNELS = [(0, 0, (0.0, 0.0)), (0, 2, (2.0, 0.0)), (0, 3, (1.0, 1.0)),
-                   (1, 0, (-1.0, 1.0)), (1, 1, (0.0, 0.0)),
-                   (1, 2, (1.0, 1.0)), (1, 3, (0.0, 2.0))]
+# one kernel per entry W[component, solution] of the (4, 2) Picard state:
+# (solution, component, coef_alpha, coef_beta).  The phase coefficients
+# multiply the increasing primitives alpha(t) = k*(t - bottom edge) and
+# beta(t) = int sigma0 from the bottom edge.  The first _N_PREFIX kernels
+# integrate up from the bottom edge and add; the rest integrate down from
+# the far end and subtract.
+_KERNELS = [(0, 1, -1.0, 1.0),
+            (0, 0, 0.0, 0.0), (0, 2, 2.0, 0.0), (0, 3, 1.0, 1.0),
+            (1, 0, -1.0, 1.0), (1, 1, 0.0, 0.0), (1, 2, 1.0, 1.0),
+            (1, 3, 0.0, 2.0)]
+_N_PREFIX = 1
+_KERNEL_FLAT = [2 * comp + s for s, comp, _, _ in _KERNELS]
+_KERNEL_OF_FLAT = [_KERNEL_FLAT.index(flat) for flat in range(len(_KERNELS))]
+_KERNEL_CA, _KERNEL_CB = np.array([kern[2:] for kern in _KERNELS]).T
 _TARGETS = (0, 1)  # e1, e2 in V coordinates: decay like e^{-kt}, e^{-sigma t}
+_BASE = np.zeros(8)                 # the targets, flattened like the state
+_BASE[[2 * comp + s for s, comp in enumerate(_TARGETS)]] = 1.0
 # a mirrored solution U~(t) read back in x: U(x) = -S U~(-x), S = diag(1, -1,
 # 1, -1); the overall sign keeps the left limits as (k^-3, k^-2, k^-1, 1)
 _FLIP = np.array([-1.0, 1.0, -1.0, 1.0])
+
+
+def _picard_state(J_pre, J_suf):
+    """The state W (..., 4, 2): targets plus prefix minus suffix integrals."""
+    J = np.empty(J_pre.shape[:-1] + (len(_KERNELS),))
+    J[..., :_N_PREFIX] = J_pre
+    np.negative(J_suf, out=J[..., _N_PREFIX:])
+    return (J[..., _KERNEL_OF_FLAT] + _BASE).reshape(J.shape[:-1] + (4, 2))
+
+
+def _grid_sup(W):
+    """sup over the grid of |W[..., :, s]|, per lambda and solution: (n, 2)."""
+    sq = np.einsum("...is,...is->...s", W, W)
+    return np.sqrt(sq.reshape((-1,) + sq.shape[-2:]).max(axis=0))
 
 
 @dataclass
@@ -419,12 +471,15 @@ class OuterSolutions:
 
     solve(lam) returns {"right": {"U1+", "U2+"}, "left": {"U3-", "U4-"}},
     slow solution first.  The left pair is the right-side construction on
-    the mirrored half line, reflected back into x.
+    the mirrored half line, reflected back into x.  `lam_range` is
+    [eps_star, sqrt(g/L0)], the interval on which the truncation keeps the
+    fixed-point map a contraction.
     """
 
     def __init__(self, profile, params, setup):
         self.profile = profile
         self.params = params
+        self.lam_range = (setup.gbounds.eps_star, setup.gbounds.lambda_max)
         self._cache = {}
         # rho0 and d/dt rho0(sign*t) at each half line's nodes
         self._lines = [(hl, np.asarray(profile.rho(hl.sign * hl.nodes)),
@@ -432,115 +487,141 @@ class OuterSolutions:
                        for hl in (setup.right, setup.left)]
 
     def solve(self, lam):
+        """The decaying pairs at lam, a float or a 1-D array of lambdas.
+
+        An array is solved as one batch (one Picard iteration over all its
+        lambdas per half line) and gives a list with one dict per lambda;
+        batches are not cached.  A float is the batch of one, and its dict
+        is cached.
+        """
+        if np.ndim(lam) == 1:
+            return self._solve(np.asarray(lam, dtype=float))
         key = float(lam)
         if key not in self._cache:
             if len(self._cache) > 1024:
                 self._cache.clear()
-            self._cache[key] = {hl.side: self._solve_half_line(hl, rho_n,
-                                                               drho_n, lam)
-                                for hl, rho_n, drho_n in self._lines}
+            self._cache[key] = self._solve(np.array([key]))[0]
         return self._cache[key]
 
-    def _solve_half_line(self, hl, rho_n, drho_n, lam):
-        """The pair decaying as t = sign*x -> inf, sampled in ascending x."""
+    def _solve(self, lams):
+        sides = [(hl.side, self._solve_half_line(hl, rho_n, drho_n, lams))
+                 for hl, rho_n, drho_n in self._lines]
+        return [{side: pairs[i] for side, pairs in sides}
+                for i in range(lams.size)]
+
+    def _solve_half_line(self, hl, rho_n, drho_n, lams):
+        """The pairs decaying as t = sign*x -> inf, one per lambda, ascending x.
+
+        Arrays carry a lambda axis behind the grid axes.  Each lambda leaves
+        the iteration when it converges and is checked for contraction on
+        its own updates, so its `updates` are those of a batch of one.
+        """
         params = self.params
         k, mu = params.k, params.mu
         nodes, edges, widths = hl.nodes, hl.edges, hl.widths
         P = nodes.shape[0]
+        m = lams.size
 
-        sig_n = _sigma0(rho_n, params, lam)
+        sig_n = _sigma0(rho_n[..., None], params, lams)             # (P,5,m)
         alpha_n = k * (nodes - edges[0])
         alpha_e = k * (edges - edges[0])
-        panel_beta = widths * np.einsum("q,pq->p", GL5_WEIGHTS, sig_n)
-        beta_e = np.concatenate([[0.0], np.cumsum(panel_beta)])
-        beta_n = beta_e[:-1, None] + widths[:, None] * np.einsum(
-            "qi,pi->pq", _S_PARTIAL, sig_n)
-        Mn = _matrix_M(rho_n, params, lam, hl.sign)
+        beta_e = np.zeros((P + 1, m))
+        np.cumsum(widths[:, None] * (GL5_WEIGHTS @ sig_n), axis=0,
+                  out=beta_e[1:])
+        beta_n = (beta_e[:-1, None]
+                  + widths[:, None, None] * (_S_PARTIAL @ sig_n))
+        Mn = _matrix_M(rho_n[..., None], params, lams, hl.sign)  # (P,5,m,4,4)
+        drho = drho_n[:, :, None, None, None]
 
-        def stack_phases(entries):
-            psi_n = np.stack([ca * alpha_n + cb * beta_n
-                              for _, _, (ca, cb) in entries], axis=-1)
-            psi_e = np.stack([ca * alpha_e + cb * beta_e
-                              for _, _, (ca, cb) in entries], axis=-1)
-            return psi_n, psi_e
+        # kernel phases (P,5,m,8) and (P+1,m,8), then the scans' exponentials
+        psi_n = (_KERNEL_CA * alpha_n[..., None, None]
+                 + _KERNEL_CB * beta_n[..., None])
+        psi_e = (_KERNEL_CA * alpha_e[:, None, None]
+                 + _KERNEL_CB * beta_e[..., None])
+        pre = _scan_weights(psi_n[..., :_N_PREFIX], psi_e[..., :_N_PREFIX])
+        suf = _suffix_weights(psi_n[..., _N_PREFIX:], psi_e[..., _N_PREFIX:])
 
-        # the prefix integrals add, the suffix ones subtract
-        scans = ((_scan_prefix, _PREFIX_KERNELS, stack_phases(_PREFIX_KERNELS), 1.0),
-                 (_scan_suffix, _SUFFIX_KERNELS, stack_phases(_SUFFIX_KERNELS), -1.0))
-
-        nsol = 2
-        base_n = np.zeros((P, 5, 4, nsol))
-        base_e = np.zeros((P + 1, 4, nsol))
-        for s, comp in enumerate(_TARGETS):
-            base_n[:, :, comp, s] = 1.0
-            base_e[:, comp, s] = 1.0
-
-        W_n = np.zeros_like(base_n)
-        W_e = np.zeros_like(base_e)
-        updates = [[], []]
-        sup_w = 1.0
-        for it in range(MAX_PICARD_ITER + 1):
-            F_n = drho_n[..., None, None] * np.einsum("pqij,pqjs->pqis", Mn, W_n)
-            new_n = base_n.copy()
-            new_e = base_e.copy()
-            for scan, entries, (psi_n, psi_e), sgn in scans:
-                f = np.stack([F_n[:, :, comp, s] for s, comp, _ in entries],
-                             axis=-1)
-                J_n, J_e = scan(psi_n, psi_e, f, widths)
-                for idx, (s, comp, _) in enumerate(entries):
-                    new_n[:, :, comp, s] += sgn * J_n[..., idx]
-                    new_e[:, comp, s] += sgn * J_e[..., idx]
-            dn = new_n - W_n
-            de = new_e - W_e
-            for s in range(nsol):
-                u = max(np.sqrt((dn[:, :, :, s] ** 2).sum(axis=2)).max(),
-                        np.sqrt((de[:, :, s] ** 2).sum(axis=1)).max())
-                updates[s].append(u)
+        live = np.arange(m)                 # batch positions still iterating
+        W_n = np.zeros((P, 5, m, 4, 2))
+        W_e = np.zeros((P + 1, m, 4, 2))
+        out_n = np.empty_like(W_n)
+        out_e = np.empty_like(W_e)
+        updates = [([], []) for _ in range(m)]
+        prev = None
+        for _ in range(MAX_PICARD_ITER + 1):
+            n = live.size
+            F = (drho * (Mn @ W_n)).reshape(P, 5, n, 8)[..., _KERNEL_FLAT]
+            Jp_n, Jp_e = _scan_prefix(pre, F[..., :_N_PREFIX], widths)
+            Js_n, Js_e = _scan_suffix(suf, F[..., _N_PREFIX:], widths)
+            new_n = _picard_state(Jp_n, Js_n)
+            new_e = _picard_state(Jp_e, Js_e)
+            u = np.maximum(_grid_sup(new_n - W_n), _grid_sup(new_e - W_e))
+            for j, i in enumerate(live):
+                updates[i][0].append(u[j, 0])
+                updates[i][1].append(u[j, 1])
             W_n, W_e = new_n, new_e
-            sup_w = max(np.sqrt((W_n**2).sum(axis=2)).max(), 1.0)
-            worst = max(updates[0][-1], updates[1][-1])
-            if it >= 1:
-                for s in range(nsol):
-                    prev, cur = updates[s][-2], updates[s][-1]
-                    if prev > UPDATE_FLOOR and cur > (0.5 + CONTRACTION_SLACK) * prev:
-                        raise SolverError(
-                            f"fixed-point contraction ratio {cur / prev:.3f} > 1/2 "
-                            f"at lambda={lam:.6g}; truncation points misplaced")
-            if worst <= PICARD_TOL * sup_w:
-                break
+            if prev is not None:
+                bad = (prev > UPDATE_FLOOR) & (
+                    u > (0.5 + CONTRACTION_SLACK) * prev)
+                if bad.any():
+                    j, s = np.argwhere(bad)[0]
+                    raise SolverError(
+                        f"fixed-point contraction ratio "
+                        f"{u[j, s] / prev[j, s]:.3f} > 1/2 at "
+                        f"lambda={lams[live[j]]:.6g}; truncation points "
+                        "misplaced")
+            sup_w = np.maximum(_grid_sup(W_n).max(axis=1), 1.0)
+            done = u.max(axis=1) <= PICARD_TOL * sup_w
+            if done.any():
+                out_n[:, :, live[done]] = W_n[:, :, done]
+                out_e[:, live[done]] = W_e[:, done]
+                keep = ~done
+                live = live[keep]
+                if not live.size:
+                    break
+                Mn, W_n, W_e = Mn[:, :, keep], W_n[:, :, keep], W_e[:, keep]
+                u = u[keep]
+                pre = tuple(w[..., keep, :] for w in pre)
+                suf = tuple(w[..., keep, :] for w in suf)
+            prev = u
         else:
             raise SolverError(f"no fixed-point convergence in {MAX_PICARD_ITER} "
-                              f"iterations at lambda={lam:.6g}")
+                              f"iterations at lambda={lams[live[0]]:.6g}")
 
         # interleave edges and nodes into one ascending sample set
         N = P * 6 + 1
         ts = np.empty(N)
-        W_all = np.empty((N, 4, nsol))
-        phases = np.empty((nsol, N))
+        W_all = np.empty((N, m, 4, 2))
+        phases = np.empty((2, N, m))
         ts[0::6] = edges
-        phases[:, 0::6] = alpha_e, beta_e
-        W_all[0::6] = W_e
+        phases[0, 0::6] = alpha_e[:, None]
+        phases[1, 0::6] = beta_e
+        W_all[0::6] = out_e
         for q in range(5):
             ts[1 + q::6] = nodes[:, q]
-            phases[:, 1 + q::6] = alpha_n[:, q], beta_n[:, q]
-            W_all[1 + q::6] = W_n[:, q]
+            phases[0, 1 + q::6] = alpha_n[:, q, None]
+            phases[1, 1 + q::6] = beta_n[:, q]
+            W_all[1 + q::6] = out_n[:, q]
 
         rho_all = np.asarray(self.profile.rho(hl.sign * ts))
-        U = np.einsum("nij,njs->nis", _matrix_P(_sigma0(rho_all, params, lam),
-                                                params), W_all)
-        sig_inf = math.sqrt(k * k + lam * _rho_limit(self.profile, hl.sign) / mu)
-        limits = np.array([[-k**-3, k**-2, -k**-1, 1.0],
-                           [-sig_inf**-3, sig_inf**-2, -sig_inf**-1, 1.0]])
+        U = _matrix_P(_sigma0(rho_all[:, None], params, lams), params) @ W_all
+        sig_inf = np.sqrt(k * k + lams * _rho_limit(self.profile, hl.sign) / mu)
+        limits = np.empty((m, 2, 4))
+        limits[:, 0] = [-k**-3, k**-2, -k**-1, 1.0]
+        limits[:, 1] = np.stack([-sig_inf**-3, sig_inf**-2, -sig_inf**-1,
+                                 np.ones(m)], axis=-1)
         xs = ts
         names = ("U1+", "U2+")
         if hl.sign < 0:
             xs, U, phases = -ts[::-1], U[::-1] * _FLIP[:, None], phases[:, ::-1]
             limits = limits * _FLIP
             names = ("U3-", "U4-")
-        return {name: DecayingSolution(
-                    side=hl.side, lam=lam, xs=xs, normalized=U[:, :, s],
-                    phase=phases[s], limit=limits[s], updates=tuple(updates[s]))
-                for s, name in enumerate(names)}
+        return [{name: DecayingSolution(
+                    side=hl.side, lam=float(lam), xs=xs,
+                    normalized=U[:, i, :, s], phase=phases[s, :, i],
+                    limit=limits[i, s], updates=tuple(updates[i][s]))
+                 for s, name in enumerate(names)}
+                for i, lam in enumerate(lams)]
 
 
 def boundary_coeffs_general(solutions, x_end, end):
@@ -573,6 +654,108 @@ def boundary_coeffs_general(solutions, x_end, end):
                           n21=float(n2[0]), n22=float(n2[1]))
 
 
+def _chebyshev_coeffs(values):
+    """Chebyshev coefficients of the interpolant through values (n+1, ...).
+
+    The values sit at the points cos(pi j / n), j = 0..n; the transform is
+    a DCT-I, done as one small product.
+    """
+    n = values.shape[0] - 1
+    j = np.arange(n + 1)
+    T = np.cos(np.pi / n * (np.outer(j, j) % (2 * n)))     # T_k(x_j)
+    T[:, [0, n]] *= 0.5
+    coeffs = T @ values * (2.0 / n)
+    coeffs[[0, n]] *= 0.5
+    return coeffs
+
+
+class BoundaryFit:
+    """n_ij at both window ends, read from a Chebyshev interpolant in log lambda.
+
+    The 8 coefficients are analytic in lambda on `engine.lam_range` =
+    [eps_star, sqrt(g/L0)].  The 1/lambda terms of the system put a pole at
+    lambda = 0, just below eps_star; in log lambda it moves to -inf
+    (Trefethen, Approximation Theory and Approximation Practice, ch. 8).
+    The first call samples the coefficients at the 17 Chebyshev points of
+    the second kind in log lambda, then at the nested midpoints, doubling
+    the degree until the trailing quarter of every series' coefficients
+    falls below FIT_TAIL_TOL of its largest.  Each round is one batched
+    outer solve, and none of it enters the engine's cache.  `n_nodes` and
+    `tail` (the largest trailing ratio, the error estimate) describe the
+    fit; they stay 0 and nan until it is built.  `check` holds the fit to a
+    direct solve at one lambda.
+    """
+
+    def __init__(self, engine, x_minus, x_plus):
+        self.engine = engine
+        self.x_minus = x_minus
+        self.x_plus = x_plus
+        lo, hi = engine.lam_range
+        self._log_lo, self._log_span = math.log(lo), math.log(hi / lo)
+        self.coeffs = None          # (degree + 1, 8), Chebyshev series in s
+        self.n_nodes = 0
+        self.tail = math.nan
+
+    def __call__(self, lam):
+        """(left, right) BoundaryCoeffs at lam from the fit."""
+        n = self._values(lam)
+        return (BoundaryCoeffs("left", self.x_minus, *map(float, n[:4])),
+                BoundaryCoeffs("right", self.x_plus, *map(float, n[4:])))
+
+    def check(self, lam):
+        """Raise SolverError where the fit misses the direct n_ij at lam.
+
+        The direct n_ij come from the engine's cached solve at lam; the miss
+        is relative to the largest |n_ij| and may not exceed FIT_CHECK_TOL.
+        """
+        direct = self._row(self.engine.solve(lam))
+        miss = np.abs(self._values(lam) - direct).max() / np.abs(direct).max()
+        if not miss <= FIT_CHECK_TOL:
+            raise SolverError(
+                f"boundary coefficients from the log-lambda fit miss the direct "
+                f"solve by {miss:.2e} (relative) at lambda={lam:.6g}; "
+                f"fit tail estimate {self.tail:.1e} with {self.n_nodes} nodes")
+
+    def _row(self, sols):
+        left = boundary_coeffs_general(sols["left"], self.x_minus, "left")
+        right = boundary_coeffs_general(sols["right"], self.x_plus, "right")
+        return np.array(left.as_tuple() + right.as_tuple())
+
+    def _values(self, lam):
+        s = 2.0 * (math.log(lam) - self._log_lo) / self._log_span - 1.0
+        if abs(s) > 1.0 + 1e-12:
+            raise SolverError(f"lambda={lam:.6g} lies outside the boundary "
+                              "fit's range [eps_star, sqrt(g/L0)]")
+        if self.coeffs is None:
+            self._fit()
+        return chebval(min(max(s, -1.0), 1.0), self.coeffs)
+
+    def _sample(self, s):
+        lams = np.exp(self._log_lo + 0.5 * (1.0 + s) * self._log_span)
+        return np.array([self._row(sols) for sols in self.engine.solve(lams)])
+
+    def _fit(self):
+        n = FIT_FIRST_DEGREE
+        values = self._sample(np.cos(np.pi * np.arange(n + 1) / n))
+        while True:
+            coeffs = _chebyshev_coeffs(values)
+            mag = np.abs(coeffs)
+            tail = float((mag[3 * n // 4 + 1:].max(axis=0)
+                          / mag.max(axis=0)).max())
+            if tail <= FIT_TAIL_TOL:
+                break
+            if n >= FIT_MAX_DEGREE:
+                raise SolverError(
+                    f"boundary coefficients not resolved by {n + 1} Chebyshev "
+                    f"points in log lambda (tail {tail:.1e})")
+            merged = np.empty((2 * n + 1, values.shape[1]))
+            merged[0::2] = values
+            merged[1::2] = self._sample(
+                np.cos(np.pi * np.arange(1, 2 * n, 2) / (2 * n)))
+            values, n = merged, 2 * n
+        self.coeffs, self.n_nodes, self.tail = coeffs, n + 1, tail
+
+
 def endpoint_psd_margins(coeffs, k, sigma0_at_end):
     """Margins (A, C, -disc) of the endpoint quadratic form; PSD iff all >= 0.
 
@@ -595,16 +778,18 @@ def coercive_window(profile, params, eps_star, lambda_grid, setup, engine,
                     gbounds):
     """Smallest window (x_minus, x_plus) with PSD endpoint forms on the grid.
 
-    Marches outward one panel edge at a time from the truncation points,
-    testing the sign conditions at every lambda in the grid; the first edge
-    passing for all of them wins.  Returns (x_minus, x_plus, report).
+    The decaying pairs at every lambda of the grid come from one batched
+    outer solve, which is not cached.  Marches outward one panel edge at a
+    time from the truncation points, testing the sign conditions at every
+    lambda in the grid; the first edge passing for all of them wins.
+    Returns (x_minus, x_plus, report).
     """
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.min() < eps_star * (1 - 1e-12) or \
             lambda_grid.max() > gbounds.lambda_max * (1 + 1e-12):
         raise SolverError("lambda grid must lie in [eps_star, sqrt(g/L0)]")
 
-    sols = {lam: engine.solve(lam) for lam in lambda_grid}
+    sols = engine.solve(lambda_grid)
     report = {"right": [], "left": []}
 
     def find_edge(hl):
@@ -612,8 +797,8 @@ def coercive_window(profile, params, eps_star, lambda_grid, setup, engine,
         for x_end in hl.sign * hl.edges:
             worst = math.inf
             ok = True
-            for lam in lambda_grid:
-                coeffs = boundary_coeffs_general(sols[lam][side], x_end, side)
+            for lam, sol in zip(lambda_grid, sols):
+                coeffs = boundary_coeffs_general(sol[side], x_end, side)
                 sig = float(_sigma0(profile.rho(x_end), params, lam))
                 margins = endpoint_psd_margins(coeffs, params.k, sig)
                 worst = min(worst, *margins)
@@ -673,10 +858,11 @@ def decay_envelopes(profile, params, setup, gbounds):
     def build(hl):
         sign, edges, t0 = hl.sign, hl.edges, hl.edges[0]
         rho_lim = _rho_limit(profile, sign)
-        _, conv_e = _scan_prefix(rate * (hl.nodes - t0)[..., None],
-                                 rate * (edges - t0)[:, None],
-                                 np.asarray(profile.rho(sign * hl.nodes))[..., None],
-                                 hl.widths)
+        weights = _scan_weights(rate * (hl.nodes - t0)[..., None],
+                                rate * (edges - t0)[:, None])
+        _, conv_e = _scan_prefix(
+            weights, np.asarray(profile.rho(sign * hl.nodes))[..., None],
+            hl.widths)
         conv = CubicSpline(edges, conv_e[:, 0])
         anchor_rho = float(profile.rho(sign * t0))
 

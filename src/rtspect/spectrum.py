@@ -27,7 +27,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from .assembly import BANDWIDTH, assemble_forms, coercivity_check
 from .errors import BracketError, RankError, SolverError, StepSizeError
 from .outer_compact import compact_bc_coeffs, compact_outer_basis
-from .outer_general import boundary_coeffs_general
+from .outer_general import BoundaryFit
 from .profiles import COMPACT, GL5_WEIGHTS
 
 DEFAULT_TOL = 1e-8
@@ -113,14 +113,18 @@ class SliceBuilder:
 
     Every new slice also gets its coercivity margin (`coercivity_check`),
     which raises CoercivityError when the closed form is not coercive.
+    `bc_check`, when given, is called at every root `solve_dispersion`
+    returns and raises SolverError where the bc source breaks its contract.
     """
 
-    def __init__(self, profile, params, space, n_max, bc_factory):
+    def __init__(self, profile, params, space, n_max, bc_factory,
+                 bc_check=None):
         self.profile = profile
         self.params = params
         self.space = space
         self.n_max = n_max
         self.bc_factory = bc_factory
+        self.bc_check = bc_check
         self.margins = {}
         self._cache = {}
         self._rank = None
@@ -155,15 +159,17 @@ def compact_builder(profile, params, space, n_max):
 
 
 def general_builder(profile, params, space, n_max, engine, x_minus, x_plus):
-    """Slice builder recomputing n_ij at every lambda the root-finder visits."""
+    """Slice builder reading n_ij from a Chebyshev interpolant in log lambda.
 
-    def factory(lam):
-        sols = engine.solve(lam)
-        left = boundary_coeffs_general(sols["left"], x_minus, "left")
-        right = boundary_coeffs_general(sols["right"], x_plus, "right")
-        return left, right
-
-    return SliceBuilder(profile, params, space, n_max, factory)
+    Its `bc_factory` is an `outer_general.BoundaryFit` over
+    [eps_star, sqrt(g/L0)], built on the first slice from batched outer
+    solves; its `n_nodes` and `tail` report the node count and the error
+    estimate.  Every root `solve_dispersion` returns is checked against a
+    direct solve at that root (`BoundaryFit.check`), which `Pipeline.mode`
+    reads again from the engine's cache.
+    """
+    fit = BoundaryFit(engine, x_minus, x_plus)
+    return SliceBuilder(profile, params, space, n_max, fit, bc_check=fit.check)
 
 
 def solve_dispersion(builder, n, bracket, tol=DEFAULT_TOL, n_scan=SCAN_POINTS):
@@ -172,9 +178,10 @@ def solve_dispersion(builder, n, bracket, tol=DEFAULT_TOL, n_scan=SCAN_POINTS):
     Evaluates f_n at n_scan evenly spaced points from lambda_lo to
     lambda_hi (n_scan = 2 scans the bracket ends alone), refines every sign
     change by Brent's method and returns the list of DispersionPoint
-    (>= 1 expected for n <= N(eps_star)).  Without a sign change the
-    BracketError names the end to move: the floor when f_n < 0 throughout,
-    the top otherwise.
+    (>= 1 expected for n <= N(eps_star)); the builder's `bc_check` runs at
+    every root.  Without a sign change the BracketError names the end to
+    move: the floor when f_n < 0 throughout (for a strictly increasing
+    profile that floor is eps_star), the top otherwise.
     """
     params = builder.params
     gk2 = params.g * params.k**2
@@ -188,6 +195,8 @@ def solve_dispersion(builder, n, bracket, tol=DEFAULT_TOL, n_scan=SCAN_POINTS):
     def root(a, b):
         # brentq ends on a point it evaluated, so f(lam) is a cache hit
         lam = brentq(f, a, b, xtol=tol * hi)
+        if builder.bc_check is not None:
+            builder.bc_check(lam)
         sl = builder(lam)
         return DispersionPoint(n=n, lam=float(lam), residual=abs(f(lam)),
                                dofs=sl.vectors[:, n - 1].copy(),
@@ -203,9 +212,12 @@ def solve_dispersion(builder, n, bracket, tol=DEFAULT_TOL, n_scan=SCAN_POINTS):
     if roots:
         return roots
     if vals[0] < 0:
+        move = ("lower the bracket floor" if builder.profile.kind == COMPACT
+                else "the floor of a strictly increasing profile is eps_star; "
+                "lower [numerical] eps_star")
         raise BracketError(
             f"f_{n}(lambda_lo={lo:.3e}) = {vals[0]:.3e} < 0 and no sign change "
-            f"in {n_scan} scan points; lower the bracket floor")
+            f"in {n_scan} scan points; {move}")
     raise BracketError(
         f"f_{n}(lambda_hi={hi:.3e}) = {vals[-1]:.3e} >= 0 and no sign change "
         f"in {n_scan} scan points; widen toward sqrt(g/L0) or refine the scan")

@@ -276,6 +276,7 @@ def test_outer_coeffs_dump(tmp_path):
     with open(tmp_path / "outer_coeffs.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0][:3] == ["end", "x_end", "lambda"]
+    assert len(rows) == 1 + 432     # 8 lambdas at 27 edges per side
     ends = {r[0] for r in rows[1:]}
     assert ends == {"left", "right"}
     # negative discriminants on both sides, the left rows lying outside

@@ -151,6 +151,31 @@ def test_picard_contraction_and_updates(ctx):
                     assert uj <= 0.5**(j - 1) * (1 + 1e-9)
 
 
+def test_batched_solve_matches_batch_of_one(ctx):
+    # eps_star takes about three times the Picard iterations of sqrt(g/L0),
+    # so the lambdas of one batch leave the iteration at different rounds
+    prof, par, pb, eps, gb, setup, eng = ctx
+    lams = np.array([eps, 0.05, 0.3, pb.lambda_max])
+    n_cached = len(eng._cache)
+    batch = eng.solve(lams)
+    assert len(eng._cache) == n_cached      # batches are not cached
+    assert len(batch) == lams.size
+    for lam, sols in zip(lams, batch):
+        one = eng.solve(float(lam))
+        for side in ("right", "left"):
+            for name, s in sols[side].items():
+                ref = one[side][name]
+                assert s.lam == ref.lam
+                assert np.array_equal(s.xs, ref.xs)
+                assert np.abs(s.normalized - ref.normalized).max() <= \
+                    1e-14 * np.abs(ref.normalized).max()
+                assert np.abs(s.phase - ref.phase).max() <= \
+                    1e-14 * np.abs(ref.phase).max()
+                assert s.limit == pytest.approx(ref.limit, rel=1e-15)
+                assert len(s.updates) == len(ref.updates)
+                assert np.abs(np.subtract(s.updates, ref.updates)).max() <= 1e-15
+
+
 def test_limits_and_wronskian(ctx):
     prof, par, pb, eps, gb, setup, eng = ctx
     lam = 0.3

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -5,6 +7,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from rtspect import spectrum
 from rtspect.errors import BracketError, RankError, SolverError, StepSizeError
+from rtspect.outer_general import boundary_coeffs_general
 from rtspect.pipeline import Pipeline, SolverOptions
 from rtspect.spectrum import (gamma_derivative_check, gamma_spectrum,
                               general_builder, mode_count, solve_dispersion)
@@ -141,6 +144,43 @@ def test_general_roots_reverified(tanh_pipe):
     for p in pts:
         sl = tanh_pipe.builder(p.lam)  # fresh boundary coefficients at lam
         assert abs(gk2 * sl.gammas[p.n - 1] - p.lam) <= 1e-8 * gk2
+
+
+def test_boundary_fit_is_lazy_and_matches_direct_solves(tanh_profile, params):
+    pipe = Pipeline(tanh_profile, params, SolverOptions(n_elements=64)).build()
+    fit = pipe.builder.bc_factory
+    assert fit.n_nodes == 0 and math.isnan(fit.tail)    # build pays nothing
+    pipe.builder(0.3)
+    assert fit.n_nodes >= 17 and fit.tail < 1e-13
+    lo, hi = pipe.engine.lam_range
+    lams = np.exp(np.random.default_rng(3).uniform(math.log(lo),
+                                                   math.log(hi), 50))
+    x_minus, x_plus = pipe.window
+    for lam, sols in zip(lams, pipe.engine.solve(lams)):
+        direct = (boundary_coeffs_general(sols["left"], x_minus, "left"),
+                  boundary_coeffs_general(sols["right"], x_plus, "right"))
+        for got, ref in zip(fit(lam), direct):
+            assert (got.end, got.x) == (ref.end, ref.x)
+            assert got.as_tuple() == pytest.approx(ref.as_tuple(), rel=1e-12)
+    with pytest.raises(SolverError, match="outside"):
+        pipe.builder(0.5 * lo)
+
+
+def test_corrupted_fit_fails_the_root_check(tanh_profile, params):
+    pipe = Pipeline(tanh_profile, params, SolverOptions(n_elements=64)).build()
+    fit = pipe.builder.bc_factory
+    fit(pipe.eps_star)                      # builds the fit, no slice
+    fit.coeffs[2, 5] += 1e-6 * np.abs(fit.coeffs[:, 5]).max()
+    with pytest.raises(SolverError, match="log-lambda fit"):
+        pipe.solve_mode_index(1)
+
+
+def test_increasing_bracket_error_names_eps_star(tanh_profile, params):
+    # the tanh fixture has 4 roots above eps_star; for an increasing profile
+    # the bracket floor is eps_star, so the message points at its key
+    pipe = Pipeline(tanh_profile, params, SolverOptions(n_elements=64))
+    with pytest.raises(BracketError, match=r"lower \[numerical\] eps_star"):
+        pipe.solve_mode_index(5)
 
 
 def test_mode_count_monotonicity(tanh_pipe, tanh_bounds):
