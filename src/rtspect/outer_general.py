@@ -15,7 +15,8 @@ One Picard iteration serves a whole array of lambdas at once.  The decaying
 pairs yield the boundary coefficients n_ij closing the problem on a finite
 window; the root search reads them from a Chebyshev interpolant in log
 lambda (`BoundaryFit`).  The window itself is found by marching outward
-until both endpoint quadratic forms are positive semidefinite.
+until both endpoint quadratic forms are positive semidefinite at the fit's
+first 17 lambdas, whose n_ij at the chosen ends then start the fit.
 """
 
 from __future__ import annotations
@@ -39,9 +40,14 @@ TAIL_DROP = 1e-10  # Gamma_m * (rho_limit_gap) at the numerical infinity cutoff
 # Picard updates at or below this are round-off: their ratios say nothing
 # about contraction
 UPDATE_FLOOR = 1e-10
-# boundary-coefficient fit: first degree (17 points), degree cap, trailing
-# over largest Chebyshev coefficient that ends the doubling, and the largest
-# relative miss against a direct solve that `BoundaryFit.check` accepts
+# truncation: Gamma_m*|rho_limit - rho0| at x_tilde (below the 1/2
+# contraction ceiling), then panel count and ratio of the geometric grading
+TRUNCATION_MARGIN = 0.3
+N_PANELS = 160
+PANEL_RATIO = 1.03
+# boundary-coefficient fit: first degree (17 points, also the window
+# search's), degree cap, trailing over largest Chebyshev coefficient that
+# ends the doubling, and the largest relative miss `BoundaryFit.check` allows
 FIT_FIRST_DEGREE = 16
 FIT_MAX_DEGREE = 256
 FIT_TAIL_TOL = 1e-13
@@ -71,16 +77,21 @@ def _sigma0(rho, params, lam):
     return np.sqrt(params.k**2 + lam * np.asarray(rho, dtype=float) / params.mu)
 
 
+def _matrix4(*entries):
+    """The (..., 4, 4) matrix of 16 entries given row by row; scalar
+    entries broadcast against the array ones."""
+    flat = np.stack(np.broadcast_arrays(*entries), axis=-1)
+    return flat.reshape(flat.shape[:-1] + (4, 4))
+
+
 def _matrix_L(rho, params, lam):
     rho = np.asarray(rho, dtype=float)
     k, mu = params.k, params.mu
-    L = np.zeros(rho.shape + (4, 4))
-    L[..., 0, 1] = 1.0
-    L[..., 1, 2] = 1.0
-    L[..., 2, 3] = 1.0
-    L[..., 3, 0] = -lam * k**2 * rho / mu - k**4
-    L[..., 3, 2] = lam * rho / mu + 2.0 * k**2
-    return L
+    return _matrix4(0.0, 1.0, 0.0, 0.0,
+                    0.0, 0.0, 1.0, 0.0,
+                    0.0, 0.0, 0.0, 1.0,
+                    -lam * k**2 * rho / mu - k**4, 0.0,
+                    lam * rho / mu + 2.0 * k**2, 0.0)
 
 def _matrix_R(params, lam, sign):
     # in t = sign*x the reflection flips only the gravity entry
@@ -92,58 +103,32 @@ def _matrix_R(params, lam, sign):
 
 
 def _matrix_P(sig, params):
-    sig = np.asarray(sig, dtype=float)
+    s = np.asarray(sig, dtype=float)
     k = params.k
-    P = np.empty(sig.shape + (4, 4))
-    kcol = np.array([-k**-3, k**-2, -k**-1, 1.0])
-    P[..., :, 0] = kcol
-    P[..., :, 2] = np.array([k**-3, k**-2, k**-1, 1.0])
-    P[..., 0, 1] = -sig**-3
-    P[..., 1, 1] = sig**-2
-    P[..., 2, 1] = -sig**-1
-    P[..., 3, 1] = 1.0
-    P[..., 0, 3] = sig**-3
-    P[..., 1, 3] = sig**-2
-    P[..., 2, 3] = sig**-1
-    P[..., 3, 3] = 1.0
-    return P
+    return _matrix4(-k**-3, -s**-3, k**-3, s**-3,
+                    k**-2, s**-2, k**-2, s**-2,
+                    -k**-1, -s**-1, k**-1, s**-1,
+                    1.0, 1.0, 1.0, 1.0)
 
 
 def _matrix_Pinv(sig, rho, params, lam):
     sig = np.asarray(sig, dtype=float)
     rho = np.asarray(rho, dtype=float)
     k, mu = params.k, params.mu
-    pref = mu / (2.0 * lam * rho)
-    Q = np.empty(sig.shape + (4, 4))
-    Q[..., 0, 0] = -k**3 * sig**2
-    Q[..., 0, 1] = k**2 * sig**2
-    Q[..., 0, 2] = k**3
-    Q[..., 0, 3] = -k**2
-    Q[..., 1, 0] = k**2 * sig**3
-    Q[..., 1, 1] = -k**2 * sig**2
-    Q[..., 1, 2] = -sig**3
-    Q[..., 1, 3] = sig**2
-    Q[..., 2, 0] = k**3 * sig**2
-    Q[..., 2, 1] = k**2 * sig**2
-    Q[..., 2, 2] = -k**3
-    Q[..., 2, 3] = -k**2
-    Q[..., 3, 0] = -k**2 * sig**3
-    Q[..., 3, 1] = -k**2 * sig**2
-    Q[..., 3, 2] = sig**3
-    Q[..., 3, 3] = sig**2
-    return pref[..., None, None] * Q
+    s2, s3 = sig**2, sig**3
+    Q = _matrix4(-k**3 * s2, k**2 * s2, k**3, -k**2,
+                 k**2 * s3, -k**2 * s2, -s3, s2,
+                 k**3 * s2, k**2 * s2, -k**3, -k**2,
+                 -k**2 * s3, -k**2 * s2, s3, s2)
+    return (mu / (2.0 * lam * rho))[..., None, None] * Q
 
 
 def _matrix_dPdsig(sig):
-    sig = np.asarray(sig, dtype=float)
-    dP = np.zeros(sig.shape + (4, 4))
-    dP[..., 0, 1] = 3.0 * sig**-4
-    dP[..., 1, 1] = -2.0 * sig**-3
-    dP[..., 2, 1] = sig**-2
-    dP[..., 0, 3] = -3.0 * sig**-4
-    dP[..., 1, 3] = -2.0 * sig**-3
-    dP[..., 2, 3] = -sig**-2
-    return dP
+    s = np.asarray(sig, dtype=float)
+    return _matrix4(0.0, 3.0 * s**-4, 0.0, -3.0 * s**-4,
+                    0.0, -2.0 * s**-3, 0.0, -2.0 * s**-3,
+                    0.0, s**-2, 0.0, -s**-2,
+                    0.0, 0.0, 0.0, 0.0)
 
 
 def _matrix_M(rho, params, lam, sign):
@@ -276,41 +261,39 @@ class PicardSetup:
     x_tilde_plus: float
     X_min: float
     X_max: float
-    margin: float
     gbounds: GammaBounds
     right: HalfLine
     left: HalfLine
 
 
-def _graded_edges(start, stop, n_panels, ratio, w_cap):
+def _graded_edges(start, stop, w_cap):
     span = stop - start
-    P = n_panels
-    while True:
-        w = ratio ** np.arange(P)
-        w *= span / w.sum()
-        if w.max() <= w_cap or P > 4096:
-            break
-        P = int(P * 1.25) + 8
+    w = PANEL_RATIO ** np.arange(N_PANELS)
+    w *= span / w.sum()
+    if w.max() > w_cap:
+        # geometric panels up to the cap, then equal ones no wider than it
+        w = w[w <= w_cap]
+        rest = span - w.sum()
+        q = math.ceil(rest / w_cap)
+        w = np.concatenate([w, np.full(q, rest / q)])
     edges = start + np.concatenate([[0.0], np.cumsum(w)])
     edges[-1] = stop
     return edges
 
 
-def truncation_points(profile, params, gbounds, margin=0.3,
-                      n_panels=160, ratio=1.03):
+def truncation_points(profile, params, gbounds):
     """Pick the half-line truncations and build the quadrature grids.
 
     On each half line, in t = sign*x, x_tilde is the innermost point with
-    Gamma_m*|rho_limit - rho0| <= margin (< 1/2 keeps the fixed-point map a
-    contraction uniformly in lambda); X pushes the same product below 1e-10
-    so the discarded tail is negligible.  Panels are geometrically graded,
-    finest near x_tilde where rho0' is largest.  The default margin sits
-    below the 1/2 ceiling because Gamma_m tracks the entry scale of the
-    coupling rather than its full Frobenius norm; 0.3 keeps the observed
-    contraction under 1/2 with room to spare.
+    Gamma_m*|rho_limit - rho0| <= TRUNCATION_MARGIN; X pushes the same
+    product below 1e-10 so the discarded tail is negligible.  The margin
+    sits below the 1/2 that keeps the fixed-point map a contraction because
+    Gamma_m tracks the entry scale of the coupling, not its full norm.
+    Panels are graded geometrically, finest near x_tilde where rho0' is
+    largest, and none is wider than w_cap = 1.5/(k + delta_s): past the cap
+    equal panels fill the half line.  A panel of width <= 0 raises
+    SolverError.
     """
-    if not 0.0 < margin < 0.5:
-        raise SolverError("margin must lie in (0, 1/2)")
     gm = gbounds.Gamma_m
     w_cap = 1.5 / (params.k + gbounds.delta_s)
     lines = []
@@ -320,18 +303,20 @@ def truncation_points(profile, params, gbounds, margin=0.3,
         def scaled_gap(t, sign=sign, rho_lim=rho_lim):
             return gm * sign * (rho_lim - float(profile.rho(sign * t)))
 
-        t_tilde = _solve_monotone_level(lambda t: scaled_gap(t) - margin,
-                                        0.0, profile.scale)
+        t_tilde = _solve_monotone_level(
+            lambda t: scaled_gap(t) - TRUNCATION_MARGIN, 0.0, profile.scale)
         t_end = _solve_monotone_level(lambda t: scaled_gap(t) - TAIL_DROP,
                                       t_tilde, profile.scale)
-        edges = _graded_edges(t_tilde, t_end, n_panels, ratio, w_cap)
+        edges = _graded_edges(t_tilde, t_end, w_cap)
         widths = np.diff(edges)
+        if not widths.min() > 0:
+            raise SolverError(f"a half-line panel has width {widths.min():.3g}")
         nodes = edges[:-1, None] + widths[:, None] * GL5_NODES[None, :]
         lines.append(HalfLine(sign, edges, widths, nodes))
     right, left = lines
     return PicardSetup(
         x_tilde_minus=-left.edges[0], x_tilde_plus=right.edges[0],
-        X_min=-left.edges[-1], X_max=right.edges[-1], margin=margin,
+        X_min=-left.edges[-1], X_max=right.edges[-1],
         gbounds=gbounds, right=right, left=left)
 
 
@@ -654,6 +639,17 @@ def boundary_coeffs_general(solutions, x_end, end):
                           n21=float(n2[0]), n22=float(n2[1]))
 
 
+def _fit_lambdas(lam_range, j, n):
+    """lambda at the Chebyshev points cos(pi j / n) of log lambda on lam_range.
+
+    j = 0..n are the n + 1 points of the second kind, descending from the
+    top of the range; the odd j of 2n are the midpoints that double them.
+    """
+    lo, hi = lam_range
+    s = np.cos(np.pi * np.asarray(j) / n)
+    return np.exp(math.log(lo) + 0.5 * (1.0 + s) * math.log(hi / lo))
+
+
 def _chebyshev_coeffs(values):
     """Chebyshev coefficients of the interpolant through values (n+1, ...).
 
@@ -669,6 +665,11 @@ def _chebyshev_coeffs(values):
     return coeffs
 
 
+def _coeff_row(left, right):
+    """The 8 n_ij of one lambda as the fit stores them: left end first."""
+    return np.array(left.as_tuple() + right.as_tuple())
+
+
 class BoundaryFit:
     """n_ij at both window ends, read from a Chebyshev interpolant in log lambda.
 
@@ -676,20 +677,22 @@ class BoundaryFit:
     [eps_star, sqrt(g/L0)].  The 1/lambda terms of the system put a pole at
     lambda = 0, just below eps_star; in log lambda it moves to -inf
     (Trefethen, Approximation Theory and Approximation Practice, ch. 8).
-    The first call samples the coefficients at the 17 Chebyshev points of
-    the second kind in log lambda, then at the nested midpoints, doubling
-    the degree until the trailing quarter of every series' coefficients
-    falls below FIT_TAIL_TOL of its largest.  Each round is one batched
-    outer solve, and none of it enters the engine's cache.  `n_nodes` and
-    `tail` (the largest trailing ratio, the error estimate) describe the
-    fit; they stay 0 and nan until it is built.  `check` holds the fit to a
-    direct solve at one lambda.
+    `rows` (FIT_FIRST_DEGREE + 1, 8) are the coefficients at the window
+    ends at `_fit_lambdas(lam_range, j, FIT_FIRST_DEGREE)`, j = 0..16, as
+    `coercive_window` returns them from its search.  The first call adds
+    the nested midpoints, doubling the degree until the trailing quarter of
+    every series' coefficients falls below FIT_TAIL_TOL of its largest.
+    Each round is one batched outer solve, and none of it enters the
+    engine's cache.  `n_nodes` and `tail` (the largest trailing ratio, the
+    error estimate) describe the fit; they stay 0 and nan until it is
+    built.  `check` holds the fit to a direct solve at one lambda.
     """
 
-    def __init__(self, engine, x_minus, x_plus):
+    def __init__(self, engine, x_minus, x_plus, rows):
         self.engine = engine
         self.x_minus = x_minus
         self.x_plus = x_plus
+        self._rows = rows
         lo, hi = engine.lam_range
         self._log_lo, self._log_span = math.log(lo), math.log(hi / lo)
         self.coeffs = None          # (degree + 1, 8), Chebyshev series in s
@@ -717,9 +720,9 @@ class BoundaryFit:
                 f"fit tail estimate {self.tail:.1e} with {self.n_nodes} nodes")
 
     def _row(self, sols):
-        left = boundary_coeffs_general(sols["left"], self.x_minus, "left")
-        right = boundary_coeffs_general(sols["right"], self.x_plus, "right")
-        return np.array(left.as_tuple() + right.as_tuple())
+        return _coeff_row(
+            boundary_coeffs_general(sols["left"], self.x_minus, "left"),
+            boundary_coeffs_general(sols["right"], self.x_plus, "right"))
 
     def _values(self, lam):
         s = 2.0 * (math.log(lam) - self._log_lo) / self._log_span - 1.0
@@ -730,13 +733,9 @@ class BoundaryFit:
             self._fit()
         return chebval(min(max(s, -1.0), 1.0), self.coeffs)
 
-    def _sample(self, s):
-        lams = np.exp(self._log_lo + 0.5 * (1.0 + s) * self._log_span)
-        return np.array([self._row(sols) for sols in self.engine.solve(lams)])
-
     def _fit(self):
-        n = FIT_FIRST_DEGREE
-        values = self._sample(np.cos(np.pi * np.arange(n + 1) / n))
+        values = self._rows
+        n = values.shape[0] - 1
         while True:
             coeffs = _chebyshev_coeffs(values)
             mag = np.abs(coeffs)
@@ -750,8 +749,9 @@ class BoundaryFit:
                     f"points in log lambda (tail {tail:.1e})")
             merged = np.empty((2 * n + 1, values.shape[1]))
             merged[0::2] = values
-            merged[1::2] = self._sample(
-                np.cos(np.pi * np.arange(1, 2 * n, 2) / (2 * n)))
+            mids = _fit_lambdas(self.engine.lam_range,
+                                np.arange(1, 2 * n, 2), 2 * n)
+            merged[1::2] = [self._row(sols) for sols in self.engine.solve(mids)]
             values, n = merged, 2 * n
         self.coeffs, self.n_nodes, self.tail = coeffs, n + 1, tail
 
@@ -774,47 +774,44 @@ def endpoint_psd_margins(coeffs, k, sigma0_at_end):
     return A, C, -disc
 
 
-def coercive_window(profile, params, eps_star, lambda_grid, setup, engine,
-                    gbounds):
-    """Smallest window (x_minus, x_plus) with PSD endpoint forms on the grid.
+def coercive_window(profile, params, setup, engine):
+    """Smallest window (x_minus, x_plus) with PSD endpoint forms at 17 lambdas.
 
-    The decaying pairs at every lambda of the grid come from one batched
-    outer solve, which is not cached.  Marches outward one panel edge at a
-    time from the truncation points, testing the sign conditions at every
-    lambda in the grid; the first edge passing for all of them wins.
-    Returns (x_minus, x_plus, report).
+    The lambdas are the boundary fit's first nodes, `_fit_lambdas` of
+    j = 0..FIT_FIRST_DEGREE on `engine.lam_range`, and their decaying pairs
+    come from one batched outer solve, which is not cached.  Marches
+    outward one panel edge at a time from the truncation points, testing
+    the sign conditions at every lambda; the first edge passing for all of
+    them wins.  Returns (x_minus, x_plus, rows, report): rows (17, 8) are
+    the n_ij at the chosen ends, the first round of `BoundaryFit`.
     """
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
-    if lambda_grid.min() < eps_star * (1 - 1e-12) or \
-            lambda_grid.max() > gbounds.lambda_max * (1 + 1e-12):
-        raise SolverError("lambda grid must lie in [eps_star, sqrt(g/L0)]")
-
-    sols = engine.solve(lambda_grid)
+    lams = _fit_lambdas(engine.lam_range, np.arange(FIT_FIRST_DEGREE + 1),
+                        FIT_FIRST_DEGREE)
+    sols = engine.solve(lams)
     report = {"right": [], "left": []}
 
     def find_edge(hl):
         side = hl.side
         for x_end in hl.sign * hl.edges:
-            worst = math.inf
-            ok = True
-            for lam, sol in zip(lambda_grid, sols):
-                coeffs = boundary_coeffs_general(sol[side], x_end, side)
+            coeffs, worst = [], math.inf
+            for lam, sol in zip(lams, sols):    # up to the first failure
+                coeffs.append(boundary_coeffs_general(sol[side], x_end, side))
                 sig = float(_sigma0(profile.rho(x_end), params, lam))
-                margins = endpoint_psd_margins(coeffs, params.k, sig)
-                worst = min(worst, *margins)
-                if min(margins) < 0:
-                    ok = False
+                worst = min(worst, *endpoint_psd_margins(coeffs[-1], params.k,
+                                                         sig))
+                if worst < 0:
                     break
             report[side].append((float(x_end), worst))
-            if ok:
-                return float(x_end)
+            if worst >= 0:
+                return float(x_end), coeffs
         raise CoercivitySearchError(
             f"no coercive endpoint found on the {side} side; "
             f"margins: {report[side][-3:]}")
 
-    x_plus = find_edge(setup.right)
-    x_minus = find_edge(setup.left)
-    return x_minus, x_plus, report
+    x_plus, right = find_edge(setup.right)
+    x_minus, left = find_edge(setup.left)
+    rows = np.array([_coeff_row(lc, rc) for lc, rc in zip(left, right)])
+    return x_minus, x_plus, rows, report
 
 
 @dataclass(frozen=True)

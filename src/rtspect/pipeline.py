@@ -17,14 +17,13 @@ from .assembly import HermiteSpace, build_mesh
 from .errors import BracketError, SolverError
 from .modes import glue_mode
 from .outer_compact import compact_decaying_solutions, compact_outer_basis
-from .outer_general import (OuterSolutions, coercive_window, gamma_bounds,
-                            truncation_points)
+from .outer_general import (BoundaryFit, OuterSolutions, coercive_window,
+                            gamma_bounds, truncation_points)
 from .profiles import COMPACT, profile_bounds
 from .spectrum import (SCAN_POINTS, ModeCount, compact_builder,
                        general_builder, mode_count, solve_dispersion)
 
 LAMBDA_FLOOR_FACTOR = 1e-4     # default bracket floor, fraction of sqrt(g/L0)
-WINDOW_GRID_POINTS = 16        # lambdas at which the window search tests PSD
 
 
 @dataclass
@@ -54,6 +53,11 @@ class Pipeline:
         self._built = False
 
     def build(self):
+        """Window, mesh and slice builder; a second call does nothing.
+
+        For increasing profiles the window search's n_ij at the chosen ends
+        are the boundary fit's first round; the first slice adds the rest.
+        """
         if self._built:
             return self
         opts = self.opts
@@ -73,11 +77,10 @@ class Pipeline:
                                            self.gbounds)
             self.engine = OuterSolutions(self.profile, self.params, self.setup)
             self.decaying_solutions = self.engine.solve
-            grid = np.linspace(self.eps_star, lmax, WINDOW_GRID_POINTS)
-            x_minus, x_plus, self.window_report = coercive_window(
-                self.profile, self.params, self.eps_star, grid,
-                self.setup, self.engine, self.gbounds)
+            x_minus, x_plus, rows, self.window_report = coercive_window(
+                self.profile, self.params, self.setup, self.engine)
             self.window = (x_minus, x_plus)
+            fit = BoundaryFit(self.engine, x_minus, x_plus, rows)
             # the scan grid every solve_mode_index evaluates
             self.count_grid = np.linspace(self.eps_star, lmax, SCAN_POINTS)
         mesh = build_mesh(self.window[0], self.window[1], opts.n_elements,
@@ -89,8 +92,7 @@ class Pipeline:
                                            self.space, n_max)
         else:
             self.builder = general_builder(self.profile, self.params,
-                                           self.space, n_max, self.engine,
-                                           *self.window)
+                                           self.space, n_max, fit)
         self._built = True
         return self
 

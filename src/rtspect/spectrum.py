@@ -27,7 +27,6 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from .assembly import BANDWIDTH, assemble_forms, coercivity_check
 from .errors import BracketError, RankError, SolverError, StepSizeError
 from .outer_compact import compact_bc_coeffs, compact_outer_basis
-from .outer_general import BoundaryFit
 from .profiles import COMPACT, GL5_WEIGHTS
 
 DEFAULT_TOL = 1e-8
@@ -158,17 +157,15 @@ def compact_builder(profile, params, space, n_max):
     return SliceBuilder(profile, params, space, n_max, factory)
 
 
-def general_builder(profile, params, space, n_max, engine, x_minus, x_plus):
+def general_builder(profile, params, space, n_max, fit):
     """Slice builder reading n_ij from a Chebyshev interpolant in log lambda.
 
-    Its `bc_factory` is an `outer_general.BoundaryFit` over
-    [eps_star, sqrt(g/L0)], built on the first slice from batched outer
-    solves; its `n_nodes` and `tail` report the node count and the error
-    estimate.  Every root `solve_dispersion` returns is checked against a
-    direct solve at that root (`BoundaryFit.check`), which `Pipeline.mode`
-    reads again from the engine's cache.
+    `fit`, an `outer_general.BoundaryFit` at the window ends, is the
+    `bc_factory`; the n_ij do not depend on the mesh, so builders on other
+    meshes of one window share it.  Every root `solve_dispersion` returns
+    is checked against a direct solve there (`BoundaryFit.check`), which
+    `Pipeline.mode` reads again from the engine's cache.
     """
-    fit = BoundaryFit(engine, x_minus, x_plus)
     return SliceBuilder(profile, params, space, n_max, fit, bc_check=fit.check)
 
 

@@ -266,7 +266,7 @@ def test_criterion_12_mesh_convergence(accept_tanh, tanh_profile, params):
         mesh = build_mesh(*pipe.window, ne, "center:4")
         space = HermiteSpace(mesh)
         builder = general_builder(tanh_profile, params, space, 1,
-                                  pipe.engine, *pipe.window)
+                                  pipe.builder.bc_factory)
         pts = solve_dispersion(builder, 1, bracket, tol=1e-12, n_scan=5)
         lams[ne] = max(p.lam for p in pts)
     diff = abs(lams[256] - lams[512]) / lams[512]

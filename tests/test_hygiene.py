@@ -1,6 +1,8 @@
 """Source hygiene: no module in the package or the tests imports a name it
 never uses or defines a function (test or fixture included) taking a
-parameter it never reads.  A stdlib `ast` scan, so no linter is needed."""
+parameter it never reads, and the package defines nothing that the package,
+the tests and the benchmark never read.  A stdlib `ast` scan, so no linter
+is needed."""
 
 import ast
 import importlib
@@ -105,3 +107,64 @@ def test_benchmark_hooks_resolve():
                 if meth not in vars(getattr(importlib.import_module(mod), cls))]
     assert not missing, "benchmark hooks that do not resolve:\n" + \
         "\n".join(missing)
+
+
+def _definitions(path):
+    """(line, name) of every module-level function, class and constant and
+    every method the module defines; dunder names are exempt."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            found += [(t.lineno, t.id) for t in targets
+                      if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            found += [(f.lineno, f.name) for f in node.body
+                      if isinstance(f, ast.FunctionDef)]
+    return [(line, name) for line, name in found
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def _reads(path):
+    """Every name a module reads, as a variable or as an attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | {
+        n.attr for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def _unread_definitions(sources, readers):
+    read = set().union(*map(_reads, readers))
+    return sorted((path, line, name) for path in sources
+                  for line, name in _definitions(path) if name not in read)
+
+
+def test_every_definition_is_read():
+    # a name defined in the package and read nowhere in the package, the
+    # tests or the benchmark is a leftover; the re-exports in __init__.py
+    # are imports, not reads
+    readers = [path for top in ("src/rtspect", "tests", "perfbench")
+               for path in sorted((ROOT / top).glob("*.py"))]
+    sources = [path for path in _modules() if path.parent.name == "rtspect"]
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path, line, name in _unread_definitions(sources, readers)]
+    assert not found, "definitions nothing reads:\n" + "\n".join(found)
+
+
+def test_scan_flags_an_unread_definition(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("LIMIT = 3\nUNUSED = 4\n\n\n"
+                   "def used():\n    return LIMIT\n\n\n"
+                   "def unused():\n    pass\n\n\n"
+                   "class C:\n    def __init__(self):\n        self.x = 1\n\n"
+                   "    def run(self):\n        return used()\n\n"
+                   "    def idle(self):\n        pass\n")
+    user = tmp_path / "t.py"
+    user.write_text("import m\nm.C().run()\n")
+    assert _unread_definitions([src], [src, user]) == [
+        (src, 2, "UNUSED"), (src, 9, "unused"), (src, 20, "idle")]

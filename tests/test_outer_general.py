@@ -6,6 +6,8 @@ from scipy.integrate import quad
 
 from rtspect import outer_general as og
 from rtspect.errors import SolverError
+from rtspect.evans import find_roots
+from rtspect.modes import gluing_jumps
 from rtspect.outer_compact import exponential_closure
 from rtspect.pipeline import Pipeline, SolverOptions
 from rtspect.profiles import PhysicalParams, make_profile
@@ -112,7 +114,7 @@ def test_truncation_points_tanh_inversion(ctx):
     prof, par, pb, eps, gb, setup, eng = ctx
     # rho_plus - rho0(x) = (rho_plus - rho_minus)(1 - tanh x)/2 inverts in
     # closed form at the margin level
-    margin = setup.margin
+    margin = og.TRUNCATION_MARGIN
     target = 1.0 - 2.0 * margin / (gb.Gamma_m * (prof.rho_plus - prof.rho_minus))
     assert 0 < target < 1
     assert setup.x_tilde_plus == pytest.approx(np.arctanh(target), rel=1e-6)
@@ -128,11 +130,28 @@ def test_truncation_moves_out_with_gamma_m(ctx):
     assert setup2.x_tilde_plus > setup.x_tilde_plus
 
 
-def test_margin_must_stay_below_half(ctx):
-    prof, par, pb, eps, gb, *_ = ctx
-    with pytest.raises(SolverError):
-        og.truncation_points(prof, par, gb, margin=0.6)
-    og.truncation_points(prof, par, gb, margin=0.49, n_panels=24)
+def test_margin_must_stay_below_half():
+    assert 0.0 < og.TRUNCATION_MARGIN < 0.5
+
+
+@pytest.mark.parametrize("k, mu, rho_plus", ((0.3, 0.05, 10.0),
+                                             (3.0, 0.05, 1.2),
+                                             (1.0, 1.0, 10.0)))
+def test_off_fixture_panels_roots_and_modes(k, mu, rho_plus):
+    # off the fixture the geometric grading's widest panel breaks the cap
+    # w_cap = 1.5/(k + delta_s) in the first two cases; (1, 1, 10) keeps it
+    prof = make_profile("tanh", rho_minus=1.0, rho_plus=rho_plus, ell=1.0)
+    par = PhysicalParams(g=1.0, mu=mu, k=k)
+    pipe = Pipeline(prof, par, SolverOptions(n_elements=64)).build()
+    w_cap = 1.5 / (k + pipe.gbounds.delta_s)
+    for hl in (pipe.setup.right, pipe.setup.left):
+        assert hl.widths.min() > 0.0 and hl.widths.max() <= w_cap
+    pt = max(pipe.solve_mode_index(1), key=lambda p: p.lam)
+    assert max(gluing_jumps(pipe.mode(pt)).values()) <= 1e-6
+    scan = np.linspace(max(pipe.eps_star, 0.5 * pt.lam),
+                       min(1.5 * pt.lam, 0.999 * pipe.bounds.lambda_max), 17)
+    roots = find_roots(prof, par, scan, tol=1e-8)
+    assert min(abs(r / pt.lam - 1.0) for r in roots) <= 1e-4
 
 
 def test_picard_contraction_and_updates(ctx):
@@ -293,6 +312,10 @@ def test_decay_envelopes(ctx):
     # scale, so only the fast component is near zero by X_max
     assert np.all(np.diff(z) <= 1e-9 * z[0])
     assert z[-1] < z[0]
+    # and the left pair's envelope mirrors it toward -inf
+    z = env.z_minus(np.linspace(setup.x_tilde_minus, setup.X_min, 50))
+    assert np.all(np.diff(z) <= 1e-9 * z[0])
+    assert z[-1] < z[0]
     assert env.env_u2(setup.X_max) <= 1e-9 * env.env_u2(setup.x_tilde_plus)
     # the fast envelope is proportional to (rho_plus - rho0)
     gaps = prof.rho_plus - np.asarray(prof.rho(xs[:-1]))
@@ -347,18 +370,10 @@ def test_coercive_window_shrinks_with_eps(tanh_profile, params, tanh_bounds):
         gb = og.gamma_bounds(tanh_profile, params, eps, tanh_bounds)
         setup = og.truncation_points(tanh_profile, params, gb)
         eng = og.OuterSolutions(tanh_profile, params, setup)
-        grid = np.linspace(eps, tanh_bounds.lambda_max, 16)
-        xm, xp, _ = og.coercive_window(tanh_profile, params, eps, grid,
-                                       setup, eng, gb)
+        xm, xp, _, _ = og.coercive_window(tanh_profile, params, setup, eng)
         xs[eps] = xp
         assert xm == pytest.approx(-xp, rel=1e-9)  # symmetric profile
     assert xs[0.1] < xs[0.01]
     assert xs[0.01] == pytest.approx(WINDOW_X_EPS001, abs=2e-4)
     assert xs[0.1] == pytest.approx(WINDOW_X_EPS01, abs=2e-4)
 
-
-def test_rejects_lambda_grid_outside_range(ctx):
-    prof, par, pb, eps, gb, setup, eng = ctx
-    with pytest.raises(SolverError):
-        og.coercive_window(prof, par, eps, [eps / 2, pb.lambda_max],
-                           setup, eng, gb)

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence
 
+from rtspect import outer_general as og
 from rtspect import spectrum
 from rtspect.errors import BracketError, RankError, SolverError, StepSizeError
 from rtspect.outer_general import boundary_coeffs_general
@@ -69,8 +70,7 @@ def test_rayleigh_quotient_bound(bump_pipe):
 
 def test_gamma_decay_regression(tanh_pipe, tanh_bounds):
     b40 = general_builder(tanh_pipe.profile, tanh_pipe.params,
-                          tanh_pipe.space, 40, tanh_pipe.engine,
-                          *tanh_pipe.window)
+                          tanh_pipe.space, 40, tanh_pipe.builder.bc_factory)
     sl = b40(0.5 * tanh_bounds.lambda_max)
     assert sl.gammas[39] <= 1e-2 * sl.gammas[0]
 
@@ -164,6 +164,31 @@ def test_boundary_fit_is_lazy_and_matches_direct_solves(tanh_profile, params):
             assert got.as_tuple() == pytest.approx(ref.as_tuple(), rel=1e-12)
     with pytest.raises(SolverError, match="outside"):
         pipe.builder(0.5 * lo)
+
+
+def test_window_search_and_fit_share_one_batch(tanh_profile, params,
+                                              monkeypatch):
+    # the window search tests at the fit's first 17 nodes and hands it their
+    # n_ij, so build and the first slice solve two batches: 17 and 16 lambdas
+    batches = []
+    solve = og.OuterSolutions.solve
+
+    def recording(self, lam):
+        batches.append(np.atleast_1d(lam).copy())
+        return solve(self, lam)
+
+    monkeypatch.setattr(og.OuterSolutions, "solve", recording)
+    pipe = Pipeline(tanh_profile, params, SolverOptions(n_elements=64)).build()
+    pipe.builder(0.3)
+    assert [b.size for b in batches] == [17, 16]
+    assert pipe.builder.bc_factory.n_nodes == 33
+    # Chebyshev points of the second kind in log lambda: the window's 17 are
+    # the even ones of the fit's 33, the midpoints the odd ones
+    lo, hi = pipe.engine.lam_range
+    s = np.cos(np.pi * np.arange(33) / 32)
+    nodes = np.exp(math.log(lo) + 0.5 * (1.0 + s) * math.log(hi / lo))
+    assert batches[0] == pytest.approx(nodes[0::2], rel=1e-14)
+    assert batches[1] == pytest.approx(nodes[1::2], rel=1e-14)
 
 
 def test_corrupted_fit_fails_the_root_check(tanh_profile, params):
