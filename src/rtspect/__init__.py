@@ -10,8 +10,9 @@ and every root is cross-checkable against an independent compound-matrix
 shooting oracle.
 """
 
-from .assembly import (DiscreteForms, HermiteSpace, Mesh, assemble_forms,
-                       build_mesh, coercivity_check, whole_line_identity_check)
+from .assembly import (DiscreteForms, HermiteSpace, Mesh, VolumeForms,
+                       assemble_forms, assemble_volume, build_mesh,
+                       coercivity_check, whole_line_identity_check)
 from .errors import (BracketError, CoercivityError, CoercivitySearchError,
                      ConfigError, DegenerateBasisError, ExtrapolationError,
                      GluingError, ProfileError, RankError, SolverError,

@@ -6,22 +6,26 @@ their endpoint degrees of freedom expose phi(x_pm) and phi'(x_pm) directly,
 and the boundary closures become plain 2x2 blocks added to the stiffness
 matrix.  Assembled objects:
 
-  K     lam * int rho0 (k^2 th rh + th' rh') + mu * int (th'' rh''
-        + 2 k^2 th' rh' + k^4 th rh) + endpoint blocks from the n_ij
+  K     K_mu + lam K_rho + E(lam), affine in lam in the volume:
+        K_mu = mu * int (th'' rh'' + 2 k^2 th' rh' + k^4 th rh),
+        K_rho = int rho0 (k^2 th rh + th' rh'), and E(lam) the two 2x2
+        endpoint blocks from the n_ij at lam
   M_rho int rho0' th rh   (weighted mass; right-hand side of the pencil)
   G     int (th rh + th' rh' + th'' rh'')   (H2 Gram, for the coercivity
         floor mu * min(k^4, 2k^2, 1))
 
-An element couples the four unknowns of its two nodes, so all three matrices
-have half-bandwidth 3.  They are assembled straight into LAPACK lower band
-storage, ab[i - j, j] = A[i, j] for 0 <= i - j <= 3 (shape 4 x n_dofs), and
-every solver downstream works on the bands; dense matrices exist only as
-on-demand views.
+K_mu, K_rho, M_rho and G do not depend on lam: `assemble_volume` integrates
+them at the Gauss points once per slice builder, and `assemble_forms` costs
+one band sum and two endpoint blocks per lam.  An element couples the four
+unknowns of its two nodes, so every matrix has half-bandwidth 3.  They are
+assembled straight into LAPACK lower band storage, ab[i - j, j] = A[i, j]
+for 0 <= i - j <= 3 (shape 4 x n_dofs), and every solver downstream works
+on the bands; dense matrices exist only as on-demand views.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eig_banded
@@ -126,8 +130,6 @@ class HermiteSpace:
     """Global C1 cubic space on a mesh; DOFs ordered (v0, s0, v1, s1, ...)."""
 
     mesh: Mesh
-    _tables: tuple = field(default=None, repr=False, compare=False)
-    _gram: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def n_dofs(self):
@@ -142,22 +144,6 @@ class HermiteSpace:
     def dof_map(self):
         """(Ne, 4) global indices of each element's (v0, s0, v1, s1)."""
         return 2 * np.arange(self.mesh.n_elements)[:, None] + np.arange(4)
-
-    def tables(self):
-        if self._tables is None:
-            object.__setattr__(self, "_tables", _shape_tables(self.mesh.widths))
-        return self._tables
-
-    def gram_band(self):
-        """Band of the H2 Gram matrix G, which depends on the mesh alone;
-        built once and shared, read-only, by every assembled slice."""
-        if self._gram is None:
-            w = self.mesh.widths[:, None] * GL5_WEIGHTS
-            gram = _scatter(self, sum(_element_form(N, w)
-                                      for N in self.tables()))
-            gram.flags.writeable = False
-            object.__setattr__(self, "_gram", gram)
-        return self._gram
 
     def evaluate(self, dofs, x, deriv=0):
         """phi^(deriv)(x) of the coefficient vector, piecewise cubic."""
@@ -194,27 +180,72 @@ def band_to_dense(ab):
     return out
 
 
+@dataclass(frozen=True)
+class VolumeForms:
+    """The lambda-independent bands of one profile on one space (module
+    docstring), read-only and shared by every slice; `rho_ends` is rho0 at
+    the window ends, for the endpoint blocks, and `rank` the rank of M_rho."""
+
+    params: object
+    space: HermiteSpace
+    K_mu: np.ndarray
+    K_rho: np.ndarray
+    M_band: np.ndarray
+    G_band: np.ndarray
+    rho_ends: tuple
+    rank: int
+
+
+def assemble_volume(profile, params, space):
+    """Integrate K_mu, K_rho, M_rho and G at the Gauss points, once."""
+    k, mu = params.k, params.mu
+    tables = _shape_tables(space.mesh.widths)
+    w = space.mesh.widths[:, None] * GL5_WEIGHTS
+
+    def band(*coeffs):  # sum over d of int coeffs[d] th^(d) rh^(d)
+        ab = _scatter(space, sum(_element_form(N, c * w)
+                                 for N, c in zip(tables, coeffs)))
+        ab.flags.writeable = False
+        return ab
+
+    rho = np.asarray(profile.rho(space.quad_x))
+    M_band = band(np.asarray(profile.drho(space.quad_x)))
+    ev = eig_banded(M_band, lower=True, eigvals_only=True)
+    return VolumeForms(
+        params, space, band(mu * k**4, 2.0 * mu * k**2, mu),
+        band(k**2 * rho, rho), M_band, band(1.0, 1.0, 1.0),
+        tuple(float(profile.rho(x)) for x in (space.mesh.x_minus,
+                                              space.mesh.x_plus)),
+        int(np.count_nonzero(ev > max(ev[-1], 0.0) * 1e-12)))
+
+
 @dataclass
 class DiscreteForms:
     """Assembled matrices at one lambda, plus the endpoint data that built them.
 
-    K_band, M_band and G_band hold K, M_rho and G in LAPACK lower band
-    storage (4 x n_dofs, see the module docstring); `K`, `M_rho` and `G`
-    build dense copies on demand, for tests, `verify` and matrix dumps.
-    K is stored symmetrized; `asymmetry_norm` is the Frobenius norm of the
-    antisymmetric part of the two endpoint blocks, the only source of
-    asymmetry in the continuous form (nonzero only for finite-window
-    closures of strictly increasing profiles).
+    K_band holds K(lam) in LAPACK lower band storage (4 x n_dofs, module
+    docstring); M_band and G_band are the builder's shared bands, read
+    through `volume`.  `K`, `M_rho` and `G` are dense copies on demand, for
+    tests, `verify` and matrix dumps.  K is stored symmetrized;
+    `asymmetry_norm` is the Frobenius norm of the antisymmetric part of the
+    two endpoint blocks, the only source of asymmetry in the continuous form
+    (nonzero only for finite-window closures of strictly increasing profiles).
     """
 
     lam: float
     K_band: np.ndarray
-    M_band: np.ndarray
-    G_band: np.ndarray
     asymmetry_norm: float
     bc: tuple
-    space: HermiteSpace
+    volume: VolumeForms
     threshold: float  # mu * min(k^4, 2k^2, 1)
+
+    @property
+    def M_band(self):
+        return self.volume.M_band
+
+    @property
+    def G_band(self):
+        return self.volume.G_band
 
     @property
     def K(self):
@@ -275,40 +306,25 @@ def endpoint_block(coeffs, params, rho_end, lam):
         [-mu * n11, -mu * n12]])
 
 
-def assemble_forms(profile, params, lam, bc, space):
-    """Assemble (K, M_rho, G) in band storage for the closure in `bc`.
+def assemble_forms(volume, lam, bc):
+    """K(lam) = K_mu + lam K_rho plus the endpoint blocks of the closure in
+    `bc`, the (left, right) BoundaryCoeffs pair produced for this same lam.
 
-    bc is the (left, right) BoundaryCoeffs pair produced for this same lam;
-    the element and endpoint blocks are symmetrized before they are summed,
-    and the endpoint blocks' antisymmetric part is recorded as
-    `asymmetry_norm`.
+    The endpoint blocks are symmetrized before they are added, and their
+    antisymmetric part is recorded as `asymmetry_norm`.
     """
     left, right = bc
-    mesh = space.mesh
+    mesh = volume.space.mesh
     if abs(left.x - mesh.x_minus) > 1e-9 * max(1, abs(left.x)) or \
             abs(right.x - mesh.x_plus) > 1e-9 * max(1, abs(right.x)):
         raise SolverError("boundary coefficients were built for different endpoints")
-    k, mu = params.k, params.mu
-    N0, N1, N2 = space.tables()
-    xq = space.quad_x
-    rho = np.asarray(profile.rho(xq))
-    drho = np.asarray(profile.drho(xq))
-    w = mesh.widths[:, None] * GL5_WEIGHTS
-    K_loc = (_element_form(N0, w * (lam * k**2 * rho + mu * k**4))
-             + _element_form(N1, w * (lam * rho + 2.0 * mu * k**2))
-             + _element_form(N2, mu * w))
-    K_band = _scatter(space, K_loc)
-    M_band = _scatter(space, _element_form(N0, w * drho))
-
-    n = space.n_dofs
-    asym = np.hypot(
-        _add_endpoint(K_band, 0, endpoint_block(
-            left, params, float(profile.rho(left.x)), lam)),
-        _add_endpoint(K_band, n - 2, endpoint_block(
-            right, params, float(profile.rho(right.x)), lam)))
-    return DiscreteForms(lam=float(lam), K_band=K_band, M_band=M_band,
-                         G_band=space.gram_band(), asymmetry_norm=float(asym),
-                         bc=bc, space=space,
+    K_band = volume.K_mu + lam * volume.K_rho
+    asym = np.hypot(*(
+        _add_endpoint(K_band, j, endpoint_block(c, volume.params, rho, lam))
+        for j, c, rho in zip((0, 2 * mesh.n_elements), bc, volume.rho_ends)))
+    k, mu = volume.params.k, volume.params.mu
+    return DiscreteForms(lam=float(lam), K_band=K_band,
+                         asymmetry_norm=float(asym), bc=bc, volume=volume,
                          threshold=mu * min(k**4, 2.0 * k**2, 1.0))
 
 

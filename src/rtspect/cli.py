@@ -342,7 +342,8 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="path to the config file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="threads solving the k grid (at least 1)")
+                        help="threads solving the k grid (at least 1); "
+                        "GIL-bound, measured no faster than serial")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized probes in verify")
     parser.add_argument("--dump-matrices", action="store_true",

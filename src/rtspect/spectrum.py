@@ -18,16 +18,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eig_banded
 from scipy.linalg.blas import dsbmv, dtbsv
 from scipy.linalg.lapack import dpbtrf, dtbtrs
 from scipy.optimize import brentq
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .assembly import BANDWIDTH, assemble_forms, coercivity_check
+from .assembly import (BANDWIDTH, assemble_forms, assemble_volume,
+                       coercivity_check)
 from .errors import BracketError, RankError, SolverError, StepSizeError
 from .outer_compact import compact_bc_coeffs, compact_outer_basis
-from .profiles import COMPACT, GL5_WEIGHTS
+from .profiles import COMPACT
 
 DEFAULT_TOL = 1e-8
 SCAN_POINTS = 64
@@ -61,13 +61,7 @@ class ModeCount:
     N: int
 
 
-def mass_rank(forms):
-    """Numerical rank of M_rho (lambda-independent), from its band."""
-    w = eig_banded(forms.M_band, lower=True, eigvals_only=True)
-    return int(np.count_nonzero(w > max(w[-1], 0.0) * 1e-12))
-
-
-def gamma_spectrum(forms, n_max, rank=None):
+def gamma_spectrum(forms, n_max):
     """n_max largest eigenpairs of M_rho c = gamma K c.
 
     With K = L L^T from the banded Cholesky factorization, the pencil is the
@@ -76,14 +70,12 @@ def gamma_spectrum(forms, n_max, rank=None):
     takes the same steps) finds the top n_max pairs, applying A by two
     banded triangular solves (BLAS dtbsv) and one banded product (dsbmv).
     Returned vectors are renormalized to c^T M_rho c = 1, the natural
-    scaling for the compact-operator eigenfunctions.  `rank` is the
-    (lambda-independent) rank of M_rho; it is computed when not given.
+    scaling for the compact-operator eigenfunctions.  RankError when n_max
+    exceeds the rank of M_rho, which the builder's volume forms hold.
     """
-    if rank is None:
-        rank = mass_rank(forms)
-    if n_max > rank:
-        raise RankError(f"requested {n_max} eigenpairs but the weighted "
-                        f"mass matrix has numerical rank {rank}")
+    if n_max > forms.volume.rank:
+        raise RankError(f"requested {n_max} eigenpairs but the weighted mass "
+                        f"matrix has numerical rank {forms.volume.rank}")
     L, info = dpbtrf(forms.K_band, lower=1)
     if info != 0:
         raise SolverError(f"K is not positive definite at lambda={forms.lam:.6g}")
@@ -110,6 +102,8 @@ def gamma_spectrum(forms, n_max, rank=None):
 class SliceBuilder:
     """Callable lambda -> SpectrumSlice with caching; owns the bc source.
 
+    The lambda-independent forms are assembled once, into `volume`; each
+    new slice adds lambda K_rho and the endpoint blocks of its n_ij.
     Every new slice also gets its coercivity margin (`coercivity_check`),
     which raises CoercivityError when the closed form is not coercive.
     `bc_check`, when given, is called at every root `solve_dispersion`
@@ -120,13 +114,12 @@ class SliceBuilder:
                  bc_check=None):
         self.profile = profile
         self.params = params
-        self.space = space
+        self.volume = assemble_volume(profile, params, space)
         self.n_max = n_max
         self.bc_factory = bc_factory
         self.bc_check = bc_check
         self.margins = {}
         self._cache = {}
-        self._rank = None
 
     def __call__(self, lam):
         key = float(lam)
@@ -134,10 +127,8 @@ class SliceBuilder:
             if len(self._cache) > 512:
                 self._cache.clear()
             bc = self.bc_factory(key)
-            forms = assemble_forms(self.profile, self.params, key, bc, self.space)
-            if self._rank is None:
-                self._rank = mass_rank(forms)
-            sl = gamma_spectrum(forms, self.n_max, rank=self._rank)
+            forms = assemble_forms(self.volume, key, bc)
+            sl = gamma_spectrum(forms, self.n_max)
             sl.margin = coercivity_check(forms)
             self.margins[key] = sl.margin
             self._cache[key] = sl
@@ -242,32 +233,23 @@ def gamma_derivative_check(builder, profile, params, n, lam, h):
         + k rho_+ phi(a)^2  + rho_+/(2 tau_+) (phi'(a) + k phi(a))^2 ]
       / int rho0' phi^2 ,
     the last square carrying +k phi(a) because the right tail differentiates
-    to phi' = -k phi on the pure slow branch.  Returns the relative error of
-    the centered difference at step h.
+    to phi' = -k phi on the pure slow branch.  The volume energy and the
+    mass are c^T K_rho c and c^T M_rho c on the builder's bands.  Returns
+    the relative error of the centered difference at step h.
     """
     if profile.kind != COMPACT:
         raise SolverError("the derivative identity applies to compact-gradient profiles")
     sl = builder(lam)
-    idx = n - 1
     inv_p = 1.0 / builder.gamma(lam + h, n)
     inv_m = 1.0 / builder.gamma(lam - h, n)
     fd = (inv_p - inv_m) / (2.0 * h)
     if abs(inv_p - inv_m) < 1e-9 * abs(inv_p):
         raise StepSizeError("step too small: difference below eigensolve noise")
 
-    space = builder.space
-    c = sl.vectors[:, idx]
-    xq = space.quad_x
-    N0, N1, _ = space.tables()
-    wq = space.mesh.widths[:, None] * GL5_WEIGHTS
-    ce = c[space.dof_map]
-    phi_q = np.einsum("ei,eiq->eq", ce, N0)
-    dphi_q = np.einsum("ei,eiq->eq", ce, N1)
-    rho_q = np.asarray(profile.rho(xq))
-    drho_q = np.asarray(profile.drho(xq))
+    c = sl.vectors[:, n - 1]
+    vol, mass = (float(c @ dsbmv(BANDWIDTH, 1.0, ab, c, lower=1))
+                 for ab in (builder.volume.K_rho, builder.volume.M_band))
     k = params.k
-    vol = float((wq * rho_q * (k**2 * phi_q**2 + dphi_q**2)).sum())
-    mass = float((wq * drho_q * phi_q**2).sum())
 
     basis = compact_outer_basis(profile, params, lam)
     phi_l, dphi_l = c[0], c[1]

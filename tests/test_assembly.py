@@ -7,14 +7,18 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from rtspect.assembly import (HermiteSpace, _scatter, assemble_forms,
-                              band_to_dense, build_mesh, coercivity_check,
-                              endpoint_block, whole_line_identity_check)
+from rtspect.assembly import (HermiteSpace, _add_endpoint, _element_form,
+                              _scatter, _shape_tables, assemble_forms,
+                              assemble_volume, band_to_dense, build_mesh,
+                              coercivity_check, endpoint_block,
+                              whole_line_identity_check)
 from rtspect.errors import CoercivityError, SolverError
 from rtspect.outer_compact import (BoundaryCoeffs, compact_bc_coeffs,
                                    compact_outer_basis)
 from rtspect.pipeline import Pipeline, SolverOptions
-from rtspect.profiles import COMPACT, DensityProfile, PhysicalParams
+from rtspect.profiles import (COMPACT, GL5_WEIGHTS, DensityProfile,
+                              PhysicalParams)
+from rtspect.spectrum import compact_builder, general_builder
 
 
 def constant_profile(value=1.0, a=1.0):
@@ -38,6 +42,30 @@ def poly_profile(c0=2.0, c1=0.3, c2=0.1, a=1.0):
 def zero_bc(x_minus, x_plus):
     return (BoundaryCoeffs("left", x_minus, 0.0, 0.0, 0.0, 0.0),
             BoundaryCoeffs("right", x_plus, 0.0, 0.0, 0.0, 0.0))
+
+
+def forms_at(profile, params, lam, bc, space):
+    return assemble_forms(assemble_volume(profile, params, space), lam, bc)
+
+
+def direct_forms(profile, params, lam, bc, space):
+    """(K, M_rho, G, asymmetry norm) by integrating the whole form at the
+    Gauss points at this lam, as assembly did before the affine split."""
+    k, mu = params.k, params.mu
+    N0, N1, N2 = _shape_tables(space.mesh.widths)
+    rho = np.asarray(profile.rho(space.quad_x))
+    drho = np.asarray(profile.drho(space.quad_x))
+    w = space.mesh.widths[:, None] * GL5_WEIGHTS
+    K = _scatter(space, _element_form(N0, w * (lam * k**2 * rho + mu * k**4))
+                 + _element_form(N1, w * (lam * rho + 2.0 * mu * k**2))
+                 + _element_form(N2, mu * w))
+    asym = np.hypot(*(
+        _add_endpoint(K, j, endpoint_block(c, params, float(profile.rho(c.x)),
+                                           lam))
+        for j, c in zip((0, space.n_dofs - 2), bc)))
+    return (K, _scatter(space, _element_form(N0, w * drho)),
+            _scatter(space, sum(_element_form(N, w) for N in (N0, N1, N2))),
+            asym)
 
 
 def test_build_mesh_uniform():
@@ -91,7 +119,8 @@ def test_shape_tables_and_scatter_match_loop_reference():
     d1 = np.stack([-6 * t + 6 * t**2, 1 - 4 * t + 3 * t**2,
                    6 * t - 6 * t**2, -2 * t + 3 * t**2])
     d2 = np.stack([-6 + 12 * t, -4 + 6 * t, 6 - 12 * t, -2 + 6 * t])
-    for got, ref, order in zip(space.tables(), (n0, d1, d2), range(3)):
+    for got, ref, order in zip(_shape_tables(space.mesh.widths), (n0, d1, d2),
+                               range(3)):
         for e, he in enumerate(space.mesh.widths):
             fac = np.array([1.0, he, 1.0, he])[:, None]
             assert got[e] == pytest.approx(fac * ref / he**order,
@@ -114,7 +143,7 @@ def test_constant_mode_volume_term():
     par = PhysicalParams(g=1.0, mu=1.0, k=1.3)
     space = HermiteSpace(build_mesh(-1.0, 1.0, 8, "uniform"))
     lam = 0.7
-    forms = assemble_forms(prof, par, lam, zero_bc(-1.0, 1.0), space)
+    forms = forms_at(prof, par, lam, zero_bc(-1.0, 1.0), space)
     c = 2.4
     dofs = space.interpolate(lambda x: np.full_like(np.asarray(x, float), c),
                              lambda x: np.zeros_like(np.asarray(x, float)))
@@ -135,7 +164,7 @@ def test_quadrature_exact_for_quadratic_density():
     vals = []
     for ne in (6, 12):
         space = HermiteSpace(build_mesh(-1.0, 1.0, ne, "uniform"))
-        forms = assemble_forms(prof, par, lam, zero_bc(-1, 1), space)
+        forms = forms_at(prof, par, lam, zero_bc(-1, 1), space)
         dofs = space.interpolate(f, df)
         vals.append((float(dofs @ forms.K @ dofs),
                      float(dofs @ forms.M_rho @ dofs),
@@ -177,10 +206,59 @@ def test_forms_symmetry_and_psd(bump_profile, bump_pipe):
     assert w.min() >= -1e-12 * max(w.max(), 1e-300)
     # numerical rank bounded by the dofs supported where rho0' > 0
     rank = int(np.count_nonzero(w > w.max() * 1e-12))
-    nodes = forms.space.mesh.nodes
+    nodes = forms.volume.space.mesh.nodes
     supported = int(2 * np.count_nonzero(
         np.asarray(bump_profile.drho(nodes)) > 0) + 4)
     assert rank <= supported
+
+
+@pytest.mark.parametrize("fixture", ("bump_pipe", "tanh_pipe"))
+def test_affine_forms_match_direct_assembly(request, fixture):
+    # K_mu + lam K_rho plus the endpoint blocks against the whole form
+    # integrated at this lam, on the same closure; M_rho and G are the
+    # builder's bands, one read-only array for every slice
+    pipe = request.getfixturevalue(fixture)
+    volume = pipe.builder.volume
+    for lam in np.linspace(pipe.eps_star, pipe.bounds.lambda_max, 3):
+        forms = pipe.builder(lam).forms
+        K, M, G, asym = direct_forms(pipe.profile, pipe.params, lam,
+                                     forms.bc, pipe.space)
+        for got, ref in ((forms.K_band, K), (forms.M_band, M),
+                         (forms.G_band, G)):
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert abs(forms.asymmetry_norm - asym) <= 1e-14 * np.abs(K).max()
+        assert forms.M_band is volume.M_band and forms.G_band is volume.G_band
+        assert not (forms.M_band.flags.writeable
+                    or forms.G_band.flags.writeable)
+
+
+@pytest.mark.parametrize("fixture", ("bump_pipe", "tanh_pipe"))
+def test_slices_stop_evaluating_the_profile(request, fixture):
+    # rho0 and rho0' enter the forms once per builder; new slices reuse them
+    pipe = request.getfixturevalue(fixture)
+    calls = []
+
+    def counted(f):
+        def wrapped(x):
+            calls.append(f)
+            return f(x)
+        return wrapped
+
+    profile = dataclasses.replace(pipe.profile, rho=counted(pipe.profile.rho),
+                                  drho=counted(pipe.profile.drho))
+    lams = np.array([0.21, 0.43, 0.67, 0.89]) * pipe.bounds.lambda_max
+    if profile.kind == COMPACT:
+        builder = compact_builder(profile, pipe.params, pipe.space, 4)
+    else:
+        builder = general_builder(profile, pipe.params, pipe.space, 4,
+                                  pipe.builder.bc_factory)
+        builder(lams[0])     # the fit may add its midpoints on a first slice
+    assert calls
+    before = len(calls)
+    for lam in lams[1:]:
+        builder(lam)
+    assert len(calls) == before
+    assert set(lams[1:]) <= set(builder.margins)
 
 
 def test_coercivity_margins(bump_pipe, bump_bounds):
@@ -255,11 +333,11 @@ def test_negative_margin_returned_or_raised(bump_pipe):
 def test_threshold_values():
     prof = constant_profile()
     space = HermiteSpace(build_mesh(-1, 1, 8, "uniform"))
-    f1 = assemble_forms(prof, PhysicalParams(g=1, mu=1.0, k=1.0), 0.1,
-                        zero_bc(-1, 1), space)
+    f1 = forms_at(prof, PhysicalParams(g=1, mu=1.0, k=1.0), 0.1,
+                  zero_bc(-1, 1), space)
     assert f1.threshold == pytest.approx(1.0)
-    f2 = assemble_forms(prof, PhysicalParams(g=1, mu=0.5, k=2.0), 0.1,
-                        zero_bc(-1, 1), space)
+    f2 = forms_at(prof, PhysicalParams(g=1, mu=0.5, k=2.0), 0.1,
+                  zero_bc(-1, 1), space)
     assert f2.threshold == pytest.approx(0.5)
 
 
@@ -274,7 +352,7 @@ def test_coercivity_check_constant_coefficients():
     left = exponential_closure("left", -1.0, par.k, tau)
     right = exponential_closure("right", 1.0, par.k, tau)
     space = HermiteSpace(build_mesh(-1, 1, 16, "uniform"))
-    forms = assemble_forms(prof, par, lam, (left, right), space)
+    forms = forms_at(prof, par, lam, (left, right), space)
     assert forms.asymmetry_norm <= 1e-12 * np.linalg.norm(forms.K, "fro")
     assert coercivity_check(forms) >= -1e-10
 
@@ -284,7 +362,7 @@ def test_bc_endpoint_mismatch_rejected(bump_profile, params):
     bc = compact_bc_coeffs(basis)
     space = HermiteSpace(build_mesh(-2.0, 2.0, 8, "uniform"))
     with pytest.raises(SolverError):
-        assemble_forms(bump_profile, params, 0.3, bc, space)
+        forms_at(bump_profile, params, 0.3, bc, space)
 
 
 @pytest.fixture(scope="module")
