@@ -49,8 +49,8 @@ def forms_at(profile, params, lam, bc, space):
 
 
 def direct_forms(profile, params, lam, bc, space):
-    """(K, M_rho, G, asymmetry norm) by integrating the whole form at the
-    Gauss points at this lam, as assembly did before the affine split."""
+    """(K, M_rho, G, asymmetry norm) with the whole form integrated at the
+    Gauss points at this lam: the reference for the affine split."""
     k, mu = params.k, params.mu
     N0, N1, N2 = _shape_tables(space.mesh.widths)
     rho = np.asarray(profile.rho(space.quad_x))
