@@ -2,8 +2,9 @@
 
 Commands: dispersion (growth-rate table over the k grid), modes (per-mode
 field dumps), outer-coeffs (boundary-coefficient sweeps), oracle (Evans scan)
-and verify (invariant suite).  Exit codes: 0 success, 1 numerical failure,
-2 usage or configuration error.
+and verify (invariant suite).  `dispersion --threads N` solves the k grid
+in up to N forked worker processes.  Exit codes: 0 success, 1 numerical
+failure or a dead worker process, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import csv
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,16 +220,47 @@ def _dispersion_rows(cfg, k, dump_dir=None):
     return rows
 
 
+_WORKER_ARGS = None    # (cfg, dump_dir) of a forked dispersion worker
+
+
+def _init_worker(cfg, dump_dir):
+    global _WORKER_ARGS
+    _WORKER_ARGS = (cfg, dump_dir)
+
+
+def _worker_rows(k):
+    cfg, dump_dir = _WORKER_ARGS
+    return _dispersion_rows(cfg, k, dump_dir)
+
+
+def _solve_k_grid(cfg, ks, threads, dump_dir):
+    """Row lists per k, in k order.  Up to `threads` forked processes, capped
+    at the grid size and the CPU count; serial where fork is unavailable.
+
+    The config (whose profiles hold closures and cannot be pickled) reaches
+    the workers by fork through the pool initializer; only the k values and
+    the rows of strings and ints cross the pipes.  Fork is safe here because
+    the CLI starts no threads, and the pool forks all its workers before it
+    starts its own manager thread.
+    """
+    workers = min(threads, len(ks), os.cpu_count() or 1)
+    if workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(
+                    max_workers=workers,
+                    mp_context=multiprocessing.get_context("fork"),
+                    initializer=_init_worker,
+                    initargs=(cfg, dump_dir)) as pool:
+                return list(pool.map(_worker_rows, ks))
+    return [_dispersion_rows(cfg, k, dump_dir) for k in ks]
+
+
 def cmd_dispersion(cfg, out_dir, threads, dump_dir=None):
     header = ["k", "n", "lambda_n", "residual", "coercivity_margin",
               "N_eps_star"]
-    ks = cfg.k_values
-    if threads > 1 and len(ks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_rows = list(pool.map(
-                lambda k: _dispersion_rows(cfg, k, dump_dir), ks))
-    else:
-        all_rows = [_dispersion_rows(cfg, k, dump_dir) for k in ks]
+    all_rows = _solve_k_grid(cfg, cfg.k_values, threads, dump_dir)
     rows = [r for rs in all_rows for r in rs]
     path = os.path.join(out_dir, "dispersion.csv")
     _write_csv(path, header, rows)
@@ -342,8 +374,8 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="path to the config file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="threads solving the k grid (at least 1); "
-                        "GIL-bound, measured no faster than serial")
+                        help="worker processes solving the k grid (at "
+                        "least 1; capped at the grid size and CPU count)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized probes in verify")
     parser.add_argument("--dump-matrices", action="store_true",
@@ -362,6 +394,9 @@ def main(argv=None):
         return 2
     except (SolverError, ValueError) as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
+        return 1
+    except BrokenExecutor as exc:
+        print(f"error: worker: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)

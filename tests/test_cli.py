@@ -1,13 +1,23 @@
 import csv
+import multiprocessing
+import os
+import pickle
 
 import numpy as np
 import pytest
 
 from conftest import TANH_ORACLE_ROOTS
+from rtspect import cli
 from rtspect.cli import main, parse_config
 from rtspect.evans import evans_function
-from rtspect.errors import ConfigError
+from rtspect.errors import ConfigError, SolverError
 from rtspect.pipeline import Pipeline
+
+# `--threads 2` forks a process pool only with fork and two CPUs
+needs_pool = pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2
+    or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the k grid is solved serially here")
 
 MINIMAL = """
 [profile]
@@ -112,15 +122,18 @@ def test_threads_below_one_exit_2(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_parse_tabulated_csv(tmp_path):
+def _tabulated_config(tmp_path, physical):
     path = tmp_path / "prof.csv"
     xs = np.linspace(-2, 2, 21)
     with open(path, "w") as fh:
         for x, r in zip(xs, 2 + np.tanh(xs)):
             fh.write(f"{x},{r}\n")
-    text = MINIMAL.replace("kind = bump", "kind = tabulated").replace(
-        "a = 1.0", f"csv = {path}")
-    cfg = parse_config(text)
+    return (f"[profile]\nkind = tabulated\ncsv = {path}\n\n"
+            f"[physical]\ng = 1.0\nmu = 1.0\n{physical}\n")
+
+
+def test_parse_tabulated_csv(tmp_path):
+    cfg = parse_config(_tabulated_config(tmp_path, "k = 1.0"))
     assert cfg.profile.family == "tabulated"
 
 
@@ -204,14 +217,20 @@ def test_oracle_dump(tmp_path):
         assert float(log_mag) == pytest.approx(s.log_magnitude, abs=1e-8)
 
 
-def test_threaded_k_grid_and_matrix_dump(tmp_path):
+def _k_grid_file(tmp_path, k_min, k_max, k_count, n_modes):
     cfgfile = tmp_path / "c.ini"
     cfgfile.write_text(MINIMAL.replace(
-        "k = 1.0", "k_min = 1.0\nk_max = 2.0\nk_count = 2")
-        + "\n[numerical]\nn_elements = 48\nn_modes = 2\n")
+        "k = 1.0", f"k_min = {k_min}\nk_max = {k_max}\nk_count = {k_count}")
+        + f"\n[numerical]\nn_elements = 48\nn_modes = {n_modes}\n")
+    return cfgfile
+
+
+def test_threaded_k_grid_and_matrix_dump(tmp_path):
+    cfgfile = _k_grid_file(tmp_path, 1.0, 2.0, 2, n_modes=2)
     code = main(["dispersion", "--config", str(cfgfile), "--out",
                  str(tmp_path), "--threads", "2", "--dump-matrices"])
     assert code == 0
+    assert multiprocessing.active_children() == []
     with open(tmp_path / "dispersion.csv") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 5  # header + 2 k's x 2 modes
@@ -224,19 +243,80 @@ def test_threaded_k_grid_and_matrix_dump(tmp_path):
 
 def test_threads_output_byte_identical(tmp_path):
     # each k is solved on its own; the fixed Lanczos start vector keeps the
-    # eigensolve, and so the table, independent of the thread schedule
-    cfgfile = tmp_path / "c.ini"
-    cfgfile.write_text(MINIMAL.replace(
-        "k = 1.0", "k_min = 0.5\nk_max = 2.0\nk_count = 3")
-        + "\n[numerical]\nn_elements = 48\nn_modes = 3\n")
-    tables = []
+    # eigensolve, and so the table, independent of the worker schedule.
+    # The tabulated profile holds closures that cannot be pickled: the
+    # config reaches the workers only by fork.
+    bump = _k_grid_file(tmp_path, 0.5, 2.0, 3, n_modes=3).read_text()
+    tabulated = _tabulated_config(
+        tmp_path, "k_min = 0.5\nk_max = 1.5\nk_count = 3") + SMALL_NUMERICS
+    with pytest.raises((AttributeError, pickle.PicklingError)):
+        pickle.dumps(parse_config(tabulated))
+    for name, text in (("bump", bump), ("tabulated", tabulated)):
+        cfgfile = tmp_path / f"{name}.ini"
+        cfgfile.write_text(text)
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}{threads}"
+            assert main(["dispersion", "--config", str(cfgfile), "--out",
+                         str(out), "--threads", threads]) == 0
+            assert multiprocessing.active_children() == []
+            tables.append((out / "dispersion.csv").read_bytes())
+        assert tables[0].count(b"\n") == 10  # header + 3 k's x 3 modes
+        assert tables[0] == tables[1]
+
+
+@needs_pool
+def test_threads_capped_at_grid_size(tmp_path, monkeypatch):
+    # --threads 8 on a 2-point grid starts 2 worker processes
+    started = tmp_path / "started"
+    started.mkdir()
+    init = cli._init_worker
+
+    def recording_init(*args):
+        (started / str(os.getpid())).touch()
+        init(*args)
+
+    monkeypatch.setattr(cli, "_init_worker", recording_init)
+    cfgfile = _k_grid_file(tmp_path, 1.0, 2.0, 2, n_modes=2)
+    assert main(["dispersion", "--config", str(cfgfile), "--out",
+                 str(tmp_path / "out"), "--threads", "8"]) == 0
+    assert multiprocessing.active_children() == []
+    assert len(list(started.iterdir())) == 2
+    with open(tmp_path / "out" / "dispersion.csv") as fh:
+        assert len(list(csv.reader(fh))) == 5
+
+
+@needs_pool
+def test_dead_worker_exit_1(tmp_path, monkeypatch, capsys):
+    # a worker that dies abruptly (as when OOM-killed) breaks the pool:
+    # exit 1 with an error line, not a traceback, and no process left
+    monkeypatch.setattr(cli, "_dispersion_rows", lambda *_args: os._exit(3))
+    cfgfile = _k_grid_file(tmp_path, 1.0, 2.0, 2, n_modes=2)
+    assert main(["dispersion", "--config", str(cfgfile), "--out",
+                 str(tmp_path / "out"), "--threads", "2"]) == 1
+    assert capsys.readouterr().err.startswith("error: worker: ")
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "out" / "dispersion.csv").exists()
+
+
+@needs_pool
+def test_worker_solver_error_matches_serial(tmp_path, monkeypatch, capsys):
+    rows = cli._dispersion_rows
+
+    def failing_rows(cfg, k, dump_dir=None):
+        if k > 1.5:
+            raise SolverError(f"no bracket at k={k:g}")
+        return rows(cfg, k, dump_dir)
+
+    monkeypatch.setattr(cli, "_dispersion_rows", failing_rows)
+    cfgfile = _k_grid_file(tmp_path, 1.0, 2.0, 2, n_modes=2)
+    errors = []
     for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        assert main(["dispersion", "--config", str(cfgfile), "--out", str(out),
-                     "--threads", threads]) == 0
-        tables.append((out / "dispersion.csv").read_bytes())
-    assert tables[0].count(b"\n") == 10  # header + 3 k's x 3 modes
-    assert tables[0] == tables[1]
+        assert main(["dispersion", "--config", str(cfgfile), "--out",
+                     str(tmp_path / threads), "--threads", threads]) == 1
+        assert multiprocessing.active_children() == []
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == "error: numerical: no bracket at k=2\n"
 
 
 def test_verify_exits_zero_on_bump_fixture(tmp_path):
