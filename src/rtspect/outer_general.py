@@ -5,8 +5,13 @@ U = (phi, phi', phi'', phi''').  L has simple eigenvalues (-k, -s, k, s) with
 s = sigma0(x, lam) = sqrt(k^2 + lam*rho0(x)/mu); diagonalizing U = P V turns
 the system into V' = (D + rho0' M) V with a coupling M that is integrable at
 both infinities.  The two solutions decaying at +inf are built by a
-contractive fixed-point iteration on a truncated half line, with every
-kernel expressed in phase-difference form so nothing overflows.  The pair
+fixed-point (Picard) iteration on a truncated half line, whose every round
+is checked for contraction.  rho0' M is formed once per solve, in closed
+form, and a round is a fixed number of whole-array operations: each kernel
+integral exp(-psi(x)) int exp(psi) f is a prefix sum of phase-scaled panel
+integrals (Blelloch, "Prefix sums and their applications", 1990), taken in
+blocks over which psi rises by at most SCAN_BLOCK_PHASE so nothing
+overflows, with only the block ends carried from block to block.  The pair
 decaying at -inf is the same construction for the mirrored problem: in
 t = -x the equation keeps its form with rho0(-t) and g replaced by -g
 (U(x) = S U~(-x), S = diag(1, -1, 1, -1)), so each half line is solved in
@@ -77,10 +82,15 @@ def _sigma0(rho, params, lam):
     return np.sqrt(params.k**2 + lam * np.asarray(rho, dtype=float) / params.mu)
 
 
+def _stack(*entries):
+    """The entries stacked on a new last axis; scalars broadcast against
+    the array ones."""
+    return np.stack(np.broadcast_arrays(*entries), axis=-1)
+
+
 def _matrix4(*entries):
-    """The (..., 4, 4) matrix of 16 entries given row by row; scalar
-    entries broadcast against the array ones."""
-    flat = np.stack(np.broadcast_arrays(*entries), axis=-1)
+    """The (..., 4, 4) matrix of 16 entries given row by row."""
+    flat = _stack(*entries)
     return flat.reshape(flat.shape[:-1] + (4, 4))
 
 
@@ -136,15 +146,30 @@ def _matrix_M(rho, params, lam, sign):
 
     Derived by differentiating U = P V: M = P^-1 R P - (lam / (2 mu sigma0))
     P^-1 dP/dsigma0, the second factor being dsigma0/drho0 by the chain rule
-    on sigma0^2 = k^2 + lam rho0 / mu.
+    on sigma0^2 = k^2 + lam rho0 / mu.  Written from its factors: R has the
+    one nonzero row r = (sign g k^2 / (lam mu), lam / mu, 0, 0), so the first
+    term is the rank-one product of P^-1's last column with r P; dP/dsigma0
+    is nonzero only in the sigma0 columns 1 and 3, so the second term fills
+    those two columns, with the prefactor lam / (2 mu sigma0) times
+    P^-1's mu / (2 lam rho0) reduced to 1 / (4 sigma0 rho0).
     """
-    sig = _sigma0(rho, params, lam)
-    P = _matrix_P(sig, params)
-    Pinv = _matrix_Pinv(sig, rho, params, lam)
-    R = _matrix_R(params, lam, sign)
-    core = Pinv @ R @ P
-    corr = (lam / (2.0 * params.mu * sig))[..., None, None] * (Pinv @ _matrix_dPdsig(sig))
-    return core - corr
+    rho = np.asarray(rho, dtype=float)
+    s = _sigma0(rho, params, lam)
+    k, mu = params.k, params.mu
+    a = sign * params.g * k**2 / (lam * mu)
+    b = lam / mu
+    col = (mu / (2.0 * lam * rho))[..., None] * _stack(-k**2, s**2, -k**2, s**2)
+    row = _stack(b / k**2 - a / k**3, (b - a / s) / s**2,
+                 b / k**2 + a / k**3, (b + a / s) / s**2)
+    M = col[..., :, None] * row[..., None, :]
+    # (P^-1 dP/dsigma0)[:, 1]; column 3 is the same entries, rows 0-1 and
+    # 2-3 swapped
+    slow = (_stack(-2.0 * k**2 * (k + s) / s**2, 5.0 * k**2 / s - s,
+                   2.0 * k**2 * (k - s) / s**2, s - k**2 / s)
+            / (4.0 * s * rho)[..., None])
+    M[..., 1] -= slow
+    M[..., 3] -= slow[..., [2, 3, 0, 1]]
+    return M
 
 
 @dataclass(frozen=True)
@@ -286,9 +311,11 @@ def truncation_points(profile, params, gbounds):
 
     On each half line, in t = sign*x, x_tilde is the innermost point with
     Gamma_m*|rho_limit - rho0| <= TRUNCATION_MARGIN; X pushes the same
-    product below 1e-10 so the discarded tail is negligible.  The margin
-    sits below the 1/2 that keeps the fixed-point map a contraction because
-    Gamma_m tracks the entry scale of the coupling, not its full norm.
+    product below 1e-10 so the discarded tail is negligible.  The margin is
+    a heuristic: Gamma_m tracks the entry scale of the coupling, not the
+    norm of the fixed-point map, so it does not guarantee the contraction
+    ratio below 1/2 (some mu = 0.05 cases reach 0.52-0.54).  The outer
+    solve checks that ratio every round and raises SolverError past it.
     Panels are graded geometrically, finest near x_tilde where rho0' is
     largest, and none is wider than w_cap = 1.5/(k + delta_s): past the cap
     equal panels fill the half line.  A panel of width <= 0 raises
@@ -323,17 +350,44 @@ def truncation_points(profile, params, gbounds):
 # ---------------------------------------------------------------------------
 # phase-weighted panel scans
 
+# largest phase rise phi within one scan block: a quarter of the exponent
+# range of a double (177), so exp(phi) leaves the scaled integrands and
+# their block sums a factor of about 1e231 of headroom, exp(-phi) stays a
+# normal number, and rounding phi costs a relative eps*phi, below 2e-14
+SCAN_BLOCK_PHASE = 0.25 * math.log(np.finfo(float).max)
+
+
+def _scan_blocks(psi_e):
+    """Edge indices 0 = b_0 < b_1 < ... < b_B = P that split the panels into
+    blocks over which psi rises by at most SCAN_BLOCK_PHASE on every trailing
+    column.  A panel's rise is at most 3 under the width cap, so every block
+    holds at least one panel; the fixture's grids are one block."""
+    P = psi_e.shape[0] - 1
+    rise = np.diff(psi_e, axis=0).reshape(P, -1).max(axis=1)
+    reach = np.concatenate([[0.0], np.cumsum(rise)])
+    starts = [0]
+    while starts[-1] < P:
+        b = starts[-1]
+        end = int(np.searchsorted(reach, reach[b] + SCAN_BLOCK_PHASE,
+                                  side="right")) - 1
+        starts.append(max(end, b + 1))
+    return np.array(starts)
+
+
 def _scan_weights(psi_n, psi_e):
     """The exponentials `_scan_prefix` applies for the phases psi.
 
     psi is nondecreasing along the grid, sampled at the panel Gauss nodes
-    (P, 5, ...) and edges (P+1, ...).  Every exponent is a phase difference
-    within one panel, so nothing overflows; the factors depend on psi alone
-    and are computed once per solve, not once per Picard iteration.
+    (P, 5, ...) and edges (P+1, ...).  With phi = psi - psi(bottom edge of
+    the panel's block), 0 <= phi <= SCAN_BLOCK_PHASE, returns exp(phi) and
+    exp(-phi) at the nodes, exp(-phi) at each panel's top edge and the
+    block starts.  The factors depend on psi alone and are computed once
+    per solve, not once per Picard iteration.
     """
-    rise = psi_e[1:, None] - psi_n                 # node to its panel's top
-    return (np.exp(-rise), np.exp(rise), np.exp(-(psi_e[1:] - psi_e[:-1])),
-            np.exp(-(psi_n - psi_e[:-1, None])))
+    starts = _scan_blocks(psi_e)
+    base = psi_e[np.repeat(starts[:-1], np.diff(starts))]    # (P, ...)
+    phi_n = psi_n - base[:, None]
+    return np.exp(phi_n), np.exp(-phi_n), np.exp(-(psi_e[1:] - base)), starts
 
 
 def _scan_prefix(weights, f_n, widths):
@@ -341,19 +395,32 @@ def _scan_prefix(weights, f_n, widths):
 
     weights = _scan_weights(psi_n, psi_e); f is sampled on the panel Gauss
     nodes, shape (P, 5, ...) like psi_n.  Returns J at nodes (P, 5, ...) and
-    edges (P+1, ...).
+    edges (P+1, ...).  Within a block with bottom edge b,
+    J(x) = exp(-phi(x)) (J(b) + int_b^x exp(phi) f): the scaled integrals
+    are cumulative sums of the panels' Gauss sums, and J is carried only
+    from one block's top edge to the next block.  Every term enters with a
+    positive factor and nothing is subtracted after scaling, so the
+    rounding error is that of the recurrence J(top) = exp(-rise) J(bottom)
+    + panel integral, a few eps times the sum of the |terms|, plus the
+    rounding of phi: at most 2 eps SCAN_BLOCK_PHASE, 4e-14, times that sum.
     """
-    to_top, from_top, decay, from_bottom = weights
+    up, down_n, down_e, starts = weights
     P = f_n.shape[0]
     trail = f_n.shape[2:]
-    G = (to_top * f_n).reshape(P, 5, -1)
+    G = (up * f_n).reshape(P, 5, -1)
     full = widths[:, None] * (GL5_WEIGHTS @ G)                # (P, T)
-    decay = decay.reshape(P, -1)
+    partial = widths[:, None, None] * (_S_PARTIAL @ G)        # (P, 5, T)
+    down_e = down_e.reshape(P, -1)
+    top = np.empty_like(full)       # scaled J at each panel's top edge
     C = np.zeros((P + 1, full.shape[1]))
-    for p in range(P):
-        C[p + 1] = decay[p] * C[p] + full[p]
-    partial = (widths[:, None, None] * (_S_PARTIAL @ G)).reshape(f_n.shape)
-    J_n = from_bottom * C[:-1].reshape((P, 1) + trail) + from_top * partial
+    for b, e in zip(starts[:-1], starts[1:]):
+        np.cumsum(full[b:e], axis=0, out=top[b:e])
+        top[b:e] += C[b]
+        C[b + 1:e + 1] = down_e[b:e] * top[b:e]
+    bottom = np.empty_like(full)    # scaled J at each panel's bottom edge
+    bottom[1:] = top[:-1]
+    bottom[starts[:-1]] = C[starts[:-1]]
+    J_n = down_n * (bottom[:, None] + partial).reshape(f_n.shape)
     return J_n, C.reshape((P + 1,) + trail)
 
 
@@ -373,39 +440,40 @@ def _scan_suffix(weights, f_n, widths):
     return J_n[::-1, ::-1], J_e[::-1]
 
 
-# one kernel per entry W[component, solution] of the (4, 2) Picard state:
-# (solution, component, coef_alpha, coef_beta).  The phase coefficients
-# multiply the increasing primitives alpha(t) = k*(t - bottom edge) and
-# beta(t) = int sigma0 from the bottom edge.  The first _N_PREFIX kernels
-# integrate up from the bottom edge and add; the rest integrate down from
-# the far end and subtract.
-_KERNELS = [(0, 1, -1.0, 1.0),
-            (0, 0, 0.0, 0.0), (0, 2, 2.0, 0.0), (0, 3, 1.0, 1.0),
-            (1, 0, -1.0, 1.0), (1, 1, 0.0, 0.0), (1, 2, 1.0, 1.0),
-            (1, 3, 0.0, 2.0)]
+# one kernel per entry W[..., solution, j] of the (..., 2, 4) Picard state,
+# solution first and the components in the order (1, 0, 2, 3), so that the
+# state flattens into kernel order: (solution, component, coef_alpha,
+# coef_beta).  The phase coefficients multiply the increasing primitives
+# alpha(t) = k*(t - bottom edge) and beta(t) = int sigma0 from the bottom
+# edge.  The first _N_PREFIX kernels integrate up from the bottom edge and
+# add; the rest integrate down from the far end and subtract.
+_KERNELS = [(0, 1, -1.0, 1.0), (0, 0, 0.0, 0.0), (0, 2, 2.0, 0.0),
+            (0, 3, 1.0, 1.0), (1, 1, 0.0, 0.0), (1, 0, -1.0, 1.0),
+            (1, 2, 1.0, 1.0), (1, 3, 0.0, 2.0)]
 _N_PREFIX = 1
-_KERNEL_FLAT = [2 * comp + s for s, comp, _, _ in _KERNELS]
-_KERNEL_OF_FLAT = [_KERNEL_FLAT.index(flat) for flat in range(len(_KERNELS))]
+_ORDER = np.array([comp for _, comp, _, _ in _KERNELS[:4]])
 _KERNEL_CA, _KERNEL_CB = np.array([kern[2:] for kern in _KERNELS]).T
 _TARGETS = (0, 1)  # e1, e2 in V coordinates: decay like e^{-kt}, e^{-sigma t}
-_BASE = np.zeros(8)                 # the targets, flattened like the state
-_BASE[[2 * comp + s for s, comp in enumerate(_TARGETS)]] = 1.0
+# the targets in the state's layout (2, 4)
+_BASE = (_ORDER == np.array(_TARGETS)[:, None]).astype(float)
 # a mirrored solution U~(t) read back in x: U(x) = -S U~(-x), S = diag(1, -1,
 # 1, -1); the overall sign keeps the left limits as (k^-3, k^-2, k^-1, 1)
 _FLIP = np.array([-1.0, 1.0, -1.0, 1.0])
 
 
 def _picard_state(J_pre, J_suf):
-    """The state W (..., 4, 2): targets plus prefix minus suffix integrals."""
-    J = np.empty(J_pre.shape[:-1] + (len(_KERNELS),))
+    """The state W (..., 2, 4): targets plus prefix minus suffix integrals."""
+    W = np.empty(J_pre.shape[:-1] + _BASE.shape)
+    J = W.reshape(J_pre.shape[:-1] + (len(_KERNELS),))
     J[..., :_N_PREFIX] = J_pre
     np.negative(J_suf, out=J[..., _N_PREFIX:])
-    return (J[..., _KERNEL_OF_FLAT] + _BASE).reshape(J.shape[:-1] + (4, 2))
+    W += _BASE
+    return W
 
 
 def _grid_sup(W):
-    """sup over the grid of |W[..., :, s]|, per lambda and solution: (n, 2)."""
-    sq = np.einsum("...is,...is->...s", W, W)
+    """sup over the grid of |W[..., s, :]|, per lambda and solution: (n, 2)."""
+    sq = np.einsum("...si,...si->...s", W, W)
     return np.sqrt(sq.reshape((-1,) + sq.shape[-2:]).max(axis=0))
 
 
@@ -457,8 +525,9 @@ class OuterSolutions:
     solve(lam) returns {"right": {"U1+", "U2+"}, "left": {"U3-", "U4-"}},
     slow solution first.  The left pair is the right-side construction on
     the mirrored half line, reflected back into x.  `lam_range` is
-    [eps_star, sqrt(g/L0)], the interval on which the truncation keeps the
-    fixed-point map a contraction.
+    [eps_star, sqrt(g/L0)], the interval the truncation is sized for; the
+    contraction itself is checked round by round, and a ratio above 1/2
+    raises SolverError.
     """
 
     def __init__(self, profile, params, setup):
@@ -515,8 +584,10 @@ class OuterSolutions:
                   out=beta_e[1:])
         beta_n = (beta_e[:-1, None]
                   + widths[:, None, None] * (_S_PARTIAL @ sig_n))
-        Mn = _matrix_M(rho_n[..., None], params, lams, hl.sign)  # (P,5,m,4,4)
-        drho = drho_n[:, :, None, None, None]
+        # rho0' M in the state's component order, transposed: F = W A^T
+        M = _matrix_M(rho_n[..., None], params, lams, hl.sign)
+        A_T = (drho_n[..., None, None, None]
+               * M[..., _ORDER[None, :], _ORDER[:, None]])    # (P,5,m,4,4)
 
         # kernel phases (P,5,m,8) and (P+1,m,8), then the scans' exponentials
         psi_n = (_KERNEL_CA * alpha_n[..., None, None]
@@ -527,15 +598,16 @@ class OuterSolutions:
         suf = _suffix_weights(psi_n[..., _N_PREFIX:], psi_e[..., _N_PREFIX:])
 
         live = np.arange(m)                 # batch positions still iterating
-        W_n = np.zeros((P, 5, m, 4, 2))
-        W_e = np.zeros((P + 1, m, 4, 2))
-        out_n = np.empty_like(W_n)
-        out_e = np.empty_like(W_e)
-        updates = [([], []) for _ in range(m)]
-        prev = None
-        for _ in range(MAX_PICARD_ITER + 1):
+        # the first round maps W = 0 to the targets, an update of exactly 1
+        W_n = np.broadcast_to(_BASE, (P, 5, m) + _BASE.shape)
+        W_e = np.broadcast_to(_BASE, (P + 1, m) + _BASE.shape)
+        out_n = np.empty(W_n.shape)
+        out_e = np.empty(W_e.shape)
+        updates = [([1.0], [1.0]) for _ in range(m)]
+        prev = np.ones((m, 2))
+        for _ in range(MAX_PICARD_ITER):
             n = live.size
-            F = (drho * (Mn @ W_n)).reshape(P, 5, n, 8)[..., _KERNEL_FLAT]
+            F = (W_n @ A_T).reshape(P, 5, n, len(_KERNELS))
             Jp_n, Jp_e = _scan_prefix(pre, F[..., :_N_PREFIX], widths)
             Js_n, Js_e = _scan_suffix(suf, F[..., _N_PREFIX:], widths)
             new_n = _picard_state(Jp_n, Js_n)
@@ -545,16 +617,14 @@ class OuterSolutions:
                 updates[i][0].append(u[j, 0])
                 updates[i][1].append(u[j, 1])
             W_n, W_e = new_n, new_e
-            if prev is not None:
-                bad = (prev > UPDATE_FLOOR) & (
-                    u > (0.5 + CONTRACTION_SLACK) * prev)
-                if bad.any():
-                    j, s = np.argwhere(bad)[0]
-                    raise SolverError(
-                        f"fixed-point contraction ratio "
-                        f"{u[j, s] / prev[j, s]:.3f} > 1/2 at "
-                        f"lambda={lams[live[j]]:.6g}; truncation points "
-                        "misplaced")
+            bad = (prev > UPDATE_FLOOR) & (u > (0.5 + CONTRACTION_SLACK) * prev)
+            if bad.any():
+                j, s = np.argwhere(bad)[0]
+                raise SolverError(
+                    f"fixed-point contraction ratio "
+                    f"{u[j, s] / prev[j, s]:.3f} > 1/2 at "
+                    f"lambda={lams[live[j]]:.6g}; truncation points "
+                    "misplaced")
             sup_w = np.maximum(_grid_sup(W_n).max(axis=1), 1.0)
             done = u.max(axis=1) <= PICARD_TOL * sup_w
             if done.any():
@@ -564,19 +634,21 @@ class OuterSolutions:
                 live = live[keep]
                 if not live.size:
                     break
-                Mn, W_n, W_e = Mn[:, :, keep], W_n[:, :, keep], W_e[:, keep]
+                A_T, W_n, W_e = A_T[:, :, keep], W_n[:, :, keep], W_e[:, keep]
                 u = u[keep]
-                pre = tuple(w[..., keep, :] for w in pre)
-                suf = tuple(w[..., keep, :] for w in suf)
+                # the block starts hold for any subset of the lambdas
+                pre = (*(w[..., keep, :] for w in pre[:-1]), pre[-1])
+                suf = (*(w[..., keep, :] for w in suf[:-1]), suf[-1])
             prev = u
         else:
             raise SolverError(f"no fixed-point convergence in {MAX_PICARD_ITER} "
                               f"iterations at lambda={lams[live[0]]:.6g}")
 
-        # interleave edges and nodes into one ascending sample set
+        # interleave edges and nodes into one ascending sample set, with the
+        # state in the (4, 2) layout of components by solution
         N = P * 6 + 1
         ts = np.empty(N)
-        W_all = np.empty((N, m, 4, 2))
+        W_all = np.empty((N, m) + _BASE.shape)
         phases = np.empty((2, N, m))
         ts[0::6] = edges
         phases[0, 0::6] = alpha_e[:, None]
@@ -587,6 +659,7 @@ class OuterSolutions:
             phases[0, 1 + q::6] = alpha_n[:, q, None]
             phases[1, 1 + q::6] = beta_n[:, q]
             W_all[1 + q::6] = out_n[:, q]
+        W_all = W_all[..., np.argsort(_ORDER)].swapaxes(-1, -2)
 
         rho_all = np.asarray(self.profile.rho(hl.sign * ts))
         U = _matrix_P(_sigma0(rho_all[:, None], params, lams), params) @ W_all

@@ -10,7 +10,8 @@ from rtspect.evans import find_roots
 from rtspect.modes import gluing_jumps
 from rtspect.outer_compact import exponential_closure
 from rtspect.pipeline import Pipeline, SolverOptions
-from rtspect.profiles import PhysicalParams, make_profile
+from rtspect.profiles import (GL5_NODES, GL5_WEIGHTS, PhysicalParams,
+                               make_profile)
 
 # frozen regression values (tanh 1..3, ell=1, g=mu=k=1)
 GAMMA_M_EPS001 = 15360.215415
@@ -76,6 +77,24 @@ def test_coupling_matrix_against_brute_force(ctx):
     assert np.abs(brute - drho * sm.M).max() <= 1e-8
 
 
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+def test_coupling_matrix_matches_its_factors(ctx, sign):
+    # the closed form of M against the product P^-1 R P
+    # - (lam / (2 mu sigma0)) P^-1 dP/dsigma0 of the full matrices, on a
+    # (panels, nodes, lambdas) grid shaped like the outer solve's
+    prof, par, *_ = ctx
+    rho = np.asarray(prof.rho(np.linspace(-4.0, 4.0, 15))).reshape(3, 5, 1)
+    lam = np.array([0.007, 0.1, 0.7])
+    sig = og._sigma0(rho, par, lam)
+    Pinv = og._matrix_Pinv(sig, rho, par, lam)
+    ref = (Pinv @ og._matrix_R(par, lam, sign) @ og._matrix_P(sig, par)
+           - (lam / (2.0 * par.mu * sig))[..., None, None]
+           * (Pinv @ og._matrix_dPdsig(sig)))
+    M = og._matrix_M(rho, par, lam, sign)
+    assert M.shape == (3, 5, 3, 4, 4)
+    assert np.abs(M - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_transformed_gravity_block_structure(ctx):
     # P^-1 R P entries follow (gk +- lam^2), (gk^2/sigma +- lam^2) scalings
     prof, par, *_ = ctx
@@ -134,15 +153,104 @@ def test_margin_must_stay_below_half():
     assert 0.0 < og.TRUNCATION_MARGIN < 0.5
 
 
+def _recurrence_prefix(psi_n, psi_e, f_n, widths, rule=og._S_PARTIAL):
+    """The per-panel recurrence J(top) = exp(-rise) J(bottom) + panel
+    integral, the reference for the blocked scan; every exponent is a phase
+    difference within one panel.  rule integrates from a panel's bottom
+    edge to its nodes."""
+    shape = (-1,) + (1,) * (f_n.ndim - 2)
+    w = widths.reshape(shape)
+    to_top = np.exp(-(psi_e[1:, None] - psi_n))
+    G = to_top * f_n
+    full = w * np.einsum("q,pq...->p...", GL5_WEIGHTS, G)
+    partial = w[:, None] * np.einsum("rq,pq...->pr...", rule, G)
+    C = np.zeros((f_n.shape[0] + 1,) + f_n.shape[2:])
+    for p in range(f_n.shape[0]):
+        C[p + 1] = np.exp(-(psi_e[p + 1] - psi_e[p])) * C[p] + full[p]
+    J_n = (np.exp(-(psi_n - psi_e[:-1, None])) * C[:-1, None]
+           + partial / to_top)
+    return J_n, C
+
+
+def _recurrence_suffix(psi_n, psi_e, f_n, widths, rule=og._S_PARTIAL):
+    J_n, J_e = _recurrence_prefix(-psi_n[::-1, ::-1], -psi_e[::-1],
+                                  f_n[::-1, ::-1], widths[::-1], rule)
+    return J_n[::-1, ::-1], J_e[::-1]
+
+
+def _fixture_phases(ctx):
+    # the Picard kernels' phases on the fixture's right half line at three
+    # lambdas: (P, 5, 3, 8) at the nodes and (P + 1, 3, 8) at the edges
+    prof, par, pb, eps, gb, setup, eng = ctx
+    hl = setup.right
+    sig = og._sigma0(np.asarray(prof.rho(hl.nodes))[..., None], par,
+                     np.array([eps, 0.1, pb.lambda_max]))
+    beta_e = np.concatenate([np.zeros((1, 3)), np.cumsum(
+        hl.widths[:, None] * (GL5_WEIGHTS @ sig), axis=0)])
+    beta_n = beta_e[:-1, None] + hl.widths[:, None, None] * (og._S_PARTIAL @ sig)
+    alpha_n, alpha_e = par.k * (hl.nodes - hl.edges[0]), par.k * (hl.edges - hl.edges[0])
+    psi_n = og._KERNEL_CA * alpha_n[..., None, None] + og._KERNEL_CB * beta_n[..., None]
+    psi_e = og._KERNEL_CA * alpha_e[:, None, None] + og._KERNEL_CB * beta_e[..., None]
+    return psi_n, psi_e, hl.widths
+
+
+def _steep_phases():
+    # 600 unit panels rising by 2.5 each: a span of 1500, past exp's range
+    edges = np.arange(601.0)
+    nodes = edges[:-1, None] + GL5_NODES
+    rate = np.array([2.5, 1.0])
+    return rate * nodes[..., None], rate * edges[:, None], np.ones(600)
+
+
+@pytest.mark.parametrize("grid", ("fixture", "steep"))
+def test_blocked_scans_match_the_recurrence(ctx, grid):
+    psi_n, psi_e, widths = (_fixture_phases(ctx) if grid == "fixture"
+                            else _steep_phases())
+    n_blocks = og._scan_blocks(psi_e).size - 1
+    span = (psi_e[-1] - psi_e[0]).max()
+    if grid == "fixture":
+        assert n_blocks == 1
+    else:
+        assert n_blocks >= 3 and span > math.log(np.finfo(float).max)
+    rng = np.random.default_rng(7)
+    f_n = rng.standard_normal(psi_n.shape) * (1.0 + psi_n / span)
+    for scan, weights, reference in (
+            (og._scan_prefix, og._scan_weights, _recurrence_prefix),
+            (og._scan_suffix, og._suffix_weights, _recurrence_suffix)):
+        got = scan(weights(psi_n, psi_e), f_n, widths)
+        want = reference(psi_n, psi_e, f_n, widths)
+        # the recurrence's error bound: eps times the sum of |terms|, whose
+        # weights include the partial rule's negative ones
+        bound = reference(psi_n, psi_e, np.abs(f_n), widths,
+                          np.abs(og._S_PARTIAL))
+        for g, w, b in zip(got, want, bound):
+            assert np.all(np.isfinite(g))
+            assert np.all(np.abs(g - w) <= 1e-13 * b)
+
+
 @pytest.mark.parametrize("k, mu, rho_plus", ((0.3, 0.05, 10.0),
                                              (3.0, 0.05, 1.2),
-                                             (1.0, 1.0, 10.0)))
-def test_off_fixture_panels_roots_and_modes(k, mu, rho_plus):
+                                             (1.0, 1.0, 10.0),
+                                             (10.0, 0.05, 10.0)))
+def test_off_fixture_panels_roots_and_modes(k, mu, rho_plus, monkeypatch):
     # off the fixture the geometric grading's widest panel breaks the cap
-    # w_cap = 1.5/(k + delta_s) in the first two cases; (1, 1, 10) keeps it
+    # w_cap = 1.5/(k + delta_s) in the first two cases; (1, 1, 10) keeps it.
+    # At (10, 0.05, 10) the kernel phases rise by more than twice
+    # SCAN_BLOCK_PHASE over a half line, so the panel scans run in blocks
+    n_blocks = []
+    scan_blocks = og._scan_blocks
+
+    def counted(psi_e):
+        starts = scan_blocks(psi_e)
+        n_blocks.append(starts.size - 1)
+        return starts
+
+    monkeypatch.setattr(og, "_scan_blocks", counted)
     prof = make_profile("tanh", rho_minus=1.0, rho_plus=rho_plus, ell=1.0)
     par = PhysicalParams(g=1.0, mu=mu, k=k)
     pipe = Pipeline(prof, par, SolverOptions(n_elements=64)).build()
+    if k == 10.0:
+        assert max(n_blocks) >= 3
     w_cap = 1.5 / (k + pipe.gbounds.delta_s)
     for hl in (pipe.setup.right, pipe.setup.left):
         assert hl.widths.min() > 0.0 and hl.widths.max() <= w_cap
