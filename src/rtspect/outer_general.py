@@ -82,16 +82,18 @@ def _sigma0(rho, params, lam):
     return np.sqrt(params.k**2 + lam * np.asarray(rho, dtype=float) / params.mu)
 
 
-def _stack(*entries):
-    """The entries stacked on a new last axis; scalars broadcast against
-    the array ones."""
-    return np.stack(np.broadcast_arrays(*entries), axis=-1)
-
-
 def _matrix4(*entries):
-    """The (..., 4, 4) matrix of 16 entries given row by row."""
-    flat = _stack(*entries)
+    """The (..., 4, 4) matrix of 16 entries given row by row; scalar
+    entries broadcast against the array ones."""
+    flat = np.stack(np.broadcast_arrays(*entries), axis=-1)
     return flat.reshape(flat.shape[:-1] + (4, 4))
+
+
+def _components(*entries):
+    """The entries stacked on a new first axis, scalars broadcast against
+    the array ones.  With the component axis first, arithmetic runs over
+    the long grid and lambda axes."""
+    return np.stack(np.broadcast_arrays(*entries))
 
 
 def _matrix_L(rho, params, lam):
@@ -112,13 +114,21 @@ def _matrix_R(params, lam, sign):
     return R
 
 
-def _matrix_P(sig, params):
-    s = np.asarray(sig, dtype=float)
+def _apply_P(sig, params, W):
+    """P(sigma0) W for W with the component axis first.  Column c of P is
+    (-z^-3, z^-2, -z^-1, 1) for c = 0, 1 and (z^-3, z^-2, z^-1, 1) for
+    c = 2, 3, with z = k in columns 0, 2 and z = sigma0 in columns 1, 3."""
     k = params.k
-    return _matrix4(-k**-3, -s**-3, k**-3, s**-3,
-                    k**-2, s**-2, k**-2, s**-2,
-                    -k**-1, -s**-1, k**-1, s**-1,
-                    1.0, 1.0, 1.0, 1.0)
+    diff_k, sum_k = W[2] - W[0], W[2] + W[0]
+    diff_s, sum_s = W[3] - W[1], W[3] + W[1]
+    return _components(diff_k / k**3 + diff_s / sig**3,
+                       sum_k / k**2 + sum_s / sig**2,
+                       diff_k / k + diff_s / sig, sum_k + sum_s)
+
+
+def _matrix_P(sig, params):
+    s = np.asarray(sig, dtype=float)[..., None]
+    return np.moveaxis(_apply_P(s, params, np.eye(4)), 0, -2)
 
 
 def _matrix_Pinv(sig, rho, params, lam):
@@ -151,24 +161,26 @@ def _matrix_M(rho, params, lam, sign):
     term is the rank-one product of P^-1's last column with r P; dP/dsigma0
     is nonzero only in the sigma0 columns 1 and 3, so the second term fills
     those two columns, with the prefactor lam / (2 mu sigma0) times
-    P^-1's mu / (2 lam rho0) reduced to 1 / (4 sigma0 rho0).
+    P^-1's mu / (2 lam rho0) reduced to 1 / (4 sigma0 rho0).  Returns
+    (4, 4, ...): the component axes come first.
     """
     rho = np.asarray(rho, dtype=float)
     s = _sigma0(rho, params, lam)
     k, mu = params.k, params.mu
     a = sign * params.g * k**2 / (lam * mu)
     b = lam / mu
-    col = (mu / (2.0 * lam * rho))[..., None] * _stack(-k**2, s**2, -k**2, s**2)
-    row = _stack(b / k**2 - a / k**3, (b - a / s) / s**2,
-                 b / k**2 + a / k**3, (b + a / s) / s**2)
-    M = col[..., :, None] * row[..., None, :]
+    h = mu / (2.0 * lam * rho)
+    col = _components(-k**2 * h, s**2 * h, -k**2 * h, s**2 * h)
+    row = _components(b / k**2 - a / k**3, (b - a / s) / s**2,
+                      b / k**2 + a / k**3, (b + a / s) / s**2)
+    M = col[:, None] * row[None, :]
     # (P^-1 dP/dsigma0)[:, 1]; column 3 is the same entries, rows 0-1 and
     # 2-3 swapped
-    slow = (_stack(-2.0 * k**2 * (k + s) / s**2, 5.0 * k**2 / s - s,
-                   2.0 * k**2 * (k - s) / s**2, s - k**2 / s)
-            / (4.0 * s * rho)[..., None])
-    M[..., 1] -= slow
-    M[..., 3] -= slow[..., [2, 3, 0, 1]]
+    slow = (_components(-2.0 * k**2 * (k + s) / s**2, 5.0 * k**2 / s - s,
+                        2.0 * k**2 * (k - s) / s**2, s - k**2 / s)
+            / (4.0 * s * rho))
+    M[:, 1] -= slow
+    M[:, 3] -= slow[[2, 3, 0, 1]]
     return M
 
 
@@ -584,10 +596,12 @@ class OuterSolutions:
                   out=beta_e[1:])
         beta_n = (beta_e[:-1, None]
                   + widths[:, None, None] * (_S_PARTIAL @ sig_n))
-        # rho0' M in the state's component order, transposed: F = W A^T
+        # rho0' M in the state's component order, transposed so that
+        # F = W A^T: A_T[..., l, j] = rho0' M[_ORDER[j], _ORDER[l]]
         M = _matrix_M(rho_n[..., None], params, lams, hl.sign)
-        A_T = (drho_n[..., None, None, None]
-               * M[..., _ORDER[None, :], _ORDER[:, None]])    # (P,5,m,4,4)
+        A_T = np.multiply(drho_n[..., None, None, None],
+                          np.moveaxis(M[_ORDER][:, _ORDER], (0, 1), (-1, -2)),
+                          order="C")                          # (P,5,m,4,4)
 
         # kernel phases (P,5,m,8) and (P+1,m,8), then the scans' exponentials
         psi_n = (_KERNEL_CA * alpha_n[..., None, None]
@@ -659,10 +673,12 @@ class OuterSolutions:
             phases[0, 1 + q::6] = alpha_n[:, q, None]
             phases[1, 1 + q::6] = beta_n[:, q]
             W_all[1 + q::6] = out_n[:, q]
-        W_all = W_all[..., np.argsort(_ORDER)].swapaxes(-1, -2)
+        W_all = np.moveaxis(W_all, -1, 0)[np.argsort(_ORDER)]    # (4,N,m,2)
 
         rho_all = np.asarray(self.profile.rho(hl.sign * ts))
-        U = _matrix_P(_sigma0(rho_all[:, None], params, lams), params) @ W_all
+        U = np.moveaxis(_apply_P(
+            _sigma0(rho_all[:, None, None], params, lams[:, None]), params,
+            W_all), 0, -2)                                      # (N,m,4,2)
         sig_inf = np.sqrt(k * k + lams * _rho_limit(self.profile, hl.sign) / mu)
         limits = np.empty((m, 2, 4))
         limits[:, 0] = [-k**-3, k**-2, -k**-1, 1.0]

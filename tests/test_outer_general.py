@@ -90,7 +90,7 @@ def test_coupling_matrix_matches_its_factors(ctx, sign):
     ref = (Pinv @ og._matrix_R(par, lam, sign) @ og._matrix_P(sig, par)
            - (lam / (2.0 * par.mu * sig))[..., None, None]
            * (Pinv @ og._matrix_dPdsig(sig)))
-    M = og._matrix_M(rho, par, lam, sign)
+    M = np.moveaxis(og._matrix_M(rho, par, lam, sign), (0, 1), (-2, -1))
     assert M.shape == (3, 5, 3, 4, 4)
     assert np.abs(M - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -187,10 +187,14 @@ def _fixture_phases(ctx):
                      np.array([eps, 0.1, pb.lambda_max]))
     beta_e = np.concatenate([np.zeros((1, 3)), np.cumsum(
         hl.widths[:, None] * (GL5_WEIGHTS @ sig), axis=0)])
-    beta_n = beta_e[:-1, None] + hl.widths[:, None, None] * (og._S_PARTIAL @ sig)
-    alpha_n, alpha_e = par.k * (hl.nodes - hl.edges[0]), par.k * (hl.edges - hl.edges[0])
-    psi_n = og._KERNEL_CA * alpha_n[..., None, None] + og._KERNEL_CB * beta_n[..., None]
-    psi_e = og._KERNEL_CA * alpha_e[:, None, None] + og._KERNEL_CB * beta_e[..., None]
+    beta_n = (beta_e[:-1, None]
+              + hl.widths[:, None, None] * (og._S_PARTIAL @ sig))
+    alpha_n = par.k * (hl.nodes - hl.edges[0])
+    alpha_e = par.k * (hl.edges - hl.edges[0])
+    psi_n = (og._KERNEL_CA * alpha_n[..., None, None]
+             + og._KERNEL_CB * beta_n[..., None])
+    psi_e = (og._KERNEL_CA * alpha_e[:, None, None]
+             + og._KERNEL_CB * beta_e[..., None])
     return psi_n, psi_e, hl.widths
 
 
