@@ -658,8 +658,8 @@ class OuterSolutions:
             raise SolverError(f"no fixed-point convergence in {MAX_PICARD_ITER} "
                               f"iterations at lambda={lams[live[0]]:.6g}")
 
-        # interleave edges and nodes into one ascending sample set, with the
-        # state in the (4, 2) layout of components by solution
+        # interleave edges and nodes into one ascending sample set, then put
+        # the state's components first, in their natural order
         N = P * 6 + 1
         ts = np.empty(N)
         W_all = np.empty((N, m) + _BASE.shape)
