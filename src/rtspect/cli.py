@@ -23,8 +23,7 @@ import numpy as np
 from .errors import ConfigError, SolverError
 from .evans import evans_function
 from .modes import reconstruct_fields
-from .outer_general import (_sigma0, boundary_coeffs_general,
-                            endpoint_psd_margins)
+from .outer_general import _closure_at, _sigma0, endpoint_psd_margins
 from .pipeline import Pipeline, SolverOptions
 from .profiles import COMPACT, PhysicalParams, make_profile
 from .verification import format_results, run_verification
@@ -296,21 +295,25 @@ def cmd_outer_coeffs(cfg, out_dir):
     par = pipe.params
     grid = np.linspace(pipe.eps_star, pipe.bounds.lambda_max, 8)
     if cfg.profile.kind == COMPACT:
-        per_lam = [pipe.builder.bc_factory(lam) for lam in grid]
+        pairs = [pipe.builder.bc_factory(lam) for lam in grid]
+        ends, xs = zip(*((c.end, c.x) for c in pairs[0]))
+        n = np.array([[c.as_tuple() for c in pair] for pair in pairs])
     else:
         x_left = -pipe.setup.left.edges[::-1]     # ascending in x
-        ends = [("left", x) for x in x_left[::6][::-1]]
-        ends += [("right", x) for x in pipe.setup.right.edges[::6]]
-        per_lam = [[boundary_coeffs_general(sols[end], x, end)
-                    for end, x in ends] for sols in pipe.engine.solve(grid)]
-    rows = []
-    for lam, coeffs in zip(grid, per_lam):
-        for c in coeffs:
-            sig = float(_sigma0(cfg.profile.rho(c.x), par, lam))
-            disc = -endpoint_psd_margins(c, par.k, sig)[2]
-            rows.append([c.end, f"{c.x:.9e}", f"{lam:.9e}",
-                         *(f"{v:.12e}" for v in c.as_tuple()),
-                         f"{disc:.12e}"])
+        sides = (("left", x_left[::6][::-1]),
+                 ("right", pipe.setup.right.edges[::6]))
+        ends = [end for end, x in sides for _ in x]
+        xs = np.concatenate([x for _, x in sides])
+        sols = pipe.engine.solve(grid)
+        n = np.concatenate([_closure_at(sols, end, x) for end, x in sides],
+                           axis=1)                      # (lambda, end, 4)
+    sig = _sigma0(cfg.profile.rho(np.asarray(xs)), par, grid[:, None])
+    # the discriminant is the same at both ends
+    disc = -endpoint_psd_margins("right", n, par.k, sig)[2]
+    rows = [[end, f"{x:.9e}", f"{lam:.9e}", *(f"{v:.12e}" for v in c),
+             f"{d:.12e}"]
+            for lam, n_lam, d_lam in zip(grid, n, disc)
+            for end, x, c, d in zip(ends, xs, n_lam, d_lam)]
     path = os.path.join(out_dir, "outer_coeffs.csv")
     _write_csv(path, ["end", "x_end", "lambda", "n11", "n12", "n21", "n22",
                       "discriminant"], rows)

@@ -22,7 +22,7 @@ class CoercivityError(SolverError):
 
 
 class CoercivitySearchError(SolverError):
-    """No endpoint window with positive semidefinite boundary forms was found."""
+    """An endpoint form at the truncation points is not positive semidefinite."""
 
 
 class BracketError(SolverError):

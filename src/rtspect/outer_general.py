@@ -17,11 +17,11 @@ t = -x the equation keeps its form with rho0(-t) and g replaced by -g
 (U(x) = S U~(-x), S = diag(1, -1, 1, -1)), so each half line is solved in
 its outward coordinate t = sign*x by one code path and read back in x.
 One Picard iteration serves a whole array of lambdas at once.  The decaying
-pairs yield the boundary coefficients n_ij closing the problem on a finite
-window; the root search reads them from a Chebyshev interpolant in log
-lambda (`BoundaryFit`).  The window itself is found by marching outward
-until both endpoint quadratic forms are positive semidefinite at the fit's
-first 17 lambdas, whose n_ij at the chosen ends then start the fit.
+pairs close the problem on the window between the truncation points through
+the boundary coefficients n_ij, all from one array closure (`_closure`).
+Both endpoint quadratic forms must be positive semidefinite there at the
+fit's first 17 lambdas, whose n_ij start the Chebyshev interpolant in log
+lambda that the root search reads (`BoundaryFit`).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from scipy.optimize import brentq
 
 from .errors import (CoercivitySearchError, SolverError, TruncationError)
 from .outer_compact import BoundaryCoeffs, PhaseNormalized
-from .profiles import GL5_NODES, GL5_WEIGHTS, profile_bounds
+from .profiles import GL5_NODES, GL5_WEIGHTS
 
 MAX_PICARD_ITER = 64
 PICARD_TOL = 1e-12
@@ -50,8 +50,8 @@ UPDATE_FLOOR = 1e-10
 TRUNCATION_MARGIN = 0.3
 N_PANELS = 160
 PANEL_RATIO = 1.03
-# boundary-coefficient fit: first degree (17 points, also the window
-# search's), degree cap, trailing over largest Chebyshev coefficient that
+# boundary-coefficient fit: first degree (17 points, where the window is
+# tested too), degree cap, trailing over largest Chebyshev coefficient that
 # ends the doubling, and the largest relative miss `BoundaryFit.check` allows
 FIT_FIRST_DEGREE = 16
 FIT_MAX_DEGREE = 256
@@ -227,10 +227,8 @@ class GammaBounds:
     lambda_max: float
 
 
-def gamma_bounds(profile, params, eps_star, pbounds=None):
+def gamma_bounds(profile, params, eps_star, pbounds):
     """Uniform-in-lambda bounds on ||P|| and ||M|| over [eps_star, sqrt(g/L0)]."""
-    if pbounds is None:
-        pbounds = profile_bounds(profile, params)
     lmax = pbounds.lambda_max
     if not 0.0 < eps_star < lmax:
         raise SolverError(f"eps_star must lie in (0, {lmax:.6g})")
@@ -698,34 +696,57 @@ class OuterSolutions:
                 for i, lam in enumerate(lams)]
 
 
+def _closure(ra, rb, x):
+    """n_ij (..., 4) = (n11, n12, n21, n22) of a decaying pair whose
+    phase-normalized samples at the points x are ra, rb (..., 4): the two
+    relations n_i1 phi + n_i2 phi' + phi^(i+1) = 0 annihilating both (row
+    phases cancel), by two stacked 2x2 solves, one right-hand side each.
+    A nearly dependent pair raises SolverError."""
+    S = np.stack([ra, rb], axis=-2)                         # (..., 2, 4)
+    A = S[..., :2]
+    det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+    bad = np.abs(det) < 1e-10 * np.prod(np.linalg.norm(A, axis=-1), axis=-1)
+    if bad.any():
+        raise SolverError(f"decaying pair nearly dependent at x="
+                          f"{np.broadcast_to(x, bad.shape)[bad][0]:.4g} "
+                          "(endpoint too far inside)")
+    n1 = np.linalg.solve(A, -S[..., 2:3])
+    n2 = np.linalg.solve(A, -S[..., 3:4])
+    return np.concatenate([n1, n2], axis=-2)[..., 0]
+
+
+def _closure_at(sols, side, x):
+    """n_ij (m, ..., 4) of m `OuterSolutions.solve` dicts at the points x
+    (...) of one side.  They must be samples of its grid (every panel edge
+    is one), so no spline is built."""
+    pairs = [list(sol[side].values()) for sol in sols]
+    xs = pairs[0][0].xs
+    i = np.minimum(np.searchsorted(xs, x), xs.size - 1)
+    off = xs[i] != x
+    if off.any():
+        raise SolverError(f"x={float(np.asarray(x)[off][0])!r} is not a sample "
+                          "of the outer grid; closure points must be panel "
+                          "edges")
+    u = np.array([[sol.normalized[i] for sol in pair] for pair in pairs])
+    return _closure(u[:, 0], u[:, 1], x)
+
+
+def _closure_rows(sols, x_minus, x_plus):
+    """The n_ij (m, 8) of m solved lambdas at x_minus, then at x_plus: the
+    rows `BoundaryFit` interpolates."""
+    return np.concatenate([_closure_at(sols, "left", x_minus),
+                           _closure_at(sols, "right", x_plus)], axis=-1)
+
+
 def boundary_coeffs_general(solutions, x_end, end):
     """Boundary coefficients n_ij at x_end from the decaying pair.
 
     solutions: the side dict {"U1+": ..., "U2+": ...} (right) or the left
-    analogue, slow solution first as `OuterSolutions.solve` returns it.  The
-    two relations annihilate both decaying solutions; they are obtained from
-    two 2x2 solves on the phase-normalized samples (row phases cancel).
-    x_end must be a sample of the solutions' grid (every panel edge is
-    one), so no spline is built.
+    analogue, slow solution first as `OuterSolutions.solve` returns it;
+    x_end must be a sample of its grid (`_closure_at`).
     """
-    u_a, u_b = solutions.values()
-    i = int(np.searchsorted(u_a.xs, x_end))
-    if i == u_a.xs.size or u_a.xs[i] != x_end:
-        raise SolverError(f"x={x_end!r} is not a sample of the outer grid; "
-                          "closure points must be panel edges")
-    ra, rb = u_a.normalized[i], u_b.normalized[i]
-    A = np.array([[ra[0], ra[1]], [rb[0], rb[1]]])
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    scale = np.linalg.norm(A[0]) * np.linalg.norm(A[1])
-    if abs(det) < 1e-10 * scale:
-        raise SolverError(
-            f"decaying pair nearly dependent at x={x_end:.4g} "
-            "(endpoint too far inside; move it outward)")
-    n1 = np.linalg.solve(A, -np.array([ra[2], rb[2]]))
-    n2 = np.linalg.solve(A, -np.array([ra[3], rb[3]]))
-    return BoundaryCoeffs(end=end, x=float(x_end),
-                          n11=float(n1[0]), n12=float(n1[1]),
-                          n21=float(n2[0]), n22=float(n2[1]))
+    n = _closure_at([{end: solutions}], end, x_end)[0]
+    return BoundaryCoeffs(end, float(x_end), *map(float, n))
 
 
 def _fit_lambdas(lam_range, j, n):
@@ -754,11 +775,6 @@ def _chebyshev_coeffs(values):
     return coeffs
 
 
-def _coeff_row(left, right):
-    """The 8 n_ij of one lambda as the fit stores them: left end first."""
-    return np.array(left.as_tuple() + right.as_tuple())
-
-
 class BoundaryFit:
     """n_ij at both window ends, read from a Chebyshev interpolant in log lambda.
 
@@ -768,7 +784,7 @@ class BoundaryFit:
     (Trefethen, Approximation Theory and Approximation Practice, ch. 8).
     `rows` (FIT_FIRST_DEGREE + 1, 8) are the coefficients at the window
     ends at `_fit_lambdas(lam_range, j, FIT_FIRST_DEGREE)`, j = 0..16, as
-    `coercive_window` returns them from its search.  The first call adds
+    `coercive_window` returns them (`_closure_rows`).  The first call adds
     the nested midpoints, doubling the degree until the trailing quarter of
     every series' coefficients falls below FIT_TAIL_TOL of its largest.
     Each round is one batched outer solve, and none of it enters the
@@ -800,18 +816,14 @@ class BoundaryFit:
         The direct n_ij come from the engine's cached solve at lam; the miss
         is relative to the largest |n_ij| and may not exceed FIT_CHECK_TOL.
         """
-        direct = self._row(self.engine.solve(lam))
+        direct = _closure_rows([self.engine.solve(lam)], self.x_minus,
+                               self.x_plus)[0]
         miss = np.abs(self._values(lam) - direct).max() / np.abs(direct).max()
         if not miss <= FIT_CHECK_TOL:
             raise SolverError(
                 f"boundary coefficients from the log-lambda fit miss the direct "
                 f"solve by {miss:.2e} (relative) at lambda={lam:.6g}; "
                 f"fit tail estimate {self.tail:.1e} with {self.n_nodes} nodes")
-
-    def _row(self, sols):
-        return _coeff_row(
-            boundary_coeffs_general(sols["left"], self.x_minus, "left"),
-            boundary_coeffs_general(sols["right"], self.x_plus, "right"))
 
     def _values(self, lam):
         s = 2.0 * (math.log(lam) - self._log_lo) / self._log_span - 1.0
@@ -840,67 +852,53 @@ class BoundaryFit:
             merged[0::2] = values
             mids = _fit_lambdas(self.engine.lam_range,
                                 np.arange(1, 2 * n, 2), 2 * n)
-            merged[1::2] = [self._row(sols) for sols in self.engine.solve(mids)]
+            merged[1::2] = _closure_rows(self.engine.solve(mids),
+                                         self.x_minus, self.x_plus)
             values, n = merged, 2 * n
         self.coeffs, self.n_nodes, self.tail = coeffs, n + 1, tail
 
 
-def endpoint_psd_margins(coeffs, k, sigma0_at_end):
+def endpoint_psd_margins(end, n, k, sigma0_at_end):
     """Margins (A, C, -disc) of the endpoint quadratic form; PSD iff all >= 0.
 
     The form is A*th^2 + B*th*th' + C*th'^2 with, at the right end,
-    A = -n21, C = n12, B = n11 - n22 - k^2 - sigma0^2; mirrored signs at the
-    left end.  disc = B^2 - 4AC equals (n11 - n22 - k^2 - sigma0^2)^2
-    + 4 n12 n21 at both ends.
+    A = -n21, C = n12, B = n11 - n22 - k^2 - sigma0^2 for n (..., 4) =
+    (n11, n12, n21, n22); mirrored signs at the left end.  disc = B^2 - 4AC
+    equals (n11 - n22 - k^2 - sigma0^2)^2 + 4 n12 n21 at both ends.
     """
-    n11, n12, n21, n22 = coeffs.as_tuple()
+    n11, n12, n21, n22 = np.moveaxis(np.asarray(n, dtype=float), -1, 0)
     B = n11 - n22 - k * k - sigma0_at_end**2
     disc = B * B + 4.0 * n12 * n21
-    if coeffs.end == "right":
-        A, C = -n21, n12
-    else:
-        A, C = n21, -n12
-    return A, C, -disc
+    if end == "right":
+        return -n21, n12, -disc
+    return n21, -n12, -disc
 
 
 def coercive_window(profile, params, setup, engine):
-    """Smallest window (x_minus, x_plus) with PSD endpoint forms at 17 lambdas.
+    """The window (x_tilde_minus, x_tilde_plus), the truncation points, and
+    its n_ij at the boundary fit's first 17 lambdas.
 
-    The lambdas are the boundary fit's first nodes, `_fit_lambdas` of
-    j = 0..FIT_FIRST_DEGREE on `engine.lam_range`, and their decaying pairs
-    come from one batched outer solve, which is not cached.  Marches
-    outward one panel edge at a time from the truncation points, testing
-    the sign conditions at every lambda; the first edge passing for all of
-    them wins.  Returns (x_minus, x_plus, rows, report): rows (17, 8) are
-    the n_ij at the chosen ends, the first round of `BoundaryFit`.
+    The lambdas are `_fit_lambdas` of j = 0..FIT_FIRST_DEGREE on
+    `engine.lam_range`, solved in one batch, which is not cached.  Both
+    endpoint forms must be positive semidefinite at each of them; a
+    negative margin raises CoercivitySearchError.  Returns (x_minus,
+    x_plus, rows): rows (17, 8) are the first round of `BoundaryFit`.
     """
     lams = _fit_lambdas(engine.lam_range, np.arange(FIT_FIRST_DEGREE + 1),
                         FIT_FIRST_DEGREE)
-    sols = engine.solve(lams)
-    report = {"right": [], "left": []}
-
-    def find_edge(hl):
-        side = hl.side
-        for x_end in hl.sign * hl.edges:
-            coeffs, worst = [], math.inf
-            for lam, sol in zip(lams, sols):    # up to the first failure
-                coeffs.append(boundary_coeffs_general(sol[side], x_end, side))
-                sig = float(_sigma0(profile.rho(x_end), params, lam))
-                worst = min(worst, *endpoint_psd_margins(coeffs[-1], params.k,
-                                                         sig))
-                if worst < 0:
-                    break
-            report[side].append((float(x_end), worst))
-            if worst >= 0:
-                return float(x_end), coeffs
-        raise CoercivitySearchError(
-            f"no coercive endpoint found on the {side} side; "
-            f"margins: {report[side][-3:]}")
-
-    x_plus, right = find_edge(setup.right)
-    x_minus, left = find_edge(setup.left)
-    rows = np.array([_coeff_row(lc, rc) for lc, rc in zip(left, right)])
-    return x_minus, x_plus, rows, report
+    x_minus, x_plus = setup.x_tilde_minus, setup.x_tilde_plus
+    rows = _closure_rows(engine.solve(lams), x_minus, x_plus)
+    for side, x_end, n in (("left", x_minus, rows[:, :4]),
+                           ("right", x_plus, rows[:, 4:])):
+        sig = _sigma0(profile.rho(x_end), params, lams)
+        worst = np.min(endpoint_psd_margins(side, n, params.k, sig), axis=0)
+        j = int(np.argmin(worst))
+        if not worst[j] >= 0:
+            raise CoercivitySearchError(
+                f"the {side} endpoint form at the truncation point "
+                f"x={x_end:.6g} is not positive semidefinite: margin "
+                f"{worst[j]:.3g} at lambda={lams[j]:.6g}")
+    return x_minus, x_plus, rows
 
 
 @dataclass(frozen=True)

@@ -55,8 +55,8 @@ class Pipeline:
     def build(self):
         """Window, mesh and slice builder; a second call does nothing.
 
-        For increasing profiles the window search's n_ij at the chosen ends
-        are the boundary fit's first round; the first slice adds the rest.
+        For increasing profiles the window's n_ij at 17 lambdas are the
+        boundary fit's first round; the first slice adds the rest.
         """
         if self._built:
             return self
@@ -77,7 +77,7 @@ class Pipeline:
                                            self.gbounds)
             self.engine = OuterSolutions(self.profile, self.params, self.setup)
             self.decaying_solutions = self.engine.solve
-            x_minus, x_plus, rows, self.window_report = coercive_window(
+            x_minus, x_plus, rows = coercive_window(
                 self.profile, self.params, self.setup, self.engine)
             self.window = (x_minus, x_plus)
             fit = BoundaryFit(self.engine, x_minus, x_plus, rows)

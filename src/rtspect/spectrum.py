@@ -118,7 +118,6 @@ class SliceBuilder:
         self.n_max = n_max
         self.bc_factory = bc_factory
         self.bc_check = bc_check
-        self.margins = {}
         self._cache = {}
 
     def __call__(self, lam):
@@ -130,7 +129,6 @@ class SliceBuilder:
             forms = assemble_forms(self.volume, key, bc)
             sl = gamma_spectrum(forms, self.n_max)
             sl.margin = coercivity_check(forms)
-            self.margins[key] = sl.margin
             self._cache[key] = sl
         return self._cache[key]
 

@@ -3,7 +3,7 @@
 Each check returns (name, passed, detail).  The suite is profile-kind aware:
 compact-gradient profiles exercise the monotonicity and derivative
 machinery, strictly increasing ones the fixed-point construction and the
-window search.  Random probes are seeded for reproducibility.
+coercive window.  Random probes are seeded for reproducibility.
 """
 
 from __future__ import annotations

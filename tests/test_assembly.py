@@ -258,7 +258,7 @@ def test_slices_stop_evaluating_the_profile(request, fixture):
     for lam in lams[1:]:
         builder(lam)
     assert len(calls) == before
-    assert set(lams[1:]) <= set(builder.margins)
+    assert set(lams[1:]) <= set(builder._cache)
 
 
 def test_coercivity_margins(bump_pipe, bump_bounds):

@@ -105,6 +105,12 @@ def test_benchmark_hooks_resolve():
                if not hasattr(importlib.import_module(mod), attr)]
     missing += [f"{mod}.{cls}.{meth}" for mod, cls, meth in tables["METHODS"]
                 if meth not in vars(getattr(importlib.import_module(mod), cls))]
+    # a function is wrapped at the attribute its callers look up, so the
+    # module it is wrapped in must read that name, or the span never opens
+    missing += [f"{mod}.{attr} (not read there)"
+                for mod, attr, _ in tables["FUNCTIONS"]
+                if attr not in _reads(pathlib.Path(
+                    importlib.import_module(mod).__file__))]
     assert not missing, "benchmark hooks that do not resolve:\n" + \
         "\n".join(missing)
 

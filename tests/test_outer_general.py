@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from rtspect import outer_general as og
-from rtspect.errors import SolverError
+from rtspect.errors import CoercivitySearchError, SolverError
 from rtspect.evans import find_roots
 from rtspect.modes import gluing_jumps
 from rtspect.outer_compact import exponential_closure
@@ -114,10 +114,13 @@ def test_transformed_gravity_block_structure(ctx):
     assert core[1, 1] == pytest.approx(-pref * b_m, rel=1e-12)
 
 
-def test_gamma_p_values(tanh_profile):
-    gb1 = og.gamma_bounds(tanh_profile, PhysicalParams(g=1, mu=1, k=1.0), 0.01)
+def test_gamma_p_values(tanh_profile, tanh_bounds):
+    # the bounds depend on g alone, and g = 1 throughout
+    gb1 = og.gamma_bounds(tanh_profile, PhysicalParams(g=1, mu=1, k=1.0), 0.01,
+                          tanh_bounds)
     assert gb1.Gamma_p == 1.0
-    gbh = og.gamma_bounds(tanh_profile, PhysicalParams(g=1, mu=1, k=0.5), 0.01)
+    gbh = og.gamma_bounds(tanh_profile, PhysicalParams(g=1, mu=1, k=0.5), 0.01,
+                          tanh_bounds)
     assert gbh.Gamma_p == 8.0
 
 
@@ -126,7 +129,8 @@ def test_gamma_m_regression(tanh_profile, params, tanh_bounds):
     assert gb.Gamma_m == pytest.approx(GAMMA_M_EPS001, rel=1e-6)
     assert gb.delta_eps < gb.delta_s
     with pytest.raises(SolverError):
-        og.gamma_bounds(tanh_profile, params, 2 * tanh_bounds.lambda_max)
+        og.gamma_bounds(tanh_profile, params, 2 * tanh_bounds.lambda_max,
+                        tanh_bounds)
 
 
 def test_truncation_points_tanh_inversion(ctx):
@@ -365,7 +369,7 @@ def test_limit_discriminant_closed_form():
     disc = (c.n11 - c.n22 - 1.0 - 4.0)**2 + 4 * c.n12 * c.n21
     assert disc == pytest.approx(-56.0)
     assert disc == pytest.approx(-4 * 1.0 * 2.0 * (1 + 2 + 4))
-    margins = og.endpoint_psd_margins(c, 1.0, 2.0)
+    margins = og.endpoint_psd_margins(c.end, c.as_tuple(), 1.0, 2.0)
     assert min(margins) > 0
 
 
@@ -373,7 +377,7 @@ def test_left_end_sign_pattern_mirrors():
     par = PhysicalParams(g=1.0, mu=1.0, k=1.0)
     c = exponential_closure("left", -math.inf, par.k, 2.0)
     assert c.n12 < 0 < c.n21
-    margins = og.endpoint_psd_margins(c, 1.0, 2.0)
+    margins = og.endpoint_psd_margins(c.end, c.as_tuple(), 1.0, 2.0)
     assert min(margins) > 0
     # direct positive semidefiniteness probes (1,0) and (0,1) plus the
     # discriminant agree with the margin tests
@@ -413,6 +417,98 @@ def test_closure_reads_samples_and_builds_no_spline(tanh_profile, params):
     for x in (np.nextafter(x_plus, math.inf), sols["U1+"].xs[-1] + 1.0):
         with pytest.raises(SolverError):
             og.boundary_coeffs_general(sols, x, "right")
+
+
+def _pair_closed_by(side, x, n):
+    """A decaying pair sampled at x alone whose closure there is
+    n = (n11, n12, n21, n22): its rows (phi, phi', phi'', phi''') are
+    (1, 0, -n11, -n21) and (0, 1, -n12, -n22)."""
+    n11, n12, n21, n22 = n
+    rows = ((1.0, 0.0, -n11, -n21), (0.0, 1.0, -n12, -n22))
+    return {name: og.DecayingSolution(
+                side=side, lam=1.0, xs=np.array([x]), normalized=np.array([r]),
+                phase=np.zeros(1), limit=np.zeros(4), updates=())
+            for name, r in zip(("slow", "fast"), rows)}
+
+
+def test_closure_rejects_a_dependent_pair():
+    xs = np.array([0.0, 1.0, 2.0])
+    slow = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0],
+                     [1.0, -1.0, 0.5, 2.0]])
+    # at x = 1 the fast (phi, phi') row is 3 times the slow one
+    fast = np.array([[1.0, 2.5, 3.0, 4.0], [3.0, 6.0, 3.0, 4.0],
+                     [1.0, 2.0, 0.5, 2.0]])
+    pair = {name: og.DecayingSolution(
+                side="right", lam=1.0, xs=xs, normalized=u, phase=np.zeros(3),
+                limit=np.zeros(4), updates=())
+            for name, u in (("U1+", slow), ("U2+", fast))}
+    with pytest.raises(SolverError, match="nearly dependent at x=1"):
+        og.boundary_coeffs_general(pair, 1.0, "right")
+    with pytest.raises(SolverError, match="nearly dependent at x=1"):
+        og._closure_at([{"right": pair}], "right", xs)
+    # elsewhere both relations annihilate both solutions
+    for i in (0, 2):
+        c = og.boundary_coeffs_general(pair, xs[i], "right")
+        n = np.array(c.as_tuple()).reshape(2, 2)
+        for u in (slow[i], fast[i]):
+            assert n @ u[:2] + u[2:] == pytest.approx([0.0, 0.0], abs=1e-14)
+
+
+def test_coercive_window_is_the_truncation_points(ctx):
+    prof, par, pb, eps, gb, setup, eng = ctx
+    xm, xp, rows = og.coercive_window(prof, par, setup, eng)
+    assert (xm, xp) == (setup.x_tilde_minus, setup.x_tilde_plus)
+    # its rows are the scalar closures at those points, bit for bit
+    lams = og._fit_lambdas(eng.lam_range, np.arange(17), 16)
+    batch = eng.solve(lams)
+    direct = [og.boundary_coeffs_general(sols["left"], xm, "left").as_tuple()
+              + og.boundary_coeffs_general(sols["right"], xp, "right").as_tuple()
+              for sols in batch]
+    assert rows.shape == (17, 8)
+    assert np.array_equal(rows, direct)
+
+    # and the reference: one point's two 2x2 solves, one vector each
+    def one_point(pair, x):
+        ra, rb = (u.normalized[np.searchsorted(u.xs, x)] for u in pair.values())
+        A = np.array([ra[:2], rb[:2]])
+        return [*np.linalg.solve(A, -np.array([ra[2], rb[2]])),
+                *np.linalg.solve(A, -np.array([ra[3], rb[3]]))]
+
+    ref = [one_point(sols["left"], xm) + one_point(sols["right"], xp)
+           for sols in batch]
+    assert np.array_equal(rows, ref)
+
+
+def test_coercive_window_rejects_a_negative_margin(ctx):
+    # a stub engine that closes both ends with the exact tails at sigma0
+    # there (every margin positive), except n21 > 0 at the right end at
+    # one lambda, where A = -n21 < 0
+    prof, par, pb, eps, gb, setup, eng = ctx
+    xm, xp = setup.x_tilde_minus, setup.x_tilde_plus
+    lams = og._fit_lambdas(eng.lam_range, np.arange(17), 16)
+
+    class Stub:
+        lam_range = eng.lam_range
+        bad = 5
+
+        def solve(self, lams):
+            out = []
+            for i, lam in enumerate(lams):
+                sides = {}
+                for side, x in (("left", xm), ("right", xp)):
+                    tau = float(og._sigma0(prof.rho(x), par, lam))
+                    n = list(exponential_closure(side, x, par.k, tau).as_tuple())
+                    if side == "right" and i == self.bad:
+                        n[2] = 1.0
+                    sides[side] = _pair_closed_by(side, x, n)
+                out.append(sides)
+            return out
+
+    with pytest.raises(CoercivitySearchError,
+                       match=f"right .* lambda={lams[Stub.bad]:.6g}$"):
+        og.coercive_window(prof, par, setup, Stub())
+    Stub.bad = None
+    assert og.coercive_window(prof, par, setup, Stub())[:2] == (xm, xp)
 
 
 def test_decay_envelopes(ctx):
@@ -482,7 +578,7 @@ def test_coercive_window_shrinks_with_eps(tanh_profile, params, tanh_bounds):
         gb = og.gamma_bounds(tanh_profile, params, eps, tanh_bounds)
         setup = og.truncation_points(tanh_profile, params, gb)
         eng = og.OuterSolutions(tanh_profile, params, setup)
-        xm, xp, _, _ = og.coercive_window(tanh_profile, params, setup, eng)
+        xm, xp, _ = og.coercive_window(tanh_profile, params, setup, eng)
         xs[eps] = xp
         assert xm == pytest.approx(-xp, rel=1e-9)  # symmetric profile
     assert xs[0.1] < xs[0.01]

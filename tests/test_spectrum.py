@@ -168,8 +168,8 @@ def test_boundary_fit_is_lazy_and_matches_direct_solves(tanh_profile, params):
 
 def test_window_search_and_fit_share_one_batch(tanh_profile, params,
                                               monkeypatch):
-    # the window search tests at the fit's first 17 nodes and hands it their
-    # n_ij, so build and the first slice solve two batches: 17 and 16 lambdas
+    # the window test runs at the fit's first 17 nodes and hands the fit
+    # their n_ij, so build and the first slice solve two batches: 17 and 16
     batches = []
     solve = og.OuterSolutions.solve
 
@@ -228,9 +228,9 @@ def test_count_reads_only_search_slices(request, params, fixture, n_roots):
                     SolverOptions(n_elements=64)).build()
     for n in range(1, n_roots + 1):
         pipe.solve_mode_index(n)
-    built = len(pipe.builder.margins)
+    built = len(pipe.builder._cache)
     count = pipe.count_modes()
-    assert len(pipe.builder.margins) == built
+    assert len(pipe.builder._cache) == built
     grid = np.linspace(pipe.eps_star, pipe.bounds.lambda_max, 16)
     ref = mode_count(pipe.builder, pipe.eps_star, grid)
     assert count.N == ref.N
