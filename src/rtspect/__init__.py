@@ -21,9 +21,9 @@ from .evans import EvansSample, evans_function, find_roots
 from .modes import (GlobalMode, PerturbationField, glue_mode, gluing_jumps,
                     ode_residual, raw_trace_defects, reconstruct_fields)
 from .outer_compact import (BoundaryCoeffs, CompactOuterBasis,
-                            compact_bc_coeffs, compact_decaying_solutions,
-                            compact_outer_basis)
-from .outer_general import (BoundaryFit, DecayingSolution, GammaBounds,
+                            ExponentialPair, compact_bc_coeffs,
+                            compact_decaying_solutions, compact_outer_basis)
+from .outer_general import (BoundaryFit, DecayingPair, GammaBounds,
                             OuterSolutions, PicardSetup, SystemMatrices,
                             boundary_coeffs_general, coercive_window,
                             decay_envelopes, gamma_bounds, system_matrices,
@@ -31,8 +31,8 @@ from .outer_general import (BoundaryFit, DecayingSolution, GammaBounds,
 from .pipeline import Pipeline, SolverOptions
 from .profiles import (COMPACT, INCREASING, DensityProfile, PhysicalParams,
                        ProfileBounds, make_profile, profile_bounds, validate)
-from .spectrum import (DispersionPoint, ModeCount, SpectrumSlice,
-                       compact_builder, gamma_derivative_check, gamma_spectrum,
-                       general_builder, mode_count, solve_dispersion)
+from .spectrum import (CompactTails, DispersionPoint, ModeCount, SliceBuilder,
+                       SpectrumSlice, gamma_derivative_check, gamma_spectrum,
+                       mode_count, solve_dispersion)
 
 __version__ = "0.1.0"

@@ -96,8 +96,8 @@ def build_mesh(x_minus, x_plus, n_elements, grading="uniform"):
         ratio = float(arg)
     except ValueError:
         raise SolverError(f"bad grading '{grading}'") from None
-    if ratio <= 0:
-        raise SolverError("grading ratio must be positive")
+    if not 0 < ratio < np.inf:
+        raise SolverError("grading ratio must be positive and finite")
     if name == "geometric":
         w = ratio ** np.arange(n_elements)
         w *= (x_plus - x_minus) / w.sum()

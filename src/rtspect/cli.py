@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly import build_mesh
 from .errors import ConfigError, SolverError
 from .evans import evans_function
 from .modes import reconstruct_fields
@@ -90,6 +91,13 @@ def _getfloat(sec, key, name, required=False, default=None):
         raise ConfigError(f"{name}.{key} is not a number: {sec[key]!r}") from None
 
 
+def _getint(sec, key, name, default=None):
+    value = _getfloat(sec, key, name, default=default)
+    if not float(value).is_integer():
+        raise ConfigError(f"{name}.{key} is not a whole number: {sec[key]!r}")
+    return int(value)
+
+
 def parse_config(text):
     """Parse and validate the sectioned key=value configuration."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -149,7 +157,7 @@ def parse_config(text):
     elif {"k_min", "k_max", "k_count"} <= set(sec):
         k_min = _getfloat(sec, "k_min", "physical")
         k_max = _getfloat(sec, "k_max", "physical")
-        count = int(_getfloat(sec, "k_count", "physical"))
+        count = _getint(sec, "k_count", "physical")
         if not 0 < k_min <= k_max or count < 1:
             raise ConfigError("physical k range must be increasing and positive")
         k_values = list(np.linspace(k_min, k_max, count))
@@ -169,13 +177,17 @@ def parse_config(text):
     opts = SolverOptions()
     if "numerical" in cp:
         sec = cp["numerical"]
-        opts.n_elements = int(_getfloat(sec, "n_elements", "numerical",
-                                        default=opts.n_elements))
+        opts.n_elements = _getint(sec, "n_elements", "numerical",
+                                  default=opts.n_elements)
         opts.grading = sec.get("grading", opts.grading)
+        try:    # build_mesh is the one parser of a grading
+            build_mesh(0.0, 1.0, 4, opts.grading)
+        except SolverError as exc:
+            raise ConfigError(f"numerical.grading: {exc}") from None
         opts.tol = _getfloat(sec, "tol", "numerical", default=opts.tol)
         opts.eps_star = _getfloat(sec, "eps_star", "numerical", default=None)
-        opts.n_modes = int(_getfloat(sec, "n_modes", "numerical",
-                                     default=opts.n_modes))
+        opts.n_modes = _getint(sec, "n_modes", "numerical",
+                               default=opts.n_modes)
         if opts.tol <= 0 or opts.n_elements < 4 or opts.n_modes < 1:
             raise ConfigError("numerical values out of range")
         if opts.eps_star is not None and opts.eps_star <= 0:
@@ -295,18 +307,18 @@ def cmd_outer_coeffs(cfg, out_dir):
     par = pipe.params
     grid = np.linspace(pipe.eps_star, pipe.bounds.lambda_max, 8)
     if cfg.profile.kind == COMPACT:
-        pairs = [pipe.builder.bc_factory(lam) for lam in grid]
-        ends, xs = zip(*((c.end, c.x) for c in pairs[0]))
-        n = np.array([[c.as_tuple() for c in pair] for pair in pairs])
+        coeffs = [pipe.builder.tails(lam) for lam in grid]
+        ends, xs = zip(*((c.end, c.x) for c in coeffs[0]))
+        n = np.array([[c.as_tuple() for c in ends] for ends in coeffs])
     else:
         x_left = -pipe.setup.left.edges[::-1]     # ascending in x
         sides = (("left", x_left[::6][::-1]),
                  ("right", pipe.setup.right.edges[::6]))
         ends = [end for end, x in sides for _ in x]
         xs = np.concatenate([x for _, x in sides])
-        sols = pipe.engine.solve(grid)
-        n = np.concatenate([_closure_at(sols, end, x) for end, x in sides],
-                           axis=1)                      # (lambda, end, 4)
+        pairs = pipe.engine.solve(grid)
+        n = np.concatenate([_closure_at([p[end] for p in pairs], x)
+                            for end, x in sides], axis=1)  # (lambda, end, 4)
     sig = _sigma0(cfg.profile.rho(np.asarray(xs)), par, grid[:, None])
     # the discriminant is the same at both ends
     disc = -endpoint_psd_margins("right", n, par.k, sig)[2]

@@ -2,14 +2,16 @@
 
 A dispersion root gives the inner coefficients on the window; past each
 endpoint the mode is a combination b1 U_a + b2 U_b of the two decaying
-solutions on that side.  Both profile kinds supply those pairs through one
-interface (`samples_at`, `reach`, `eval_limit`): closed-form exponentials
-for compact-gradient profiles (`outer_compact`), sampled Picard solutions
-for strictly increasing ones (`outer_general`).  The amplitudes match
-(phi, phi') at the endpoints, which is exact by construction, while the
-continuity of phi'' and phi''' across the endpoints is then a consequence of
-the boundary closure and converges with the mesh.  Modes are normalized to
-sup |phi| = 1 with the sign fixed at the density-gradient maximizer.
+solutions on that side.  Both profile kinds hand out those two as one pair
+per side, from the slice builder's tail source (`tails.pairs(lam)`), read
+through one interface (`samples_at`, both solutions at once, `reach` and
+`eval_limit`): the closed-form `ExponentialPair` for compact-gradient
+profiles (`outer_compact`), the sampled Picard `DecayingPair` for strictly
+increasing ones (`outer_general`).  The amplitudes match (phi, phi') at the
+endpoints, which is exact by construction, while the continuity of phi''
+and phi''' across the endpoints is then a consequence of the boundary
+closure and converges with the mesh.  Modes are normalized to sup |phi| = 1
+with the sign fixed at the density-gradient maximizer.
 """
 
 from __future__ import annotations
@@ -29,37 +31,33 @@ class Tail:
 
     side: str
     amps: tuple                    # (b1, b2)
-    sols: tuple                    # (U_a, U_b), decaying solutions
-    phase0: tuple                  # their phases at the window end
+    pair: object                   # (U_a, U_b), one decaying pair
+    phase0: np.ndarray             # (2,), their phases at the window end
 
     @property
     def reach(self):
         """Far end of the span scanned for sup |phi| and residuals."""
-        return self.sols[0].reach
+        return self.pair.reach
 
     def eval(self, x):
         """(phi, phi', phi'', phi''') at points x past the window end."""
-        limit = self.sols[0].eval_limit
+        limit = self.pair.eval_limit
         beyond = x > limit if self.side == "right" else x < limit
         if np.any(beyond):
             raise ExtrapolationError(
                 "evaluation beyond the truncated outer grid; enlarge X_max")
-        (b1, b2), (sol_a, sol_b), (ph_a0, ph_b0) = (self.amps, self.sols,
-                                                    self.phase0)
-        ua = sol_a.normalized_at(x) * np.exp(-(sol_a.phase_at(x) - ph_a0))[..., None]
-        ub = sol_b.normalized_at(x) * np.exp(-(sol_b.phase_at(x) - ph_b0))[..., None]
-        vals = b1 * ua + b2 * ub
+        v = self.pair.samples_at(x)
+        u = v[..., :4] * np.exp(-(v[..., 4] - self.phase0))[..., None]
+        vals = self.amps[0] * u[..., 0, :] + self.amps[1] * u[..., 1, :]
         return tuple(vals[..., j] for j in range(4))
 
     def fourth_derivative(self, x):
         """phi'''' at x, from the solutions' samples and their slopes."""
-        out = 0.0
-        for bcoef, sol, ph0 in zip(self.amps, self.sols, self.phase0):
-            v, dv = sol.samples_at(x), sol.samples_at(x, 1)
-            u4, phase = v[..., 3], v[..., 4]
-            du4, dphase = dv[..., 3], dv[..., 4]
-            out = out + bcoef * np.exp(-(phase - ph0)) * (du4 - dphase * u4)
-        return out
+        v, dv = self.pair.samples_at(x), self.pair.samples_at(x, 1)
+        e = np.exp(-(v[..., 4] - self.phase0))
+        d = dv[..., 3] - dv[..., 4] * v[..., 3]
+        b1, b2 = self.amps
+        return b1 * e[..., 0] * d[..., 0] + b2 * e[..., 1] * d[..., 1]
 
 
 @dataclass
@@ -104,41 +102,34 @@ class GlobalMode:
 def glue_mode(point, space, bc, outer, x_mid=0.0):
     """Extend a dispersion eigenvector by decaying tails into a global mode.
 
-    outer: the per-lambda dict of decaying pairs, {"right": {"U1+", "U2+"},
-    "left": {"U3-", "U4-"}}, from `outer_compact.compact_decaying_solutions`
-    or `OuterSolutions.solve`.  The tail amplitudes match (phi, phi') at the
-    endpoints exactly; the mode is then normalized to sup |phi| = 1 with
-    phi(x_mid) >= 0 (falling back to the slope when the mode vanishes at
-    x_mid).
+    outer: {"right": pair, "left": pair}, a tail source's `pairs(lam)`.
+    The tail amplitudes match (phi, phi') at the endpoints exactly; the
+    mode is then normalized to sup |phi| = 1 with phi(x_mid) >= 0 (falling
+    back to the slope when the mode vanishes at x_mid).
     """
     dofs = np.asarray(point.dofs, dtype=float).copy()
     if not np.any(np.abs(dofs) > 0):
         raise GluingError("trivial inner solution cannot be glued into a mode")
     x_minus, x_plus = space.mesh.x_minus, space.mesh.x_plus
-    sols_r, sols_l = outer["right"], outer["left"]
     mode = GlobalMode(
         lam=point.lam, n=point.n, space=space, dofs=dofs, bc=bc,
-        outer_left=glue_tail("left", sols_l["U3-"], sols_l["U4-"], x_minus,
-                             dofs[0], dofs[1]),
-        outer_right=glue_tail("right", sols_r["U1+"], sols_r["U2+"], x_plus,
+        outer_left=glue_tail("left", outer["left"], x_minus, dofs[0], dofs[1]),
+        outer_right=glue_tail("right", outer["right"], x_plus,
                               dofs[-2], dofs[-1]),
         x_minus=x_minus, x_plus=x_plus, x_mid=x_mid)
     _normalize(mode)
     return mode
 
 
-def glue_tail(side, sol_a, sol_b, x_end, phi_end, dphi_end):
+def glue_tail(side, pair, x_end, phi_end, dphi_end):
     """Tail through (phi, phi') = (phi_end, dphi_end) at the window end."""
-    ph_a0 = float(sol_a.phase_at(x_end))
-    ph_b0 = float(sol_b.phase_at(x_end))
-    ua = sol_a.normalized_at(x_end)
-    ub = sol_b.normalized_at(x_end)
-    A = np.array([[ua[0], ub[0]], [ua[1], ub[1]]])
+    v = pair.samples_at(x_end)                      # (2, 5)
+    A = v[:, :2].T
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
     if abs(det) < 1e-10 * (np.linalg.norm(A[0]) * np.linalg.norm(A[1]) + 1e-300):
         raise GluingError(f"gluing system singular at x={x_end:.4g}")
     b1, b2 = np.linalg.solve(A, np.array([phi_end, dphi_end]))
-    return Tail(side, (float(b1), float(b2)), (sol_a, sol_b), (ph_a0, ph_b0))
+    return Tail(side, (float(b1), float(b2)), pair, v[:, 4].copy())
 
 
 def _normalize(mode):

@@ -5,10 +5,11 @@ the solutions decaying at +inf are spanned by exp(-k(x-a)) and
 exp(-tau_plus(x-a)) with tau = sqrt(k^2 + lambda*rho/mu); mirrored at -inf.
 Membership in that span is encoded as two linear relations on
 (phi, phi', phi'', phi''') at each endpoint, which close the problem on
-[-a, a].  The spanning exponentials are also offered as decaying solutions
-read exactly like the sampled ones of `outer_general` (a constant
-phase-normalized vector and a linear phase), so that modes glue and
-evaluate both profile kinds through one interface.
+[-a, a].  The spanning exponentials on each side are also offered as one
+`ExponentialPair`, read exactly like the sampled `DecayingPair` of
+`outer_general` (per solution a constant phase-normalized vector and a
+linear phase), so that modes glue and evaluate both profile kinds through
+one interface.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ class CompactOuterBasis:
 
     k: float
     lam: float
-    nu_minus: float
-    nu_plus: float
     tau_minus: float
     tau_plus: float
     a: float
@@ -54,35 +53,20 @@ class BoundaryCoeffs:
         return (self.n11, self.n12, self.n21, self.n22)
 
 
-class PhaseNormalized:
-    """Reading of a decaying solution U(x) = e^{-phase(x)} normalized(x).
-
-    Subclasses supply samples_at(x, nu): the nu-th x-derivative of
-    (normalized, phase), shape (..., 5); `reach` (how far out the tail is
-    scanned) and `eval_limit` (the last x at which it may be evaluated).
-    """
-
-    def normalized_at(self, x):
-        return self.samples_at(x)[..., :4]
-
-    def phase_at(self, x):
-        return self.samples_at(x)[..., 4]
-
-    def raw_at(self, x):
-        return np.exp(-self.phase_at(x))[..., None] * self.normalized_at(x)
-
-
 @dataclass(frozen=True)
-class ExponentialSolution(PhaseNormalized):
-    """e^{-rate |x - x_end|} past one end of the support of rho0'.
+class ExponentialPair:
+    """e^{-k |x - x_end|} and e^{-tau |x - x_end|} past one end of the
+    support of rho0', slow first: rates = (k, tau).
 
-    The normalized vector is the constant (1, -+rate, rate^2, -+rate^3)
-    (upper signs on the right) and the phase is rate*|x - x_end|; the
-    solution is exact arbitrarily far out.
+    samples_at(x, nu) is the nu-th x-derivative of each solution's
+    phase-normalized vector, the constant (1, -+rate, rate^2, -+rate^3)
+    (upper signs on the right), and its phase rate |x - x_end|: shape
+    (..., 2, 5), like `outer_general.DecayingPair`.  The solutions are
+    exact arbitrarily far out; `reach` is how far out a mode scans them.
     """
 
     side: str
-    rate: float
+    rates: tuple
     x_end: float
     reach: float
     eval_limit: float
@@ -90,13 +74,13 @@ class ExponentialSolution(PhaseNormalized):
     def samples_at(self, x, nu=0):
         x = np.asarray(x, dtype=float)
         s = 1.0 if self.side == "right" else -1.0
-        r = self.rate
-        out = np.zeros(x.shape + (5,))
-        if nu == 0:
-            out[..., :4] = (1.0, -s * r, r * r, -s * r**3)
-            out[..., 4] = s * r * (x - self.x_end)
-        elif nu == 1:
-            out[..., 4] = s * r
+        out = np.zeros(x.shape + (2, 5))
+        for i, r in enumerate(self.rates):
+            if nu == 0:
+                out[..., i, :4] = (1.0, -s * r, r * r, -s * r**3)
+                out[..., i, 4] = s * r * (x - self.x_end)
+            elif nu == 1:
+                out[..., i, 4] = s * r
         return out
 
 
@@ -107,34 +91,29 @@ def compact_outer_basis(profile, params, lam):
     if profile.kind != COMPACT:
         raise SolverError("compact outer basis needs a compact-gradient profile")
     k = params.k
-    nu_m = profile.rho_minus / params.mu
-    nu_p = profile.rho_plus / params.mu
     return CompactOuterBasis(
-        k=k, lam=lam, nu_minus=nu_m, nu_plus=nu_p,
-        tau_minus=math.sqrt(k * k + lam * nu_m),
-        tau_plus=math.sqrt(k * k + lam * nu_p),
+        k=k, lam=lam,
+        tau_minus=math.sqrt(k * k + lam * (profile.rho_minus / params.mu)),
+        tau_plus=math.sqrt(k * k + lam * (profile.rho_plus / params.mu)),
         a=float(profile.a))
 
 
 def compact_decaying_solutions(basis):
     """The decaying pairs {e^{-k|x-+a|}, e^{-tau|x-+a|}} on both sides.
 
-    Keyed like `OuterSolutions.solve`: {"right": {"U1+", "U2+"},
-    "left": {"U3-", "U4-"}}, slow rate k first.
+    Shaped like `OuterSolutions.solve`: {"right": ExponentialPair,
+    "left": ExponentialPair}, slow rate k first.
     """
     k = basis.k
     out = {}
-    for side, names, tau, x_end, s in (
-            ("right", ("U1+", "U2+"), basis.tau_plus, basis.a, 1.0),
-            ("left", ("U3-", "U4-"), basis.tau_minus, -basis.a, -1.0)):
+    for side, tau, x_end, s in (("right", basis.tau_plus, basis.a, 1.0),
+                                ("left", basis.tau_minus, -basis.a, -1.0)):
         if tau - k < DEGENERATE_REL * k:
             raise DegenerateBasisError(
                 f"tau - k = {tau - k:.3e} at lambda = {basis.lam:.6e}: "
                 "outer exponentials numerically collinear")
         reach = x_end + s * 12.0 / k      # sup |phi| scan: 12 slow lengths
-        out[side] = {name: ExponentialSolution(side, rate, x_end, reach,
-                                               s * math.inf)
-                     for name, rate in zip(names, (k, tau))}
+        out[side] = ExponentialPair(side, (k, tau), x_end, reach, s * math.inf)
     return out
 
 

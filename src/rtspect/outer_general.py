@@ -16,12 +16,15 @@ decaying at -inf is the same construction for the mirrored problem: in
 t = -x the equation keeps its form with rho0(-t) and g replaced by -g
 (U(x) = S U~(-x), S = diag(1, -1, 1, -1)), so each half line is solved in
 its outward coordinate t = sign*x by one code path and read back in x.
-One Picard iteration serves a whole array of lambdas at once.  The decaying
+One Picard iteration serves a whole array of lambdas at once, and
+`OuterSolutions.solve` returns per lambda one `DecayingPair` per side:
+both solutions sampled together, (N, 2, 4), slow first.  The decaying
 pairs close the problem on the window between the truncation points through
-the boundary coefficients n_ij, all from one array closure (`_closure`).
-Both endpoint quadratic forms must be positive semidefinite there at the
-fit's first 17 lambdas, whose n_ij start the Chebyshev interpolant in log
-lambda that the root search reads (`BoundaryFit`).
+the boundary coefficients n_ij, all from one array closure (`_closure`) of
+the stacked samples.  Both endpoint quadratic forms must be positive
+semidefinite there at the fit's first 17 lambdas, whose n_ij start the
+Chebyshev interpolant in log lambda that the root search reads
+(`BoundaryFit`, the tail source of increasing profiles).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .errors import (CoercivitySearchError, SolverError, TruncationError)
-from .outer_compact import BoundaryCoeffs, PhaseNormalized
+from .outer_compact import BoundaryCoeffs
 from .profiles import GL5_NODES, GL5_WEIGHTS
 
 MAX_PICARD_ITER = 64
@@ -488,31 +491,31 @@ def _grid_sup(W):
 
 
 @dataclass
-class DecayingSolution(PhaseNormalized):
-    """One solution of the first-order system pinned to a decaying direction.
+class DecayingPair:
+    """The two solutions decaying on one side, slow (e^{-k t}) first.
 
-    normalized holds e^{phase(x)} U(x) sampled on xs (so it tends to `limit`
-    at the far end); the splined phase and its slope rebuild raw values and
-    derivatives without overflow.  The spline is built on the first
-    `samples_at` call, which only a glued tail makes; boundary closures
-    read the samples directly.  The far end of xs is both the reach of
-    the tail and its evaluation limit: nothing is known beyond it.
+    normalized holds e^{phase(x)} U(x) sampled on xs (so it tends to
+    `limit` at the far end); one spline of it and the phase, built on the
+    first `samples_at` call, which only a glued tail makes, rebuilds raw
+    values and derivatives of both solutions without overflow.  The far
+    end of xs is both the reach of the tail and its evaluation limit.
+    updates = (slow, fast) are the Picard update sizes per round.
     """
 
     side: str
     lam: float
     xs: np.ndarray
-    normalized: np.ndarray          # (N, 4)
-    phase: np.ndarray               # (N,)
-    limit: np.ndarray               # (4,)
+    normalized: np.ndarray          # (N, 2, 4)
+    phase: np.ndarray               # (N, 2)
+    limit: np.ndarray               # (2, 4)
     updates: tuple
     _spline: object = field(default=None, repr=False)
 
     def samples_at(self, x, nu=0):
-        """nu-th x-derivative of (normalized, phase), shape (..., 5), splined."""
+        """nu-th x-derivative of (normalized, phase), shape (..., 2, 5)."""
         if self._spline is None:
-            self._spline = CubicSpline(
-                self.xs, np.column_stack([self.normalized, self.phase]))
+            self._spline = CubicSpline(self.xs, np.concatenate(
+                [self.normalized, self.phase[..., None]], axis=-1))
         return self._spline(np.asarray(x, dtype=float), nu)
 
     @property
@@ -523,17 +526,16 @@ class DecayingSolution(PhaseNormalized):
 
     @property
     def contraction_ratios(self):
-        """Ratios of successive Picard updates, after updates above round-off."""
-        u = self.updates
-        return tuple(u[i + 1] / u[i] for i in range(len(u) - 1)
-                     if u[i] > UPDATE_FLOOR)
+        """Ratios of successive Picard updates above round-off, slow first."""
+        return tuple(u[i + 1] / u[i] for u in self.updates
+                     for i in range(len(u) - 1) if u[i] > UPDATE_FLOOR)
 
 
 class OuterSolutions:
-    """Per-lambda factory and cache for the four decaying solutions.
+    """Per-lambda factory and cache for the decaying pairs.
 
-    solve(lam) returns {"right": {"U1+", "U2+"}, "left": {"U3-", "U4-"}},
-    slow solution first.  The left pair is the right-side construction on
+    solve(lam) returns {"right": DecayingPair, "left": DecayingPair}.
+    The left pair is the right-side construction on
     the mirrored half line, reflected back into x.  `lam_range` is
     [eps_star, sqrt(g/L0)], the interval the truncation is sized for; the
     contraction itself is checked round by round, and a ratio above 1/2
@@ -568,13 +570,12 @@ class OuterSolutions:
         return self._cache[key]
 
     def _solve(self, lams):
-        sides = [(hl.side, self._solve_half_line(hl, rho_n, drho_n, lams))
-                 for hl, rho_n, drho_n in self._lines]
-        return [{side: pairs[i] for side, pairs in sides}
-                for i in range(lams.size)]
+        right, left = (self._solve_half_line(hl, rho_n, drho_n, lams)
+                       for hl, rho_n, drho_n in self._lines)
+        return [{"right": r, "left": l} for r, l in zip(right, left)]
 
     def _solve_half_line(self, hl, rho_n, drho_n, lams):
-        """The pairs decaying as t = sign*x -> inf, one per lambda, ascending x.
+        """The DecayingPair as t = sign*x -> inf, one per lambda, ascending x.
 
         Arrays carry a lambda axis behind the grid axes.  Each lambda leaves
         the iteration when it converges and is checked for contraction on
@@ -661,48 +662,43 @@ class OuterSolutions:
         N = P * 6 + 1
         ts = np.empty(N)
         W_all = np.empty((N, m) + _BASE.shape)
-        phases = np.empty((2, N, m))
+        phases = np.empty((N, m, 2))
         ts[0::6] = edges
-        phases[0, 0::6] = alpha_e[:, None]
-        phases[1, 0::6] = beta_e
+        phases[0::6, :, 0] = alpha_e[:, None]
+        phases[0::6, :, 1] = beta_e
         W_all[0::6] = out_e
         for q in range(5):
             ts[1 + q::6] = nodes[:, q]
-            phases[0, 1 + q::6] = alpha_n[:, q, None]
-            phases[1, 1 + q::6] = beta_n[:, q]
+            phases[1 + q::6, :, 0] = alpha_n[:, q, None]
+            phases[1 + q::6, :, 1] = beta_n[:, q]
             W_all[1 + q::6] = out_n[:, q]
         W_all = np.moveaxis(W_all, -1, 0)[np.argsort(_ORDER)]    # (4,N,m,2)
 
         rho_all = np.asarray(self.profile.rho(hl.sign * ts))
         U = np.moveaxis(_apply_P(
             _sigma0(rho_all[:, None, None], params, lams[:, None]), params,
-            W_all), 0, -2)                                      # (N,m,4,2)
+            W_all), 0, -1)                                      # (N,m,2,4)
         sig_inf = np.sqrt(k * k + lams * _rho_limit(self.profile, hl.sign) / mu)
         limits = np.empty((m, 2, 4))
         limits[:, 0] = [-k**-3, k**-2, -k**-1, 1.0]
         limits[:, 1] = np.stack([-sig_inf**-3, sig_inf**-2, -sig_inf**-1,
                                  np.ones(m)], axis=-1)
         xs = ts
-        names = ("U1+", "U2+")
         if hl.sign < 0:
-            xs, U, phases = -ts[::-1], U[::-1] * _FLIP[:, None], phases[:, ::-1]
+            xs, U, phases = -ts[::-1], U[::-1] * _FLIP, phases[::-1]
             limits = limits * _FLIP
-            names = ("U3-", "U4-")
-        return [{name: DecayingSolution(
-                    side=hl.side, lam=float(lam), xs=xs,
-                    normalized=U[:, i, :, s], phase=phases[s, :, i],
-                    limit=limits[i, s], updates=tuple(updates[i][s]))
-                 for s, name in enumerate(names)}
-                for i, lam in enumerate(lams)]
+        return [DecayingPair(side=hl.side, lam=float(lam), xs=xs,
+                             normalized=U[:, i], phase=phases[:, i],
+                             limit=limits[i], updates=tuple(map(tuple, u)))
+                for i, (lam, u) in enumerate(zip(lams, updates))]
 
 
-def _closure(ra, rb, x):
+def _closure(S, x):
     """n_ij (..., 4) = (n11, n12, n21, n22) of a decaying pair whose
-    phase-normalized samples at the points x are ra, rb (..., 4): the two
+    phase-normalized samples at the points x are S (..., 2, 4): the two
     relations n_i1 phi + n_i2 phi' + phi^(i+1) = 0 annihilating both (row
     phases cancel), by two stacked 2x2 solves, one right-hand side each.
     A nearly dependent pair raises SolverError."""
-    S = np.stack([ra, rb], axis=-2)                         # (..., 2, 4)
     A = S[..., :2]
     det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
     bad = np.abs(det) < 1e-10 * np.prod(np.linalg.norm(A, axis=-1), axis=-1)
@@ -715,38 +711,33 @@ def _closure(ra, rb, x):
     return np.concatenate([n1, n2], axis=-2)[..., 0]
 
 
-def _closure_at(sols, side, x):
-    """n_ij (m, ..., 4) of m `OuterSolutions.solve` dicts at the points x
-    (...) of one side.  They must be samples of its grid (every panel edge
-    is one), so no spline is built."""
-    pairs = [list(sol[side].values()) for sol in sols]
-    xs = pairs[0][0].xs
+def _closure_at(pairs, x):
+    """n_ij (m, ..., 4) of m DecayingPairs of one side at the points x
+    (...).  They must be samples of its grid (every panel edge is one), so
+    no spline is built."""
+    xs = pairs[0].xs
     i = np.minimum(np.searchsorted(xs, x), xs.size - 1)
     off = xs[i] != x
     if off.any():
         raise SolverError(f"x={float(np.asarray(x)[off][0])!r} is not a sample "
                           "of the outer grid; closure points must be panel "
                           "edges")
-    u = np.array([[sol.normalized[i] for sol in pair] for pair in pairs])
-    return _closure(u[:, 0], u[:, 1], x)
+    return _closure(np.array([pair.normalized[i] for pair in pairs]), x)
 
 
 def _closure_rows(sols, x_minus, x_plus):
     """The n_ij (m, 8) of m solved lambdas at x_minus, then at x_plus: the
     rows `BoundaryFit` interpolates."""
-    return np.concatenate([_closure_at(sols, "left", x_minus),
-                           _closure_at(sols, "right", x_plus)], axis=-1)
+    return np.concatenate([_closure_at([s["left"] for s in sols], x_minus),
+                           _closure_at([s["right"] for s in sols], x_plus)],
+                          axis=-1)
 
 
-def boundary_coeffs_general(solutions, x_end, end):
-    """Boundary coefficients n_ij at x_end from the decaying pair.
-
-    solutions: the side dict {"U1+": ..., "U2+": ...} (right) or the left
-    analogue, slow solution first as `OuterSolutions.solve` returns it;
-    x_end must be a sample of its grid (`_closure_at`).
-    """
-    n = _closure_at([{end: solutions}], end, x_end)[0]
-    return BoundaryCoeffs(end, float(x_end), *map(float, n))
+def boundary_coeffs_general(pair, x_end):
+    """Boundary coefficients n_ij at x_end, a sample of the DecayingPair's
+    grid (`_closure_at`), on the pair's side."""
+    n = _closure_at([pair], x_end)[0]
+    return BoundaryCoeffs(pair.side, float(x_end), *map(float, n))
 
 
 def _fit_lambdas(lam_range, j, n):
@@ -790,7 +781,9 @@ class BoundaryFit:
     Each round is one batched outer solve, and none of it enters the
     engine's cache.  `n_nodes` and `tail` (the largest trailing ratio, the
     error estimate) describe the fit; they stay 0 and nan until it is
-    built.  `check` holds the fit to a direct solve at one lambda.
+    built.  It is the tail source of increasing profiles: `pairs` gives
+    the engine's cached DecayingPairs at one lambda, and `check` holds the
+    fit to their direct n_ij there.
     """
 
     def __init__(self, engine, x_minus, x_plus, rows):
@@ -810,13 +803,17 @@ class BoundaryFit:
         return (BoundaryCoeffs("left", self.x_minus, *map(float, n[:4])),
                 BoundaryCoeffs("right", self.x_plus, *map(float, n[4:])))
 
+    def pairs(self, lam):
+        """{"right": DecayingPair, "left": DecayingPair} at lam, cached."""
+        return self.engine.solve(lam)
+
     def check(self, lam):
         """Raise SolverError where the fit misses the direct n_ij at lam.
 
-        The direct n_ij come from the engine's cached solve at lam; the miss
-        is relative to the largest |n_ij| and may not exceed FIT_CHECK_TOL.
+        The direct n_ij come from `pairs(lam)`; the miss is relative to the
+        largest |n_ij| and may not exceed FIT_CHECK_TOL.
         """
-        direct = _closure_rows([self.engine.solve(lam)], self.x_minus,
+        direct = _closure_rows([self.pairs(lam)], self.x_minus,
                                self.x_plus)[0]
         miss = np.abs(self._values(lam) - direct).max() / np.abs(direct).max()
         if not miss <= FIT_CHECK_TOL:
@@ -903,23 +900,18 @@ def coercive_window(profile, params, setup, engine):
 
 @dataclass(frozen=True)
 class DecayEnvelopes:
-    """Deviation envelopes for the phase-normalized decaying solutions.
+    """Deviation envelopes of the phase-normalized decaying pairs: `right`
+    and `left` hold each side's (slow, fast) envelope.  at(side, x), shape
+    (..., 2), bounds ||normalized - limit|| of both solutions uniformly over
+    lambda in [eps_star, sqrt(g/L0)]; its sum (z_plus on the right, z_minus
+    on the left) decreases to 0 at the far end."""
 
-    env_u1..env_u4 bound ||normalized solution - limit|| uniformly over
-    lambda in [eps_star, sqrt(g/L0)]; z_plus = env_u1 + env_u2 and
-    z_minus = env_u3 + env_u4 decrease to 0 at the far ends.
-    """
+    right: tuple
+    left: tuple
 
-    env_u1: object
-    env_u2: object
-    env_u3: object
-    env_u4: object
-
-    def z_plus(self, x):
-        return self.env_u1(x) + self.env_u2(x)
-
-    def z_minus(self, x):
-        return self.env_u3(x) + self.env_u4(x)
+    def at(self, side, x):
+        envs = self.right if side == "right" else self.left
+        return np.stack([env(x) for env in envs], axis=-1)
 
 
 def decay_envelopes(profile, params, setup, gbounds):
@@ -964,6 +956,4 @@ def decay_envelopes(profile, params, setup, gbounds):
 
         return env_slow, env_fast
 
-    env1, env2 = build(setup.right)
-    env3, env4 = build(setup.left)
-    return DecayEnvelopes(env_u1=env1, env_u2=env2, env_u3=env3, env_u4=env4)
+    return DecayEnvelopes(right=build(setup.right), left=build(setup.left))

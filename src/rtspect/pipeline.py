@@ -16,12 +16,11 @@ import numpy as np
 from .assembly import HermiteSpace, build_mesh
 from .errors import BracketError, SolverError
 from .modes import glue_mode
-from .outer_compact import compact_decaying_solutions, compact_outer_basis
 from .outer_general import (BoundaryFit, OuterSolutions, coercive_window,
                             gamma_bounds, truncation_points)
 from .profiles import COMPACT, profile_bounds
-from .spectrum import (SCAN_POINTS, ModeCount, compact_builder,
-                       general_builder, mode_count, solve_dispersion)
+from .spectrum import (SCAN_POINTS, CompactTails, ModeCount, SliceBuilder,
+                       mode_count, solve_dispersion)
 
 LAMBDA_FLOOR_FACTOR = 1e-4     # default bracket floor, fraction of sqrt(g/L0)
 
@@ -53,10 +52,12 @@ class Pipeline:
         self._built = False
 
     def build(self):
-        """Window, mesh and slice builder; a second call does nothing.
+        """Window, tail source, mesh and slice builder; a second call does
+        nothing.
 
-        For increasing profiles the window's n_ij at 17 lambdas are the
-        boundary fit's first round; the first slice adds the rest.
+        The tail source is `CompactTails` for compact kinds.  For increasing
+        profiles it is the boundary fit, whose first round is the window's
+        n_ij at 17 lambdas; the first slice adds the rest.
         """
         if self._built:
             return self
@@ -66,8 +67,7 @@ class Pipeline:
             self.engine = None
             self.setup = None
             self.window = (-self.profile.a, self.profile.a)
-            self.decaying_solutions = lambda lam: compact_decaying_solutions(
-                compact_outer_basis(self.profile, self.params, lam))
+            tails = CompactTails(self.profile, self.params)
             # every curve decreases: its infimum is at the top bracket end
             self.count_grid = (lmax,)
         else:
@@ -76,23 +76,17 @@ class Pipeline:
             self.setup = truncation_points(self.profile, self.params,
                                            self.gbounds)
             self.engine = OuterSolutions(self.profile, self.params, self.setup)
-            self.decaying_solutions = self.engine.solve
             x_minus, x_plus, rows = coercive_window(
                 self.profile, self.params, self.setup, self.engine)
             self.window = (x_minus, x_plus)
-            fit = BoundaryFit(self.engine, x_minus, x_plus, rows)
+            tails = BoundaryFit(self.engine, x_minus, x_plus, rows)
             # the scan grid every solve_mode_index evaluates
             self.count_grid = np.linspace(self.eps_star, lmax, SCAN_POINTS)
         mesh = build_mesh(self.window[0], self.window[1], opts.n_elements,
                           opts.grading)
         self.space = HermiteSpace(mesh)
-        n_max = max(opts.n_modes, 8)
-        if self.profile.kind == COMPACT:
-            self.builder = compact_builder(self.profile, self.params,
-                                           self.space, n_max)
-        else:
-            self.builder = general_builder(self.profile, self.params,
-                                           self.space, n_max, fit)
+        self.builder = SliceBuilder(self.profile, self.params, self.space,
+                                    max(opts.n_modes, 8), tails)
         self._built = True
         return self
 
@@ -149,6 +143,6 @@ class Pipeline:
 
     def mode(self, point):
         self.build()
-        outer = self.decaying_solutions(point.lam)
-        bc = self.builder.bc_factory(point.lam)
-        return glue_mode(point, self.space, bc, outer, x_mid=self.x_mid)
+        tails = self.builder.tails
+        return glue_mode(point, self.space, tails(point.lam),
+                         tails.pairs(point.lam), x_mid=self.x_mid)

@@ -27,6 +27,8 @@ INCREASING = "strictly-increasing"
 # Relative closeness to the limits used to pick the search box for sup rho0'/rho0.
 _LIMIT_TOL = 1e-8
 _SUP_GRID = 4096
+# samples `validate` checks the invariants at
+_VALIDATE_GRID = 2001
 
 
 @dataclass(frozen=True)
@@ -292,7 +294,7 @@ def profile_bounds(profile, params):
                          x_peak=x_peak, x_lo=x_lo, x_hi=x_hi, x_rho_m=x_rho_m)
 
 
-def validate(profile, n_samples=2001):
+def validate(profile):
     """Sample the profile invariants and report the worst violations.
 
     The finite-difference consistency check is skipped within a few steps of
@@ -301,7 +303,7 @@ def validate(profile, n_samples=2001):
     """
     x_lo, x_hi = limit_box(profile, rel_tol=1e-6)
     pad = 5.0 * profile.scale
-    xs = np.linspace(x_lo - pad, x_hi + pad, n_samples)
+    xs = np.linspace(x_lo - pad, x_hi + pad, _VALIDATE_GRID)
     r = profile.rho(xs)
     d = profile.drho(xs)
     delta = profile.delta

@@ -4,12 +4,16 @@ The reduced problem at fixed lambda is the symmetric-definite pencil
 M_rho c = gamma K c, with K and M_rho banded; its positive eigenvalues
 gamma_1 >= gamma_2 >= ... play the role of the compact-operator spectrum,
 and a growth rate is any lambda with gamma_n(lambda) = lambda / (g k^2).
-One root search serves every profile: f_n = g k^2 gamma_n - lambda is
-scanned on a grid over the bracket and Brent's method refines every sign
-change.  For compact-gradient profiles each curve is strictly decreasing,
-so f_n has exactly one root and a two-point scan (the bracket ends)
-suffices; for strictly increasing profiles the curves are only continuous
-and the scan is finer.
+A `SliceBuilder` closes the window with the n_ij of one tail source,
+`CompactTails` for compact-gradient profiles or `outer_general.BoundaryFit`
+for strictly increasing ones; the same source hands out the decaying pairs
+that glue a mode.  One root search serves every profile (`solve_dispersion`):
+f_n = g k^2 gamma_n - lambda is scanned on a grid over the bracket, Brent's
+method refines every sign change, and the tail source checks every root.
+For compact-gradient profiles each curve is strictly decreasing, so f_n
+has exactly one root and a two-point scan (the bracket ends) suffices; for
+strictly increasing profiles the curves are only continuous and the scan
+is finer.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from .assembly import (BANDWIDTH, assemble_forms, assemble_volume,
                        coercivity_check)
 from .errors import BracketError, RankError, SolverError, StepSizeError
-from .outer_compact import compact_bc_coeffs, compact_outer_basis
+from .outer_compact import (compact_bc_coeffs, compact_decaying_solutions,
+                            compact_outer_basis)
 from .profiles import COMPACT
 
 DEFAULT_TOL = 1e-8
@@ -99,25 +104,47 @@ def gamma_spectrum(forms, n_max):
     return SpectrumSlice(lam=forms.lam, gammas=gam, vectors=vec, forms=forms)
 
 
-class SliceBuilder:
-    """Callable lambda -> SpectrumSlice with caching; owns the bc source.
+class CompactTails:
+    """Tail source of a compact-gradient profile, the exact exponentials
+    past -a and a: called at lambda it gives the (left, right) n_ij, and
+    `pairs(lam)` the `ExponentialPair` of each side."""
 
+    def __init__(self, profile, params):
+        self.profile = profile
+        self.params = params
+
+    def __call__(self, lam):
+        return compact_bc_coeffs(
+            compact_outer_basis(self.profile, self.params, lam))
+
+    def pairs(self, lam):
+        return compact_decaying_solutions(
+            compact_outer_basis(self.profile, self.params, lam))
+
+    def check(self, _lam):
+        """Nothing to check: the closures are exact."""
+
+
+class SliceBuilder:
+    """Callable lambda -> SpectrumSlice with caching; owns the tail source.
+
+    `tails` (`CompactTails`, or `outer_general.BoundaryFit` for increasing
+    profiles) gives the (left, right) n_ij at lambda when called, the
+    pairs that glue a mode (`tails.pairs(lam)`) and a `check(lam)` that
+    `solve_dispersion` runs at every root; the n_ij do not depend on the
+    mesh, so builders on other meshes of one window may share it.
     The lambda-independent forms are assembled once, into `volume`; each
     new slice adds lambda K_rho and the endpoint blocks of its n_ij.
     Every new slice also gets its coercivity margin (`coercivity_check`),
     which raises CoercivityError when the closed form is not coercive.
-    `bc_check`, when given, is called at every root `solve_dispersion`
-    returns and raises SolverError where the bc source breaks its contract.
     """
 
-    def __init__(self, profile, params, space, n_max, bc_factory,
-                 bc_check=None):
+    def __init__(self, profile, params, space, n_max, tails):
         self.profile = profile
         self.params = params
         self.volume = assemble_volume(profile, params, space)
         self.n_max = n_max
-        self.bc_factory = bc_factory
-        self.bc_check = bc_check
+        self.tails = tails
         self._cache = {}
 
     def __call__(self, lam):
@@ -125,8 +152,7 @@ class SliceBuilder:
         if key not in self._cache:
             if len(self._cache) > 512:
                 self._cache.clear()
-            bc = self.bc_factory(key)
-            forms = assemble_forms(self.volume, key, bc)
+            forms = assemble_forms(self.volume, key, self.tails(key))
             sl = gamma_spectrum(forms, self.n_max)
             sl.margin = coercivity_check(forms)
             self._cache[key] = sl
@@ -136,35 +162,13 @@ class SliceBuilder:
         return float(self(lam).gammas[n - 1])
 
 
-def compact_builder(profile, params, space, n_max):
-    """Slice builder closing the window at +-a with the exact tail rates."""
-
-    def factory(lam):
-        basis = compact_outer_basis(profile, params, lam)
-        return compact_bc_coeffs(basis)
-
-    return SliceBuilder(profile, params, space, n_max, factory)
-
-
-def general_builder(profile, params, space, n_max, fit):
-    """Slice builder reading n_ij from a Chebyshev interpolant in log lambda.
-
-    `fit`, an `outer_general.BoundaryFit` at the window ends, is the
-    `bc_factory`; the n_ij do not depend on the mesh, so builders on other
-    meshes of one window share it.  Every root `solve_dispersion` returns
-    is checked against a direct solve there (`BoundaryFit.check`), which
-    `Pipeline.mode` reads again from the engine's cache.
-    """
-    return SliceBuilder(profile, params, space, n_max, fit, bc_check=fit.check)
-
-
 def solve_dispersion(builder, n, bracket, tol=DEFAULT_TOL, n_scan=SCAN_POINTS):
     """Roots of f_n(lambda) = g k^2 gamma_n(lambda) - lambda inside `bracket`.
 
     Evaluates f_n at n_scan evenly spaced points from lambda_lo to
     lambda_hi (n_scan = 2 scans the bracket ends alone), refines every sign
     change by Brent's method and returns the list of DispersionPoint
-    (>= 1 expected for n <= N(eps_star)); the builder's `bc_check` runs at
+    (>= 1 expected for n <= N(eps_star)); `builder.tails.check` runs at
     every root.  Without a sign change the BracketError names the end to
     move: the floor when f_n < 0 throughout (for a strictly increasing
     profile that floor is eps_star), the top otherwise.
@@ -181,8 +185,7 @@ def solve_dispersion(builder, n, bracket, tol=DEFAULT_TOL, n_scan=SCAN_POINTS):
     def root(a, b):
         # brentq ends on a point it evaluated, so f(lam) is a cache hit
         lam = brentq(f, a, b, xtol=tol * hi)
-        if builder.bc_check is not None:
-            builder.bc_check(lam)
+        builder.tails.check(lam)
         sl = builder(lam)
         return DispersionPoint(n=n, lam=float(lam), residual=abs(f(lam)),
                                dofs=sl.vectors[:, n - 1].copy(),

@@ -74,21 +74,17 @@ def run_verification(pipe, seed=0):
         results.append(("derivative identity for 1/gamma_1 (<= 1e-3)",
                         err <= 1e-3, f"relative error {err:.2e}"))
     else:
-        sols = pipe.engine.solve(pipe.eps_star)
-        ratios = [r for side in ("right", "left")
-                  for s in sols[side].values() for r in s.contraction_ratios]
+        pairs = pipe.builder.tails.pairs(pipe.eps_star)
+        ratios = [r for pair in pairs.values() for r in pair.contraction_ratios]
         worst = max(ratios, default=0.0)
         results.append(("fixed-point contraction <= 1/2",
                         worst <= 0.5 + 1e-6, f"max ratio {worst:.4f}"))
         env = decay_envelopes(prof, par, pipe.setup, pipe.gbounds)
         env_ratios = []
-        for bound, side, key in ((env.env_u1, "right", "U1+"),
-                                 (env.env_u2, "right", "U2+"),
-                                 (env.env_u3, "left", "U3-"),
-                                 (env.env_u4, "left", "U4-")):
-            s = sols[side][key]
-            dev = np.linalg.norm(s.normalized - s.limit[None, :], axis=1)
-            env_ratios.append(np.max(dev / np.maximum(bound(s.xs), 1e-300)))
+        for side, pair in pairs.items():
+            dev = np.linalg.norm(pair.normalized - pair.limit, axis=-1)
+            env_ratios.append(np.max(
+                dev / np.maximum(env.at(side, pair.xs), 1e-300)))
         worst = float(np.max(env_ratios))     # NaN propagates and fails
         results.append(("decaying solutions inside printed envelopes",
                         worst <= 1.0, f"max dev/envelope = {worst:.3e}"))

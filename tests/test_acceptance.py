@@ -19,7 +19,7 @@ from rtspect.outer_compact import exponential_closure
 from rtspect.outer_general import boundary_coeffs_general, decay_envelopes
 from rtspect.pipeline import Pipeline, SolverOptions
 from rtspect.profiles import PhysicalParams
-from rtspect.spectrum import general_builder, gamma_derivative_check
+from rtspect.spectrum import SliceBuilder, gamma_derivative_check
 
 
 def report(num, name, ok, detail):
@@ -162,16 +162,11 @@ def test_criterion_8_picard_contraction_and_envelopes(accept_tanh,
     worst_env = 0.0
     for lam in (pipe.eps_star, pipe.bounds.lambda_max):
         sols = pipe.engine.solve(lam)
-        for side, keys, envs in (("right", ("U1+", "U2+"),
-                                  (env.env_u1, env.env_u2)),
-                                 ("left", ("U3-", "U4-"),
-                                  (env.env_u3, env.env_u4))):
-            for key, env_f in zip(keys, envs):
-                s = sols[side][key]
-                worst_ratio = max([worst_ratio, *s.contraction_ratios])
-                dev = np.linalg.norm(s.normalized - s.limit[None, :], axis=1)
-                worst_env = max(worst_env, float(
-                    np.max(dev / np.maximum(env_f(s.xs), 1e-300))))
+        for side, s in sols.items():
+            worst_ratio = max([worst_ratio, *s.contraction_ratios])
+            dev = np.linalg.norm(s.normalized - s.limit, axis=-1)
+            worst_env = max(worst_env, float(
+                np.max(dev / np.maximum(env.at(side, s.xs), 1e-300))))
     ok = worst_ratio <= 0.5 + 1e-6 and worst_env <= 1.0
     report(8, "fixed-point contraction <= 1/2 and printed decay envelopes",
            ok, f"max ratio {worst_ratio:.4f}, max dev/envelope {worst_env:.3e}")
@@ -187,7 +182,7 @@ def test_criterion_9_boundary_coefficient_limits(accept_tanh, tanh_profile,
                                        sig_p).as_tuple())
     gaps, errs = [], []
     for x_end in pipe.setup.right.edges[:-1:4]:
-        c = boundary_coeffs_general(sols["right"], x_end, "right")
+        c = boundary_coeffs_general(sols["right"], x_end)
         err = np.abs(np.array(c.as_tuple()) - lim).max()
         gap = tanh_profile.rho_plus - float(tanh_profile.rho(x_end))
         if err > 1e-11:
@@ -265,8 +260,8 @@ def test_criterion_12_mesh_convergence(accept_tanh, tanh_profile, params):
         from rtspect.spectrum import solve_dispersion
         mesh = build_mesh(*pipe.window, ne, "center:4")
         space = HermiteSpace(mesh)
-        builder = general_builder(tanh_profile, params, space, 1,
-                                  pipe.builder.bc_factory)
+        builder = SliceBuilder(tanh_profile, params, space, 1,
+                               pipe.builder.tails)
         pts = solve_dispersion(builder, 1, bracket, tol=1e-12, n_scan=5)
         lams[ne] = max(p.lam for p in pts)
     diff = abs(lams[256] - lams[512]) / lams[512]

@@ -18,7 +18,7 @@ from rtspect.outer_compact import (BoundaryCoeffs, compact_bc_coeffs,
 from rtspect.pipeline import Pipeline, SolverOptions
 from rtspect.profiles import (COMPACT, GL5_WEIGHTS, DensityProfile,
                               PhysicalParams)
-from rtspect.spectrum import compact_builder, general_builder
+from rtspect.spectrum import CompactTails, SliceBuilder
 
 
 def constant_profile(value=1.0, a=1.0):
@@ -248,10 +248,11 @@ def test_slices_stop_evaluating_the_profile(request, fixture):
                                   drho=counted(pipe.profile.drho))
     lams = np.array([0.21, 0.43, 0.67, 0.89]) * pipe.bounds.lambda_max
     if profile.kind == COMPACT:
-        builder = compact_builder(profile, pipe.params, pipe.space, 4)
+        builder = SliceBuilder(profile, pipe.params, pipe.space, 4,
+                               CompactTails(profile, pipe.params))
     else:
-        builder = general_builder(profile, pipe.params, pipe.space, 4,
-                                  pipe.builder.bc_factory)
+        builder = SliceBuilder(profile, pipe.params, pipe.space, 4,
+                               pipe.builder.tails)
         builder(lams[0])     # the fit may add its midpoints on a first slice
     assert calls
     before = len(calls)

@@ -90,6 +90,38 @@ def test_lambda_grid_points_key_rejected(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("grading", ("spiral:2", "geometric:nan"))
+def test_unknown_grading_exit_2(tmp_path, capsys, grading):
+    # a grading build_mesh cannot read is a configuration error, found
+    # before any solve
+    text = MINIMAL + f"\n[numerical]\ngrading = {grading}\n"
+    with pytest.raises(ConfigError, match="grading"):
+        parse_config(text)
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(text)
+    assert main(["dispersion", "--config", str(cfgfile),
+                 "--out", str(tmp_path)]) == 2
+    assert "error: config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ("n_elements = 40.7", "n_modes = 2.5",
+                                  "k_count = 3.5"))
+def test_fractional_counts_rejected(tmp_path, line):
+    key = line.split()[0]
+    if key == "k_count":
+        text = MINIMAL.replace("k = 1.0", f"k_min = 0.5\nk_max = 1.0\n{line}")
+    else:
+        text = MINIMAL + f"\n[numerical]\n{line}\n"
+    with pytest.raises(ConfigError, match=f"{key} is not a whole number"):
+        parse_config(text)
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(text)
+    assert main(["dispersion", "--config", str(cfgfile),
+                 "--out", str(tmp_path)]) == 2
+    # a whole number written as a float is still read
+    assert parse_config(text.replace(line.split()[-1], "4.0")) is not None
+
+
 def test_parse_missing_section_names_schema():
     with pytest.raises(ConfigError, match=r"\[physical\]"):
         parse_config("[profile]\nkind = tanh\nrho_minus = 1\nrho_plus = 2\nell = 1\n")

@@ -1,8 +1,8 @@
 """Source hygiene: no module in the package or the tests imports a name it
 never uses or defines a function (test or fixture included) taking a
-parameter it never reads, and the package defines nothing that the package,
-the tests and the benchmark never read.  A stdlib `ast` scan, so no linter
-is needed."""
+parameter it never reads, and the package defines nothing, class fields
+included, that the package, the tests and the benchmark never read.  A
+stdlib `ast` scan, so no linter is needed."""
 
 import ast
 import importlib
@@ -117,7 +117,8 @@ def test_benchmark_hooks_resolve():
 
 def _definitions(path):
     """(line, name) of every module-level function, class and constant and
-    every method the module defines; dunder names are exempt."""
+    every method and annotated field (a dataclass field) of its classes;
+    dunder names are exempt."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for node in tree.body:
@@ -131,6 +132,9 @@ def _definitions(path):
         if isinstance(node, ast.ClassDef):
             found += [(f.lineno, f.name) for f in node.body
                       if isinstance(f, ast.FunctionDef)]
+            found += [(f.lineno, f.target.id) for f in node.body
+                      if isinstance(f, ast.AnnAssign)
+                      and isinstance(f.target, ast.Name)]
     return [(line, name) for line, name in found
             if not (name.startswith("__") and name.endswith("__"))]
 
@@ -169,8 +173,10 @@ def test_scan_flags_an_unread_definition(tmp_path):
                    "def unused():\n    pass\n\n\n"
                    "class C:\n    def __init__(self):\n        self.x = 1\n\n"
                    "    def run(self):\n        return used()\n\n"
-                   "    def idle(self):\n        pass\n")
+                   "    def idle(self):\n        pass\n\n\n"
+                   "class D:\n    read: int\n    unread: float = 0.0\n")
     user = tmp_path / "t.py"
-    user.write_text("import m\nm.C().run()\n")
+    user.write_text("import m\nm.C().run()\nprint(m.D(1).read)\n")
     assert _unread_definitions([src], [src, user]) == [
-        (src, 2, "UNUSED"), (src, 9, "unused"), (src, 20, "idle")]
+        (src, 2, "UNUSED"), (src, 9, "unused"), (src, 20, "idle"),
+        (src, 26, "unread")]

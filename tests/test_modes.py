@@ -127,8 +127,8 @@ def test_trivial_inner_rejected(bump_pipe):
     bad = copy.copy(pt)
     bad.dofs = np.zeros_like(pt.dofs)
     with pytest.raises(GluingError):
-        glue_mode(bad, bump_pipe.space, bump_pipe.builder.bc_factory(pt.lam),
-                  bump_pipe.decaying_solutions(pt.lam))
+        tails = bump_pipe.builder.tails
+        glue_mode(bad, bump_pipe.space, tails(pt.lam), tails.pairs(pt.lam))
 
 
 def test_extrapolation_error_beyond_truncation(tanh_mode, tanh_pipe):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from rtspect import outer_general as og
 from rtspect.errors import CoercivitySearchError, SolverError
@@ -275,8 +276,7 @@ def test_picard_contraction_and_updates(ctx):
     for lam in (eps, pb.lambda_max):
         sols = eng.solve(lam)
         for side in ("right", "left"):
-            for s in sols[side].values():
-                u = s.updates
+            for u in sols[side].updates:
                 assert u[0] <= 1.0 + 1e-12
                 for j in range(1, len(u)):
                     if u[j - 1] > og.UPDATE_FLOOR:
@@ -298,35 +298,56 @@ def test_batched_solve_matches_batch_of_one(ctx):
     for lam, sols in zip(lams, batch):
         one = eng.solve(float(lam))
         for side in ("right", "left"):
-            for name, s in sols[side].items():
-                ref = one[side][name]
-                assert s.lam == ref.lam
-                assert np.array_equal(s.xs, ref.xs)
-                assert np.abs(s.normalized - ref.normalized).max() <= \
-                    1e-14 * np.abs(ref.normalized).max()
-                assert np.abs(s.phase - ref.phase).max() <= \
-                    1e-14 * np.abs(ref.phase).max()
-                assert s.limit == pytest.approx(ref.limit, rel=1e-15)
-                assert len(s.updates) == len(ref.updates)
-                assert np.abs(np.subtract(s.updates, ref.updates)).max() <= 1e-15
+            s, ref = sols[side], one[side]
+            assert s.lam == ref.lam
+            assert np.array_equal(s.xs, ref.xs)
+            for j in range(2):          # slow, then fast solution
+                assert np.abs(s.normalized[:, j] - ref.normalized[:, j]).max() \
+                    <= 1e-14 * np.abs(ref.normalized[:, j]).max()
+                assert np.abs(s.phase[:, j] - ref.phase[:, j]).max() <= \
+                    1e-14 * np.abs(ref.phase[:, j]).max()
+                assert s.limit[j] == pytest.approx(ref.limit[j], rel=1e-15)
+                assert len(s.updates[j]) == len(ref.updates[j])
+                assert np.abs(np.subtract(s.updates[j],
+                                          ref.updates[j])).max() <= 1e-15
 
 
 def test_limits_and_wronskian(ctx):
     prof, par, pb, eps, gb, setup, eng = ctx
     lam = 0.3
     sols = eng.solve(lam)
-    u1, u2 = sols["right"]["U1+"], sols["right"]["U2+"]
+    right, left = sols["right"], sols["left"]
+    u1, u2 = right.normalized[:, 0], right.normalized[:, 1]
     k, mu = par.k, par.mu
     sig_p = math.sqrt(k**2 + lam * prof.rho_plus / mu)
-    det = (u1.normalized[:, 0] * u2.normalized[:, 1]
-           - u1.normalized[:, 1] * u2.normalized[:, 0])
+    det = u1[:, 0] * u2[:, 1] - u1[:, 1] * u2[:, 0]
     target = -lam * prof.rho_plus / (mu * k**3 * sig_p**3 * (k + sig_p))
     assert det[-1] == pytest.approx(target, rel=1e-9)
     # phase-normalized samples approach the documented limit 4-vectors
-    assert u2.normalized[-1] == pytest.approx(u2.limit, abs=1e-12)
-    u3, u4 = sols["left"]["U3-"], sols["left"]["U4-"]
-    assert u4.normalized[0] == pytest.approx(u4.limit, abs=1e-12)
-    assert np.abs(u3.normalized[0] - u3.limit).max() <= 0.2  # in-span drift only
+    assert u2[-1] == pytest.approx(right.limit[1], abs=1e-12)
+    u3, u4 = left.normalized[:, 0], left.normalized[:, 1]
+    assert u4[0] == pytest.approx(left.limit[1], abs=1e-12)
+    assert np.abs(u3[0] - left.limit[0]).max() <= 0.2  # in-span drift only
+
+
+def test_pair_spline_is_the_per_solution_splines(ctx):
+    # one spline over both solutions' stacked samples gives, bit for bit,
+    # what a spline over each solution's own samples gives
+    prof, par, pb, eps, gb, setup, eng = ctx
+    for pair in eng.solve(0.3).values():
+        xs = np.linspace(pair.xs[0], pair.xs[-1], 1001)
+        for j in range(2):
+            one = CubicSpline(pair.xs, np.column_stack(
+                [pair.normalized[:, j], pair.phase[:, j]]))
+            for nu in (0, 1):
+                assert np.array_equal(pair.samples_at(xs, nu)[:, j],
+                                      one(xs, nu))
+
+
+def _raw(pair, x):
+    """U(x) = e^{-phase(x)} normalized(x) of both solutions, (2, 4)."""
+    v = pair.samples_at(x)
+    return np.exp(-v[..., 4])[..., None] * v[..., :4]
 
 
 def test_solutions_satisfy_the_system(ctx):
@@ -338,11 +359,11 @@ def test_solutions_satisfy_the_system(ctx):
     # in x all four must solve the original system
     for side, x_tilde, out in (("right", setup.x_tilde_plus, 1.0),
                                ("left", setup.x_tilde_minus, -1.0)):
-        for s in sols[side].values():
-            for x in x_tilde + out * np.linspace(0.5, 3, 5):
-                U = s.raw_at(x)
-                dU = (s.raw_at(x + h) - s.raw_at(x - h)) / (2 * h)
-                sm = og.system_matrices(prof, par, x, lam)
+        pair = sols[side]
+        for x in x_tilde + out * np.linspace(0.5, 3, 5):
+            sm = og.system_matrices(prof, par, x, lam)
+            slopes = (_raw(pair, x + h) - _raw(pair, x - h)) / (2 * h)
+            for U, dU in zip(_raw(pair, x), slopes):
                 rhs = (sm.L + float(prof.drho(x)) * sm.R) @ U
                 assert np.abs(dU - rhs).max() <= 1e-8 * max(np.abs(rhs).max(), 1e-30)
 
@@ -354,10 +375,10 @@ def test_boundary_coeff_limits(ctx):
     k, mu = par.k, par.mu
     sig_m = math.sqrt(k * k + lam * prof.rho_minus / mu)
     sig_p = math.sqrt(k * k + lam * prof.rho_plus / mu)
-    right = og.boundary_coeffs_general(sols["right"], setup.X_max, "right")
+    right = og.boundary_coeffs_general(sols["right"], setup.X_max)
     lim_r = exponential_closure("right", math.inf, k, sig_p)
     assert right.as_tuple() == pytest.approx(lim_r.as_tuple(), abs=1e-9)
-    left = og.boundary_coeffs_general(sols["left"], setup.X_min, "left")
+    left = og.boundary_coeffs_general(sols["left"], setup.X_min)
     lim_l = exponential_closure("left", -math.inf, k, sig_m)
     assert left.as_tuple() == pytest.approx(lim_l.as_tuple(), abs=1e-9)
 
@@ -397,7 +418,7 @@ def test_general_matches_compact_formulas_far_out(ctx):
     sols = eng.solve(lam)
     x_end = setup.X_max
     assert prof.rho_plus - float(prof.rho(x_end)) < 1e-9
-    right = og.boundary_coeffs_general(sols["right"], x_end, "right")
+    right = og.boundary_coeffs_general(sols["right"], x_end)
     tau = math.sqrt(par.k**2 + lam * float(prof.rho(x_end)) / par.mu)
     ref = exponential_closure("right", math.inf, par.k, tau)
     for a, b in zip(right.as_tuple(), ref.as_tuple()):
@@ -409,14 +430,14 @@ def test_closure_reads_samples_and_builds_no_spline(tanh_profile, params):
     # samples and splines none of the cached solutions
     pipe = Pipeline(tanh_profile, params, SolverOptions(n_elements=64))
     pipe.dispersion(3)
-    cached = [sol for sides in pipe.engine._cache.values()
-              for side in sides.values() for sol in side.values()]
-    assert cached and all(sol._spline is None for sol in cached)
-    sols = pipe.engine.solve(0.3)["right"]
+    cached = [pair for sides in pipe.engine._cache.values()
+              for pair in sides.values()]
+    assert cached and all(pair._spline is None for pair in cached)
+    pair = pipe.engine.solve(0.3)["right"]
     x_plus = pipe.window[1]
-    for x in (np.nextafter(x_plus, math.inf), sols["U1+"].xs[-1] + 1.0):
+    for x in (np.nextafter(x_plus, math.inf), pair.xs[-1] + 1.0):
         with pytest.raises(SolverError):
-            og.boundary_coeffs_general(sols, x, "right")
+            og.boundary_coeffs_general(pair, x)
 
 
 def _pair_closed_by(side, x, n):
@@ -425,10 +446,9 @@ def _pair_closed_by(side, x, n):
     (1, 0, -n11, -n21) and (0, 1, -n12, -n22)."""
     n11, n12, n21, n22 = n
     rows = ((1.0, 0.0, -n11, -n21), (0.0, 1.0, -n12, -n22))
-    return {name: og.DecayingSolution(
-                side=side, lam=1.0, xs=np.array([x]), normalized=np.array([r]),
-                phase=np.zeros(1), limit=np.zeros(4), updates=())
-            for name, r in zip(("slow", "fast"), rows)}
+    return og.DecayingPair(
+        side=side, lam=1.0, xs=np.array([x]), normalized=np.array([rows]),
+        phase=np.zeros((1, 2)), limit=np.zeros((2, 4)), updates=((), ()))
 
 
 def test_closure_rejects_a_dependent_pair():
@@ -438,17 +458,16 @@ def test_closure_rejects_a_dependent_pair():
     # at x = 1 the fast (phi, phi') row is 3 times the slow one
     fast = np.array([[1.0, 2.5, 3.0, 4.0], [3.0, 6.0, 3.0, 4.0],
                      [1.0, 2.0, 0.5, 2.0]])
-    pair = {name: og.DecayingSolution(
-                side="right", lam=1.0, xs=xs, normalized=u, phase=np.zeros(3),
-                limit=np.zeros(4), updates=())
-            for name, u in (("U1+", slow), ("U2+", fast))}
+    pair = og.DecayingPair(
+        side="right", lam=1.0, xs=xs, normalized=np.stack([slow, fast], axis=1),
+        phase=np.zeros((3, 2)), limit=np.zeros((2, 4)), updates=((), ()))
     with pytest.raises(SolverError, match="nearly dependent at x=1"):
-        og.boundary_coeffs_general(pair, 1.0, "right")
+        og.boundary_coeffs_general(pair, 1.0)
     with pytest.raises(SolverError, match="nearly dependent at x=1"):
-        og._closure_at([{"right": pair}], "right", xs)
+        og._closure_at([pair], xs)
     # elsewhere both relations annihilate both solutions
     for i in (0, 2):
-        c = og.boundary_coeffs_general(pair, xs[i], "right")
+        c = og.boundary_coeffs_general(pair, xs[i])
         n = np.array(c.as_tuple()).reshape(2, 2)
         for u in (slow[i], fast[i]):
             assert n @ u[:2] + u[2:] == pytest.approx([0.0, 0.0], abs=1e-14)
@@ -461,15 +480,15 @@ def test_coercive_window_is_the_truncation_points(ctx):
     # its rows are the scalar closures at those points, bit for bit
     lams = og._fit_lambdas(eng.lam_range, np.arange(17), 16)
     batch = eng.solve(lams)
-    direct = [og.boundary_coeffs_general(sols["left"], xm, "left").as_tuple()
-              + og.boundary_coeffs_general(sols["right"], xp, "right").as_tuple()
+    direct = [og.boundary_coeffs_general(sols["left"], xm).as_tuple()
+              + og.boundary_coeffs_general(sols["right"], xp).as_tuple()
               for sols in batch]
     assert rows.shape == (17, 8)
     assert np.array_equal(rows, direct)
 
     # and the reference: one point's two 2x2 solves, one vector each
     def one_point(pair, x):
-        ra, rb = (u.normalized[np.searchsorted(u.xs, x)] for u in pair.values())
+        ra, rb = pair.normalized[np.searchsorted(pair.xs, x)]
         A = np.array([ra[:2], rb[:2]])
         return [*np.linalg.solve(A, -np.array([ra[2], rb[2]])),
                 *np.linalg.solve(A, -np.array([ra[3], rb[3]]))]
@@ -515,34 +534,32 @@ def test_decay_envelopes(ctx):
     prof, par, pb, eps, gb, setup, eng = ctx
     env = og.decay_envelopes(prof, par, setup, gb)
     xs = np.linspace(setup.x_tilde_plus, setup.X_max, 50)
-    z = env.z_plus(xs)
+    z = env.at("right", xs).sum(axis=-1)
     # monotone decrease; the slow exponential dies on the 1/(delta - k)
     # scale, so only the fast component is near zero by X_max
     assert np.all(np.diff(z) <= 1e-9 * z[0])
     assert z[-1] < z[0]
     # and the left pair's envelope mirrors it toward -inf
-    z = env.z_minus(np.linspace(setup.x_tilde_minus, setup.X_min, 50))
+    z = env.at("left", np.linspace(setup.x_tilde_minus, setup.X_min, 50)
+               ).sum(axis=-1)
     assert np.all(np.diff(z) <= 1e-9 * z[0])
     assert z[-1] < z[0]
-    assert env.env_u2(setup.X_max) <= 1e-9 * env.env_u2(setup.x_tilde_plus)
+    env_u1, env_u2 = env.right
+    assert env_u2(setup.X_max) <= 1e-9 * env_u2(setup.x_tilde_plus)
     # the fast envelope is proportional to (rho_plus - rho0)
     gaps = prof.rho_plus - np.asarray(prof.rho(xs[:-1]))
-    ratio = env.env_u2(xs[:-1]) / gaps
+    ratio = env_u2(xs[:-1]) / gaps
     assert np.ptp(ratio) <= 1e-9 * ratio[0]
     # at x_tilde the slow envelope carries the rho0(x_tilde) e^0 term
-    e1 = env.env_u1(setup.x_tilde_plus)
+    e1 = env_u1(setup.x_tilde_plus)
     base = 2 * gb.Gamma_p * gb.Gamma_m
     assert e1 >= base * float(prof.rho(setup.x_tilde_plus))
     # every solution stays within its printed envelope at every grid point
     for lam in (eps, pb.lambda_max):
         sols = eng.solve(lam)
-        for name, key, side in (("env_u1", "U1+", "right"),
-                                ("env_u2", "U2+", "right"),
-                                ("env_u3", "U3-", "left"),
-                                ("env_u4", "U4-", "left")):
-            s = sols[side][key]
-            dev = np.linalg.norm(s.normalized - s.limit[None, :], axis=1)
-            assert np.all(dev <= getattr(env, name)(s.xs) + 1e-30)
+        for side, s in sols.items():
+            dev = np.linalg.norm(s.normalized - s.limit, axis=-1)
+            assert np.all(dev <= env.at(side, s.xs) + 1e-30)
 
 
 def test_slow_envelopes_match_the_documented_formula(tanh_profile, params,
@@ -560,8 +577,8 @@ def test_slow_envelopes_match_the_documented_formula(tanh_profile, params,
         return float(tanh_profile.rho(x))
 
     for env_slow, x_t, rho_lim, out in (
-            (env.env_u1, setup.x_tilde_plus, tanh_profile.rho_plus, 1.0),
-            (env.env_u3, setup.x_tilde_minus, tanh_profile.rho_minus, -1.0)):
+            (env.right[0], setup.x_tilde_plus, tanh_profile.rho_plus, 1.0),
+            (env.left[0], setup.x_tilde_minus, tanh_profile.rho_minus, -1.0)):
         for d in (2.0, 10.0):
             x = x_t + out * d
             conv = quad(lambda tau: rho(tau) * math.exp(-r * abs(x - tau)),

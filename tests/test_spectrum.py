@@ -10,8 +10,8 @@ from rtspect import spectrum
 from rtspect.errors import BracketError, RankError, SolverError, StepSizeError
 from rtspect.outer_general import boundary_coeffs_general
 from rtspect.pipeline import Pipeline, SolverOptions
-from rtspect.spectrum import (gamma_derivative_check, gamma_spectrum,
-                              general_builder, mode_count, solve_dispersion)
+from rtspect.spectrum import (SliceBuilder, gamma_derivative_check,
+                              gamma_spectrum, mode_count, solve_dispersion)
 
 
 def test_pencil_residual_and_orthonormality(bump_pipe):
@@ -69,8 +69,8 @@ def test_rayleigh_quotient_bound(bump_pipe):
 
 
 def test_gamma_decay_regression(tanh_pipe, tanh_bounds):
-    b40 = general_builder(tanh_pipe.profile, tanh_pipe.params,
-                          tanh_pipe.space, 40, tanh_pipe.builder.bc_factory)
+    b40 = SliceBuilder(tanh_pipe.profile, tanh_pipe.params,
+                       tanh_pipe.space, 40, tanh_pipe.builder.tails)
     sl = b40(0.5 * tanh_bounds.lambda_max)
     assert sl.gammas[39] <= 1e-2 * sl.gammas[0]
 
@@ -148,7 +148,7 @@ def test_general_roots_reverified(tanh_pipe):
 
 def test_boundary_fit_is_lazy_and_matches_direct_solves(tanh_profile, params):
     pipe = Pipeline(tanh_profile, params, SolverOptions(n_elements=64)).build()
-    fit = pipe.builder.bc_factory
+    fit = pipe.builder.tails
     assert fit.n_nodes == 0 and math.isnan(fit.tail)    # build pays nothing
     pipe.builder(0.3)
     assert fit.n_nodes >= 17 and fit.tail < 1e-13
@@ -157,8 +157,8 @@ def test_boundary_fit_is_lazy_and_matches_direct_solves(tanh_profile, params):
                                                    math.log(hi), 50))
     x_minus, x_plus = pipe.window
     for lam, sols in zip(lams, pipe.engine.solve(lams)):
-        direct = (boundary_coeffs_general(sols["left"], x_minus, "left"),
-                  boundary_coeffs_general(sols["right"], x_plus, "right"))
+        direct = (boundary_coeffs_general(sols["left"], x_minus),
+                  boundary_coeffs_general(sols["right"], x_plus))
         for got, ref in zip(fit(lam), direct):
             assert (got.end, got.x) == (ref.end, ref.x)
             assert got.as_tuple() == pytest.approx(ref.as_tuple(), rel=1e-12)
@@ -181,7 +181,7 @@ def test_window_search_and_fit_share_one_batch(tanh_profile, params,
     pipe = Pipeline(tanh_profile, params, SolverOptions(n_elements=64)).build()
     pipe.builder(0.3)
     assert [b.size for b in batches] == [17, 16]
-    assert pipe.builder.bc_factory.n_nodes == 33
+    assert pipe.builder.tails.n_nodes == 33
     # Chebyshev points of the second kind in log lambda: the window's 17 are
     # the even ones of the fit's 33, the midpoints the odd ones
     lo, hi = pipe.engine.lam_range
@@ -193,11 +193,38 @@ def test_window_search_and_fit_share_one_batch(tanh_profile, params,
 
 def test_corrupted_fit_fails_the_root_check(tanh_profile, params):
     pipe = Pipeline(tanh_profile, params, SolverOptions(n_elements=64)).build()
-    fit = pipe.builder.bc_factory
+    fit = pipe.builder.tails
     fit(pipe.eps_star)                      # builds the fit, no slice
     fit.coeffs[2, 5] += 1e-6 * np.abs(fit.coeffs[:, 5]).max()
     with pytest.raises(SolverError, match="log-lambda fit"):
         pipe.solve_mode_index(1)
+
+
+@pytest.mark.parametrize("fixture", ("bump_pipe", "tanh_pipe"))
+def test_one_tail_source_checks_roots_and_glues_modes(fixture, request,
+                                                      monkeypatch):
+    # both profile kinds run every root through tails.check and glue the
+    # mode from tails.pairs at its lambda
+    pipe = request.getfixturevalue(fixture)
+    tails = pipe.builder.tails
+    check, pairs = tails.check, tails.pairs
+    checked, handed = [], []
+
+    def recording_pairs(lam):
+        handed.append((lam, pairs(lam)))
+        return handed[-1][1]
+
+    monkeypatch.setattr(tails, "check",
+                        lambda lam: checked.append(lam) or check(lam))
+    pts = pipe.solve_mode_index(2)
+    assert pts and checked == [p.lam for p in pts]
+    # the fit's check reads the pairs too, so record from here on
+    monkeypatch.setattr(tails, "pairs", recording_pairs)
+    mode = pipe.mode(pts[0])
+    [(lam, out)] = handed
+    assert lam == pts[0].lam
+    assert mode.outer_left.pair is out["left"]
+    assert mode.outer_right.pair is out["right"]
 
 
 def test_increasing_bracket_error_names_eps_star(tanh_profile, params):
