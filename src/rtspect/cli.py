@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import build_mesh
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, ProfileError, SolverError
 from .evans import evans_function
 from .modes import reconstruct_fields
 from .outer_general import _closure_at, _sigma0, endpoint_psd_margins
@@ -98,6 +98,20 @@ def _getint(sec, key, name, default=None):
     return int(value)
 
 
+def _csv_samples(path):
+    """The (x, rho) rows of a tabulated profile's CSV; '#' rows are comments."""
+    samples = []
+    with open(path, newline="") as fh:
+        for row in csv.reader(fh):
+            if row and not row[0].lstrip().startswith("#"):
+                try:
+                    samples.append((float(row[0]), float(row[1])))
+                except (ValueError, IndexError):
+                    raise ConfigError(f"profile.csv row {row!r} is not a "
+                                      "pair of numbers x, rho") from None
+    return samples
+
+
 def parse_config(text):
     """Parse and validate the sectioned key=value configuration."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -127,23 +141,16 @@ def parse_config(text):
                           required=kind != "tabulated")
     rho_plus = _getfloat(sec, "rho_plus", "profile",
                          required=kind != "tabulated")
-    if kind == "tanh":
-        profile = make_profile("tanh", rho_minus=rho_minus, rho_plus=rho_plus,
-                               ell=_getfloat(sec, "ell", "profile", required=True))
-    elif kind == "bump":
-        profile = make_profile("bump", rho_minus=rho_minus, rho_plus=rho_plus,
-                               a=_getfloat(sec, "a", "profile", required=True))
-    else:
-        path = sec.get("csv")
-        if not path:
-            raise ConfigError("profile.csv path is required for tabulated kind")
-        samples = []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                samples.append((float(row[0]), float(row[1])))
-        profile = make_profile("tabulated", samples=samples)
+    shape = {"tanh": "ell", "bump": "a"}.get(kind)
+    if shape is None and not sec.get("csv"):
+        raise ConfigError("profile.csv path is required for tabulated kind")
+    kwargs = ({"samples": _csv_samples(sec["csv"])} if shape is None else
+              {"rho_minus": rho_minus, "rho_plus": rho_plus,
+               shape: _getfloat(sec, shape, "profile", required=True)})
+    try:    # make_profile is the one check of a profile's parameters
+        profile = make_profile(kind, **kwargs)
+    except ProfileError as exc:
+        raise ConfigError(f"profile: {exc}") from None
 
     sec = cp["physical"]
     g = _getfloat(sec, "g", "physical", required=True)
@@ -196,8 +203,13 @@ def parse_config(text):
     out_dir = "."
     if "output" in cp:
         out_dir = cp["output"].get("directory", ".")
-    return RunConfig(profile=profile, k_values=k_values, g=g, mu=mu,
-                     k_split=k_split, opts=opts, out_dir=out_dir)
+    cfg = RunConfig(profile=profile, k_values=k_values, g=g, mu=mu,
+                    k_split=k_split, opts=opts, out_dir=out_dir)
+    try:    # PhysicalParams is the one check of a k1/k2 split
+        cfg.params_for(k_values[0])
+    except ProfileError as exc:
+        raise ConfigError(f"physical: {exc}") from None
+    return cfg
 
 
 def _write_csv(path, header, rows):

@@ -6,22 +6,22 @@ s = sigma0(x, lam) = sqrt(k^2 + lam*rho0(x)/mu); diagonalizing U = P V turns
 the system into V' = (D + rho0' M) V with a coupling M that is integrable at
 both infinities.  The two solutions decaying at +inf are built by a
 fixed-point (Picard) iteration on a truncated half line, whose every round
-is checked for contraction.  rho0' M is formed once per solve, in closed
-form, and a round is a fixed number of whole-array operations: each kernel
-integral exp(-psi(x)) int exp(psi) f is a prefix sum of phase-scaled panel
-integrals (Blelloch, "Prefix sums and their applications", 1990), taken in
-blocks over which psi rises by at most SCAN_BLOCK_PHASE so nothing
-overflows, with only the block ends carried from block to block.  The pair
-decaying at -inf is the same construction for the mirrored problem: in
-t = -x the equation keeps its form with rho0(-t) and g replaced by -g
-(U(x) = S U~(-x), S = diag(1, -1, 1, -1)), so each half line is solved in
-its outward coordinate t = sign*x by one code path and read back in x.
-One Picard iteration serves a whole array of lambdas at once, and
-`OuterSolutions.solve` returns per lambda one `DecayingPair` per side:
-both solutions sampled together, (N, 2, 4), slow first.  The decaying
-pairs close the problem on the window between the truncation points through
-the boundary coefficients n_ij, all from one array closure (`_closure`) of
-the stacked samples.  Both endpoint quadratic forms must be positive
+is checked for contraction.  Every array of the solve lives on one sample
+set, the panel edges with each panel's 5 Gauss nodes between them.  rho0' M
+is formed once per solve, in closed form, and a round is a fixed number of
+whole-array operations: each kernel integral exp(-psi(x)) int exp(psi) f is
+a prefix sum of phase-scaled panel integrals (Blelloch, "Prefix sums and
+their applications", 1990), taken in blocks over which psi rises by at most
+SCAN_BLOCK_PHASE so nothing overflows.  The pair decaying at -inf is the
+same construction for the mirrored problem: in t = -x the equation keeps
+its form with rho0(-t) and g replaced by -g (U(x) = S U~(-x), S = diag(1,
+-1, 1, -1)), so each half line is solved in its outward coordinate
+t = sign*x by one code path and read back in x.  One Picard iteration
+serves a whole array of lambdas, and `OuterSolutions.solve` returns per
+lambda one `DecayingPair` per side: both solutions on the samples, (N, 2,
+4), slow first.  The pairs close the problem on the window between the
+truncation points through the boundary coefficients n_ij, all from one
+array closure (`_closure`).  Both endpoint quadratic forms must be positive
 semidefinite there at the fit's first 17 lambdas, whose n_ij start the
 Chebyshev interpolant in log lambda that the root search reads
 (`BoundaryFit`, the tail source of increasing profiles).
@@ -54,11 +54,10 @@ TRUNCATION_MARGIN = 0.3
 N_PANELS = 160
 PANEL_RATIO = 1.03
 # boundary-coefficient fit: first degree (17 points, where the window is
-# tested too), degree cap, trailing over largest Chebyshev coefficient that
-# ends the doubling, and the largest relative miss `BoundaryFit.check` allows
+# tested too), degree cap, and the largest relative miss of the direct n_ij,
+# which ends the doubling and which `BoundaryFit.check` allows at a root
 FIT_FIRST_DEGREE = 16
 FIT_MAX_DEGREE = 256
-FIT_TAIL_TOL = 1e-13
 FIT_CHECK_TOL = 1e-10
 
 
@@ -275,18 +274,26 @@ def _solve_monotone_level(f, start, scale):
     return root if f(root) <= 0 else root + 2.0 * xtol
 
 
+def _nodes(a):
+    """The Gauss-node view (P, 5, ...) of an array on a half line's samples
+    (6P + 1, ...), each panel's bottom edge and 5 nodes, then the last edge:
+    a[::6] are the edges.  Reversed samples have the same layout."""
+    return a[:-1].reshape((-1, 6) + a.shape[1:])[:, 1:]
+
+
 @dataclass(frozen=True)
 class HalfLine:
     """One truncated half line in its outward coordinate t = sign*x.
 
     edges ascend in t from sign*x_tilde to sign*X, finest at the start;
-    nodes are the 5 Gauss points of each panel.
+    samples are the edges with each panel's 5 Gauss points between its
+    two edges (`_nodes`), the one point set the outer solve runs on.
     """
 
     sign: float
     edges: np.ndarray
     widths: np.ndarray = field(repr=False)
-    nodes: np.ndarray = field(repr=False)
+    samples: np.ndarray = field(repr=False)
 
     @property
     def side(self):
@@ -352,7 +359,8 @@ def truncation_points(profile, params, gbounds):
         if not widths.min() > 0:
             raise SolverError(f"a half-line panel has width {widths.min():.3g}")
         nodes = edges[:-1, None] + widths[:, None] * GL5_NODES[None, :]
-        lines.append(HalfLine(sign, edges, widths, nodes))
+        samples = np.append(np.column_stack([edges[:-1], nodes]), edges[-1])
+        lines.append(HalfLine(sign, edges, widths, samples))
     right, left = lines
     return PicardSetup(
         x_tilde_minus=-left.edges[0], x_tilde_plus=right.edges[0],
@@ -387,70 +395,69 @@ def _scan_blocks(psi_e):
     return np.array(starts)
 
 
-def _scan_weights(psi_n, psi_e):
+def _scan_weights(psi):
     """The exponentials `_scan_prefix` applies for the phases psi.
 
-    psi is nondecreasing along the grid, sampled at the panel Gauss nodes
-    (P, 5, ...) and edges (P+1, ...).  With phi = psi - psi(bottom edge of
-    the panel's block), 0 <= phi <= SCAN_BLOCK_PHASE, returns exp(phi) and
-    exp(-phi) at the nodes, exp(-phi) at each panel's top edge and the
-    block starts.  The factors depend on psi alone and are computed once
-    per solve, not once per Picard iteration.
+    psi is nondecreasing along a half line's samples (6P + 1, ...).  With
+    phi = psi - psi(bottom edge of the panel's block) on each panel's nodes
+    and top edge, 0 <= phi <= SCAN_BLOCK_PHASE, returns exp(phi) at the
+    nodes, exp(-phi) on the samples and the block starts.  The factors
+    depend on psi alone and are computed once per solve, not once per
+    Picard iteration.
     """
-    starts = _scan_blocks(psi_e)
-    base = psi_e[np.repeat(starts[:-1], np.diff(starts))]    # (P, ...)
-    phi_n = psi_n - base[:, None]
-    return np.exp(phi_n), np.exp(-phi_n), np.exp(-(psi_e[1:] - base)), starts
+    starts = _scan_blocks(psi[::6])
+    base = psi[6 * np.repeat(starts[:-1], np.diff(starts))]     # (P, ...)
+    phi = psi - np.concatenate([base[:1], np.repeat(base, 6, axis=0)])
+    return np.exp(_nodes(phi)), np.exp(-phi), starts
 
 
 def _scan_prefix(weights, f_n, widths):
     """J(x) = int_{bottom}^{x} exp(-(psi(x) - psi(tau))) f(tau) dtau.
 
-    weights = _scan_weights(psi_n, psi_e); f is sampled on the panel Gauss
-    nodes, shape (P, 5, ...) like psi_n.  Returns J at nodes (P, 5, ...) and
-    edges (P+1, ...).  Within a block with bottom edge b,
-    J(x) = exp(-phi(x)) (J(b) + int_b^x exp(phi) f): the scaled integrals
-    are cumulative sums of the panels' Gauss sums, and J is carried only
-    from one block's top edge to the next block.  Every term enters with a
-    positive factor and nothing is subtracted after scaling, so the
-    rounding error is that of the recurrence J(top) = exp(-rise) J(bottom)
-    + panel integral, a few eps times the sum of the |terms|, plus the
-    rounding of phi: at most 2 eps SCAN_BLOCK_PHASE, 4e-14, times that sum.
+    weights = _scan_weights(psi); f is sampled on the panel Gauss nodes,
+    shape (P, 5, ...).  Returns J on the samples (6P + 1, ...).  Within a
+    block with bottom edge b, J(x) = exp(-phi(x)) (J(b) + int_b^x exp(phi)
+    f): the scaled integrals are cumulative sums of the panels' Gauss sums,
+    and J is carried only from one block's top edge to the next block.
+    Every term enters with a positive factor and nothing is subtracted
+    after scaling, so the rounding error is that of the recurrence J(top) =
+    exp(-rise) J(bottom) + panel integral, a few eps times the sum of the
+    |terms|, plus the rounding of phi: at most 2 eps SCAN_BLOCK_PHASE,
+    4e-14, times that sum.
     """
-    up, down_n, down_e, starts = weights
+    up, down, starts = weights
     P = f_n.shape[0]
-    trail = f_n.shape[2:]
     G = (up * f_n).reshape(P, 5, -1)
     full = widths[:, None] * (GL5_WEIGHTS @ G)                # (P, T)
     partial = widths[:, None, None] * (_S_PARTIAL @ G)        # (P, 5, T)
-    down_e = down_e.reshape(P, -1)
+    down = down.reshape(down.shape[0], -1)
+    J = np.empty(down.shape)
+    C = J[::6]                      # J at the edges, carried across blocks
+    C[0] = 0.0
     top = np.empty_like(full)       # scaled J at each panel's top edge
-    C = np.zeros((P + 1, full.shape[1]))
     for b, e in zip(starts[:-1], starts[1:]):
         np.cumsum(full[b:e], axis=0, out=top[b:e])
         top[b:e] += C[b]
-        C[b + 1:e + 1] = down_e[b:e] * top[b:e]
+        C[b + 1:e + 1] = down[6 * b + 6:6 * e + 1:6] * top[b:e]
     bottom = np.empty_like(full)    # scaled J at each panel's bottom edge
     bottom[1:] = top[:-1]
     bottom[starts[:-1]] = C[starts[:-1]]
-    J_n = down_n * (bottom[:, None] + partial).reshape(f_n.shape)
-    return J_n, C.reshape((P + 1,) + trail)
+    _nodes(J)[...] = _nodes(down) * (bottom[:, None] + partial)
+    return J.reshape(down.shape[:1] + f_n.shape[2:])
 
 
-def _suffix_weights(psi_n, psi_e):
-    """`_scan_weights` of the reversed grid, on which -psi is nondecreasing."""
-    return _scan_weights(-psi_n[::-1, ::-1], -psi_e[::-1])
+def _suffix_weights(psi):
+    """`_scan_weights` of the reversed samples, along which -psi rises."""
+    return _scan_weights(-psi[::-1])
 
 
 def _scan_suffix(weights, f_n, widths):
     """J(x) = int_x^{top} exp(-(psi(tau) - psi(x))) f(tau) dtau.
 
-    weights = _suffix_weights(psi_n, psi_e).  The prefix scan of the
-    reversed grid (the Gauss rule is symmetric, so reversed nodes are
-    nodes).
+    weights = _suffix_weights(psi).  The prefix scan of the reversed
+    samples (the Gauss rule is symmetric, so reversed nodes are nodes).
     """
-    J_n, J_e = _scan_prefix(weights, f_n[::-1, ::-1], widths[::-1])
-    return J_n[::-1, ::-1], J_e[::-1]
+    return _scan_prefix(weights, f_n[::-1, ::-1], widths[::-1])[::-1]
 
 
 # one kernel per entry W[..., solution, j] of the (..., 2, 4) Picard state,
@@ -494,11 +501,12 @@ def _grid_sup(W):
 class DecayingPair:
     """The two solutions decaying on one side, slow (e^{-k t}) first.
 
-    normalized holds e^{phase(x)} U(x) sampled on xs (so it tends to
-    `limit` at the far end); one spline of it and the phase, built on the
-    first `samples_at` call, which only a glued tail makes, rebuilds raw
-    values and derivatives of both solutions without overflow.  The far
-    end of xs is both the reach of the tail and its evaluation limit.
+    xs are the half line's samples in x (xs[::6] its panel edges) and
+    normalized holds e^{phase(x)} U(x) there (it tends to `limit` at the
+    far end); one spline of it and the phase, built on the first
+    `samples_at` call, which only a glued tail makes, rebuilds raw values
+    and derivatives of both solutions without overflow.  The far end of
+    xs is both the reach of the tail and its evaluation limit.
     updates = (slow, fast) are the Picard update sizes per round.
     """
 
@@ -547,9 +555,10 @@ class OuterSolutions:
         self.params = params
         self.lam_range = (setup.gbounds.eps_star, setup.gbounds.lambda_max)
         self._cache = {}
-        # rho0 and d/dt rho0(sign*t) at each half line's nodes
-        self._lines = [(hl, np.asarray(profile.rho(hl.sign * hl.nodes)),
-                        hl.sign * np.asarray(profile.drho(hl.sign * hl.nodes)))
+        # rho0 on each half line's samples, d/dt rho0(sign*t) at its nodes
+        self._lines = [(hl, np.asarray(profile.rho(hl.sign * hl.samples)),
+                        hl.sign * np.asarray(profile.drho(
+                            hl.sign * _nodes(hl.samples))))
                        for hl in (setup.right, setup.left)]
 
     def solve(self, lam):
@@ -570,66 +579,58 @@ class OuterSolutions:
         return self._cache[key]
 
     def _solve(self, lams):
-        right, left = (self._solve_half_line(hl, rho_n, drho_n, lams)
-                       for hl, rho_n, drho_n in self._lines)
+        right, left = (self._solve_half_line(hl, rho, drho_n, lams)
+                       for hl, rho, drho_n in self._lines)
         return [{"right": r, "left": l} for r, l in zip(right, left)]
 
-    def _solve_half_line(self, hl, rho_n, drho_n, lams):
+    def _solve_half_line(self, hl, rho, drho_n, lams):
         """The DecayingPair as t = sign*x -> inf, one per lambda, ascending x.
 
-        Arrays carry a lambda axis behind the grid axes.  Each lambda leaves
+        Every array lives on the half line's samples, with a lambda axis
+        behind them; the coupling is read at the nodes.  Each lambda leaves
         the iteration when it converges and is checked for contraction on
         its own updates, so its `updates` are those of a batch of one.
         """
         params = self.params
         k, mu = params.k, params.mu
-        nodes, edges, widths = hl.nodes, hl.edges, hl.widths
-        P = nodes.shape[0]
+        ts, widths = hl.samples, hl.widths
         m = lams.size
 
-        sig_n = _sigma0(rho_n[..., None], params, lams)             # (P,5,m)
-        alpha_n = k * (nodes - edges[0])
-        alpha_e = k * (edges - edges[0])
-        beta_e = np.zeros((P + 1, m))
+        sig = _sigma0(rho[:, None], params, lams)                   # (N, m)
+        sig_n = _nodes(sig)
+        alpha = k * (ts - ts[0])
+        beta = np.zeros((ts.size, m))
         np.cumsum(widths[:, None] * (GL5_WEIGHTS @ sig_n), axis=0,
-                  out=beta_e[1:])
-        beta_n = (beta_e[:-1, None]
-                  + widths[:, None, None] * (_S_PARTIAL @ sig_n))
+                  out=beta[6::6])
+        _nodes(beta)[...] = (beta[:-1:6, None]
+                             + widths[:, None, None] * (_S_PARTIAL @ sig_n))
         # rho0' M in the state's component order, transposed so that
         # F = W A^T: A_T[..., l, j] = rho0' M[_ORDER[j], _ORDER[l]]
-        M = _matrix_M(rho_n[..., None], params, lams, hl.sign)
+        M = _matrix_M(_nodes(rho)[..., None], params, lams, hl.sign)
         A_T = np.multiply(drho_n[..., None, None, None],
                           np.moveaxis(M[_ORDER][:, _ORDER], (0, 1), (-1, -2)),
                           order="C")                          # (P,5,m,4,4)
 
-        # kernel phases (P,5,m,8) and (P+1,m,8), then the scans' exponentials
-        psi_n = (_KERNEL_CA * alpha_n[..., None, None]
-                 + _KERNEL_CB * beta_n[..., None])
-        psi_e = (_KERNEL_CA * alpha_e[:, None, None]
-                 + _KERNEL_CB * beta_e[..., None])
-        pre = _scan_weights(psi_n[..., :_N_PREFIX], psi_e[..., :_N_PREFIX])
-        suf = _suffix_weights(psi_n[..., _N_PREFIX:], psi_e[..., _N_PREFIX:])
+        # kernel phases (N,m,8), then the scans' exponentials
+        psi = _KERNEL_CA * alpha[:, None, None] + _KERNEL_CB * beta[..., None]
+        pre = _scan_weights(psi[..., :_N_PREFIX])
+        suf = _suffix_weights(psi[..., _N_PREFIX:])
 
         live = np.arange(m)                 # batch positions still iterating
         # the first round maps W = 0 to the targets, an update of exactly 1
-        W_n = np.broadcast_to(_BASE, (P, 5, m) + _BASE.shape)
-        W_e = np.broadcast_to(_BASE, (P + 1, m) + _BASE.shape)
-        out_n = np.empty(W_n.shape)
-        out_e = np.empty(W_e.shape)
+        W = np.broadcast_to(_BASE, (ts.size, m) + _BASE.shape)
+        out = np.empty(W.shape)
         updates = [([1.0], [1.0]) for _ in range(m)]
         prev = np.ones((m, 2))
         for _ in range(MAX_PICARD_ITER):
-            n = live.size
-            F = (W_n @ A_T).reshape(P, 5, n, len(_KERNELS))
-            Jp_n, Jp_e = _scan_prefix(pre, F[..., :_N_PREFIX], widths)
-            Js_n, Js_e = _scan_suffix(suf, F[..., _N_PREFIX:], widths)
-            new_n = _picard_state(Jp_n, Js_n)
-            new_e = _picard_state(Jp_e, Js_e)
-            u = np.maximum(_grid_sup(new_n - W_n), _grid_sup(new_e - W_e))
+            F = (_nodes(W) @ A_T).reshape(A_T.shape[:3] + (len(_KERNELS),))
+            new = _picard_state(_scan_prefix(pre, F[..., :_N_PREFIX], widths),
+                                _scan_suffix(suf, F[..., _N_PREFIX:], widths))
+            u = _grid_sup(new - W)
             for j, i in enumerate(live):
                 updates[i][0].append(u[j, 0])
                 updates[i][1].append(u[j, 1])
-            W_n, W_e = new_n, new_e
+            W = new
             bad = (prev > UPDATE_FLOOR) & (u > (0.5 + CONTRACTION_SLACK) * prev)
             if bad.any():
                 j, s = np.argwhere(bad)[0]
@@ -638,17 +639,15 @@ class OuterSolutions:
                     f"{u[j, s] / prev[j, s]:.3f} > 1/2 at "
                     f"lambda={lams[live[j]]:.6g}; truncation points "
                     "misplaced")
-            sup_w = np.maximum(_grid_sup(W_n).max(axis=1), 1.0)
+            sup_w = np.maximum(_grid_sup(W).max(axis=1), 1.0)
             done = u.max(axis=1) <= PICARD_TOL * sup_w
             if done.any():
-                out_n[:, :, live[done]] = W_n[:, :, done]
-                out_e[:, live[done]] = W_e[:, done]
+                out[:, live[done]] = W[:, done]
                 keep = ~done
                 live = live[keep]
                 if not live.size:
                     break
-                A_T, W_n, W_e = A_T[:, :, keep], W_n[:, :, keep], W_e[:, keep]
-                u = u[keep]
+                A_T, W, u = A_T[:, :, keep], W[:, keep], u[keep]
                 # the block starts hold for any subset of the lambdas
                 pre = (*(w[..., keep, :] for w in pre[:-1]), pre[-1])
                 suf = (*(w[..., keep, :] for w in suf[:-1]), suf[-1])
@@ -657,32 +656,14 @@ class OuterSolutions:
             raise SolverError(f"no fixed-point convergence in {MAX_PICARD_ITER} "
                               f"iterations at lambda={lams[live[0]]:.6g}")
 
-        # interleave edges and nodes into one ascending sample set, then put
         # the state's components first, in their natural order
-        N = P * 6 + 1
-        ts = np.empty(N)
-        W_all = np.empty((N, m) + _BASE.shape)
-        phases = np.empty((N, m, 2))
-        ts[0::6] = edges
-        phases[0::6, :, 0] = alpha_e[:, None]
-        phases[0::6, :, 1] = beta_e
-        W_all[0::6] = out_e
-        for q in range(5):
-            ts[1 + q::6] = nodes[:, q]
-            phases[1 + q::6, :, 0] = alpha_n[:, q, None]
-            phases[1 + q::6, :, 1] = beta_n[:, q]
-            W_all[1 + q::6] = out_n[:, q]
-        W_all = np.moveaxis(W_all, -1, 0)[np.argsort(_ORDER)]    # (4,N,m,2)
-
-        rho_all = np.asarray(self.profile.rho(hl.sign * ts))
-        U = np.moveaxis(_apply_P(
-            _sigma0(rho_all[:, None, None], params, lams[:, None]), params,
-            W_all), 0, -1)                                      # (N,m,2,4)
-        sig_inf = np.sqrt(k * k + lams * _rho_limit(self.profile, hl.sign) / mu)
-        limits = np.empty((m, 2, 4))
-        limits[:, 0] = [-k**-3, k**-2, -k**-1, 1.0]
-        limits[:, 1] = np.stack([-sig_inf**-3, sig_inf**-2, -sig_inf**-1,
-                                 np.ones(m)], axis=-1)
+        W = np.moveaxis(out, -1, 0)[np.argsort(_ORDER)]            # (4,N,m,2)
+        U = np.moveaxis(_apply_P(sig[..., None], params, W), 0, -1)
+        phases = np.stack(np.broadcast_arrays(alpha[:, None], beta), axis=-1)
+        # columns 0 and 1 of P at the far end: z = k, sigma0(rho_limit)
+        z = np.stack(np.broadcast_arrays(k, np.sqrt(
+            k * k + lams * _rho_limit(self.profile, hl.sign) / mu)), axis=-1)
+        limits = np.stack([-z**-3, z**-2, -z**-1, np.ones_like(z)], axis=-1)
         xs = ts
         if hl.sign < 0:
             xs, U, phases = -ts[::-1], U[::-1] * _FLIP, phases[::-1]
@@ -766,6 +747,11 @@ def _chebyshev_coeffs(values):
     return coeffs
 
 
+def _relative_miss(fitted, direct):
+    """The largest |fitted - direct n_ij| over the largest |direct n_ij|."""
+    return float(np.abs(fitted - direct).max() / np.abs(direct).max())
+
+
 class BoundaryFit:
     """n_ij at both window ends, read from a Chebyshev interpolant in log lambda.
 
@@ -776,14 +762,16 @@ class BoundaryFit:
     `rows` (FIT_FIRST_DEGREE + 1, 8) are the coefficients at the window
     ends at `_fit_lambdas(lam_range, j, FIT_FIRST_DEGREE)`, j = 0..16, as
     `coercive_window` returns them (`_closure_rows`).  The first call adds
-    the nested midpoints, doubling the degree until the trailing quarter of
-    every series' coefficients falls below FIT_TAIL_TOL of its largest.
-    Each round is one batched outer solve, and none of it enters the
-    engine's cache.  `n_nodes` and `tail` (the largest trailing ratio, the
-    error estimate) describe the fit; they stay 0 and nan until it is
-    built.  It is the tail source of increasing profiles: `pairs` gives
-    the engine's cached DecayingPairs at one lambda, and `check` holds the
-    fit to their direct n_ij there.
+    the nested midpoints, one batched outer solve per doubling of the
+    degree, none of it in the engine's cache.  Each doubling measures the
+    previous interpolant against the direct n_ij at the midpoints by
+    `check`'s relative miss, and the fit stops once that miss is within
+    FIT_CHECK_TOL or fails to halve: there the Picard noise sets the
+    floor, and `check` judges each root.  `n_nodes` and `miss` (the last
+    doubling's miss, an error estimate) describe the fit; they stay 0 and
+    nan until it is built.  It is the tail source of increasing profiles:
+    `pairs` gives the engine's cached DecayingPairs at one lambda, and
+    `check` holds the fit to their direct n_ij there.
     """
 
     def __init__(self, engine, x_minus, x_plus, rows):
@@ -795,7 +783,7 @@ class BoundaryFit:
         self._log_lo, self._log_span = math.log(lo), math.log(hi / lo)
         self.coeffs = None          # (degree + 1, 8), Chebyshev series in s
         self.n_nodes = 0
-        self.tail = math.nan
+        self.miss = math.nan
 
     def __call__(self, lam):
         """(left, right) BoundaryCoeffs at lam from the fit."""
@@ -815,12 +803,12 @@ class BoundaryFit:
         """
         direct = _closure_rows([self.pairs(lam)], self.x_minus,
                                self.x_plus)[0]
-        miss = np.abs(self._values(lam) - direct).max() / np.abs(direct).max()
+        miss = _relative_miss(self._values(lam), direct)
         if not miss <= FIT_CHECK_TOL:
             raise SolverError(
                 f"boundary coefficients from the log-lambda fit miss the direct "
                 f"solve by {miss:.2e} (relative) at lambda={lam:.6g}; "
-                f"fit tail estimate {self.tail:.1e} with {self.n_nodes} nodes")
+                f"fit miss estimate {self.miss:.1e} with {self.n_nodes} nodes")
 
     def _values(self, lam):
         s = 2.0 * (math.log(lam) - self._log_lo) / self._log_span - 1.0
@@ -834,25 +822,26 @@ class BoundaryFit:
     def _fit(self):
         values = self._rows
         n = values.shape[0] - 1
+        coeffs = _chebyshev_coeffs(values)
+        miss = math.inf
         while True:
-            coeffs = _chebyshev_coeffs(values)
-            mag = np.abs(coeffs)
-            tail = float((mag[3 * n // 4 + 1:].max(axis=0)
-                          / mag.max(axis=0)).max())
-            if tail <= FIT_TAIL_TOL:
-                break
             if n >= FIT_MAX_DEGREE:
                 raise SolverError(
                     f"boundary coefficients not resolved by {n + 1} Chebyshev "
-                    f"points in log lambda (tail {tail:.1e})")
+                    f"points in log lambda (miss {miss:.1e})")
+            j = np.arange(1, 2 * n, 2)
+            mids = _fit_lambdas(self.engine.lam_range, j, 2 * n)
+            direct = _closure_rows(self.engine.solve(mids), self.x_minus,
+                                   self.x_plus)
+            last, miss = miss, _relative_miss(
+                chebval(np.cos(np.pi * j / (2 * n)), coeffs).T, direct)
             merged = np.empty((2 * n + 1, values.shape[1]))
-            merged[0::2] = values
-            mids = _fit_lambdas(self.engine.lam_range,
-                                np.arange(1, 2 * n, 2), 2 * n)
-            merged[1::2] = _closure_rows(self.engine.solve(mids),
-                                         self.x_minus, self.x_plus)
+            merged[0::2], merged[1::2] = values, direct
             values, n = merged, 2 * n
-        self.coeffs, self.n_nodes, self.tail = coeffs, n + 1, tail
+            coeffs = _chebyshev_coeffs(values)
+            if miss <= FIT_CHECK_TOL or miss > 0.5 * last:
+                break
+        self.coeffs, self.n_nodes, self.miss = coeffs, n + 1, miss
 
 
 def endpoint_psd_margins(end, n, k, sigma0_at_end):
@@ -934,12 +923,11 @@ def decay_envelopes(profile, params, setup, gbounds):
     def build(hl):
         sign, edges, t0 = hl.sign, hl.edges, hl.edges[0]
         rho_lim = _rho_limit(profile, sign)
-        weights = _scan_weights(rate * (hl.nodes - t0)[..., None],
-                                rate * (edges - t0)[:, None])
-        _, conv_e = _scan_prefix(
-            weights, np.asarray(profile.rho(sign * hl.nodes))[..., None],
+        conv_e = _scan_prefix(
+            _scan_weights(rate * (hl.samples - t0)[:, None]),
+            np.asarray(profile.rho(sign * _nodes(hl.samples)))[..., None],
             hl.widths)
-        conv = CubicSpline(edges, conv_e[:, 0])
+        conv = CubicSpline(edges, conv_e[::6, 0])
         anchor_rho = float(profile.rho(sign * t0))
 
         def gap(x):

@@ -169,6 +169,26 @@ def test_parse_tabulated_csv(tmp_path):
     assert cfg.profile.family == "tabulated"
 
 
+@pytest.mark.parametrize("old, new", (
+        ("csv", "1.0,abc"), ("csv", "1.5"),         # bad tabulated rows
+        ("rho_plus = 3.0", "rho_plus = 1.0"),       # rho_minus >= rho_plus
+        ("a = 1.0", "a = -1.0"),                    # bump half-width <= 0
+        ("k = 1.0", "k = 1.0\nk1 = 0.3\nk2 = 0.4")))  # k1^2 + k2^2 != k^2
+def test_unbuildable_profile_or_k_split_exit_2(tmp_path, old, new):
+    if old == "csv":
+        text = _tabulated_config(tmp_path, "k = 1.0")
+        with open(tmp_path / "prof.csv", "a") as fh:
+            fh.write(new + "\n")
+    else:
+        text = MINIMAL.replace(old, new)
+    with pytest.raises(ConfigError):
+        parse_config(text)
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(text)
+    assert main(["dispersion", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
 def test_invalid_command_exit_2(tmp_path):
     cfgfile = tmp_path / "c.ini"
     cfgfile.write_text(MINIMAL)

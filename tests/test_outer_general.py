@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from rtspect import outer_general as og
-from rtspect.errors import CoercivitySearchError, SolverError
+from rtspect.errors import BracketError, CoercivitySearchError, SolverError
 from rtspect.evans import find_roots
 from rtspect.modes import gluing_jumps
 from rtspect.outer_compact import exponential_closure
@@ -188,13 +188,14 @@ def _fixture_phases(ctx):
     # lambdas: (P, 5, 3, 8) at the nodes and (P + 1, 3, 8) at the edges
     prof, par, pb, eps, gb, setup, eng = ctx
     hl = setup.right
-    sig = og._sigma0(np.asarray(prof.rho(hl.nodes))[..., None], par,
+    nodes = og._nodes(hl.samples)
+    sig = og._sigma0(np.asarray(prof.rho(nodes))[..., None], par,
                      np.array([eps, 0.1, pb.lambda_max]))
     beta_e = np.concatenate([np.zeros((1, 3)), np.cumsum(
         hl.widths[:, None] * (GL5_WEIGHTS @ sig), axis=0)])
     beta_n = (beta_e[:-1, None]
               + hl.widths[:, None, None] * (og._S_PARTIAL @ sig))
-    alpha_n = par.k * (hl.nodes - hl.edges[0])
+    alpha_n = par.k * (nodes - hl.edges[0])
     alpha_e = par.k * (hl.edges - hl.edges[0])
     psi_n = (og._KERNEL_CA * alpha_n[..., None, None]
              + og._KERNEL_CB * beta_n[..., None])
@@ -211,6 +212,15 @@ def _steep_phases():
     return rate * nodes[..., None], rate * edges[:, None], np.ones(600)
 
 
+def _on_samples(at_nodes, at_edges):
+    """Node values (P, 5, ...) and edge values (P + 1, ...) in the layout of
+    a half line's samples (6P + 1, ...)."""
+    out = np.empty((6 * at_nodes.shape[0] + 1,) + at_edges.shape[1:])
+    out[::6] = at_edges
+    og._nodes(out)[...] = at_nodes
+    return out
+
+
 @pytest.mark.parametrize("grid", ("fixture", "steep"))
 def test_blocked_scans_match_the_recurrence(ctx, grid):
     psi_n, psi_e, widths = (_fixture_phases(ctx) if grid == "fixture"
@@ -223,18 +233,31 @@ def test_blocked_scans_match_the_recurrence(ctx, grid):
         assert n_blocks >= 3 and span > math.log(np.finfo(float).max)
     rng = np.random.default_rng(7)
     f_n = rng.standard_normal(psi_n.shape) * (1.0 + psi_n / span)
+    psi = _on_samples(psi_n, psi_e)
     for scan, weights, reference in (
             (og._scan_prefix, og._scan_weights, _recurrence_prefix),
             (og._scan_suffix, og._suffix_weights, _recurrence_suffix)):
-        got = scan(weights(psi_n, psi_e), f_n, widths)
-        want = reference(psi_n, psi_e, f_n, widths)
+        got = scan(weights(psi), f_n, widths)
+        want = _on_samples(*reference(psi_n, psi_e, f_n, widths))
         # the recurrence's error bound: eps times the sum of |terms|, whose
         # weights include the partial rule's negative ones
-        bound = reference(psi_n, psi_e, np.abs(f_n), widths,
-                          np.abs(og._S_PARTIAL))
-        for g, w, b in zip(got, want, bound):
-            assert np.all(np.isfinite(g))
-            assert np.all(np.abs(g - w) <= 1e-13 * b)
+        bound = _on_samples(*reference(psi_n, psi_e, np.abs(f_n), widths,
+                                       np.abs(og._S_PARTIAL)))
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want) <= 1e-13 * bound)
+
+
+def test_pair_samples_are_panel_edges_and_gauss_nodes(ctx):
+    # `_closure_at` and `outer-coeffs` read n_ij at panel edges, xs[::6]
+    prof, par, pb, eps, gb, setup, eng = ctx
+    sols = eng.solve(pb.lambda_max)
+    for hl in (setup.right, setup.left):
+        xs = sols[hl.side].xs
+        edges = hl.edges if hl.sign > 0 else -hl.edges[::-1]
+        assert np.array_equal(xs[::6], edges)
+        gauss = edges[:-1, None] + np.diff(edges)[:, None] * GL5_NODES
+        assert np.abs(xs[:-1].reshape(-1, 6)[:, 1:] - gauss).max() <= (
+            1e-13 * np.abs(edges).max())
 
 
 @pytest.mark.parametrize("k, mu, rho_plus", ((0.3, 0.05, 10.0),
@@ -269,6 +292,42 @@ def test_off_fixture_panels_roots_and_modes(k, mu, rho_plus, monkeypatch):
                        min(1.5 * pt.lam, 0.999 * pipe.bounds.lambda_max), 17)
     roots = find_roots(prof, par, scan, tol=1e-8)
     assert min(abs(r / pt.lam - 1.0) for r in roots) <= 1e-4
+
+
+# tanh sweep cases (rho_minus = ell = 1, 128 elements) that once stopped
+# with "not resolved by 257 Chebyshev points": the fit then asked its
+# coefficient tails for an accuracy below the Picard noise
+SWEEP_ROOTS = ((3.0, 1.0, 1.2), (3.0, 10.0, 10.0), (10.0, 0.05, 1.2),
+               (10.0, 1.0, 10.0))
+# f_1 < 0 on the whole scan: lambda_1 lies below eps_star
+SWEEP_BELOW_EPS_STAR = ((3.0, 10.0, 1.2), (10.0, 1.0, 1.2), (10.0, 10.0, 1.2),
+                        (10.0, 10.0, 10.0))
+
+
+def _sweep_pipe(k, mu, rho_plus):
+    prof = make_profile("tanh", rho_minus=1.0, rho_plus=rho_plus, ell=1.0)
+    par = PhysicalParams(g=1.0, mu=mu, k=k)
+    return Pipeline(prof, par, SolverOptions(n_elements=128)).build()
+
+
+@pytest.mark.parametrize("k, mu, rho_plus", SWEEP_ROOTS)
+def test_sweep_roots_glue_and_match_the_oracle(k, mu, rho_plus):
+    pipe = _sweep_pipe(k, mu, rho_plus)
+    pts = pipe.solve_mode_index(1)     # every root passes the fit's check
+    assert pts
+    for pt in pts:
+        assert max(gluing_jumps(pipe.mode(pt)).values()) <= 1e-6
+        scan = np.linspace(max(pipe.eps_star, 0.5 * pt.lam),
+                           min(1.5 * pt.lam, 0.999 * pipe.bounds.lambda_max),
+                           17)
+        roots = find_roots(pipe.profile, pipe.params, scan, tol=1e-8)
+        assert min(abs(r / pt.lam - 1.0) for r in roots) <= 1e-4
+
+
+@pytest.mark.parametrize("k, mu, rho_plus", SWEEP_BELOW_EPS_STAR)
+def test_sweep_roots_below_eps_star_are_reported(k, mu, rho_plus):
+    with pytest.raises(BracketError, match="eps_star"):
+        _sweep_pipe(k, mu, rho_plus).solve_mode_index(1)
 
 
 def test_picard_contraction_and_updates(ctx):

@@ -8,7 +8,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from rtspect import outer_general as og
 from rtspect import spectrum
 from rtspect.errors import BracketError, RankError, SolverError, StepSizeError
-from rtspect.outer_general import boundary_coeffs_general
+from rtspect.outer_general import FIT_CHECK_TOL, boundary_coeffs_general
 from rtspect.pipeline import Pipeline, SolverOptions
 from rtspect.spectrum import (SliceBuilder, gamma_derivative_check,
                               gamma_spectrum, mode_count, solve_dispersion)
@@ -149,9 +149,12 @@ def test_general_roots_reverified(tanh_pipe):
 def test_boundary_fit_is_lazy_and_matches_direct_solves(tanh_profile, params):
     pipe = Pipeline(tanh_profile, params, SolverOptions(n_elements=64)).build()
     fit = pipe.builder.tails
-    assert fit.n_nodes == 0 and math.isnan(fit.tail)    # build pays nothing
+    assert fit.n_nodes == 0 and math.isnan(fit.miss)    # build pays nothing
     pipe.builder(0.3)
-    assert fit.n_nodes >= 17 and fit.tail < 1e-13
+    mag = np.abs(fit.coeffs)
+    tail = (mag[3 * (fit.n_nodes - 1) // 4 + 1:].max(axis=0)
+            / mag.max(axis=0)).max()
+    assert fit.n_nodes >= 17 and tail < 1e-13 and fit.miss <= FIT_CHECK_TOL
     lo, hi = pipe.engine.lam_range
     lams = np.exp(np.random.default_rng(3).uniform(math.log(lo),
                                                    math.log(hi), 50))
