@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
+from numpy.polynomial.chebyshev import chebder, chebval
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
@@ -809,6 +809,15 @@ class BoundaryFit:
                 f"boundary coefficients from the log-lambda fit miss the direct "
                 f"solve by {miss:.2e} (relative) at lambda={lam:.6g}; "
                 f"fit miss estimate {self.miss:.1e} with {self.n_nodes} nodes")
+
+    def slopes(self, lams):
+        """dn_ij/dlambda (m, 8) at the lambdas (m,) of the fit's range, the
+        derivative of the interpolant in s = log lambda times ds/dlambda."""
+        if self.coeffs is None:
+            self._fit()
+        s = 2.0 * (np.log(lams) - self._log_lo) / self._log_span - 1.0
+        return (chebval(np.clip(s, -1.0, 1.0), chebder(self.coeffs)).T
+                * (2.0 / (self._log_span * lams))[:, None])
 
     def _values(self, lam):
         s = 2.0 * (math.log(lam) - self._log_lo) / self._log_span - 1.0

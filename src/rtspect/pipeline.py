@@ -9,6 +9,7 @@ profiles sit orders of magnitude below the first one).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,11 +17,11 @@ import numpy as np
 from .assembly import HermiteSpace, build_mesh
 from .errors import BracketError, SolverError
 from .modes import glue_mode
-from .outer_general import (BoundaryFit, OuterSolutions, coercive_window,
-                            gamma_bounds, truncation_points)
+from .outer_general import (BoundaryFit, OuterSolutions, _fit_lambdas,
+                            coercive_window, gamma_bounds, truncation_points)
 from .profiles import COMPACT, profile_bounds
 from .spectrum import (SCAN_POINTS, CompactTails, ModeCount, SliceBuilder,
-                       mode_count, solve_dispersion)
+                       mode_count, monotone_margin, solve_dispersion)
 
 LAMBDA_FLOOR_FACTOR = 1e-4     # default bracket floor, fraction of sqrt(g/L0)
 
@@ -49,11 +50,12 @@ class Pipeline:
             raise SolverError(f"eps_star = {self.eps_star!r} must lie in "
                               f"(0, sqrt(g/L0) = {lmax:.6g})")
         self.x_mid = self.bounds.x_rho_m
+        self.monotone_margin = math.nan     # certificate, increasing kinds
         self._built = False
 
     def build(self):
         """Window, tail source, mesh and slice builder; a second call does
-        nothing.
+        nothing and no slice is built.
 
         The tail source is `CompactTails` for compact kinds.  For increasing
         profiles it is the boundary fit, whose first round is the window's
@@ -62,14 +64,11 @@ class Pipeline:
         if self._built:
             return self
         opts = self.opts
-        lmax = self.bounds.lambda_max
         if self.profile.kind == COMPACT:
             self.engine = None
             self.setup = None
             self.window = (-self.profile.a, self.profile.a)
             tails = CompactTails(self.profile, self.params)
-            # every curve decreases: its infimum is at the top bracket end
-            self.count_grid = (lmax,)
         else:
             self.gbounds = gamma_bounds(self.profile, self.params,
                                         self.eps_star, self.bounds)
@@ -80,8 +79,6 @@ class Pipeline:
                 self.profile, self.params, self.setup, self.engine)
             self.window = (x_minus, x_plus)
             tails = BoundaryFit(self.engine, x_minus, x_plus, rows)
-            # the scan grid every solve_mode_index evaluates
-            self.count_grid = np.linspace(self.eps_star, lmax, SCAN_POINTS)
         mesh = build_mesh(self.window[0], self.window[1], opts.n_elements,
                           opts.grading)
         self.space = HermiteSpace(mesh)
@@ -90,20 +87,41 @@ class Pipeline:
         self._built = True
         return self
 
-    def solve_mode_index(self, n):
-        """Dispersion root(s) for curve n; compact kinds walk the floor down."""
+    @property
+    def monotone(self):
+        """Whether every positive gamma_n decreases: proven for compact kinds,
+        `monotone_margin` > 0 (computed once, on the fit) for increasing."""
         self.build()
-        lmax = self.bounds.lambda_max
-        if self.profile.kind != COMPACT:
-            return solve_dispersion(self.builder, n, (self.eps_star, lmax),
-                                    tol=self.opts.tol)
-        lo = LAMBDA_FLOOR_FACTOR * lmax
-        floor = 4e-8 * self.params.k**2 * self.params.mu / self.profile.rho_plus
+        if self.profile.kind == COMPACT:
+            return True
+        if math.isnan(self.monotone_margin):
+            self.builder(self.bounds.lambda_max)    # builds the fit too
+            deg = 4 * (self.builder.tails.n_nodes - 1)
+            lams = _fit_lambdas(self.engine.lam_range, np.arange(deg + 1), deg)
+            self.monotone_margin = monotone_margin(
+                self.builder.volume, self.builder.tails.slopes(lams))
+        return self.monotone_margin > 0
+
+    @property
+    def count_grid(self):
+        """The top bracket end if `monotone`, else the 64-point scan grid."""
+        if self.monotone:
+            return (self.bounds.lambda_max,)
+        return np.linspace(self.eps_star, self.bounds.lambda_max, SCAN_POINTS)
+
+    def solve_mode_index(self, n):
+        """Dispersion root(s) for curve n, scanned at the bracket ends alone
+        if `monotone`; compact kinds walk the floor down."""
+        par, lmax = self.params, self.bounds.lambda_max
+        n_scan = 2 if self.monotone else SCAN_POINTS
+        lo = floor = self.eps_star
+        if self.profile.kind == COMPACT:
+            lo = LAMBDA_FLOOR_FACTOR * lmax
+            floor = 4e-8 * par.k**2 * par.mu / self.profile.rho_plus
         while True:
             try:
-                # f_n is strictly decreasing: the bracket ends decide
                 return solve_dispersion(self.builder, n, (lo, lmax),
-                                        tol=self.opts.tol, n_scan=2)
+                                        tol=self.opts.tol, n_scan=n_scan)
             except BracketError:
                 if lo <= floor:
                     raise
@@ -112,11 +130,10 @@ class Pipeline:
     def dispersion(self, n_modes=None):
         """Points for n = 1..n_modes, flattened in order of n.
 
-        For strictly increasing profiles the table ends at the first curve
-        with f_n < 0 at every scan point: gamma_{n+1} <= gamma_n, so no
-        later curve has a root on that grid either.
+        The table ends at the first curve with no root and f_n < 0 on all
+        of `count_grid`: gamma_{n+1} <= gamma_n, so no later curve has a
+        root there either.  A curve with f_n >= 0 somewhere there raises.
         """
-        self.build()
         n_modes = n_modes or self.opts.n_modes
         gk2 = self.params.g * self.params.k**2
         out = []
@@ -124,9 +141,8 @@ class Pipeline:
             try:
                 out.extend(self.solve_mode_index(n))
             except BracketError:
-                if self.profile.kind == COMPACT or any(
-                        gk2 * self.builder.gamma(lam, n) >= lam
-                        for lam in self.count_grid):
+                if any(gk2 * self.builder.gamma(lam, n) >= lam
+                       for lam in self.count_grid):
                     raise
                 break
         return out
@@ -134,11 +150,9 @@ class Pipeline:
     def count_modes(self) -> ModeCount:
         """N(eps_star) on `count_grid`; after a search it builds no slice.
 
-        The grid is the top slice for compact kinds and the 64-point scan
-        grid for increasing ones.  Counting first on an increasing profile
-        builds the 64 scan slices, which the search then reuses.
+        The grid is the top slice when the curves decrease (`monotone`), and
+        the 64-point scan grid otherwise, whose slices the search reuses.
         """
-        self.build()
         return mode_count(self.builder, self.eps_star, self.count_grid)
 
     def mode(self, point):

@@ -10,10 +10,10 @@ for strictly increasing ones; the same source hands out the decaying pairs
 that glue a mode.  One root search serves every profile (`solve_dispersion`):
 f_n = g k^2 gamma_n - lambda is scanned on a grid over the bracket, Brent's
 method refines every sign change, and the tail source checks every root.
-For compact-gradient profiles each curve is strictly decreasing, so f_n
-has exactly one root and a two-point scan (the bracket ends) suffices; for
-strictly increasing profiles the curves are only continuous and the scan
-is finer.
+Where each curve decreases, f_n has at most one root and a two-point scan
+(the bracket ends) suffices.  The paper proves that for compact-gradient
+profiles; for strictly increasing ones `monotone_margin` certifies it on
+sampled lambdas, and an uncertified profile keeps the finer scan.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solveh_banded
 from scipy.linalg.blas import dsbmv, dtbsv
 from scipy.linalg.lapack import dpbtrf, dtbtrs
 from scipy.optimize import brentq
@@ -160,6 +161,27 @@ class SliceBuilder:
 
     def gamma(self, lam, n):
         return float(self(lam).gammas[n - 1])
+
+
+def monotone_margin(volume, slopes):
+    """min of lambda_min(S + E') / ||S||_2 over slopes (m, 8) of the n_ij.
+
+    E' = dE/dlambda (symmetrized endpoint blocks) lives on the DOFs e = (0,
+    1, n-2, n-1): K' = K_rho + E' is positive definite iff S + E' is, with
+    S = inv((K_rho^-1)[e, e]) the Schur complement of K_rho there.  Then
+    every positive gamma_n decreases (Courant-Fischer)."""
+    e = [0, 1, -2, -1]
+    unit = np.zeros((volume.K_rho.shape[1], 4))
+    unit[e, range(4)] = 1.0
+    S = np.linalg.inv(solveh_banded(volume.K_rho, unit, lower=True)[e])
+    mu, dE = volume.params.mu, np.zeros((len(slopes), 4, 4))
+    for j, sign, rho, (n11, n12, n21, n22) in zip(
+            (0, 2), (1.0, -1.0), volume.rho_ends, slopes.T.reshape(2, 4, -1)):
+        dE[:, j, j], dE[:, j + 1, j + 1] = sign * mu * n21, -sign * mu * n12
+        dE[:, j, j + 1] = dE[:, j + 1, j] = (
+            0.5 * sign * (rho + mu * (n22 - n11)))
+    return float(np.linalg.eigvalsh(S + dE)[:, 0].min()
+                 / np.linalg.norm(S, 2))
 
 
 def solve_dispersion(builder, n, bracket, tol=DEFAULT_TOL, n_scan=SCAN_POINTS):

@@ -1,9 +1,10 @@
 """Runtime invariant suite behind the `verify` command.
 
 Each check returns (name, passed, detail).  The suite is profile-kind aware:
-compact-gradient profiles exercise the monotonicity and derivative
-machinery, strictly increasing ones the fixed-point construction and the
-coercive window.  Random probes are seeded for reproducibility.
+both kinds check that the gamma curves decrease on the lambda grid;
+compact-gradient profiles add the derivative identity, strictly increasing
+ones the monotonicity certificate, the fixed-point construction and the
+decay envelopes.  Random probes are seeded for reproducibility.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .evans import find_roots
 from .modes import gluing_jumps, ode_residual, reconstruct_fields
 from .outer_general import decay_envelopes
 from .profiles import COMPACT, validate
-from .spectrum import gamma_derivative_check
+from .spectrum import SCAN_POINTS, gamma_derivative_check
 
 
 def run_verification(pipe, seed=0):
@@ -63,17 +64,21 @@ def run_verification(pipe, seed=0):
                     bool(np.all(rq <= sl.gammas[0] * (1 + 1e-8))),
                     f"max probe/gamma_1 = {rq.max() / sl.gammas[0]:.10f}"))
 
+    gam = np.stack([s.gammas for s in slices])
+    mono = bool(np.all(gam[1:] <= gam[:-1] * (1 + 1e-8)))
+    results.append(("gamma curves non-increasing in lambda", mono,
+                    f"worst uptick {np.max(gam[1:] / gam[:-1] - 1):.2e}"))
     if prof.kind == COMPACT:
-        gam = np.stack([s.gammas for s in slices])
-        mono = bool(np.all(gam[1:] <= gam[:-1] * (1 + 1e-8)))
-        results.append(("gamma curves non-increasing in lambda", mono,
-                        f"worst uptick {np.max(gam[1:] / gam[:-1] - 1):.2e}"))
         lam = 0.5 * lmax
         err = gamma_derivative_check(pipe.builder, prof, par, 1, lam,
                                      1e-3 * lam)
         results.append(("derivative identity for 1/gamma_1 (<= 1e-3)",
                         err <= 1e-3, f"relative error {err:.2e}"))
     else:
+        path = f"{2 if pipe.monotone else SCAN_POINTS}-point scan"
+        results.append(("monotonicity certificate",
+                        not math.isnan(pipe.monotone_margin),
+                        f"margin {pipe.monotone_margin:.3e}, {path}"))
         pairs = pipe.builder.tails.pairs(pipe.eps_star)
         ratios = [r for pair in pairs.values() for r in pair.contraction_ratios]
         worst = max(ratios, default=0.0)

@@ -19,7 +19,7 @@ from rtspect.outer_compact import exponential_closure
 from rtspect.outer_general import boundary_coeffs_general, decay_envelopes
 from rtspect.pipeline import Pipeline, SolverOptions
 from rtspect.profiles import PhysicalParams
-from rtspect.spectrum import SliceBuilder, gamma_derivative_check
+from rtspect.spectrum import SliceBuilder, gamma_derivative_check, mode_count
 
 
 def report(num, name, ok, detail):
@@ -106,6 +106,9 @@ def test_criterion_3_compact_sequence_structure(accept_bump):
 def test_criterion_4_general_root_count(accept_tanh):
     pipe = accept_tanh["pipe"]
     count = pipe.count_modes()
+    # the certified count reads the top slice; the 64-point scan agrees
+    scan = mode_count(pipe.builder, pipe.eps_star,
+                      np.linspace(pipe.eps_star, pipe.bounds.lambda_max, 64))
     n_roots = 0
     for n in range(1, count.N + 1):
         pts = (accept_tanh["points"].get(n)
@@ -113,10 +116,11 @@ def test_criterion_4_general_root_count(accept_tanh):
         n_roots += len(pts)
     oracle_in_range = [r for r in accept_tanh["oracle"]
                        if pipe.eps_star <= r <= pipe.bounds.lambda_max]
-    ok = (n_roots >= count.N and count.N >= 1
-          and len(oracle_in_range) >= count.N)
+    ok = (n_roots >= count.N and count.N >= 1 and count.N == scan.N
+          and pipe.monotone and len(oracle_in_range) >= count.N)
     report(4, "at least N(eps_star) roots on [eps_star, sqrt(g/L0)]", ok,
-           f"N(eps)={count.N}, roots found={n_roots}, "
+           f"N(eps)={count.N} (64-point scan: {scan.N}), "
+           f"roots found={n_roots}, "
            f"oracle roots in range={len(oracle_in_range)}")
 
 

@@ -2,6 +2,7 @@ import csv
 import multiprocessing
 import os
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -392,12 +393,17 @@ k = 1.0
 """
 
 
-def test_verify_exits_zero_on_tanh_fixture(tmp_path):
+def test_verify_exits_zero_on_tanh_fixture(tmp_path, capsys):
     # the contraction check skips ratios of round-off updates (<= 1e-10),
-    # like acceptance criterion 8
+    # like acceptance criterion 8; both profile kinds check that the curves
+    # decrease, and an increasing one reports its certificate and path
     cfgfile = tmp_path / "c.ini"
     cfgfile.write_text(TANH + "\n[numerical]\nn_elements = 96\n")
     assert main(["verify", "--config", str(cfgfile)]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] gamma curves non-increasing in lambda" in out
+    assert re.search(r"\[PASS\] monotonicity certificate +margin 1\.\d+e-01, "
+                     r"2-point scan", out)
 
 
 def test_outer_coeffs_dump(tmp_path):

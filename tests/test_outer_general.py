@@ -13,6 +13,7 @@ from rtspect.outer_compact import exponential_closure
 from rtspect.pipeline import Pipeline, SolverOptions
 from rtspect.profiles import (GL5_NODES, GL5_WEIGHTS, PhysicalParams,
                                make_profile)
+from rtspect.spectrum import SCAN_POINTS, mode_count
 
 # frozen regression values (tanh 1..3, ell=1, g=mu=k=1)
 GAMMA_M_EPS001 = 15360.215415
@@ -310,6 +311,14 @@ def _sweep_pipe(k, mu, rho_plus):
     return Pipeline(prof, par, SolverOptions(n_elements=128)).build()
 
 
+def _assert_certified_count(pipe):
+    # the certified count reads the top slice; the 64-point scan agrees
+    grid = np.linspace(pipe.eps_star, pipe.bounds.lambda_max, SCAN_POINTS)
+    assert pipe.monotone
+    assert pipe.count_modes().N == mode_count(pipe.builder, pipe.eps_star,
+                                              grid).N
+
+
 @pytest.mark.parametrize("k, mu, rho_plus", SWEEP_ROOTS)
 def test_sweep_roots_glue_and_match_the_oracle(k, mu, rho_plus):
     pipe = _sweep_pipe(k, mu, rho_plus)
@@ -322,12 +331,15 @@ def test_sweep_roots_glue_and_match_the_oracle(k, mu, rho_plus):
                            17)
         roots = find_roots(pipe.profile, pipe.params, scan, tol=1e-8)
         assert min(abs(r / pt.lam - 1.0) for r in roots) <= 1e-4
+    _assert_certified_count(pipe)
 
 
 @pytest.mark.parametrize("k, mu, rho_plus", SWEEP_BELOW_EPS_STAR)
 def test_sweep_roots_below_eps_star_are_reported(k, mu, rho_plus):
+    pipe = _sweep_pipe(k, mu, rho_plus)
     with pytest.raises(BracketError, match="eps_star"):
-        _sweep_pipe(k, mu, rho_plus).solve_mode_index(1)
+        pipe.solve_mode_index(1)
+    _assert_certified_count(pipe)
 
 
 def test_picard_contraction_and_updates(ctx):

@@ -6,12 +6,13 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from rtspect import outer_general as og
-from rtspect import spectrum
+from rtspect import pipeline, spectrum
 from rtspect.errors import BracketError, RankError, SolverError, StepSizeError
 from rtspect.outer_general import FIT_CHECK_TOL, boundary_coeffs_general
 from rtspect.pipeline import Pipeline, SolverOptions
-from rtspect.spectrum import (SliceBuilder, gamma_derivative_check,
-                              gamma_spectrum, mode_count, solve_dispersion)
+from rtspect.spectrum import (SCAN_POINTS, SliceBuilder,
+                              gamma_derivative_check, gamma_spectrum,
+                              mode_count, monotone_margin, solve_dispersion)
 
 
 def test_pencil_residual_and_orthonormality(bump_pipe):
@@ -265,6 +266,76 @@ def test_count_reads_only_search_slices(request, params, fixture, n_roots):
     ref = mode_count(pipe.builder, pipe.eps_star, grid)
     assert count.N == ref.N
     assert np.array_equal(count.b, ref.b)
+
+
+def test_fit_slopes_match_central_differences(tanh_pipe):
+    # h = 1e-3 lambda: the difference quotient's truncation error,
+    # h^2/6 |d3n/dlambda3|, is about 1e-7 relative for coefficients analytic
+    # in log lambda on an O(1) scale, and the direct n_ij's Picard noise
+    # (far below the fit's 1e-10 check) over h is at most 1e-7 as well;
+    # measured 2e-9 to 1.2e-8
+    fit = tanh_pipe.builder.tails
+    lo, hi = tanh_pipe.engine.lam_range
+    lams = np.array([2.0 * lo, math.sqrt(lo * hi), 0.9 * hi])
+    h = 1e-3 * lams
+    both = og._closure_rows(tanh_pipe.engine.solve(np.concatenate(
+        [lams - h, lams + h])), fit.x_minus, fit.x_plus)
+    fd = (both[3:] - both[:3]) / (2.0 * h[:, None])
+    slopes = fit.slopes(lams)
+    assert slopes.shape == (3, 8)
+    assert np.all(np.abs(slopes - fd).max(axis=1)
+                  <= 1e-6 * np.abs(slopes).max(axis=1))
+
+
+def test_certificate_is_positive_on_the_bump_fixture(bump_pipe):
+    # the paper's theorem, discretely: K' = K_rho + E' is positive definite
+    # for a compact profile; the closed-form n_ij are smooth, so central
+    # differences at h = 1e-4 lambda give the slopes
+    tails = bump_pipe.builder.tails
+    lmax = bump_pipe.bounds.lambda_max
+
+    def coeffs(lam):
+        return [c for side in tails(lam) for c in side.as_tuple()]
+
+    lams = np.geomspace(1e-4 * lmax, lmax, 33)
+    h = 1e-4 * lams
+    slopes = (np.array([coeffs(l) for l in lams + h])
+              - np.array([coeffs(l) for l in lams - h])) / (2.0 * h[:, None])
+    assert monotone_margin(bump_pipe.builder.volume, slopes) > 0.05
+    assert bump_pipe.monotone and math.isnan(bump_pipe.monotone_margin)
+
+
+def test_certified_increasing_profile_scans_the_bracket_ends(tanh_profile,
+                                                             params):
+    pipe = Pipeline(tanh_profile, params, SolverOptions(n_elements=64)).build()
+    assert math.isnan(pipe.monotone_margin)        # build pays nothing
+    pts = pipe.solve_mode_index(1)
+    assert pipe.monotone and pipe.monotone_margin > 0.05
+    grid = np.linspace(pipe.eps_star, pipe.bounds.lambda_max, SCAN_POINTS)
+    assert not set(grid[1:-1].tolist()) & set(pipe.builder._cache)
+    assert pipe.count_grid == (pipe.bounds.lambda_max,)
+    assert [p.lam for p in pts] == [p.lam for p in pipe.dispersion(1)]
+
+
+def test_uncertified_profile_keeps_the_scan(tanh_profile, params,
+                                            monkeypatch):
+    # a negative certificate sends an increasing profile down the 64-point
+    # scan, which must give what solve_dispersion and mode_count give there
+    monkeypatch.setattr(pipeline, "monotone_margin", lambda *_: -1.0)
+    opts = SolverOptions(n_elements=64)
+    pipe = Pipeline(tanh_profile, params, opts).build()
+    got = {n: pipe.solve_mode_index(n) for n in (1, 2, 3)}
+    assert not pipe.monotone and pipe.monotone_margin == -1.0
+    grid = np.linspace(pipe.eps_star, pipe.bounds.lambda_max, SCAN_POINTS)
+    assert set(grid.tolist()) <= set(pipe.builder._cache)
+    count = pipe.count_modes()
+    ref = Pipeline(tanh_profile, params, opts).build()     # fresh builder
+    for n, pts in got.items():
+        want = solve_dispersion(ref.builder, n, (ref.eps_star, grid[-1]),
+                                tol=opts.tol, n_scan=SCAN_POINTS)
+        assert [p.lam.hex() for p in pts] == [p.lam.hex() for p in want]
+    want = mode_count(ref.builder, ref.eps_star, grid)
+    assert count.N == want.N == 3 and np.array_equal(count.b, want.b)
 
 
 def test_derivative_identity_bump(bump_pipe, bump_profile, params,
