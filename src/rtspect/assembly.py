@@ -284,8 +284,11 @@ def _add_endpoint(ab, j, block):
     return float(np.sqrt(2.0) * abs(block[1, 0] - block[0, 1]))
 
 
-def endpoint_block(coeffs, params, rho_end, lam):
-    """2x2 stiffness block on the (value, slope) pair of one endpoint.
+def endpoint_block(end, n, params, rho_end, lam):
+    """2x2 stiffness blocks (2, 2, ...) on the (value, slope) pair of one
+    endpoint, the one definition of the endpoint form, for n_ij (4, ...) =
+    (n11, n12, n21, n22) with the component axis first; lam and rho_end
+    broadcast against n11.
 
     Rows test with (rh, rh'), columns weigh (th, th'); derived by eliminating
     th'' and th''' at the endpoint through the boundary relations.  Symmetric
@@ -293,17 +296,35 @@ def endpoint_block(coeffs, params, rho_end, lam):
     closures built from a solution pair of the first-order system (the
     combination is a conserved pairing of the flow, vanishing at infinity),
     so the recorded asymmetry defect stays at round-off for both closure
-    kinds.
+    kinds.  The right end's block is the left one's negative.
     """
     mu, k = params.mu, params.k
-    n11, n12, n21, n22 = coeffs.as_tuple()
-    if coeffs.end == "right":
-        return np.array([
-            [-mu * n21, -lam * rho_end - mu * n22 - 2.0 * mu * k**2],
-            [mu * n11, mu * n12]])
-    return np.array([
-        [mu * n21, lam * rho_end + mu * n22 + 2.0 * mu * k**2],
-        [-mu * n11, -mu * n12]])
+    n11, n12, n21, n22 = n
+    block = np.array([[mu * n21, lam * rho_end + mu * n22 + 2.0 * mu * k**2],
+                      [-mu * n11, -mu * n12]])
+    return -block if end == "right" else block
+
+
+def endpoint_derivative(volume, slopes):
+    """E'(lambda) (m, 4, 4), the lambda-derivative of the symmetrized
+    endpoint blocks on the DOFs (0, 1, n-2, n-1), given the slopes (m, 8) of
+    the (left, right) n_ij.  `endpoint_block` is affine in (n_ij, lambda),
+    so it is the block at (slopes, 1) less the block at (0, 0)."""
+    par = volume.params
+    dE = np.zeros((4, 4, len(slopes)))
+    for j, end, rho in zip((0, 2), ("left", "right"), volume.rho_ends):
+        dE[j:j + 2, j:j + 2] = (
+            endpoint_block(end, slopes.T[2 * j:2 * j + 4], par, rho, 1.0)
+            - endpoint_block(end, np.zeros((4, 1)), par, rho, 0.0))
+    return 0.5 * (dE + dE.transpose(1, 0, 2)).transpose(2, 0, 1)
+
+
+def psd_margins(block):
+    """(a, c, 4ac - b^2) of the forms a th^2 + b th th' + c th'^2 of 2x2
+    blocks (2, 2, ...); a form is positive semidefinite iff all are >= 0."""
+    a, c = block[0, 0], block[1, 1]
+    b = block[0, 1] + block[1, 0]
+    return a, c, 4.0 * a * c - b * b
 
 
 def assemble_forms(volume, lam, bc):
@@ -320,7 +341,8 @@ def assemble_forms(volume, lam, bc):
         raise SolverError("boundary coefficients were built for different endpoints")
     K_band = volume.K_mu + lam * volume.K_rho
     asym = np.hypot(*(
-        _add_endpoint(K_band, j, endpoint_block(c, volume.params, rho, lam))
+        _add_endpoint(K_band, j, endpoint_block(c.end, c.as_tuple(),
+                                                volume.params, rho, lam))
         for j, c, rho in zip((0, 2 * mesh.n_elements), bc, volume.rho_ends)))
     k, mu = volume.params.k, volume.params.mu
     return DiscreteForms(lam=float(lam), K_band=K_band,
@@ -449,7 +471,8 @@ def whole_line_identity_check(mode, profile, params, test_space, test_dofs):
         p, dp, _, _ = mode.eval(x_e)
         t0 = float(test_space.evaluate(test_dofs, x_e, 0))
         t1 = float(test_space.evaluate(test_dofs, x_e, 1))
-        block = endpoint_block(coeffs, params, float(profile.rho(x_e)), lam)
+        block = endpoint_block(coeffs.end, coeffs.as_tuple(), params,
+                               float(profile.rho(x_e)), lam)
         bv += float(np.array([t0, t1]) @ block @ np.array([p, dp]))
 
     rhs = volume + bv + correction

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import build_mesh
+from .assembly import build_mesh, endpoint_block, psd_margins
 from .errors import ConfigError, ProfileError, SolverError
 from .evans import evans_function
 from .modes import reconstruct_fields
-from .outer_general import _closure_at, _sigma0, endpoint_psd_margins
+from .outer_general import _closure_at
 from .pipeline import Pipeline, SolverOptions
 from .profiles import COMPACT, PhysicalParams, make_profile
 from .verification import format_results, run_verification
@@ -331,9 +331,10 @@ def cmd_outer_coeffs(cfg, out_dir):
         pairs = pipe.engine.solve(grid)
         n = np.concatenate([_closure_at([p[end] for p in pairs], x)
                             for end, x in sides], axis=1)  # (lambda, end, 4)
-    sig = _sigma0(cfg.profile.rho(np.asarray(xs)), par, grid[:, None])
-    # the discriminant is the same at both ends
-    disc = -endpoint_psd_margins("right", n, par.k, sig)[2]
+    # b^2 - 4ac of the endpoint form over mu^2, the same at both ends
+    block = endpoint_block("right", np.moveaxis(n, -1, 0), par,
+                           cfg.profile.rho(np.asarray(xs)), grid[:, None])
+    disc = -psd_margins(block)[2] / par.mu**2
     rows = [[end, f"{x:.9e}", f"{lam:.9e}", *(f"{v:.12e}" for v in c),
              f"{d:.12e}"]
             for lam, n_lam, d_lam in zip(grid, n, disc)

@@ -22,9 +22,9 @@ lambda one `DecayingPair` per side: both solutions on the samples, (N, 2,
 4), slow first.  The pairs close the problem on the window between the
 truncation points through the boundary coefficients n_ij, all from one
 array closure (`_closure`).  Both endpoint quadratic forms must be positive
-semidefinite there at the fit's first 17 lambdas, whose n_ij start the
-Chebyshev interpolant in log lambda that the root search reads
-(`BoundaryFit`, the tail source of increasing profiles).
+semidefinite there at every lambda the Chebyshev interpolant in log lambda
+is built from (`BoundaryFit`, the tail source of increasing profiles, whose
+first 17 lambdas are the window's).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from numpy.polynomial.chebyshev import chebder, chebval
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
+from .assembly import endpoint_block, psd_margins
 from .errors import (CoercivitySearchError, SolverError, TruncationError)
 from .outer_compact import BoundaryCoeffs
 from .profiles import GL5_NODES, GL5_WEIGHTS
@@ -763,8 +764,9 @@ class BoundaryFit:
     ends at `_fit_lambdas(lam_range, j, FIT_FIRST_DEGREE)`, j = 0..16, as
     `coercive_window` returns them (`_closure_rows`).  The first call adds
     the nested midpoints, one batched outer solve per doubling of the
-    degree, none of it in the engine's cache.  Each doubling measures the
-    previous interpolant against the direct n_ij at the midpoints by
+    degree, none of it in the engine's cache.  Each doubling tests both
+    endpoint forms at the midpoints as the window does (`_require_psd`)
+    and measures the previous interpolant against their direct n_ij by
     `check`'s relative miss, and the fit stops once that miss is within
     FIT_CHECK_TOL or fails to halve: there the Picard noise sets the
     floor, and `check` judges each root.  `n_nodes` and `miss` (the last
@@ -842,6 +844,8 @@ class BoundaryFit:
             mids = _fit_lambdas(self.engine.lam_range, j, 2 * n)
             direct = _closure_rows(self.engine.solve(mids), self.x_minus,
                                    self.x_plus)
+            _require_psd(self.engine.profile, self.engine.params,
+                         (self.x_minus, self.x_plus), mids, direct)
             last, miss = miss, _relative_miss(
                 chebval(np.cos(np.pi * j / (2 * n)), coeffs).T, direct)
             merged = np.empty((2 * n + 1, values.shape[1]))
@@ -853,20 +857,21 @@ class BoundaryFit:
         self.coeffs, self.n_nodes, self.miss = coeffs, n + 1, miss
 
 
-def endpoint_psd_margins(end, n, k, sigma0_at_end):
-    """Margins (A, C, -disc) of the endpoint quadratic form; PSD iff all >= 0.
-
-    The form is A*th^2 + B*th*th' + C*th'^2 with, at the right end,
-    A = -n21, C = n12, B = n11 - n22 - k^2 - sigma0^2 for n (..., 4) =
-    (n11, n12, n21, n22); mirrored signs at the left end.  disc = B^2 - 4AC
-    equals (n11 - n22 - k^2 - sigma0^2)^2 + 4 n12 n21 at both ends.
-    """
-    n11, n12, n21, n22 = np.moveaxis(np.asarray(n, dtype=float), -1, 0)
-    B = n11 - n22 - k * k - sigma0_at_end**2
-    disc = B * B + 4.0 * n12 * n21
-    if end == "right":
-        return -n21, n12, -disc
-    return n21, -n12, -disc
+def _require_psd(profile, params, x_ends, lams, rows):
+    """Raise CoercivitySearchError unless both endpoint forms
+    (`endpoint_block`) of the n_ij rows (m, 8) at the lambdas (m,) are
+    positive semidefinite at the window ends x_ends."""
+    for side, x_end, n in zip(("left", "right"), x_ends,
+                              (rows.T[:4], rows.T[4:])):
+        block = endpoint_block(side, n, params, float(profile.rho(x_end)),
+                               lams)
+        worst = np.min(psd_margins(block), axis=0)
+        j = int(np.argmin(worst))
+        if not worst[j] >= 0:
+            raise CoercivitySearchError(
+                f"the {side} endpoint form at the truncation point "
+                f"x={x_end:.6g} is not positive semidefinite: margin "
+                f"{worst[j]:.3g} at lambda={lams[j]:.6g}")
 
 
 def coercive_window(profile, params, setup, engine):
@@ -875,24 +880,15 @@ def coercive_window(profile, params, setup, engine):
 
     The lambdas are `_fit_lambdas` of j = 0..FIT_FIRST_DEGREE on
     `engine.lam_range`, solved in one batch, which is not cached.  Both
-    endpoint forms must be positive semidefinite at each of them; a
-    negative margin raises CoercivitySearchError.  Returns (x_minus,
-    x_plus, rows): rows (17, 8) are the first round of `BoundaryFit`.
+    endpoint forms must be positive semidefinite at each of them
+    (`_require_psd`).  Returns (x_minus, x_plus, rows): rows (17, 8) are
+    the first round of `BoundaryFit`.
     """
     lams = _fit_lambdas(engine.lam_range, np.arange(FIT_FIRST_DEGREE + 1),
                         FIT_FIRST_DEGREE)
     x_minus, x_plus = setup.x_tilde_minus, setup.x_tilde_plus
     rows = _closure_rows(engine.solve(lams), x_minus, x_plus)
-    for side, x_end, n in (("left", x_minus, rows[:, :4]),
-                           ("right", x_plus, rows[:, 4:])):
-        sig = _sigma0(profile.rho(x_end), params, lams)
-        worst = np.min(endpoint_psd_margins(side, n, params.k, sig), axis=0)
-        j = int(np.argmin(worst))
-        if not worst[j] >= 0:
-            raise CoercivitySearchError(
-                f"the {side} endpoint form at the truncation point "
-                f"x={x_end:.6g} is not positive semidefinite: margin "
-                f"{worst[j]:.3g} at lambda={lams[j]:.6g}")
+    _require_psd(profile, params, (x_minus, x_plus), lams, rows)
     return x_minus, x_plus, rows
 
 

@@ -91,8 +91,6 @@ class ProfileBounds:
     rho_m: float
     lambda_max: float
     x_peak: float
-    x_lo: float
-    x_hi: float
     x_rho_m: float
 
 
@@ -100,7 +98,6 @@ class ProfileBounds:
 class ProfileReport:
     passed: bool
     checks: tuple
-    worst: dict
 
     def __str__(self):
         lines = [f"profile validation: {'pass' if self.passed else 'FAIL'}"]
@@ -291,7 +288,7 @@ def profile_bounds(profile, params):
     x_rho_m, dmax = _refined_max(profile.drho, grid, drho, xatol)
     return ProfileBounds(L0=1.0 / r_peak, rho_m=dmax,
                          lambda_max=math.sqrt(params.g * r_peak),
-                         x_peak=x_peak, x_lo=x_lo, x_hi=x_hi, x_rho_m=x_rho_m)
+                         x_peak=x_peak, x_rho_m=x_rho_m)
 
 
 def validate(profile):
@@ -309,17 +306,14 @@ def validate(profile):
     delta = profile.delta
 
     checks = []
-    worst = {}
 
     tol_r = 1e-10 * delta
     in_range = (r >= profile.rho_minus - tol_r) & (r <= profile.rho_plus + tol_r)
-    worst["range"] = float(np.max(np.maximum(profile.rho_minus - r, r - profile.rho_plus)))
+    overshoot = np.max(np.maximum(profile.rho_minus - r, r - profile.rho_plus))
     checks.append(("rho within [rho_minus, rho_plus]", bool(in_range.all()),
-                   f"worst overshoot {worst['range']:.3e}"))
-
-    worst["gradient"] = float(np.min(d))
+                   f"worst overshoot {overshoot:.3e}"))
     checks.append(("rho0' >= 0", bool((d >= -tol_r / profile.scale).all()),
-                   f"min rho0' = {worst['gradient']:.3e}"))
+                   f"min rho0' = {np.min(d):.3e}"))
 
     if profile.kind == INCREASING:
         ok_pos = bool((d > 0).all())
@@ -350,9 +344,9 @@ def validate(profile):
     dscale = float(np.max(np.abs(profile.drho(xs))))
     denom = np.maximum(np.maximum(np.abs(dref), np.abs(fd)), 1e-3 * dscale)
     rel = np.abs(fd - dref) / denom
-    worst["fd"] = float(np.max(rel)) if rel.size else 0.0
+    fd_err = float(np.max(rel)) if rel.size else 0.0
     checks.append(("drho consistent with centered differences",
-                   worst["fd"] <= 1e-6, f"worst relative error {worst['fd']:.3e}"))
+                   fd_err <= 1e-6, f"worst relative error {fd_err:.3e}"))
 
     passed = all(ok for _, ok, _ in checks)
-    return ProfileReport(passed=passed, checks=tuple(checks), worst=worst)
+    return ProfileReport(passed=passed, checks=tuple(checks))

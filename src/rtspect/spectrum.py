@@ -7,9 +7,12 @@ and a growth rate is any lambda with gamma_n(lambda) = lambda / (g k^2).
 A `SliceBuilder` closes the window with the n_ij of one tail source,
 `CompactTails` for compact-gradient profiles or `outer_general.BoundaryFit`
 for strictly increasing ones; the same source hands out the decaying pairs
-that glue a mode.  One root search serves every profile (`solve_dispersion`):
-f_n = g k^2 gamma_n - lambda is scanned on a grid over the bracket, Brent's
-method refines every sign change, and the tail source checks every root.
+that glue a mode and the slopes dn_ij/dlambda, whose endpoint-form
+derivative E' (`endpoint_derivative`) feeds `monotone_margin` and the
+derivative check.  One root search serves every profile
+(`solve_dispersion`): f_n = g k^2 gamma_n - lambda is scanned on a grid over
+the bracket, Brent's method refines every sign change, and the tail source
+checks every root.
 Where each curve decreases, f_n has at most one root and a two-point scan
 (the bracket ends) suffices.  The paper proves that for compact-gradient
 profiles; for strictly increasing ones `monotone_margin` certifies it on
@@ -29,7 +32,7 @@ from scipy.optimize import brentq
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .assembly import (BANDWIDTH, assemble_forms, assemble_volume,
-                       coercivity_check)
+                       coercivity_check, endpoint_derivative)
 from .errors import BracketError, RankError, SolverError, StepSizeError
 from .outer_compact import (compact_bc_coeffs, compact_decaying_solutions,
                             compact_outer_basis)
@@ -107,8 +110,9 @@ def gamma_spectrum(forms, n_max):
 
 class CompactTails:
     """Tail source of a compact-gradient profile, the exact exponentials
-    past -a and a: called at lambda it gives the (left, right) n_ij, and
-    `pairs(lam)` the `ExponentialPair` of each side."""
+    past -a and a: called at lambda it gives the (left, right) n_ij,
+    `pairs(lam)` the `ExponentialPair` of each side and `slopes(lams)` the
+    closed-form dn_ij/dlambda."""
 
     def __init__(self, profile, params):
         self.profile = profile
@@ -125,14 +129,28 @@ class CompactTails:
     def check(self, _lam):
         """Nothing to check: the closures are exact."""
 
+    def slopes(self, lams):
+        """dn_ij/dlambda (m, 8) at the lambdas (m,), left then right like
+        `BoundaryFit.slopes`: the n_ij of `exponential_closure` are
+        polynomials in tau, and dtau/dlambda = rho/(2 mu tau)."""
+        k, mu, out = self.params.k, self.params.mu, []
+        for s, rho in ((-1.0, self.profile.rho_minus),
+                       (1.0, self.profile.rho_plus)):
+            tau = np.sqrt(k * k + lams * (rho / mu))
+            d = rho / (2.0 * mu * tau)
+            out += [k * d, s * d, -s * k * (k + 2.0 * tau) * d,
+                    -(k + 2.0 * tau) * d]
+        return np.stack(out, axis=-1)
+
 
 class SliceBuilder:
     """Callable lambda -> SpectrumSlice with caching; owns the tail source.
 
     `tails` (`CompactTails`, or `outer_general.BoundaryFit` for increasing
     profiles) gives the (left, right) n_ij at lambda when called, the
-    pairs that glue a mode (`tails.pairs(lam)`) and a `check(lam)` that
-    `solve_dispersion` runs at every root; the n_ij do not depend on the
+    pairs that glue a mode (`tails.pairs(lam)`), a `check(lam)` that
+    `solve_dispersion` runs at every root and the slopes dn_ij/dlambda
+    (`tails.slopes(lams)`, (m, 8)); the n_ij do not depend on the
     mesh, so builders on other meshes of one window may share it.
     The lambda-independent forms are assembled once, into `volume`; each
     new slice adds lambda K_rho and the endpoint blocks of its n_ij.
@@ -166,22 +184,16 @@ class SliceBuilder:
 def monotone_margin(volume, slopes):
     """min of lambda_min(S + E') / ||S||_2 over slopes (m, 8) of the n_ij.
 
-    E' = dE/dlambda (symmetrized endpoint blocks) lives on the DOFs e = (0,
-    1, n-2, n-1): K' = K_rho + E' is positive definite iff S + E' is, with
+    E' (`endpoint_derivative`) lives on the DOFs e = (0, 1, n-2, n-1):
+    K' = K_rho + E' is positive definite iff S + E' is, with
     S = inv((K_rho^-1)[e, e]) the Schur complement of K_rho there.  Then
     every positive gamma_n decreases (Courant-Fischer)."""
     e = [0, 1, -2, -1]
     unit = np.zeros((volume.K_rho.shape[1], 4))
     unit[e, range(4)] = 1.0
     S = np.linalg.inv(solveh_banded(volume.K_rho, unit, lower=True)[e])
-    mu, dE = volume.params.mu, np.zeros((len(slopes), 4, 4))
-    for j, sign, rho, (n11, n12, n21, n22) in zip(
-            (0, 2), (1.0, -1.0), volume.rho_ends, slopes.T.reshape(2, 4, -1)):
-        dE[:, j, j], dE[:, j + 1, j + 1] = sign * mu * n21, -sign * mu * n12
-        dE[:, j, j + 1] = dE[:, j + 1, j] = (
-            0.5 * sign * (rho + mu * (n22 - n11)))
-    return float(np.linalg.eigvalsh(S + dE)[:, 0].min()
-                 / np.linalg.norm(S, 2))
+    return float(np.linalg.eigvalsh(S + endpoint_derivative(volume, slopes))
+                 [:, 0].min() / np.linalg.norm(S, 2))
 
 
 def solve_dispersion(builder, n, bracket, tol=DEFAULT_TOL, n_scan=SCAN_POINTS):
@@ -247,40 +259,23 @@ def mode_count(builder, eps_star, lambda_grid):
     return ModeCount(eps_star=float(eps_star), b=b, N=N)
 
 
-def gamma_derivative_check(builder, profile, params, n, lam, h):
-    """Compare d(1/gamma_n)/dlambda against the boundary-energy identity.
-
-    The analytic side (compact-gradient profiles) is
-      [ int rho0 (k^2 phi^2 + phi'^2)
-        + k rho_- phi(-a)^2 + rho_-/(2 tau_-) (phi'(-a) - k phi(-a))^2
-        + k rho_+ phi(a)^2  + rho_+/(2 tau_+) (phi'(a) + k phi(a))^2 ]
-      / int rho0' phi^2 ,
-    the last square carrying +k phi(a) because the right tail differentiates
-    to phi' = -k phi on the pure slow branch.  The volume energy and the
-    mass are c^T K_rho c and c^T M_rho c on the builder's bands.  Returns
+def gamma_derivative_check(builder, n, lam, h):
+    """Compare d(1/gamma_n)/dlambda against its Hellmann-Feynman form
+    c^T (K_rho + E') c / c^T M_rho c, with c the eigenvector of gamma_n and
+    E' (`endpoint_derivative`) from the tail source's slopes at lam; for
+    compact-gradient profiles it is the boundary-energy identity.  Returns
     the relative error of the centered difference at step h.
     """
-    if profile.kind != COMPACT:
-        raise SolverError("the derivative identity applies to compact-gradient profiles")
-    sl = builder(lam)
     inv_p = 1.0 / builder.gamma(lam + h, n)
     inv_m = 1.0 / builder.gamma(lam - h, n)
     fd = (inv_p - inv_m) / (2.0 * h)
     if abs(inv_p - inv_m) < 1e-9 * abs(inv_p):
         raise StepSizeError("step too small: difference below eigensolve noise")
-
-    c = sl.vectors[:, n - 1]
+    c = builder(lam).vectors[:, n - 1]
     vol, mass = (float(c @ dsbmv(BANDWIDTH, 1.0, ab, c, lower=1))
                  for ab in (builder.volume.K_rho, builder.volume.M_band))
-    k = params.k
-
-    basis = compact_outer_basis(profile, params, lam)
-    phi_l, dphi_l = c[0], c[1]
-    phi_r, dphi_r = c[-2], c[-1]
-    analytic = (vol
-                + k * profile.rho_minus * phi_l**2
-                + profile.rho_minus / (2 * basis.tau_minus) * (dphi_l - k * phi_l)**2
-                + k * profile.rho_plus * phi_r**2
-                + profile.rho_plus / (2 * basis.tau_plus) * (dphi_r + k * phi_r)**2
-                ) / mass
+    ce = c[[0, 1, -2, -1]]
+    dE = endpoint_derivative(builder.volume,
+                             builder.tails.slopes(np.array([lam])))[0]
+    analytic = (vol + ce @ dE @ ce) / mass
     return abs(fd - analytic) / abs(analytic)

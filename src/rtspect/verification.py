@@ -1,10 +1,10 @@
 """Runtime invariant suite behind the `verify` command.
 
 Each check returns (name, passed, detail).  The suite is profile-kind aware:
-both kinds check that the gamma curves decrease on the lambda grid;
-compact-gradient profiles add the derivative identity, strictly increasing
-ones the monotonicity certificate, the fixed-point construction and the
-decay envelopes.  Random probes are seeded for reproducibility.
+both kinds check that the gamma curves decrease on the lambda grid and
+the derivative identity for 1/gamma_1; strictly increasing profiles add
+the monotonicity certificate, the fixed-point construction and the decay
+envelopes.  Random probes are seeded for reproducibility.
 """
 
 from __future__ import annotations
@@ -68,13 +68,11 @@ def run_verification(pipe, seed=0):
     mono = bool(np.all(gam[1:] <= gam[:-1] * (1 + 1e-8)))
     results.append(("gamma curves non-increasing in lambda", mono,
                     f"worst uptick {np.max(gam[1:] / gam[:-1] - 1):.2e}"))
-    if prof.kind == COMPACT:
-        lam = 0.5 * lmax
-        err = gamma_derivative_check(pipe.builder, prof, par, 1, lam,
-                                     1e-3 * lam)
-        results.append(("derivative identity for 1/gamma_1 (<= 1e-3)",
-                        err <= 1e-3, f"relative error {err:.2e}"))
-    else:
+    lam = 0.5 * lmax
+    err = gamma_derivative_check(pipe.builder, 1, lam, 1e-3 * lam)
+    results.append(("derivative identity for 1/gamma_1 (<= 1e-3)",
+                    err <= 1e-3, f"relative error {err:.2e}"))
+    if prof.kind != COMPACT:
         path = f"{2 if pipe.monotone else SCAN_POINTS}-point scan"
         results.append(("monotonicity certificate",
                         not math.isnan(pipe.monotone_margin),

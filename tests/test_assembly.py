@@ -60,8 +60,8 @@ def direct_forms(profile, params, lam, bc, space):
                  + _element_form(N1, w * (lam * rho + 2.0 * mu * k**2))
                  + _element_form(N2, mu * w))
     asym = np.hypot(*(
-        _add_endpoint(K, j, endpoint_block(c, params, float(profile.rho(c.x)),
-                                           lam))
+        _add_endpoint(K, j, endpoint_block(c.end, c.as_tuple(), params,
+                                           float(profile.rho(c.x)), lam))
         for j, c in zip((0, space.n_dofs - 2), bc)))
     return (K, _scatter(space, _element_form(N0, w * drho)),
             _scatter(space, sum(_element_form(N, w) for N in (N0, N1, N2))),
@@ -176,7 +176,8 @@ def test_compact_endpoint_block_sum_of_squares(bump_profile, params):
     lam = 0.4
     basis = compact_outer_basis(bump_profile, params, lam)
     left, right = compact_bc_coeffs(basis)
-    blk = endpoint_block(right, params, bump_profile.rho_plus, lam)
+    blk = endpoint_block(right.end, right.as_tuple(), params,
+                         bump_profile.rho_plus, lam)
     k, tau = params.k, basis.tau_plus
     for th, dth in ((1.0, 0.0), (0.2, -1.1), (-0.5, 0.9)):
         v = np.array([th, dth])
@@ -193,7 +194,7 @@ def test_general_block_symmetric_at_limit_coeffs(params):
     sig = 2.0
     lam = (sig**2 - params.k**2) * params.mu / 3.0  # rho_end = 3
     c = exponential_closure("right", math.inf, params.k, sig)
-    blk = endpoint_block(c, params, 3.0, lam)
+    blk = endpoint_block(c.end, c.as_tuple(), params, 3.0, lam)
     assert abs(blk[0, 1] - blk[1, 0]) <= 1e-12 * np.abs(blk).max()
 
 

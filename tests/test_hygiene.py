@@ -106,52 +106,59 @@ def test_benchmark_hooks_resolve():
     missing += [f"{mod}.{cls}.{meth}" for mod, cls, meth in tables["METHODS"]
                 if meth not in vars(getattr(importlib.import_module(mod), cls))]
     # a function is wrapped at the attribute its callers look up, so the
-    # module it is wrapped in must read that name, or the span never opens
+    # module it is wrapped in must read that name as a variable, or the
+    # span never opens
     missing += [f"{mod}.{attr} (not read there)"
                 for mod, attr, _ in tables["FUNCTIONS"]
                 if attr not in _reads(pathlib.Path(
-                    importlib.import_module(mod).__file__))]
+                    importlib.import_module(mod).__file__))[0]]
     assert not missing, "benchmark hooks that do not resolve:\n" + \
         "\n".join(missing)
 
 
 def _definitions(path):
-    """(line, name) of every module-level function, class and constant and
-    every method and annotated field (a dataclass field) of its classes;
-    dunder names are exempt."""
+    """(line, name, member) of every module-level function, class and
+    constant (member False) and every method and annotated field (a
+    dataclass field) of its classes (member True); dunder names are
+    exempt."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            found.append((node.lineno, node.name))
+            found.append((node.lineno, node.name, False))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) \
                 else [node.target]
-            found += [(t.lineno, t.id) for t in targets
+            found += [(t.lineno, t.id, False) for t in targets
                       if isinstance(t, ast.Name)]
         if isinstance(node, ast.ClassDef):
-            found += [(f.lineno, f.name) for f in node.body
+            found += [(f.lineno, f.name, True) for f in node.body
                       if isinstance(f, ast.FunctionDef)]
-            found += [(f.lineno, f.target.id) for f in node.body
+            found += [(f.lineno, f.target.id, True) for f in node.body
                       if isinstance(f, ast.AnnAssign)
                       and isinstance(f.target, ast.Name)]
-    return [(line, name) for line, name in found
-            if not (name.startswith("__") and name.endswith("__"))]
+    return [d for d in found
+            if not (d[1].startswith("__") and d[1].endswith("__"))]
 
 
 def _reads(path):
-    """Every name a module reads, as a variable or as an attribute."""
+    """The names a module reads as variables, and those it reads as
+    attributes."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    return {n.id for n in ast.walk(tree)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | {
-        n.attr for n in ast.walk(tree)
-        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return ({n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)},
+            {n.attr for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)})
 
 
 def _unread_definitions(sources, readers):
-    read = set().union(*map(_reads, readers))
+    """Definitions that no reader reads; a class member counts as read only
+    when it is read as an attribute, so a local variable of the same name
+    does not hide it."""
+    names, attrs = (set().union(*s) for s in zip(*map(_reads, readers)))
     return sorted((path, line, name) for path in sources
-                  for line, name in _definitions(path) if name not in read)
+                  for line, name, member in _definitions(path)
+                  if name not in (attrs if member else names | attrs))
 
 
 def test_every_definition_is_read():
@@ -174,9 +181,11 @@ def test_scan_flags_an_unread_definition(tmp_path):
                    "class C:\n    def __init__(self):\n        self.x = 1\n\n"
                    "    def run(self):\n        return used()\n\n"
                    "    def idle(self):\n        pass\n\n\n"
-                   "class D:\n    read: int\n    unread: float = 0.0\n")
+                   "class D:\n    read: int\n    unread: float = 0.0\n"
+                   "    hidden: float = 1.0\n")
     user = tmp_path / "t.py"
-    user.write_text("import m\nm.C().run()\nprint(m.D(1).read)\n")
+    user.write_text("import m\nm.C().run()\nprint(m.D(1).read)\n"
+                    "hidden = 2.0\nprint(hidden)\n")
     assert _unread_definitions([src], [src, user]) == [
         (src, 2, "UNUSED"), (src, 9, "unused"), (src, 20, "idle"),
-        (src, 26, "unread")]
+        (src, 26, "unread"), (src, 27, "hidden")]

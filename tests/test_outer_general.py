@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from rtspect import outer_general as og
+from rtspect.assembly import endpoint_block, psd_margins
 from rtspect.errors import BracketError, CoercivitySearchError, SolverError
 from rtspect.evans import find_roots
 from rtspect.modes import gluing_jumps
@@ -461,15 +462,17 @@ def test_limit_discriminant_closed_form():
     disc = (c.n11 - c.n22 - 1.0 - 4.0)**2 + 4 * c.n12 * c.n21
     assert disc == pytest.approx(-56.0)
     assert disc == pytest.approx(-4 * 1.0 * 2.0 * (1 + 2 + 4))
-    margins = og.endpoint_psd_margins(c.end, c.as_tuple(), 1.0, 2.0)
+    # sigma0^2 = k^2 + lam rho / mu = 4 at lam = 1, rho = 3
+    margins = psd_margins(endpoint_block(c.end, c.as_tuple(), par, 3.0, 1.0))
     assert min(margins) > 0
+    assert -margins[2] == pytest.approx(disc)
 
 
 def test_left_end_sign_pattern_mirrors():
     par = PhysicalParams(g=1.0, mu=1.0, k=1.0)
     c = exponential_closure("left", -math.inf, par.k, 2.0)
     assert c.n12 < 0 < c.n21
-    margins = og.endpoint_psd_margins(c.end, c.as_tuple(), 1.0, 2.0)
+    margins = psd_margins(endpoint_block(c.end, c.as_tuple(), par, 3.0, 1.0))
     assert min(margins) > 0
     # direct positive semidefiniteness probes (1,0) and (0,1) plus the
     # discriminant agree with the margin tests
@@ -579,6 +582,7 @@ def test_coercive_window_rejects_a_negative_margin(ctx):
 
     class Stub:
         lam_range = eng.lam_range
+        profile, params = prof, par
         bad = 5
 
         def solve(self, lams):
@@ -598,7 +602,15 @@ def test_coercive_window_rejects_a_negative_margin(ctx):
                        match=f"right .* lambda={lams[Stub.bad]:.6g}$"):
         og.coercive_window(prof, par, setup, Stub())
     Stub.bad = None
-    assert og.coercive_window(prof, par, setup, Stub())[:2] == (xm, xp)
+    xm, xp, rows = og.coercive_window(prof, par, setup, Stub())
+    assert (xm, xp) == (setup.x_tilde_minus, setup.x_tilde_plus)
+    # the fit holds its midpoints to the same test: the third one of the
+    # first doubling fails
+    Stub.bad = 2
+    mids = og._fit_lambdas(eng.lam_range, np.arange(1, 32, 2), 32)
+    with pytest.raises(CoercivitySearchError,
+                       match=f"right .* lambda={mids[2]:.6g}$"):
+        og.BoundaryFit(Stub(), xm, xp, rows).slopes(mids)
 
 
 def test_decay_envelopes(ctx):

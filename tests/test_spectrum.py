@@ -268,20 +268,28 @@ def test_count_reads_only_search_slices(request, params, fixture, n_roots):
     assert np.array_equal(count.b, ref.b)
 
 
-def test_fit_slopes_match_central_differences(tanh_pipe):
+@pytest.mark.parametrize("fixture", ("tanh_pipe", "bump_pipe"))
+def test_fit_slopes_match_central_differences(request, fixture):
+    # both tail sources: the log-lambda fit on tanh, the closed form on bump.
     # h = 1e-3 lambda: the difference quotient's truncation error,
     # h^2/6 |d3n/dlambda3|, is about 1e-7 relative for coefficients analytic
     # in log lambda on an O(1) scale, and the direct n_ij's Picard noise
     # (far below the fit's 1e-10 check) over h is at most 1e-7 as well;
-    # measured 2e-9 to 1.2e-8
-    fit = tanh_pipe.builder.tails
-    lo, hi = tanh_pipe.engine.lam_range
+    # measured 2e-9 to 1.2e-8 on tanh and 1.3e-10 to 1.4e-8 on bump
+    pipe = request.getfixturevalue(fixture)
+    tails = pipe.builder.tails
+    lo, hi = pipe.eps_star, pipe.bounds.lambda_max
     lams = np.array([2.0 * lo, math.sqrt(lo * hi), 0.9 * hi])
     h = 1e-3 * lams
-    both = og._closure_rows(tanh_pipe.engine.solve(np.concatenate(
-        [lams - h, lams + h])), fit.x_minus, fit.x_plus)
+    ends = np.concatenate([lams - h, lams + h])
+    if pipe.engine is not None:     # the direct n_ij, not the fit's
+        both = og._closure_rows(pipe.engine.solve(ends), tails.x_minus,
+                                tails.x_plus)
+    else:
+        both = np.array([[c for side in tails(lam) for c in side.as_tuple()]
+                         for lam in ends])
     fd = (both[3:] - both[:3]) / (2.0 * h[:, None])
-    slopes = fit.slopes(lams)
+    slopes = tails.slopes(lams)
     assert slopes.shape == (3, 8)
     assert np.all(np.abs(slopes - fd).max(axis=1)
                   <= 1e-6 * np.abs(slopes).max(axis=1))
@@ -289,18 +297,10 @@ def test_fit_slopes_match_central_differences(tanh_pipe):
 
 def test_certificate_is_positive_on_the_bump_fixture(bump_pipe):
     # the paper's theorem, discretely: K' = K_rho + E' is positive definite
-    # for a compact profile; the closed-form n_ij are smooth, so central
-    # differences at h = 1e-4 lambda give the slopes
-    tails = bump_pipe.builder.tails
+    # for a compact profile, with the closed-form slopes of the n_ij
     lmax = bump_pipe.bounds.lambda_max
-
-    def coeffs(lam):
-        return [c for side in tails(lam) for c in side.as_tuple()]
-
     lams = np.geomspace(1e-4 * lmax, lmax, 33)
-    h = 1e-4 * lams
-    slopes = (np.array([coeffs(l) for l in lams + h])
-              - np.array([coeffs(l) for l in lams - h])) / (2.0 * h[:, None])
+    slopes = bump_pipe.builder.tails.slopes(lams)
     assert monotone_margin(bump_pipe.builder.volume, slopes) > 0.05
     assert bump_pipe.monotone and math.isnan(bump_pipe.monotone_margin)
 
@@ -338,11 +338,18 @@ def test_uncertified_profile_keeps_the_scan(tanh_profile, params,
     assert count.N == want.N == 3 and np.array_equal(count.b, want.b)
 
 
-def test_derivative_identity_bump(bump_pipe, bump_profile, params,
-                                  bump_bounds):
+def test_derivative_identity_bump(bump_pipe, bump_bounds):
     lam = 0.5 * bump_bounds.lambda_max
-    err = gamma_derivative_check(bump_pipe.builder, bump_profile, params,
-                                 1, lam, 1e-3 * lam)
+    err = gamma_derivative_check(bump_pipe.builder, 1, lam, 1e-3 * lam)
+    assert err <= 1e-3
+
+
+@pytest.mark.parametrize("frac", (0.05, 0.5, 0.9))
+def test_derivative_identity_tanh(tanh_pipe, frac):
+    # the Hellmann-Feynman form with the fit's slopes; measured 2.9e-8 to
+    # 6.5e-7 on this fixture
+    lam = frac * tanh_pipe.bounds.lambda_max
+    err = gamma_derivative_check(tanh_pipe.builder, 1, lam, 1e-3 * lam)
     assert err <= 1e-3
 
 
@@ -355,19 +362,17 @@ def test_derivative_identity_positive_rhs(bump_pipe, bump_bounds):
     assert 1.0 / g2 > 1.0 / g1
 
 
-def test_derivative_identity_fd_order(bump_pipe, bump_profile, params,
-                                      bump_bounds):
+def test_derivative_identity_fd_order(bump_pipe, bump_bounds):
     # in the h-dominated regime the centered difference error drops ~4x per
     # halving; measured against the tighter h -> 0 extrapolation
     lam = 0.5 * bump_bounds.lambda_max
-    errs = [gamma_derivative_check(bump_pipe.builder, bump_profile, params,
-                                   1, lam, h * lam) for h in (8e-2, 4e-2)]
+    errs = [gamma_derivative_check(bump_pipe.builder, 1, lam, h * lam)
+            for h in (8e-2, 4e-2)]
     ratio = errs[0] / errs[1]
     assert 2.5 <= ratio <= 6.5
 
 
-def test_step_size_error(bump_pipe, bump_profile, params, bump_bounds):
+def test_step_size_error(bump_pipe, bump_bounds):
     lam = 0.5 * bump_bounds.lambda_max
     with pytest.raises(StepSizeError):
-        gamma_derivative_check(bump_pipe.builder, bump_profile, params,
-                               1, lam, 1e-14 * lam)
+        gamma_derivative_check(bump_pipe.builder, 1, lam, 1e-14 * lam)
