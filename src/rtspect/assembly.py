@@ -100,17 +100,18 @@ def build_mesh(x_minus, x_plus, n_elements, grading="uniform"):
         raise SolverError("grading ratio must be positive and finite")
     if name == "geometric":
         w = ratio ** np.arange(n_elements)
-        w *= (x_plus - x_minus) / w.sum()
-        return Mesh(nodes=x_minus + np.concatenate([[0.0], np.cumsum(w)]))
-    if name == "center":
+    elif name == "center":
         half = n_elements // 2
         extra = n_elements - 2 * half
         q = ratio ** (1.0 / max(half - 1, 1))
         w_half = q ** np.arange(half)        # narrow at the center, wide outside
         w = np.concatenate([w_half[::-1], np.ones(extra) * w_half[0], w_half])
-        w *= (x_plus - x_minus) / w.sum()
-        return Mesh(nodes=x_minus + np.concatenate([[0.0], np.cumsum(w)]))
-    raise SolverError(f"unknown grading '{grading}'")
+    else:
+        raise SolverError(f"unknown grading '{grading}'")
+    w *= (x_plus - x_minus) / w.sum()
+    nodes = x_minus + np.concatenate([[0.0], np.cumsum(w)])
+    nodes[-1] = x_plus    # the cumulative sum misses it by a few ulps
+    return Mesh(nodes=nodes)
 
 
 def _shape_tables(widths):

@@ -88,6 +88,16 @@ def test_build_mesh_center_ratio():
     assert m.widths[31] < m.widths[0]
 
 
+@pytest.mark.parametrize("grading", ("uniform", "geometric:1.01", "center:4"))
+@pytest.mark.parametrize("n", (7, 128, 160, 256))
+def test_build_mesh_ends_where_asked(grading, n):
+    # the ends are the points where the n_ij close the window, so the
+    # graded cumulative sums may not move the last node by an ulp
+    for ends in ((-1.0, 1.0), (-7.3, 5.9)):
+        m = build_mesh(*ends, n, grading)
+        assert (m.x_minus, m.x_plus) == ends
+
+
 def test_build_mesh_errors():
     with pytest.raises(SolverError):
         build_mesh(1.0, -1.0, 8)
