@@ -20,14 +20,12 @@ from .errors import (BracketError, CoercivityError, CoercivitySearchError,
 from .evans import EvansSample, evans_function, find_roots
 from .modes import (GlobalMode, PerturbationField, glue_mode, gluing_jumps,
                     ode_residual, raw_trace_defects, reconstruct_fields)
-from .outer_compact import (BoundaryCoeffs, CompactOuterBasis,
-                            ExponentialPair, compact_bc_coeffs,
+from .outer_compact import (CompactOuterBasis, ExponentialPair,
                             compact_decaying_solutions, compact_outer_basis)
 from .outer_general import (BoundaryFit, DecayingPair, GammaBounds,
                             OuterSolutions, PicardSetup, SystemMatrices,
-                            boundary_coeffs_general, coercive_window,
-                            decay_envelopes, gamma_bounds, system_matrices,
-                            truncation_points)
+                            coercive_window, decay_envelopes, gamma_bounds,
+                            system_matrices, truncation_points)
 from .pipeline import Pipeline, SolverOptions
 from .profiles import (COMPACT, INCREASING, DensityProfile, PhysicalParams,
                        ProfileBounds, make_profile, profile_bounds, validate)

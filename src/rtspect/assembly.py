@@ -222,7 +222,8 @@ def assemble_volume(profile, params, space):
 
 @dataclass
 class DiscreteForms:
-    """Assembled matrices at one lambda, plus the endpoint data that built them.
+    """Assembled matrices at one lambda, closed by the tail source's n_ij
+    row at `lam`, which is not kept.
 
     K_band holds K(lam) in LAPACK lower band storage (4 x n_dofs, module
     docstring); M_band and G_band are the builder's shared bands, read
@@ -236,7 +237,6 @@ class DiscreteForms:
     lam: float
     K_band: np.ndarray
     asymmetry_norm: float
-    bc: tuple
     volume: VolumeForms
     threshold: float  # mu * min(k^4, 2k^2, 1)
 
@@ -328,26 +328,24 @@ def psd_margins(block):
     return a, c, 4.0 * a * c - b * b
 
 
-def assemble_forms(volume, lam, bc):
-    """K(lam) = K_mu + lam K_rho plus the endpoint blocks of the closure in
-    `bc`, the (left, right) BoundaryCoeffs pair produced for this same lam.
+def assemble_forms(volume, lam, n):
+    """K(lam) = K_mu + lam K_rho plus the endpoint blocks of the n_ij row
+    `n` (8,), the left end's (n11, n12, n21, n22) then the right's, that a
+    tail source gives at this same lam for the ends of the volume's mesh.
 
     The endpoint blocks are symmetrized before they are added, and their
     antisymmetric part is recorded as `asymmetry_norm`.
     """
-    left, right = bc
-    mesh = volume.space.mesh
-    if abs(left.x - mesh.x_minus) > 1e-9 * max(1, abs(left.x)) or \
-            abs(right.x - mesh.x_plus) > 1e-9 * max(1, abs(right.x)):
-        raise SolverError("boundary coefficients were built for different endpoints")
     K_band = volume.K_mu + lam * volume.K_rho
     asym = np.hypot(*(
-        _add_endpoint(K_band, j, endpoint_block(c.end, c.as_tuple(),
-                                                volume.params, rho, lam))
-        for j, c, rho in zip((0, 2 * mesh.n_elements), bc, volume.rho_ends)))
+        _add_endpoint(K_band, j, endpoint_block(end, n_end, volume.params,
+                                                rho, lam))
+        for j, end, n_end, rho in zip(
+            (0, 2 * volume.space.mesh.n_elements), ("left", "right"),
+            (n[:4], n[4:]), volume.rho_ends)))
     k, mu = volume.params.k, volume.params.mu
     return DiscreteForms(lam=float(lam), K_band=K_band,
-                         asymmetry_norm=float(asym), bc=bc, volume=volume,
+                         asymmetry_norm=float(asym), volume=volume,
                          threshold=mu * min(k**4, 2.0 * k**2, 1.0))
 
 
@@ -406,10 +404,11 @@ def coercivity_check(forms):
         knorm = float(np.abs(eig_banded(K, lower=True,
                                         eigvals_only=True)).max())
         if margin < -1e-8 * knorm:
-            left, right = forms.bc
+            mesh = forms.volume.space.mesh
             raise CoercivityError(
                 f"coercivity failed at lambda={forms.lam:.6g}: margin "
-                f"{margin:.3e} (endpoints x={left.x:.4g}, {right.x:.4g})")
+                f"{margin:.3e} (mesh ends x={mesh.x_minus:.4g}, "
+                f"{mesh.x_plus:.4g})")
     return margin
 
 
@@ -463,17 +462,15 @@ def whole_line_identity_check(mode, profile, params, test_space, test_dofs):
     correction = float((wq[~inside] * (g * k**2 * drho[~inside] / lam)
                         * phi[~inside] * th[~inside]).sum())
 
-    left, right = mode.bc
     bv = 0.0
-    for coeffs in (left, right):
-        x_e = coeffs.x
+    for end, x_e, n in (("left", x_lo, mode.bc[:4]),
+                        ("right", x_hi, mode.bc[4:])):
         if not w_lo <= x_e <= w_hi:
             continue
         p, dp, _, _ = mode.eval(x_e)
         t0 = float(test_space.evaluate(test_dofs, x_e, 0))
         t1 = float(test_space.evaluate(test_dofs, x_e, 1))
-        block = endpoint_block(coeffs.end, coeffs.as_tuple(), params,
-                               float(profile.rho(x_e)), lam)
+        block = endpoint_block(end, n, params, float(profile.rho(x_e)), lam)
         bv += float(np.array([t0, t1]) @ block @ np.array([p, dp]))
 
     rhs = volume + bv + correction

@@ -319,9 +319,8 @@ def cmd_outer_coeffs(cfg, out_dir):
     par = pipe.params
     grid = np.linspace(pipe.eps_star, pipe.bounds.lambda_max, 8)
     if cfg.profile.kind == COMPACT:
-        coeffs = [pipe.builder.tails(lam) for lam in grid]
-        ends, xs = zip(*((c.end, c.x) for c in coeffs[0]))
-        n = np.array([[c.as_tuple() for c in ends] for ends in coeffs])
+        ends, xs = ("left", "right"), pipe.window
+        n = np.reshape([pipe.builder.tails(lam) for lam in grid], (-1, 2, 4))
     else:
         x_left = -pipe.setup.left.edges[::-1]     # ascending in x
         sides = (("left", x_left[::6][::-1]),

@@ -68,7 +68,7 @@ class GlobalMode:
     n: int
     space: object
     dofs: np.ndarray
-    bc: tuple                      # (left, right) BoundaryCoeffs
+    bc: np.ndarray                 # (8,) n_ij at x_minus, then x_plus
     outer_left: Tail
     outer_right: Tail
     x_minus: float
@@ -102,7 +102,8 @@ class GlobalMode:
 def glue_mode(point, space, bc, outer, x_mid=0.0):
     """Extend a dispersion eigenvector by decaying tails into a global mode.
 
-    outer: {"right": pair, "left": pair}, a tail source's `pairs(lam)`.
+    bc and outer are a tail source's n_ij row (8,) and `pairs(lam)`,
+    {"right": pair, "left": pair}, at the point's lambda.
     The tail amplitudes match (phi, phi') at the endpoints exactly; the
     mode is then normalized to sup |phi| = 1 with phi(x_mid) >= 0 (falling
     back to the slope when the mode vanishes at x_mid).
@@ -156,6 +157,12 @@ def _normalize(mode):
         tail.amps = (tail.amps[0] * scale, tail.amps[1] * scale)
 
 
+def _ends(mode):
+    """(side, x_end, its n_ij as Python floats) at both window ends."""
+    n = mode.bc.tolist()
+    return (("left", mode.x_minus, n[:4]), ("right", mode.x_plus, n[4:]))
+
+
 def gluing_jumps(mode):
     """Relative jumps of phi..phi''' across both endpoints (inner vs tail).
 
@@ -167,14 +174,10 @@ def gluing_jumps(mode):
     quality entirely).
     """
     out = {}
-    left, right = mode.bc
-    for side, x_e, coeffs in (("left", mode.x_minus, left),
-                              ("right", mode.x_plus, right)):
+    for side, x_e, (n11, n12, n21, n22) in _ends(mode):
         p = float(mode.space.evaluate(mode.dofs, x_e, 0))
         dp = float(mode.space.evaluate(mode.dofs, x_e, 1))
-        inner = [p, dp,
-                 -coeffs.n11 * p - coeffs.n12 * dp,
-                 -coeffs.n21 * p - coeffs.n22 * dp]
+        inner = [p, dp, -n11 * p - n12 * dp, -n21 * p - n22 * dp]
         tail = [float(v[0]) for v in mode.tail(side).eval(np.array([x_e]))]
         for j in range(4):
             scale = max(abs(inner[j]), abs(tail[j]), 1e-300)
@@ -190,12 +193,10 @@ def raw_trace_defects(mode):
     O(h) under refinement.
     """
     out = {}
-    left, right = mode.bc
-    for side, x_e, c in (("left", mode.x_minus, left),
-                         ("right", mode.x_plus, right)):
+    for side, x_e, (n11, n12, n21, n22) in _ends(mode):
         vals = [float(mode.space.evaluate(mode.dofs, x_e, j)) for j in range(4)]
-        r1 = c.n11 * vals[0] + c.n12 * vals[1] + vals[2]
-        r2 = c.n21 * vals[0] + c.n22 * vals[1] + vals[3]
+        r1 = n11 * vals[0] + n12 * vals[1] + vals[2]
+        r2 = n21 * vals[0] + n22 * vals[1] + vals[3]
         out[(side, 2)] = abs(r1) / max(abs(vals[2]), 1e-300)
         out[(side, 3)] = abs(r2) / max(abs(vals[3]), 1e-300)
     return out

@@ -5,7 +5,9 @@ the solutions decaying at +inf are spanned by exp(-k(x-a)) and
 exp(-tau_plus(x-a)) with tau = sqrt(k^2 + lambda*rho/mu); mirrored at -inf.
 Membership in that span is encoded as two linear relations on
 (phi, phi', phi'', phi''') at each endpoint, which close the problem on
-[-a, a].  The spanning exponentials on each side are also offered as one
+[-a, a]: `exponential_closure` gives one end's four n_ij, and
+`spectrum.CompactTails` joins both ends into the (8,) row of a tail source.
+The spanning exponentials on each side are also offered as one
 `ExponentialPair`, read exactly like the sampled `DecayingPair` of
 `outer_general` (per solution a constant phase-normalized vector and a
 linear phase), so that modes glue and evaluate both profile kinds through
@@ -36,21 +38,6 @@ class CompactOuterBasis:
     tau_minus: float
     tau_plus: float
     a: float
-
-
-@dataclass(frozen=True)
-class BoundaryCoeffs:
-    """Coefficients of n11*phi + n12*phi' + phi'' = 0, n21*phi + n22*phi' + phi''' = 0."""
-
-    end: str  # "left" | "right"
-    x: float
-    n11: float
-    n12: float
-    n21: float
-    n22: float
-
-    def as_tuple(self):
-        return (self.n11, self.n12, self.n21, self.n22)
 
 
 @dataclass(frozen=True)
@@ -117,15 +104,10 @@ def compact_decaying_solutions(basis):
     return out
 
 
-def exponential_closure(end, x, k, tau):
-    """Relations annihilating the tail span {e^{-k|x|}, e^{-tau|x|}} at one end."""
+def exponential_closure(end, k, tau):
+    """(n11, n12, n21, n22), shape (4,), of the relations
+    n11*phi + n12*phi' + phi'' = 0, n21*phi + n22*phi' + phi''' = 0 that
+    annihilate the tail span {e^{-k|x|}, e^{-tau|x|}} at one end."""
     s = 1.0 if end == "right" else -1.0
-    return BoundaryCoeffs(end, x, n11=k * tau, n12=s * (k + tau),
-                          n21=-s * k * tau * (k + tau),
-                          n22=-(k * k + k * tau + tau * tau))
-
-
-def compact_bc_coeffs(basis):
-    """Endpoint relations annihilating the decaying spans at -a and +a."""
-    return (exponential_closure("left", -basis.a, basis.k, basis.tau_minus),
-            exponential_closure("right", basis.a, basis.k, basis.tau_plus))
+    return np.array([k * tau, s * (k + tau), -s * k * tau * (k + tau),
+                     -(k * k + k * tau + tau * tau)])

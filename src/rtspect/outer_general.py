@@ -39,7 +39,6 @@ from scipy.optimize import brentq
 
 from .assembly import endpoint_block, psd_margins
 from .errors import (CoercivitySearchError, SolverError, TruncationError)
-from .outer_compact import BoundaryCoeffs
 from .profiles import GL5_NODES, GL5_WEIGHTS
 
 MAX_PICARD_ITER = 64
@@ -707,19 +706,12 @@ def _closure_at(pairs, x):
     return _closure(np.array([pair.normalized[i] for pair in pairs]), x)
 
 
-def _closure_rows(sols, x_minus, x_plus):
-    """The n_ij (m, 8) of m solved lambdas at x_minus, then at x_plus: the
-    rows `BoundaryFit` interpolates."""
-    return np.concatenate([_closure_at([s["left"] for s in sols], x_minus),
-                           _closure_at([s["right"] for s in sols], x_plus)],
+def _closure_rows(sols, window):
+    """The n_ij (m, 8) of m solved lambdas at the window's left end, then at
+    its right end: the rows `BoundaryFit` interpolates."""
+    return np.concatenate([_closure_at([s["left"] for s in sols], window[0]),
+                           _closure_at([s["right"] for s in sols], window[1])],
                           axis=-1)
-
-
-def boundary_coeffs_general(pair, x_end):
-    """Boundary coefficients n_ij at x_end, a sample of the DecayingPair's
-    grid (`_closure_at`), on the pair's side."""
-    n = _closure_at([pair], x_end)[0]
-    return BoundaryCoeffs(pair.side, float(x_end), *map(float, n))
 
 
 def _fit_lambdas(lam_range, j, n):
@@ -772,14 +764,14 @@ class BoundaryFit:
     floor, and `check` judges each root.  `n_nodes` and `miss` (the last
     doubling's miss, an error estimate) describe the fit; they stay 0 and
     nan until it is built.  It is the tail source of increasing profiles:
-    `pairs` gives the engine's cached DecayingPairs at one lambda, and
-    `check` holds the fit to their direct n_ij there.
+    called at lambda it gives the (8,) row of n_ij at the ends of `window`,
+    (x_minus, x_plus); `pairs` gives the engine's cached DecayingPairs at
+    one lambda, and `check` holds the fit to their direct n_ij there.
     """
 
-    def __init__(self, engine, x_minus, x_plus, rows):
+    def __init__(self, engine, window, rows):
         self.engine = engine
-        self.x_minus = x_minus
-        self.x_plus = x_plus
+        self.window = window
         self._rows = rows
         lo, hi = engine.lam_range
         self._log_lo, self._log_span = math.log(lo), math.log(hi / lo)
@@ -788,10 +780,8 @@ class BoundaryFit:
         self.miss = math.nan
 
     def __call__(self, lam):
-        """(left, right) BoundaryCoeffs at lam from the fit."""
-        n = self._values(lam)
-        return (BoundaryCoeffs("left", self.x_minus, *map(float, n[:4])),
-                BoundaryCoeffs("right", self.x_plus, *map(float, n[4:])))
+        """The n_ij row (8,) at lam from the fit, left end then right."""
+        return self._values(lam)
 
     def pairs(self, lam):
         """{"right": DecayingPair, "left": DecayingPair} at lam, cached."""
@@ -803,8 +793,7 @@ class BoundaryFit:
         The direct n_ij come from `pairs(lam)`; the miss is relative to the
         largest |n_ij| and may not exceed FIT_CHECK_TOL.
         """
-        direct = _closure_rows([self.pairs(lam)], self.x_minus,
-                               self.x_plus)[0]
+        direct = _closure_rows([self.pairs(lam)], self.window)[0]
         miss = _relative_miss(self._values(lam), direct)
         if not miss <= FIT_CHECK_TOL:
             raise SolverError(
@@ -842,10 +831,9 @@ class BoundaryFit:
                     f"points in log lambda (miss {miss:.1e})")
             j = np.arange(1, 2 * n, 2)
             mids = _fit_lambdas(self.engine.lam_range, j, 2 * n)
-            direct = _closure_rows(self.engine.solve(mids), self.x_minus,
-                                   self.x_plus)
+            direct = _closure_rows(self.engine.solve(mids), self.window)
             _require_psd(self.engine.profile, self.engine.params,
-                         (self.x_minus, self.x_plus), mids, direct)
+                         self.window, mids, direct)
             last, miss = miss, _relative_miss(
                 chebval(np.cos(np.pi * j / (2 * n)), coeffs).T, direct)
             merged = np.empty((2 * n + 1, values.shape[1]))
@@ -857,11 +845,11 @@ class BoundaryFit:
         self.coeffs, self.n_nodes, self.miss = coeffs, n + 1, miss
 
 
-def _require_psd(profile, params, x_ends, lams, rows):
+def _require_psd(profile, params, window, lams, rows):
     """Raise CoercivitySearchError unless both endpoint forms
     (`endpoint_block`) of the n_ij rows (m, 8) at the lambdas (m,) are
-    positive semidefinite at the window ends x_ends."""
-    for side, x_end, n in zip(("left", "right"), x_ends,
+    positive semidefinite at the ends of the window."""
+    for side, x_end, n in zip(("left", "right"), window,
                               (rows.T[:4], rows.T[4:])):
         block = endpoint_block(side, n, params, float(profile.rho(x_end)),
                                lams)
@@ -881,15 +869,15 @@ def coercive_window(profile, params, setup, engine):
     The lambdas are `_fit_lambdas` of j = 0..FIT_FIRST_DEGREE on
     `engine.lam_range`, solved in one batch, which is not cached.  Both
     endpoint forms must be positive semidefinite at each of them
-    (`_require_psd`).  Returns (x_minus, x_plus, rows): rows (17, 8) are
-    the first round of `BoundaryFit`.
+    (`_require_psd`).  Returns (window, rows): rows (17, 8) are the first
+    round of `BoundaryFit`.
     """
     lams = _fit_lambdas(engine.lam_range, np.arange(FIT_FIRST_DEGREE + 1),
                         FIT_FIRST_DEGREE)
-    x_minus, x_plus = setup.x_tilde_minus, setup.x_tilde_plus
-    rows = _closure_rows(engine.solve(lams), x_minus, x_plus)
-    _require_psd(profile, params, (x_minus, x_plus), lams, rows)
-    return x_minus, x_plus, rows
+    window = (setup.x_tilde_minus, setup.x_tilde_plus)
+    rows = _closure_rows(engine.solve(lams), window)
+    _require_psd(profile, params, window, lams, rows)
+    return window, rows
 
 
 @dataclass(frozen=True)

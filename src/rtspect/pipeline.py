@@ -67,7 +67,6 @@ class Pipeline:
         if self.profile.kind == COMPACT:
             self.engine = None
             self.setup = None
-            self.window = (-self.profile.a, self.profile.a)
             tails = CompactTails(self.profile, self.params)
         else:
             self.gbounds = gamma_bounds(self.profile, self.params,
@@ -75,12 +74,10 @@ class Pipeline:
             self.setup = truncation_points(self.profile, self.params,
                                            self.gbounds)
             self.engine = OuterSolutions(self.profile, self.params, self.setup)
-            x_minus, x_plus, rows = coercive_window(
-                self.profile, self.params, self.setup, self.engine)
-            self.window = (x_minus, x_plus)
-            tails = BoundaryFit(self.engine, x_minus, x_plus, rows)
-        mesh = build_mesh(self.window[0], self.window[1], opts.n_elements,
-                          opts.grading)
+            tails = BoundaryFit(self.engine, *coercive_window(
+                self.profile, self.params, self.setup, self.engine))
+        self.window = tails.window
+        mesh = build_mesh(*self.window, opts.n_elements, opts.grading)
         self.space = HermiteSpace(mesh)
         self.builder = SliceBuilder(self.profile, self.params, self.space,
                                     max(opts.n_modes, 8), tails)

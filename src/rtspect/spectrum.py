@@ -34,8 +34,8 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from .assembly import (BANDWIDTH, assemble_forms, assemble_volume,
                        coercivity_check, endpoint_derivative)
 from .errors import BracketError, RankError, SolverError, StepSizeError
-from .outer_compact import (compact_bc_coeffs, compact_decaying_solutions,
-                            compact_outer_basis)
+from .outer_compact import (compact_decaying_solutions, compact_outer_basis,
+                            exponential_closure)
 from .profiles import COMPACT
 
 DEFAULT_TOL = 1e-8
@@ -110,17 +110,20 @@ def gamma_spectrum(forms, n_max):
 
 class CompactTails:
     """Tail source of a compact-gradient profile, the exact exponentials
-    past -a and a: called at lambda it gives the (left, right) n_ij,
-    `pairs(lam)` the `ExponentialPair` of each side and `slopes(lams)` the
-    closed-form dn_ij/dlambda."""
+    past the ends of `window` = (-a, a): called at lambda it gives the n_ij
+    as one (8,) row, (n11, n12, n21, n22) at -a and then at a
+    (`exponential_closure`), `pairs(lam)` the `ExponentialPair` of each
+    side and `slopes(lams)` the closed-form dn_ij/dlambda."""
 
     def __init__(self, profile, params):
         self.profile = profile
         self.params = params
+        self.window = (-profile.a, profile.a)
 
     def __call__(self, lam):
-        return compact_bc_coeffs(
-            compact_outer_basis(self.profile, self.params, lam))
+        b = compact_outer_basis(self.profile, self.params, lam)
+        return np.concatenate([exponential_closure("left", b.k, b.tau_minus),
+                               exponential_closure("right", b.k, b.tau_plus)])
 
     def pairs(self, lam):
         return compact_decaying_solutions(
@@ -147,11 +150,13 @@ class SliceBuilder:
     """Callable lambda -> SpectrumSlice with caching; owns the tail source.
 
     `tails` (`CompactTails`, or `outer_general.BoundaryFit` for increasing
-    profiles) gives the (left, right) n_ij at lambda when called, the
-    pairs that glue a mode (`tails.pairs(lam)`), a `check(lam)` that
-    `solve_dispersion` runs at every root and the slopes dn_ij/dlambda
-    (`tails.slopes(lams)`, (m, 8)); the n_ij do not depend on the
-    mesh, so builders on other meshes of one window may share it.
+    profiles) gives the n_ij at lambda when called, one (8,) row, left end
+    then right; the pairs that glue a mode (`tails.pairs(lam)`), a
+    `check(lam)` that `solve_dispersion` runs at every root and the slopes
+    dn_ij/dlambda (`tails.slopes(lams)`, (m, 8), the same layout).  The
+    n_ij hold at the ends of `tails.window` alone, so the mesh of `space`
+    must end exactly there (SolverError otherwise); they do not depend on
+    the mesh, so builders on other meshes of one window may share them.
     The lambda-independent forms are assembled once, into `volume`; each
     new slice adds lambda K_rho and the endpoint blocks of its n_ij.
     Every new slice also gets its coercivity margin (`coercivity_check`),
@@ -159,6 +164,11 @@ class SliceBuilder:
     """
 
     def __init__(self, profile, params, space, n_max, tails):
+        mesh, (w0, w1) = space.mesh, tails.window
+        if (mesh.x_minus, mesh.x_plus) != (w0, w1):
+            raise SolverError(
+                f"the mesh spans [{mesh.x_minus:.17g}, {mesh.x_plus:.17g}], "
+                f"not the tail source's window [{w0:.17g}, {w1:.17g}]")
         self.profile = profile
         self.params = params
         self.volume = assemble_volume(profile, params, space)

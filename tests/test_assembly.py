@@ -13,8 +13,7 @@ from rtspect.assembly import (HermiteSpace, _add_endpoint, _element_form,
                               coercivity_check, endpoint_block,
                               whole_line_identity_check)
 from rtspect.errors import CoercivityError, SolverError
-from rtspect.outer_compact import (BoundaryCoeffs, compact_bc_coeffs,
-                                   compact_outer_basis)
+from rtspect.outer_compact import compact_outer_basis, exponential_closure
 from rtspect.pipeline import Pipeline, SolverOptions
 from rtspect.profiles import (COMPACT, GL5_WEIGHTS, DensityProfile,
                               PhysicalParams)
@@ -39,11 +38,6 @@ def poly_profile(c0=2.0, c1=0.3, c2=0.1, a=1.0):
         rho_minus=c0 - c1 + c2, rho_plus=c0 + c1 + c2, a=a)
 
 
-def zero_bc(x_minus, x_plus):
-    return (BoundaryCoeffs("left", x_minus, 0.0, 0.0, 0.0, 0.0),
-            BoundaryCoeffs("right", x_plus, 0.0, 0.0, 0.0, 0.0))
-
-
 def forms_at(profile, params, lam, bc, space):
     return assemble_forms(assemble_volume(profile, params, space), lam, bc)
 
@@ -59,10 +53,12 @@ def direct_forms(profile, params, lam, bc, space):
     K = _scatter(space, _element_form(N0, w * (lam * k**2 * rho + mu * k**4))
                  + _element_form(N1, w * (lam * rho + 2.0 * mu * k**2))
                  + _element_form(N2, mu * w))
+    ends = ((0, "left", bc[:4], space.mesh.x_minus),
+            (space.n_dofs - 2, "right", bc[4:], space.mesh.x_plus))
     asym = np.hypot(*(
-        _add_endpoint(K, j, endpoint_block(c.end, c.as_tuple(), params,
-                                           float(profile.rho(c.x)), lam))
-        for j, c in zip((0, space.n_dofs - 2), bc)))
+        _add_endpoint(K, j, endpoint_block(end, n, params,
+                                           float(profile.rho(x)), lam))
+        for j, end, n, x in ends))
     return (K, _scatter(space, _element_form(N0, w * drho)),
             _scatter(space, sum(_element_form(N, w) for N in (N0, N1, N2))),
             asym)
@@ -153,7 +149,7 @@ def test_constant_mode_volume_term():
     par = PhysicalParams(g=1.0, mu=1.0, k=1.3)
     space = HermiteSpace(build_mesh(-1.0, 1.0, 8, "uniform"))
     lam = 0.7
-    forms = forms_at(prof, par, lam, zero_bc(-1.0, 1.0), space)
+    forms = forms_at(prof, par, lam, np.zeros(8), space)
     c = 2.4
     dofs = space.interpolate(lambda x: np.full_like(np.asarray(x, float), c),
                              lambda x: np.zeros_like(np.asarray(x, float)))
@@ -174,7 +170,7 @@ def test_quadrature_exact_for_quadratic_density():
     vals = []
     for ne in (6, 12):
         space = HermiteSpace(build_mesh(-1.0, 1.0, ne, "uniform"))
-        forms = forms_at(prof, par, lam, zero_bc(-1, 1), space)
+        forms = forms_at(prof, par, lam, np.zeros(8), space)
         dofs = space.interpolate(f, df)
         vals.append((float(dofs @ forms.K @ dofs),
                      float(dofs @ forms.M_rho @ dofs),
@@ -185,10 +181,9 @@ def test_quadrature_exact_for_quadratic_density():
 def test_compact_endpoint_block_sum_of_squares(bump_profile, params):
     lam = 0.4
     basis = compact_outer_basis(bump_profile, params, lam)
-    left, right = compact_bc_coeffs(basis)
-    blk = endpoint_block(right.end, right.as_tuple(), params,
-                         bump_profile.rho_plus, lam)
     k, tau = params.k, basis.tau_plus
+    blk = endpoint_block("right", exponential_closure("right", k, tau),
+                         params, bump_profile.rho_plus, lam)
     for th, dth in ((1.0, 0.0), (0.2, -1.1), (-0.5, 0.9)):
         v = np.array([th, dth])
         got = float(v @ blk @ v)
@@ -200,11 +195,10 @@ def test_compact_endpoint_block_sum_of_squares(bump_profile, params):
 
 def test_general_block_symmetric_at_limit_coeffs(params):
     # n11 + n22 + sigma0^2 + k^2 = 0 at the limits kills the defect
-    from rtspect.outer_compact import exponential_closure
     sig = 2.0
     lam = (sig**2 - params.k**2) * params.mu / 3.0  # rho_end = 3
-    c = exponential_closure("right", math.inf, params.k, sig)
-    blk = endpoint_block(c.end, c.as_tuple(), params, 3.0, lam)
+    blk = endpoint_block("right", exponential_closure("right", params.k, sig),
+                         params, 3.0, lam)
     assert abs(blk[0, 1] - blk[1, 0]) <= 1e-12 * np.abs(blk).max()
 
 
@@ -233,7 +227,7 @@ def test_affine_forms_match_direct_assembly(request, fixture):
     for lam in np.linspace(pipe.eps_star, pipe.bounds.lambda_max, 3):
         forms = pipe.builder(lam).forms
         K, M, G, asym = direct_forms(pipe.profile, pipe.params, lam,
-                                     forms.bc, pipe.space)
+                                     pipe.builder.tails(lam), pipe.space)
         for got, ref in ((forms.K_band, K), (forms.M_band, M),
                          (forms.G_band, G)):
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -346,35 +340,43 @@ def test_threshold_values():
     prof = constant_profile()
     space = HermiteSpace(build_mesh(-1, 1, 8, "uniform"))
     f1 = forms_at(prof, PhysicalParams(g=1, mu=1.0, k=1.0), 0.1,
-                  zero_bc(-1, 1), space)
+                  np.zeros(8), space)
     assert f1.threshold == pytest.approx(1.0)
     f2 = forms_at(prof, PhysicalParams(g=1, mu=0.5, k=2.0), 0.1,
-                  zero_bc(-1, 1), space)
+                  np.zeros(8), space)
     assert f2.threshold == pytest.approx(0.5)
 
 
 def test_coercivity_check_constant_coefficients():
     # constant density with its exact tail closures: the discrete bound
     # K >= mu min(k^4, 2k^2, 1) G holds with nonnegative margin
-    from rtspect.outer_compact import exponential_closure
     prof = constant_profile()
     par = PhysicalParams(g=1, mu=1.0, k=1.0)
     lam = 0.2
     tau = math.sqrt(par.k**2 + lam * 1.0 / par.mu)
-    left = exponential_closure("left", -1.0, par.k, tau)
-    right = exponential_closure("right", 1.0, par.k, tau)
+    n = np.concatenate([exponential_closure(end, par.k, tau)
+                        for end in ("left", "right")])
     space = HermiteSpace(build_mesh(-1, 1, 16, "uniform"))
-    forms = forms_at(prof, par, lam, (left, right), space)
+    forms = forms_at(prof, par, lam, n, space)
     assert forms.asymmetry_norm <= 1e-12 * np.linalg.norm(forms.K, "fro")
     assert coercivity_check(forms) >= -1e-10
 
 
-def test_bc_endpoint_mismatch_rejected(bump_profile, params):
-    basis = compact_outer_basis(bump_profile, params, 0.3)
-    bc = compact_bc_coeffs(basis)
-    space = HermiteSpace(build_mesh(-2.0, 2.0, 8, "uniform"))
-    with pytest.raises(SolverError):
-        forms_at(bump_profile, params, 0.3, bc, space)
+@pytest.mark.parametrize("fixture", ("bump_pipe", "tanh_pipe"))
+def test_bc_endpoint_mismatch_rejected(request, fixture):
+    # the n_ij of either tail source hold at its window ends alone: a
+    # builder on a mesh that misses an end, by one ulp or more, is refused
+    pipe = request.getfixturevalue(fixture)
+    tails = pipe.builder.tails
+    x0, x1 = tails.window
+    for ends in ((np.nextafter(x0, -math.inf), x1),
+                 (x0, np.nextafter(x1, math.inf)), (x0 - 1.0, x1 + 1.0)):
+        space = HermiteSpace(build_mesh(*ends, 8))
+        with pytest.raises(SolverError, match="not the tail source's window"):
+            SliceBuilder(pipe.profile, pipe.params, space, 4, tails)
+    space = HermiteSpace(build_mesh(x0, x1, 8, "center:4"))
+    assert SliceBuilder(pipe.profile, pipe.params, space, 4,
+                        tails).tails is tails
 
 
 @pytest.fixture(scope="module")
@@ -414,9 +416,9 @@ def test_identity_straddling_compact(bump_mode, bump_profile, params):
 
 def test_identity_detects_broken_closure(bump_mode, bump_profile, params):
     space, dofs = window_test_dofs(-1.9, 1.9)
-    left, right = bump_mode.bc
     broken = copy.copy(bump_mode)
-    broken.bc = (left, dataclasses.replace(right, n12=right.n12 * 1.02))
+    broken.bc = bump_mode.bc.copy()
+    broken.bc[5] *= 1.02                   # the right end's n12
     defect = whole_line_identity_check(broken, bump_profile, params,
                                        space, dofs)
     assert defect > 1e-8

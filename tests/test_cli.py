@@ -11,6 +11,7 @@ from conftest import TANH_ORACLE_ROOTS
 from rtspect import cli
 from rtspect.cli import main, parse_config
 from rtspect.evans import evans_function
+from rtspect.outer_compact import exponential_closure
 from rtspect.errors import ConfigError, SolverError
 from rtspect.pipeline import Pipeline
 
@@ -426,6 +427,33 @@ def test_outer_coeffs_dump(tmp_path):
         assert side_rows and all(float(r[-1]) < 0 for r in side_rows)
     assert all(float(r[1]) <= setup.x_tilde_minus
                for r in rows[1:] if r[0] == "left")
+
+
+def test_outer_coeffs_dump_compact(tmp_path):
+    # a compact profile dumps the tail source's rows at the window ends -+a:
+    # the closed-form n_ij at tau_-+, whose endpoint forms are definite,
+    # b^2 - 4ac = -4 mu^2 k tau (k^2 + k tau + tau^2)
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(MINIMAL + SMALL_NUMERICS)
+    assert main(["outer-coeffs", "--config", str(cfgfile),
+                 "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "outer_coeffs.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    cfg = parse_config(cfgfile.read_text())
+    pipe = Pipeline(cfg.profile, cfg.params_for(1.0), cfg.opts)
+    grid = np.linspace(pipe.eps_star, pipe.bounds.lambda_max, 8)
+    assert len(rows) == 16
+    assert [r[0] for r in rows] == ["left", "right"] * 8
+    assert [float(r[1]) for r in rows] == [-1.0, 1.0] * 8
+    for r, lam in zip(rows, np.repeat(grid, 2)):
+        assert float(r[2]) == pytest.approx(lam, rel=1e-9)
+        rho = cfg.profile.rho_minus if r[0] == "left" else cfg.profile.rho_plus
+        tau = np.sqrt(1.0 + lam * rho)      # k = mu = 1
+        assert [float(v) for v in r[3:7]] == pytest.approx(
+            exponential_closure(r[0], 1.0, tau), rel=1e-11)
+        assert float(r[7]) < 0
+        assert float(r[7]) == pytest.approx(
+            -4.0 * tau * (1.0 + tau + tau * tau), rel=1e-11)
 
 
 def test_dispersion_on_tanh_defaults(tmp_path):

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from rtspect.errors import DegenerateBasisError, SolverError
 from rtspect.modes import Tail, glue_tail
-from rtspect.outer_compact import (CompactOuterBasis, compact_bc_coeffs,
+from rtspect.outer_compact import (CompactOuterBasis,
                                    compact_decaying_solutions,
-                                   compact_outer_basis)
+                                   compact_outer_basis, exponential_closure)
 from rtspect.profiles import PhysicalParams, make_profile
+from rtspect.spectrum import CompactTails
 
 
 def basis_for(k=1.0, lam=3.0, rho_minus=1.0, rho_plus=1.0, mu=1.0, a=1.0):
@@ -69,16 +70,17 @@ def _glue(basis, side, phi, dphi):
 
 
 def test_bc_coefficient_values():
-    left, right = compact_bc_coeffs(_basis(1.0, 2.0, 2.0))
-    assert right.as_tuple() == pytest.approx((2.0, 3.0, -6.0, -7.0))
-    assert left.as_tuple() == pytest.approx((2.0, -3.0, 6.0, -7.0))
+    assert exponential_closure("right", 1.0, 2.0) == pytest.approx(
+        [2.0, 3.0, -6.0, -7.0])
+    assert exponential_closure("left", 1.0, 2.0) == pytest.approx(
+        [2.0, -3.0, 6.0, -7.0])
 
 
 def test_bc_annihilates_pure_slow_tail():
     # phi = e^{-k(x-a)}: n11*1 + n12*(-k) + k^2 = 0 at x = a
     k, tau = 1.0, 2.0
-    _, right = compact_bc_coeffs(_basis(k, tau, tau))
-    assert right.n11 - right.n12 * k + k**2 == pytest.approx(0.0, abs=1e-14)
+    n11, n12, _, _ = exponential_closure("right", k, tau)
+    assert n11 - n12 * k + k**2 == pytest.approx(0.0, abs=1e-14)
 
 
 @given(a1=st.floats(-5, 5), a2=st.floats(-5, 5),
@@ -88,13 +90,13 @@ def test_bc_annihilates_decaying_span(a1, a2, lam, k):
     prof = make_profile("bump", rho_minus=1.0, rho_plus=3.0, a=1.0)
     par = PhysicalParams(g=1.0, mu=1.0, k=k)
     basis = compact_outer_basis(prof, par, lam)
-    left, right = compact_bc_coeffs(basis)
-    for side, coeffs, x, tau in (("right", right, 1.0, basis.tau_plus),
-                                 ("left", left, -1.0, basis.tau_minus)):
+    row = CompactTails(prof, par)(lam)      # left end, then right
+    for side, n, x, tau in (("right", row[4:], 1.0, basis.tau_plus),
+                            ("left", row[:4], -1.0, basis.tau_minus)):
         p, dp, d2p, d3p = _tail(basis, side, a1, a2).eval(np.array(x))
         scale = max(abs(a1), abs(a2), 1.0) * max(tau, k)**3
-        assert abs(coeffs.n11 * p + coeffs.n12 * dp + d2p) <= 1e-12 * scale
-        assert abs(coeffs.n21 * p + coeffs.n22 * dp + d3p) <= 1e-12 * scale
+        assert abs(n[0] * p + n[1] * dp + d2p) <= 1e-12 * scale
+        assert abs(n[2] * p + n[3] * dp + d3p) <= 1e-12 * scale
 
 
 def test_extension_identity_cases():

@@ -447,39 +447,41 @@ def test_boundary_coeff_limits(ctx):
     k, mu = par.k, par.mu
     sig_m = math.sqrt(k * k + lam * prof.rho_minus / mu)
     sig_p = math.sqrt(k * k + lam * prof.rho_plus / mu)
-    right = og.boundary_coeffs_general(sols["right"], setup.X_max)
-    lim_r = exponential_closure("right", math.inf, k, sig_p)
-    assert right.as_tuple() == pytest.approx(lim_r.as_tuple(), abs=1e-9)
-    left = og.boundary_coeffs_general(sols["left"], setup.X_min)
-    lim_l = exponential_closure("left", -math.inf, k, sig_m)
-    assert left.as_tuple() == pytest.approx(lim_l.as_tuple(), abs=1e-9)
+    right = og._closure_at([sols["right"]], setup.X_max)[0]
+    assert right == pytest.approx(exponential_closure("right", k, sig_p),
+                                  abs=1e-9)
+    left = og._closure_at([sols["left"]], setup.X_min)[0]
+    assert left == pytest.approx(exponential_closure("left", k, sig_m),
+                                 abs=1e-9)
 
 
 def test_limit_discriminant_closed_form():
     # k=1, sigma+=2: (n11 - n22 - k^2 - sigma^2)^2 + 4 n12 n21 = -56
     par = PhysicalParams(g=1.0, mu=1.0, k=1.0)
-    c = exponential_closure("right", math.inf, par.k, 2.0)
-    disc = (c.n11 - c.n22 - 1.0 - 4.0)**2 + 4 * c.n12 * c.n21
+    n = exponential_closure("right", par.k, 2.0)
+    n11, n12, n21, n22 = n
+    disc = (n11 - n22 - 1.0 - 4.0)**2 + 4 * n12 * n21
     assert disc == pytest.approx(-56.0)
     assert disc == pytest.approx(-4 * 1.0 * 2.0 * (1 + 2 + 4))
     # sigma0^2 = k^2 + lam rho / mu = 4 at lam = 1, rho = 3
-    margins = psd_margins(endpoint_block(c.end, c.as_tuple(), par, 3.0, 1.0))
+    margins = psd_margins(endpoint_block("right", n, par, 3.0, 1.0))
     assert min(margins) > 0
     assert -margins[2] == pytest.approx(disc)
 
 
 def test_left_end_sign_pattern_mirrors():
     par = PhysicalParams(g=1.0, mu=1.0, k=1.0)
-    c = exponential_closure("left", -math.inf, par.k, 2.0)
-    assert c.n12 < 0 < c.n21
-    margins = psd_margins(endpoint_block(c.end, c.as_tuple(), par, 3.0, 1.0))
+    n = exponential_closure("left", par.k, 2.0)
+    n11, n12, n21, n22 = n
+    assert n12 < 0 < n21
+    margins = psd_margins(endpoint_block("left", n, par, 3.0, 1.0))
     assert min(margins) > 0
     # direct positive semidefiniteness probes (1,0) and (0,1) plus the
     # discriminant agree with the margin tests
     A, C, neg_disc = margins
     for th, dth in ((1.0, 0.0), (0.0, 1.0), (0.7, -1.3)):
         bv = A * th**2 + C * dth**2
-        bv_cross = (c.n22 - c.n11 + 1.0 + 4.0) * th * dth
+        bv_cross = (n22 - n11 + 1.0 + 4.0) * th * dth
         assert bv + bv_cross >= -1e-12 or neg_disc < 0  # PSD certificate
 
 
@@ -492,10 +494,10 @@ def test_general_matches_compact_formulas_far_out(ctx):
     sols = eng.solve(lam)
     x_end = setup.X_max
     assert prof.rho_plus - float(prof.rho(x_end)) < 1e-9
-    right = og.boundary_coeffs_general(sols["right"], x_end)
+    right = og._closure_at([sols["right"]], x_end)[0]
     tau = math.sqrt(par.k**2 + lam * float(prof.rho(x_end)) / par.mu)
-    ref = exponential_closure("right", math.inf, par.k, tau)
-    for a, b in zip(right.as_tuple(), ref.as_tuple()):
+    ref = exponential_closure("right", par.k, tau)
+    for a, b in zip(right, ref):
         assert abs(a - b) <= 1e-6 * max(abs(b), 1.0)
 
 
@@ -511,7 +513,7 @@ def test_closure_reads_samples_and_builds_no_spline(tanh_profile, params):
     x_plus = pipe.window[1]
     for x in (np.nextafter(x_plus, math.inf), pair.xs[-1] + 1.0):
         with pytest.raises(SolverError):
-            og.boundary_coeffs_general(pair, x)
+            og._closure_at([pair], x)
 
 
 def _pair_closed_by(side, x, n):
@@ -535,27 +537,25 @@ def test_closure_rejects_a_dependent_pair():
     pair = og.DecayingPair(
         side="right", lam=1.0, xs=xs, normalized=np.stack([slow, fast], axis=1),
         phase=np.zeros((3, 2)), limit=np.zeros((2, 4)), updates=((), ()))
-    with pytest.raises(SolverError, match="nearly dependent at x=1"):
-        og.boundary_coeffs_general(pair, 1.0)
-    with pytest.raises(SolverError, match="nearly dependent at x=1"):
-        og._closure_at([pair], xs)
+    for x in (1.0, xs):
+        with pytest.raises(SolverError, match="nearly dependent at x=1"):
+            og._closure_at([pair], x)
     # elsewhere both relations annihilate both solutions
     for i in (0, 2):
-        c = og.boundary_coeffs_general(pair, xs[i])
-        n = np.array(c.as_tuple()).reshape(2, 2)
+        n = og._closure_at([pair], xs[i])[0].reshape(2, 2)
         for u in (slow[i], fast[i]):
             assert n @ u[:2] + u[2:] == pytest.approx([0.0, 0.0], abs=1e-14)
 
 
 def test_coercive_window_is_the_truncation_points(ctx):
     prof, par, pb, eps, gb, setup, eng = ctx
-    xm, xp, rows = og.coercive_window(prof, par, setup, eng)
+    (xm, xp), rows = og.coercive_window(prof, par, setup, eng)
     assert (xm, xp) == (setup.x_tilde_minus, setup.x_tilde_plus)
-    # its rows are the scalar closures at those points, bit for bit
+    # its rows are the one-lambda closures at those points, bit for bit
     lams = og._fit_lambdas(eng.lam_range, np.arange(17), 16)
     batch = eng.solve(lams)
-    direct = [og.boundary_coeffs_general(sols["left"], xm).as_tuple()
-              + og.boundary_coeffs_general(sols["right"], xp).as_tuple()
+    direct = [np.concatenate([og._closure_at([sols["left"]], xm)[0],
+                              og._closure_at([sols["right"]], xp)[0]])
               for sols in batch]
     assert rows.shape == (17, 8)
     assert np.array_equal(rows, direct)
@@ -591,7 +591,7 @@ def test_coercive_window_rejects_a_negative_margin(ctx):
                 sides = {}
                 for side, x in (("left", xm), ("right", xp)):
                     tau = float(og._sigma0(prof.rho(x), par, lam))
-                    n = list(exponential_closure(side, x, par.k, tau).as_tuple())
+                    n = exponential_closure(side, par.k, tau)
                     if side == "right" and i == self.bad:
                         n[2] = 1.0
                     sides[side] = _pair_closed_by(side, x, n)
@@ -602,15 +602,15 @@ def test_coercive_window_rejects_a_negative_margin(ctx):
                        match=f"right .* lambda={lams[Stub.bad]:.6g}$"):
         og.coercive_window(prof, par, setup, Stub())
     Stub.bad = None
-    xm, xp, rows = og.coercive_window(prof, par, setup, Stub())
-    assert (xm, xp) == (setup.x_tilde_minus, setup.x_tilde_plus)
+    window, rows = og.coercive_window(prof, par, setup, Stub())
+    assert window == (setup.x_tilde_minus, setup.x_tilde_plus)
     # the fit holds its midpoints to the same test: the third one of the
     # first doubling fails
     Stub.bad = 2
     mids = og._fit_lambdas(eng.lam_range, np.arange(1, 32, 2), 32)
     with pytest.raises(CoercivitySearchError,
                        match=f"right .* lambda={mids[2]:.6g}$"):
-        og.BoundaryFit(Stub(), xm, xp, rows).slopes(mids)
+        og.BoundaryFit(Stub(), window, rows).slopes(mids)
 
 
 def test_decay_envelopes(ctx):
@@ -678,7 +678,7 @@ def test_coercive_window_shrinks_with_eps(tanh_profile, params, tanh_bounds):
         gb = og.gamma_bounds(tanh_profile, params, eps, tanh_bounds)
         setup = og.truncation_points(tanh_profile, params, gb)
         eng = og.OuterSolutions(tanh_profile, params, setup)
-        xm, xp, _ = og.coercive_window(tanh_profile, params, setup, eng)
+        (xm, xp), _ = og.coercive_window(tanh_profile, params, setup, eng)
         xs[eps] = xp
         assert xm == pytest.approx(-xp, rel=1e-9)  # symmetric profile
     assert xs[0.1] < xs[0.01]

@@ -8,7 +8,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from rtspect import outer_general as og
 from rtspect import pipeline, spectrum
 from rtspect.errors import BracketError, RankError, SolverError, StepSizeError
-from rtspect.outer_general import FIT_CHECK_TOL, boundary_coeffs_general
+from rtspect.outer_general import FIT_CHECK_TOL
 from rtspect.pipeline import Pipeline, SolverOptions
 from rtspect.spectrum import (SCAN_POINTS, SliceBuilder,
                               gamma_derivative_check, gamma_spectrum,
@@ -159,13 +159,10 @@ def test_boundary_fit_is_lazy_and_matches_direct_solves(tanh_profile, params):
     lo, hi = pipe.engine.lam_range
     lams = np.exp(np.random.default_rng(3).uniform(math.log(lo),
                                                    math.log(hi), 50))
-    x_minus, x_plus = pipe.window
-    for lam, sols in zip(lams, pipe.engine.solve(lams)):
-        direct = (boundary_coeffs_general(sols["left"], x_minus),
-                  boundary_coeffs_general(sols["right"], x_plus))
-        for got, ref in zip(fit(lam), direct):
-            assert (got.end, got.x) == (ref.end, ref.x)
-            assert got.as_tuple() == pytest.approx(ref.as_tuple(), rel=1e-12)
+    direct = og._closure_rows(pipe.engine.solve(lams), pipe.window)
+    for lam, ref in zip(lams, direct):
+        assert fit(lam).shape == (8,)
+        assert fit(lam) == pytest.approx(ref, rel=1e-12)
     with pytest.raises(SolverError, match="outside"):
         pipe.builder(0.5 * lo)
 
@@ -283,11 +280,9 @@ def test_fit_slopes_match_central_differences(request, fixture):
     h = 1e-3 * lams
     ends = np.concatenate([lams - h, lams + h])
     if pipe.engine is not None:     # the direct n_ij, not the fit's
-        both = og._closure_rows(pipe.engine.solve(ends), tails.x_minus,
-                                tails.x_plus)
+        both = og._closure_rows(pipe.engine.solve(ends), tails.window)
     else:
-        both = np.array([[c for side in tails(lam) for c in side.as_tuple()]
-                         for lam in ends])
+        both = np.array([tails(lam) for lam in ends])
     fd = (both[3:] - both[:3]) / (2.0 * h[:, None])
     slopes = tails.slopes(lams)
     assert slopes.shape == (3, 8)
