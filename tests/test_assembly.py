@@ -362,21 +362,22 @@ def test_coercivity_check_constant_coefficients():
     assert coercivity_check(forms) >= -1e-10
 
 
-@pytest.mark.parametrize("fixture", ("bump_pipe", "tanh_pipe"))
-def test_bc_endpoint_mismatch_rejected(request, fixture):
-    # the n_ij of either tail source hold at its window ends alone: a
-    # builder on a mesh that misses an end, by one ulp or more, is refused
-    pipe = request.getfixturevalue(fixture)
-    tails = pipe.builder.tails
-    x0, x1 = tails.window
-    for ends in ((np.nextafter(x0, -math.inf), x1),
-                 (x0, np.nextafter(x1, math.inf)), (x0 - 1.0, x1 + 1.0)):
-        space = HermiteSpace(build_mesh(*ends, 8))
-        with pytest.raises(SolverError, match="not the tail source's window"):
-            SliceBuilder(pipe.profile, pipe.params, space, 4, tails)
-    space = HermiteSpace(build_mesh(x0, x1, 8, "center:4"))
-    assert SliceBuilder(pipe.profile, pipe.params, space, 4,
-                        tails).tails is tails
+def test_bc_endpoint_mismatch_rejected(bump_pipe, tanh_pipe):
+    # the n_ij of either tail source (CompactTails, BoundaryFit) hold at its
+    # window ends alone: a builder on a mesh that misses an end, by one ulp
+    # or more, is refused
+    for pipe in (bump_pipe, tanh_pipe):
+        tails = pipe.builder.tails
+        x0, x1 = tails.window
+        for ends in ((np.nextafter(x0, -math.inf), x1),
+                     (x0, np.nextafter(x1, math.inf)), (x0 - 1.0, x1 + 1.0)):
+            space = HermiteSpace(build_mesh(*ends, 8))
+            with pytest.raises(SolverError,
+                               match="not the tail source's window"):
+                SliceBuilder(pipe.profile, pipe.params, space, 4, tails)
+        space = HermiteSpace(build_mesh(x0, x1, 8, "center:4"))
+        assert SliceBuilder(pipe.profile, pipe.params, space, 4,
+                            tails).tails is tails
 
 
 @pytest.fixture(scope="module")
