@@ -187,16 +187,16 @@ def parse_config(text):
         opts.n_elements = _getint(sec, "n_elements", "numerical",
                                   default=opts.n_elements)
         opts.grading = sec.get("grading", opts.grading)
-        try:    # build_mesh is the one parser of a grading
-            build_mesh(0.0, 1.0, 4, opts.grading)
-        except SolverError as exc:
-            raise ConfigError(f"numerical.grading: {exc}") from None
         opts.tol = _getfloat(sec, "tol", "numerical", default=opts.tol)
         opts.eps_star = _getfloat(sec, "eps_star", "numerical", default=None)
         opts.n_modes = _getint(sec, "n_modes", "numerical",
                                default=opts.n_modes)
         if opts.tol <= 0 or opts.n_elements < 4 or opts.n_modes < 1:
             raise ConfigError("numerical values out of range")
+        try:    # build_mesh parses a grading; [-1, 1] straddles 0 as windows do
+            build_mesh(-1.0, 1.0, opts.n_elements, opts.grading)
+        except SolverError as exc:
+            raise ConfigError(f"numerical.grading: {exc}") from None
         if opts.eps_star is not None and opts.eps_star <= 0:
             raise ConfigError("numerical.eps_star must be positive")
 

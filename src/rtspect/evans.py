@@ -8,9 +8,9 @@ pair does not), and the Evans value is their 4-form pairing there.  This
 path shares nothing with the Galerkin machinery: it integrates the second
 compound of the mode equation's companion system, a fixed 6x6 structure
 written out from three coefficients, with the 8th-order Dormand-Prince
-pair.  The system is linear in the state and cheap per lambda, so a whole
-array of lambdas is integrated as one state: a scan, and each round of the
-root refinement, is one integration.
+pair.  The system is linear in the state and cheap per lambda, so both
+sides of an array of lambdas are integrated as one state: a scan, and
+each round of the root refinement, is one integration.
 """
 
 from __future__ import annotations
@@ -72,12 +72,13 @@ def _wedge_rhs(profile, params, lam, x, w, direction):
     equation: a shift, plus the last row (a0, a1, a2, 0) that solves the
     equation for phi''''.  The induced action Au ^ v + u ^ Av is written
     out in `_PAIRS` order.  direction is +1 forward, -1 backward and 0 for
-    no shift.  lam may be an array of m lambdas with w of shape (6, m);
-    rho and rho' are evaluated once for all of them.
+    no shift.  lam may be an array of m lambdas with w of shape (6, m), or
+    (6, 2, m) with x and direction (2, 1) columns, one row per side; rho
+    and rho' are evaluated once for all of them.
     """
     k = params.k
-    rho = float(profile.rho(x)) / params.mu
-    drho = float(profile.drho(x)) / params.mu
+    rho = profile.rho(x) / params.mu
+    drho = profile.drho(x) / params.mu
     lam_rho = lam * rho
     a0 = -k**2 * lam_rho - k**4 + drho * params.g * k**2 / lam
     a1 = drho * lam
@@ -111,36 +112,40 @@ def _initial_plane(profile, params, lam, side):
     return w / nrm, np.log(nrm)
 
 
-def _integrate(profile, params, lam, x_from, x_to, w0):
-    """Shifted wedge integration with running renormalization, of one
-    column of w0 per lambda, all in one state.
+def _integrate(profile, params, lam, x_ends, match, w0):
+    """Shifted wedge integration with running renormalization of both
+    sides in one state w0 (6, 2, m), one column per side and lambda.
 
-    The growth-dominant rate of the target plane is +-(k + sigma0), which is
+    Side j runs from x_ends[j] to `match` as t runs from 0 to 1, so its
+    right-hand side is scaled by its span match - x_ends[j].  The
+    growth-dominant rate of each target plane is +-(k + sigma0), which is
     removed as a running shift so the state stays O(1); the log of the
-    renormalizations is returned per lambda, and `_shift_integral` gives
-    the log of the removed shift.  solve_ivp's error norm is the RMS over
-    all 6m components, so both tolerances are divided by sqrt(m): each
-    lambda's own 6-component norm then stays within the single-lambda
-    tolerance.
+    renormalizations is returned per (side, lambda), and `_shift_integral`
+    gives the log of the removed shift.  solve_ivp's error norm is the RMS
+    over all 12m components, so both tolerances are divided by sqrt(2m):
+    each side of each lambda then stays within the single-lambda tolerance.
     """
-    direction = 1.0 if x_to > x_from else -1.0
+    x0 = np.asarray(x_ends, dtype=float)[:, None]
+    span = match - x0
+    direction = np.sign(span)
     shape = w0.shape
-    scale = math.sqrt(np.size(lam))
+    scale = math.sqrt(w0[0].size)
 
-    def rhs(x, y):
-        return _wedge_rhs(profile, params, lam, x, y.reshape(shape),
-                          direction).ravel()
+    def rhs(t, y):
+        return (span * _wedge_rhs(profile, params, lam, x0 + t * span,
+                                  y.reshape(shape), direction)).ravel()
 
-    n_seg = max(2, int(abs(x_to - x_from) / 8.0))
-    xs = np.linspace(x_from, x_to, n_seg + 1)
-    w = w0
-    log_scale = np.zeros(shape[1:])
-    for a, b in zip(xs[:-1], xs[1:]):
+    n_seg = max(2, int(np.max(np.abs(span)) / 8.0))
+    ts = np.linspace(0.0, 1.0, n_seg + 1)
+    w, log_scale = w0, np.zeros(shape[1:])
+    for a, b in zip(ts[:-1], ts[1:]):
         sol = solve_ivp(rhs, (a, b), w.ravel(), method="DOP853",
                         rtol=_RTOL / scale, atol=_RTOL * 1e-2 / scale)
         if not sol.success:
+            sides = " and ".join(f"[{p:.3g}, {q:.3g}]" for p, q in
+                                 zip((x0 + a * span).flat, (x0 + b * span).flat))
             raise StiffnessError(
-                f"wedge integration failed on [{a:.3g}, {b:.3g}] for lambda "
+                f"wedge integration failed on {sides} for lambda "
                 f"in [{np.min(lam):.6g}, {np.max(lam):.6g}]: {sol.message}")
         w = sol.y[:, -1].reshape(shape)
         nrm = np.linalg.norm(w, axis=0)
@@ -173,14 +178,14 @@ def _matching_bounds(profile):
 def evans_function(profile, params, lam, match_x=None):
     """Signed Evans value at one lambda, or at each of a 1-D array of them.
 
-    Integrates the decaying 2-plane backward from the right truncation
-    point and forward from the left one to the matching point (midpoint by
+    Integrates the decaying 2-plane forward from the left truncation point
+    and backward from the right one to the matching point (midpoint by
     default) and pairs them.  Zero exactly at growth rates; the sign is
     continuous along lambda scans.  A scalar lam gives one `EvansSample`;
-    an array gives a tuple of them, from one integration of all lambdas
-    together (a scalar is the batch of one).  Each lambda is integrated to
-    the same tolerance as on its own, so values differ from single calls
-    only at that level.
+    an array gives a tuple of them, from one integration of both sides of
+    all lambdas together (a scalar is the batch of one).  Each side of
+    each lambda is integrated to the same tolerance as on its own, so
+    values differ from single calls only at that level.
     """
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     if lams.ndim != 1 or lams.size == 0:
@@ -191,13 +196,13 @@ def evans_function(profile, params, lam, match_x=None):
     x_minus, x_plus = _matching_bounds(profile)
     m = 0.5 * (x_minus + x_plus) if match_x is None else float(match_x)
 
-    w_r, log_r0 = _initial_plane(profile, params, lams, "right")
     w_l, log_l0 = _initial_plane(profile, params, lams, "left")
-    w_r, log_r = _integrate(profile, params, lams, x_plus, m, w_r)
-    w_l, log_l = _integrate(profile, params, lams, x_minus, m, w_l)
-    raw = _pairing(w_l, w_r)
+    w_r, log_r0 = _initial_plane(profile, params, lams, "right")
+    w, log_w = _integrate(profile, params, lams, (x_minus, x_plus), m,
+                          np.stack([w_l, w_r], axis=1))
+    raw = _pairing(w[:, 0], w[:, 1])
     shift = _shift_integral(profile, params, lams, x_minus, x_plus)
-    exponent = log_r + log_l + log_r0 + log_l0 + shift
+    exponent = log_w[1] + log_w[0] + log_r0 + log_l0 + shift
     samples = tuple(EvansSample(lam=float(l), value=float(v),
                                 scale_exponent=float(e))
                     for l, v, e in zip(lams, raw, exponent))

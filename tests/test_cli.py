@@ -106,6 +106,22 @@ def test_unknown_grading_exit_2(tmp_path, capsys, grading):
     assert "error: config" in capsys.readouterr().err
 
 
+def test_grading_checked_at_configured_elements(tmp_path, capsys):
+    # 2^63 : 1 widths at 64 elements leave the narrowest below one ulp of
+    # the window's left end: a configuration error; 4 elements build
+    text = MINIMAL + "\n[numerical]\nn_elements = 64\ngrading = geometric:2\n"
+    with pytest.raises(ConfigError, match="grading.*strictly increasing"):
+        parse_config(text)
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(text)
+    assert main(["dispersion", "--config", str(cfgfile),
+                 "--out", str(tmp_path)]) == 2
+    assert "error: config" in capsys.readouterr().err
+    ok = parse_config(MINIMAL + "\n[numerical]\nn_elements = 256\n"
+                      "grading = center:4\n")
+    assert (ok.opts.n_elements, ok.opts.grading) == (256, "center:4")
+
+
 @pytest.mark.parametrize("line", ("n_elements = 40.7", "n_modes = 2.5",
                                   "k_count = 3.5"))
 def test_fractional_counts_rejected(tmp_path, line):

@@ -187,9 +187,9 @@ def test_batch_matches_single_calls_on_tanh_scan(tanh_profile, params):
         assert b.log_magnitude == pytest.approx(s.log_magnitude, abs=1e-8)
 
 
-def test_batch_tolerance_is_per_lambda(monkeypatch, bump_profile, params):
-    # solve_ivp's error norm is an RMS over all 6m components: tolerances
-    # divided by sqrt(m) keep each lambda's own norm within _RTOL
+def _recording_solve_ivp(monkeypatch):
+    # wrap the module's solve_ivp; returns the list of (state size, rtol,
+    # atol) of every call
     seen = []
 
     def recording(*args, **kwargs):
@@ -197,11 +197,69 @@ def test_batch_tolerance_is_per_lambda(monkeypatch, bump_profile, params):
         return solve_ivp(*args, **kwargs)
 
     monkeypatch.setattr(ev, "solve_ivp", recording)
+    return seen
+
+
+def test_batch_tolerance_is_per_lambda(monkeypatch, bump_profile, params):
+    # solve_ivp's error norm is an RMS over all 12m components (two sides
+    # of m lambdas): tolerances divided by sqrt(2m) keep each side of each
+    # lambda within _RTOL
+    seen = _recording_solve_ivp(monkeypatch)
     ev.evans_function(bump_profile, params, 0.3)
     ev.evans_function(bump_profile, params, np.linspace(0.2, 0.5, 16))
-    assert {s[1:] for s in seen if s[0] == 6} == {(ev._RTOL, ev._RTOL * 1e-2)}
-    assert {s[1:] for s in seen if s[0] == 96} == {(ev._RTOL / 4,
-                                                    ev._RTOL * 1e-2 / 4)}
+    r2, r32 = math.sqrt(2), math.sqrt(32)
+    assert {s[1:] for s in seen if s[0] == 12} == {(ev._RTOL / r2,
+                                                    ev._RTOL * 1e-2 / r2)}
+    assert {s[1:] for s in seen if s[0] == 192} == {(ev._RTOL / r32,
+                                                     ev._RTOL * 1e-2 / r32)}
+
+
+def test_both_sides_integrate_as_one_state(monkeypatch, bump_profile, params):
+    # the bump window (+-1.001) is shorter than one 8-unit segment, so an
+    # integration takes the minimum of two segments; both sides of all m
+    # lambdas share each segment's solve_ivp call
+    seen = _recording_solve_ivp(monkeypatch)
+    m = 5
+    ev.evans_function(bump_profile, params, np.linspace(0.2, 0.5, m))
+    assert [s[0] for s in seen] == [12 * m, 12 * m]
+
+
+def _one_side(profile, params, lams, x_from, x_to, w0):
+    """Reference: one side on its own, in x, with the shift and the
+    per-lambda renormalization of the oracle, to a tighter tolerance."""
+    direction = 1.0 if x_to > x_from else -1.0
+
+    def rhs(x, y):
+        return ev._wedge_rhs(profile, params, lams, x, y.reshape(w0.shape),
+                             direction).ravel()
+
+    w, log_scale = w0, np.zeros(lams.size)
+    xs = np.linspace(x_from, x_to, max(2, int(abs(x_to - x_from) / 8.0)) + 1)
+    for a, b in zip(xs[:-1], xs[1:]):
+        sol = solve_ivp(rhs, (a, b), w.ravel(), method="DOP853",
+                        rtol=1e-12, atol=1e-14)
+        w = sol.y[:, -1].reshape(w0.shape)
+        nrm = np.linalg.norm(w, axis=0)
+        w, log_scale = w / nrm, log_scale + np.log(nrm)
+    return w, log_scale
+
+
+def test_fused_sides_match_per_side_integration(tanh_profile, params):
+    # at match_x = 0.8 the two spans differ (about 12.3 and 10.7 on the
+    # tanh window), so each side runs at its own speed in t
+    lams = np.array([0.01, 0.05, 0.15, 0.27, 0.4])
+    lo, hi = ev._matching_bounds(tanh_profile)
+    match = 0.8
+    w_l, log_l0 = ev._initial_plane(tanh_profile, params, lams, "left")
+    w_r, log_r0 = ev._initial_plane(tanh_profile, params, lams, "right")
+    w_l, log_l = _one_side(tanh_profile, params, lams, lo, match, w_l)
+    w_r, log_r = _one_side(tanh_profile, params, lams, hi, match, w_r)
+    raw = ev._pairing(w_l, w_r)
+    log_ref = (np.log(np.abs(raw)) + log_l + log_r + log_l0 + log_r0
+               + ev._shift_integral(tanh_profile, params, lams, lo, hi))
+    fused = ev.evans_function(tanh_profile, params, lams, match_x=match)
+    assert [s.sign for s in fused] == list(np.sign(raw))
+    assert np.abs([s.log_magnitude for s in fused] - log_ref).max() <= 1e-8
 
 
 def test_failed_integration_names_segment(monkeypatch, bump_profile, params):
@@ -210,11 +268,11 @@ def test_failed_integration_names_segment(monkeypatch, bump_profile, params):
         message = "step size too small"
 
     monkeypatch.setattr(ev, "solve_ivp", lambda *_args, **_kwargs: Failed())
-    # the bump window is +-1.001; the first segment runs from its right end
-    # to the halfway point
+    # the bump window is +-1.001; the first segment runs each side from its
+    # end halfway to the matching point
     with pytest.raises(StiffnessError,
-                       match=r"on \[1, 0\.5\] for lambda in \[0\.3, 0\.3\]: "
-                             r"step size too small"):
+                       match=r"on \[-1, -0\.5\] and \[1, 0\.5\] for lambda in "
+                             r"\[0\.3, 0\.3\]: step size too small"):
         ev.evans_function(bump_profile, params, 0.3)
 
 
