@@ -20,8 +20,6 @@ from .errors import (BracketError, CoercivityError, CoercivitySearchError,
 from .evans import EvansSample, evans_function, find_roots
 from .modes import (GlobalMode, PerturbationField, glue_mode, gluing_jumps,
                     ode_residual, raw_trace_defects, reconstruct_fields)
-from .outer_compact import (CompactOuterBasis, ExponentialPair,
-                            compact_decaying_solutions, compact_outer_basis)
 from .outer_general import (BoundaryFit, DecayingPair, GammaBounds,
                             OuterSolutions, PicardSetup, SystemMatrices,
                             coercive_window, decay_envelopes, gamma_bounds,
@@ -29,8 +27,9 @@ from .outer_general import (BoundaryFit, DecayingPair, GammaBounds,
 from .pipeline import Pipeline, SolverOptions
 from .profiles import (COMPACT, INCREASING, DensityProfile, PhysicalParams,
                        ProfileBounds, make_profile, profile_bounds, validate)
-from .spectrum import (CompactTails, DispersionPoint, ModeCount, SliceBuilder,
-                       SpectrumSlice, gamma_derivative_check, gamma_spectrum,
-                       mode_count, solve_dispersion)
+from .spectrum import (CompactTails, DispersionPoint, ExponentialPair,
+                       ModeCount, SliceBuilder, SpectrumSlice,
+                       compact_outer_basis, gamma_derivative_check,
+                       gamma_spectrum, mode_count, solve_dispersion)
 
 __version__ = "0.1.0"

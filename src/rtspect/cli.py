@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import build_mesh, endpoint_block, psd_margins
+from .assembly import build_mesh, dump_forms, endpoint_block, psd_margins
 from .errors import ConfigError, ProfileError, SolverError
 from .evans import evans_function
 from .modes import reconstruct_fields
@@ -78,6 +78,14 @@ class RunConfig:
         return PhysicalParams(g=self.g, mu=self.mu, k=k)
 
 
+def _finite(text):
+    """float(text); ValueError unless that is a finite number."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _getfloat(sec, key, name, required=False, default=None):
     if key not in sec:
         if required:
@@ -86,9 +94,10 @@ def _getfloat(sec, key, name, required=False, default=None):
                 f"expected schema:\n{_SCHEMA}")
         return default
     try:
-        return float(sec[key])
+        return _finite(sec[key])
     except ValueError:
-        raise ConfigError(f"{name}.{key} is not a number: {sec[key]!r}") from None
+        raise ConfigError(
+            f"{name}.{key} is not a finite number: {sec[key]!r}") from None
 
 
 def _getint(sec, key, name, default=None):
@@ -99,16 +108,18 @@ def _getint(sec, key, name, default=None):
 
 
 def _csv_samples(path):
-    """The (x, rho) rows of a tabulated profile's CSV; '#' rows are comments."""
+    """The (x, rho) rows of a tabulated profile's CSV, each exactly two
+    finite numbers; '#' rows are comments."""
     samples = []
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
             if row and not row[0].lstrip().startswith("#"):
                 try:
-                    samples.append((float(row[0]), float(row[1])))
-                except (ValueError, IndexError):
+                    x, rho = map(_finite, row)
+                except ValueError:
                     raise ConfigError(f"profile.csv row {row!r} is not a "
-                                      "pair of numbers x, rho") from None
+                                      "pair of finite numbers x, rho") from None
+                samples.append((x, rho))
     return samples
 
 
@@ -236,7 +247,6 @@ def _dispersion_rows(cfg, k, dump_dir=None):
         rows.append([f"{k:.12g}", p.n, f"{p.lam:.12e}", f"{p.residual:.3e}",
                      f"{p.margin:.6e}", count.N])
     if dump_dir:
-        from .assembly import dump_forms
         lam = max(points, key=lambda p: p.lam).lam
         dump_forms(pipe.builder(lam).forms,
                    os.path.join(dump_dir, f"forms_k{k:g}.txt"))

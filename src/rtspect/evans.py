@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import SolverError, StiffnessError
-from .profiles import COMPACT
+from .profiles import COMPACT, limit_box
 
 # wedge basis ordering
 _PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -170,7 +170,6 @@ def _matching_bounds(profile):
     if profile.kind == COMPACT:
         pad = 1e-3 * profile.a
         return -profile.a - pad, profile.a + pad
-    from .profiles import limit_box
     lo, hi = limit_box(profile, rel_tol=1e-10)
     return lo, hi
 

@@ -6,8 +6,8 @@ solutions on that side.  Both profile kinds hand out those two as one pair
 per side, from the slice builder's tail source (`tails.pairs(lam)`), read
 through one interface (`samples_at`, both solutions at once, `reach` and
 `eval_limit`): the closed-form `ExponentialPair` for compact-gradient
-profiles (`outer_compact`), the sampled Picard `DecayingPair` for strictly
-increasing ones (`outer_general`).  The amplitudes match (phi, phi') at the
+profiles (`spectrum.CompactTails`), the sampled Picard `DecayingPair` for
+strictly increasing ones (`outer_general`).  The amplitudes match (phi, phi') at the
 endpoints, which is exact by construction, while the continuity of phi''
 and phi''' across the endpoints is then a consequence of the boundary
 closure and converges with the mesh.  Modes are normalized to sup |phi| = 1

@@ -4,9 +4,10 @@ The reduced problem at fixed lambda is the symmetric-definite pencil
 M_rho c = gamma K c, with K and M_rho banded; its positive eigenvalues
 gamma_1 >= gamma_2 >= ... play the role of the compact-operator spectrum,
 and a growth rate is any lambda with gamma_n(lambda) = lambda / (g k^2).
-A `SliceBuilder` closes the window with the n_ij of one tail source,
-`CompactTails` for compact-gradient profiles or `outer_general.BoundaryFit`
-for strictly increasing ones; the same source hands out the decaying pairs
+A `SliceBuilder` closes the window with the n_ij of one tail source:
+`CompactTails`, the closed-form exponential tails of compact-gradient
+profiles, defined here, or `outer_general.BoundaryFit` for strictly
+increasing ones.  The same source hands out the decaying pairs
 that glue a mode and the slopes dn_ij/dlambda, whose endpoint-form
 derivative E' (`endpoint_derivative`) feeds `monotone_margin` and the
 derivative check.  One root search serves every profile
@@ -33,9 +34,8 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .assembly import (BANDWIDTH, assemble_forms, assemble_volume,
                        coercivity_check, endpoint_derivative)
-from .errors import BracketError, RankError, SolverError, StepSizeError
-from .outer_compact import (compact_decaying_solutions, compact_outer_basis,
-                            exponential_closure)
+from .errors import (BracketError, DegenerateBasisError, RankError,
+                     SolverError, StepSizeError)
 from .profiles import COMPACT
 
 DEFAULT_TOL = 1e-8
@@ -108,26 +108,100 @@ def gamma_spectrum(forms, n_max):
     return SpectrumSlice(lam=forms.lam, gammas=gam, vectors=vec, forms=forms)
 
 
+# tau - k below this multiple of k makes {e^{-kx}, e^{-tau x}} numerically
+# collinear; root brackets never reach this region, so reject outright.
+DEGENERATE_REL = 1e-8
+
+
+@dataclass(frozen=True)
+class ExponentialPair:
+    """e^{-k |x - x_end|} and e^{-tau |x - x_end|} past one end of the
+    support of rho0', slow first: rates = (k, tau).
+
+    samples_at(x, nu) is the nu-th x-derivative of each solution's
+    phase-normalized vector, the constant (1, -+rate, rate^2, -+rate^3)
+    (upper signs on the right), and its phase rate |x - x_end|: shape
+    (..., 2, 5), like `outer_general.DecayingPair`, so that modes glue and
+    evaluate both profile kinds through one interface.  The solutions are
+    exact arbitrarily far out; `reach` is how far out a mode scans them.
+    """
+
+    side: str
+    rates: tuple
+    x_end: float
+    reach: float
+    eval_limit: float
+
+    def samples_at(self, x, nu=0):
+        x = np.asarray(x, dtype=float)
+        s = 1.0 if self.side == "right" else -1.0
+        out = np.zeros(x.shape + (2, 5))
+        for i, r in enumerate(self.rates):
+            if nu == 0:
+                out[..., i, :4] = (1.0, -s * r, r * r, -s * r**3)
+                out[..., i, 4] = s * r * (x - self.x_end)
+            elif nu == 1:
+                out[..., i, 4] = s * r
+        return out
+
+
+def exponential_closure(end, k, tau):
+    """(n11, n12, n21, n22), shape (4,), of the relations
+    n11*phi + n12*phi' + phi'' = 0, n21*phi + n22*phi' + phi''' = 0 that
+    annihilate the tail span {e^{-k|x|}, e^{-tau|x|}} at one end."""
+    s = 1.0 if end == "right" else -1.0
+    return np.array([k * tau, s * (k + tau), -s * k * tau * (k + tau),
+                     -(k * k + k * tau + tau * tau)])
+
+
+def compact_outer_basis(profile, params, lam):
+    """(tau_minus, tau_plus), tau = sqrt(k^2 + lam*rho_pm/mu), the fast
+    decay rates past -a and a, at one lambda > 0 or an array of them."""
+    if np.count_nonzero(lam <= 0):
+        raise SolverError("outer basis needs lambda > 0")
+    k, mu = params.k, params.mu
+    return tuple(np.sqrt(k * k + lam * (rho / mu))
+                 for rho in (profile.rho_minus, profile.rho_plus))
+
+
 class CompactTails:
     """Tail source of a compact-gradient profile, the exact exponentials
-    past the ends of `window` = (-a, a): called at lambda it gives the n_ij
-    as one (8,) row, (n11, n12, n21, n22) at -a and then at a
+    past the ends of `window` = (-a, a).  Outside the support of rho0' the
+    mode equation has constant coefficients, and the solutions decaying
+    past a are spanned by e^{-k(x-a)} and e^{-tau_plus(x-a)}, mirrored past
+    -a.  Called at lambda it gives the n_ij that close the problem on the
+    window as one (8,) row, (n11, n12, n21, n22) at -a and then at a
     (`exponential_closure`), `pairs(lam)` the `ExponentialPair` of each
     side and `slopes(lams)` the closed-form dn_ij/dlambda."""
 
     def __init__(self, profile, params):
+        if profile.kind != COMPACT:
+            raise SolverError("compact tails need a compact-gradient profile")
         self.profile = profile
         self.params = params
         self.window = (-profile.a, profile.a)
 
     def __call__(self, lam):
-        b = compact_outer_basis(self.profile, self.params, lam)
-        return np.concatenate([exponential_closure("left", b.k, b.tau_minus),
-                               exponential_closure("right", b.k, b.tau_plus)])
+        k = self.params.k
+        tau_m, tau_p = compact_outer_basis(self.profile, self.params, lam)
+        return np.concatenate([exponential_closure("left", k, tau_m),
+                               exponential_closure("right", k, tau_p)])
 
     def pairs(self, lam):
-        return compact_decaying_solutions(
-            compact_outer_basis(self.profile, self.params, lam))
+        """{"right": ExponentialPair, "left": ExponentialPair}, shaped like
+        `OuterSolutions.solve`."""
+        k, a = self.params.k, self.window[1]
+        tau_m, tau_p = compact_outer_basis(self.profile, self.params, lam)
+        out = {}
+        for side, tau, s in (("right", tau_p, 1.0), ("left", tau_m, -1.0)):
+            if tau - k < DEGENERATE_REL * k:
+                raise DegenerateBasisError(
+                    f"tau - k = {tau - k:.3e} at lambda = {lam:.6e}: "
+                    "outer exponentials numerically collinear")
+            reach = s * a + s * 12.0 / k    # sup |phi| scan: 12 slow lengths
+            out[side] = ExponentialPair(side, (k, tau), s * a, reach,
+                                        s * math.inf)
+        return out
 
     def check(self, _lam):
         """Nothing to check: the closures are exact."""
@@ -137,9 +211,9 @@ class CompactTails:
         `BoundaryFit.slopes`: the n_ij of `exponential_closure` are
         polynomials in tau, and dtau/dlambda = rho/(2 mu tau)."""
         k, mu, out = self.params.k, self.params.mu, []
-        for s, rho in ((-1.0, self.profile.rho_minus),
-                       (1.0, self.profile.rho_plus)):
-            tau = np.sqrt(k * k + lams * (rho / mu))
+        for s, rho, tau in zip(
+                (-1.0, 1.0), (self.profile.rho_minus, self.profile.rho_plus),
+                compact_outer_basis(self.profile, self.params, lams)):
             d = rho / (2.0 * mu * tau)
             out += [k * d, s * d, -s * k * (k + 2.0 * tau) * d,
                     -(k + 2.0 * tau) * d]

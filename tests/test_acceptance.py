@@ -15,11 +15,11 @@ import pytest
 from rtspect import evans
 from rtspect.assembly import HermiteSpace, build_mesh, whole_line_identity_check
 from rtspect.modes import gluing_jumps, ode_residual, reconstruct_fields
-from rtspect.outer_compact import exponential_closure
 from rtspect.outer_general import _closure_at, decay_envelopes
 from rtspect.pipeline import Pipeline, SolverOptions
 from rtspect.profiles import PhysicalParams
-from rtspect.spectrum import SliceBuilder, gamma_derivative_check, mode_count
+from rtspect.spectrum import (SliceBuilder, exponential_closure,
+                              gamma_derivative_check, mode_count)
 
 
 def report(num, name, ok, detail):

@@ -13,11 +13,11 @@ from rtspect.assembly import (HermiteSpace, _add_endpoint, _element_form,
                               coercivity_check, endpoint_block,
                               whole_line_identity_check)
 from rtspect.errors import CoercivityError, SolverError
-from rtspect.outer_compact import compact_outer_basis, exponential_closure
 from rtspect.pipeline import Pipeline, SolverOptions
 from rtspect.profiles import (COMPACT, GL5_WEIGHTS, DensityProfile,
                               PhysicalParams)
-from rtspect.spectrum import CompactTails, SliceBuilder
+from rtspect.spectrum import (CompactTails, SliceBuilder, compact_outer_basis,
+                              exponential_closure)
 
 
 def constant_profile(value=1.0, a=1.0):
@@ -180,8 +180,7 @@ def test_quadrature_exact_for_quadratic_density():
 
 def test_compact_endpoint_block_sum_of_squares(bump_profile, params):
     lam = 0.4
-    basis = compact_outer_basis(bump_profile, params, lam)
-    k, tau = params.k, basis.tau_plus
+    k, (_, tau) = params.k, compact_outer_basis(bump_profile, params, lam)
     blk = endpoint_block("right", exponential_closure("right", k, tau),
                          params, bump_profile.rho_plus, lam)
     for th, dth in ((1.0, 0.0), (0.2, -1.1), (-0.5, 0.9)):

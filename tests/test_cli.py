@@ -11,9 +11,9 @@ from conftest import TANH_ORACLE_ROOTS
 from rtspect import cli
 from rtspect.cli import main, parse_config
 from rtspect.evans import evans_function
-from rtspect.outer_compact import exponential_closure
 from rtspect.errors import ConfigError, SolverError
 from rtspect.pipeline import Pipeline
+from rtspect.spectrum import exponential_closure
 
 # `--threads 2` forks a process pool only with fork and two CPUs
 needs_pool = pytest.mark.skipif(
@@ -140,6 +140,22 @@ def test_fractional_counts_rejected(tmp_path, line):
     assert parse_config(text.replace(line.split()[-1], "4.0")) is not None
 
 
+@pytest.mark.parametrize("key, value", (("tol", "inf"), ("tol", "nan"),
+                                        ("mu", "inf"), ("k", "nan"),
+                                        ("g", "nan")))
+def test_non_finite_numbers_exit_2(tmp_path, key, value):
+    # tol = inf solved to the bracket floor, and nan or inf elsewhere ended
+    # in a numerical failure or a traceback; both belong to the config
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}",
+                  MINIMAL + SMALL_NUMERICS + "tol = 1e-8\n", flags=re.M)
+    with pytest.raises(ConfigError, match=f"{key} is not a finite number"):
+        parse_config(text)
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(text)
+    assert main(["dispersion", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
 def test_parse_missing_section_names_schema():
     with pytest.raises(ConfigError, match=r"\[physical\]"):
         parse_config("[profile]\nkind = tanh\nrho_minus = 1\nrho_plus = 2\nell = 1\n")
@@ -189,6 +205,7 @@ def test_parse_tabulated_csv(tmp_path):
 
 @pytest.mark.parametrize("old, new", (
         ("csv", "1.0,abc"), ("csv", "1.5"),         # bad tabulated rows
+        ("csv", "2.5,3.0,9"), ("csv", "2.5,nan"),
         ("rho_plus = 3.0", "rho_plus = 1.0"),       # rho_minus >= rho_plus
         ("a = 1.0", "a = -1.0"),                    # bump half-width <= 0
         ("k = 1.0", "k = 1.0\nk1 = 0.3\nk2 = 0.4")))  # k1^2 + k2^2 != k^2

@@ -1,5 +1,6 @@
 """Source hygiene: no module in the package or the tests imports a name it
-never uses or defines a function (test or fixture included) taking a
+never uses, imports inside a function from a module it already imports
+from at the top, or defines a function (test or fixture included) taking a
 parameter it never reads, and the package defines nothing, class fields
 included, that the package, the tests and the benchmark never read.  A
 stdlib `ast` scan, so no linter is needed."""
@@ -90,6 +91,38 @@ def test_scan_flags_an_unused_parameter(tmp_path):
                    "key = lambda u, v: u\n")
     assert _unused_parameters(src) == [
         (2, "f", "args"), (2, "f", "b"), (2, "f", "d"), (9, "<lambda>", "v")]
+
+
+def _redundant_local_imports(path):
+    """(line, module) of every relative import inside a function from a
+    module that the file already imports from at module level."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    top = {(n.level, n.module) for n in tree.body
+           if isinstance(n, ast.ImportFrom) and n.level}
+    return sorted({(n.lineno, "." * n.level + (n.module or ""))
+                   for f in ast.walk(tree)
+                   if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for n in ast.walk(f) if isinstance(n, ast.ImportFrom)
+                   and (n.level, n.module) in top})
+
+
+def test_no_redundant_local_imports():
+    found = [f"{path.relative_to(ROOT)}:{line}: {module}"
+             for path in _modules()
+             for line, module in _redundant_local_imports(path)]
+    assert not found, "local imports of modules imported at the top:\n" + \
+        "\n".join(found)
+
+
+def test_scan_flags_a_redundant_local_import(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("import os\nfrom .a import x\n\n\n"
+                   "def f():\n    from .a import y\n    from .b import z\n"
+                   "    import os.path\n\n"
+                   "    def g():\n        from .a import w\n"
+                   "        return w\n"
+                   "    return x, y, z, os.path, g\n")
+    assert _redundant_local_imports(src) == [(6, ".a"), (11, ".a")]
 
 
 def test_benchmark_hooks_resolve():

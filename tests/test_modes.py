@@ -7,9 +7,9 @@ import pytest
 from rtspect.errors import ExtrapolationError, GluingError
 from rtspect.modes import (glue_mode, gluing_jumps, ode_residual,
                            raw_trace_defects, reconstruct_fields)
-from rtspect.outer_compact import compact_outer_basis
 from rtspect.pipeline import Pipeline, SolverOptions
 from rtspect.profiles import PhysicalParams
+from rtspect.spectrum import compact_outer_basis
 
 
 @pytest.fixture(scope="module")
@@ -67,10 +67,10 @@ def test_mode_normalization_and_sign(bump_mode, bump_pipe):
 def test_eval_matches_tail_formula(bump_mode, bump_profile, params):
     mode, _ = bump_mode
     a1, a2 = mode.outer_right.amps
-    basis = compact_outer_basis(bump_profile, params, mode.lam)
+    _, tau = compact_outer_basis(bump_profile, params, mode.lam)
+    k, a = params.k, bump_profile.a
     x = mode.x_plus + 10.0
-    expect = (a1 * math.exp(-basis.k * (x - basis.a))
-              + a2 * math.exp(-basis.tau_plus * (x - basis.a)))
+    expect = a1 * math.exp(-k * (x - a)) + a2 * math.exp(-tau * (x - a))
     assert mode.eval(x)[0] == pytest.approx(expect, rel=1e-12)
 
 
@@ -80,8 +80,8 @@ def test_tail_matches_closed_form_beyond_reach(bump_mode, bump_profile,
     # arbitrarily far out: up to a + 20/k, past the 12/k scanned for sup |phi|
     mode, _ = bump_mode
     tail = mode.outer_right
-    basis = compact_outer_basis(bump_profile, params, mode.lam)
-    k, tau, a = basis.k, basis.tau_plus, basis.a
+    _, tau = compact_outer_basis(bump_profile, params, mode.lam)
+    k, a = params.k, bump_profile.a
     xs = a + np.linspace(0.0, 20.0 / k, 101)[1:]
     assert xs[-1] > tail.reach
     a1, a2 = tail.amps
@@ -103,11 +103,12 @@ def test_eval_endpoint_continuity(bump_mode):
 def test_decay_bound(bump_mode, bump_pipe, tanh_mode, tanh_pipe):
     mode, _ = bump_mode
     a1, a2 = mode.outer_right.amps
-    basis = compact_outer_basis(bump_pipe.profile, bump_pipe.params, mode.lam)
+    _, tau = compact_outer_basis(bump_pipe.profile, bump_pipe.params, mode.lam)
+    k = bump_pipe.params.k
     xs = np.linspace(mode.x_plus, mode.x_plus + 8, 200)
     phi = mode.eval(xs)[0]
-    bound = 2 * np.maximum(abs(a1) * np.exp(-basis.k * (xs - mode.x_plus)),
-                           abs(a2) * np.exp(-basis.tau_plus * (xs - mode.x_plus)))
+    bound = 2 * np.maximum(abs(a1) * np.exp(-k * (xs - mode.x_plus)),
+                           abs(a2) * np.exp(-tau * (xs - mode.x_plus)))
     assert np.all(np.abs(phi) <= bound + 1e-14)
     gmode, _ = tanh_mode
     rho_minus = 1.0

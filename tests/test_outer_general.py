@@ -10,11 +10,10 @@ from rtspect.assembly import endpoint_block, psd_margins
 from rtspect.errors import BracketError, CoercivitySearchError, SolverError
 from rtspect.evans import find_roots
 from rtspect.modes import gluing_jumps
-from rtspect.outer_compact import exponential_closure
 from rtspect.pipeline import Pipeline, SolverOptions
 from rtspect.profiles import (GL5_NODES, GL5_WEIGHTS, PhysicalParams,
                                make_profile)
-from rtspect.spectrum import SCAN_POINTS, mode_count
+from rtspect.spectrum import SCAN_POINTS, exponential_closure, mode_count
 
 # frozen regression values (tanh 1..3, ell=1, g=mu=k=1)
 GAMMA_M_EPS001 = 15360.215415
