@@ -25,7 +25,7 @@ from .errors import ConfigError, ProfileError, SolverError
 from .evans import evans_function
 from .modes import reconstruct_fields
 from .outer_general import _closure_at
-from .pipeline import Pipeline, SolverOptions
+from .pipeline import LAMBDA_FLOOR_FACTOR, Pipeline, SolverOptions
 from .profiles import COMPACT, PhysicalParams, make_profile
 from .verification import format_results, run_verification
 
@@ -204,6 +204,11 @@ def parse_config(text):
                                default=opts.n_modes)
         if opts.tol <= 0 or opts.n_elements < 4 or opts.n_modes < 1:
             raise ConfigError("numerical values out of range")
+        if opts.tol >= LAMBDA_FLOOR_FACTOR:
+            # the root search's step tol*sqrt(g/L0) would reach the
+            # bracket floor, LAMBDA_FLOOR_FACTOR*sqrt(g/L0)
+            raise ConfigError(f"numerical.tol must be below "
+                              f"{LAMBDA_FLOOR_FACTOR:g}")
         try:    # build_mesh parses a grading; [-1, 1] straddles 0 as windows do
             build_mesh(-1.0, 1.0, opts.n_elements, opts.grading)
         except SolverError as exc:

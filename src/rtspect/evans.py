@@ -8,9 +8,11 @@ pair does not), and the Evans value is their 4-form pairing there.  This
 path shares nothing with the Galerkin machinery: it integrates the second
 compound of the mode equation's companion system, a fixed 6x6 structure
 written out from three coefficients, with the 8th-order Dormand-Prince
-pair.  The system is linear in the state and cheap per lambda, so both
-sides of an array of lambdas are integrated as one state: a scan, and
-each round of the root refinement, is one integration.
+pair.  The stepper is the module's own `solve_ivp`, a port of scipy's
+DOP853 that takes the same steps, so the oracle needs no
+`scipy.integrate`.  The system is linear in the state and cheap per
+lambda, so both sides of an array of lambdas are integrated as one state:
+a scan, and each round of the root refinement, is one integration.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import SolverError, StiffnessError
 from .profiles import COMPACT, limit_box
@@ -37,6 +38,171 @@ _SHIFT_XI, _SHIFT_W = np.polynomial.legendre.leggauss(128)
 _SECTIONS = 15
 # relative bracket width below which a round could add no new float
 _ROUNDOFF = 4 * np.finfo(float).eps
+
+
+# Dormand-Prince 8(5,3) (Hairer, Norsett and Wanner, Solving Ordinary
+# Differential Equations I, sec. II.5): the 12 stages' nodes C and rows of
+# A, the weights B (A's 13th row), and the 5th- and 3rd-order error weights
+# E5 and E3 over the 12 stages and the new point's derivative
+_DOP_ROWS = (
+    (),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0,
+     8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0,
+     -8.84549479328286085344864962717e-1, 9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0,
+     1.70828608729473871279604482173e-1, 1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0,
+     1.70383925712239993810214054705e-1, 1.07262030446373284651809199168e-1,
+     -1.53194377486244017527936158236e-2, 8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0,
+     -3.36089262944694129406857109825, -8.68219346841726006818189891453e-1,
+     2.75920996994467083049415600797e1, 2.01540675504778934086186788979e1,
+     -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0,
+     -2.48811461997166764192642586468, -5.90290826836842996371446475743e-1,
+     2.12300514481811942347288949897e1, 1.52792336328824235832596922938e1,
+     -3.32882109689848629194453265587e1, -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0,
+     5.18637242884406370830023853209, 1.09143734899672957818500254654,
+     -8.14978701074692612513997267357, -1.85200656599969598641566180701e1,
+     2.27394870993505042818970056734e1, 2.49360555267965238987089396762,
+     -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0,
+     -1.05344954667372501984066689879e1, -2.00087205822486249909675718444,
+     -1.79589318631187989172765950534e1, 2.79488845294199600508499808837e1,
+     -2.85899827713502369474065508674, -8.87285693353062954433549289258,
+     1.23605671757943030647266201528e1, 6.43392746015763530355970484046e-1),
+    (5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+     4.45031289275240888144113950566, 1.89151789931450038304281599044,
+     -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+     -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+     4.47106157277725905176885569043e-2),
+)
+_DOP_A = np.array([row + (0.0,) * (12 - len(row)) for row in _DOP_ROWS])
+_DOP_A, _DOP_B = _DOP_A[:12], _DOP_A[12]
+_DOP_C = np.array([0.0, 0.526001519587677318785587544488e-01,
+                   0.789002279381515978178381316732e-01,
+                   0.118350341907227396726757197510,
+                   0.281649658092772603273242802490,
+                   0.333333333333333333333333333333, 0.25,
+                   0.307692307692307692307692307692,
+                   0.651282051282051282051282051282, 0.6,
+                   0.857142857142857142857142857142, 1.0])
+_DOP_E3 = np.append(_DOP_B, 0.0)
+_DOP_E3[[0, 8, 11]] -= (0.244094488188976377952755905512,
+                        0.733846688281611857341361741547,
+                        0.220588235294117647058823529412e-1)
+_DOP_E5 = np.zeros(13)
+_DOP_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = (
+    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1)
+# step-size control: safety factor, the bounds of one step's change, and
+# the exponent -1/(error order + 1) of the error norm
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 8
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
+@dataclass(frozen=True)
+class IvpResult:
+    y: np.ndarray           # (n, 1): the state where the integration ended
+    success: bool
+    message: str
+    nfev: int
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _error_norm(K, h, scale):
+    """DOP853's error norm: the 5th-order estimate damped by the 3rd."""
+    err5 = np.dot(K.T, _DOP_E5) / scale
+    err3 = np.dot(K.T, _DOP_E3) / scale
+    err5_norm_2 = np.linalg.norm(err5)**2
+    err3_norm_2 = np.linalg.norm(err3)**2
+    if err5_norm_2 == 0 and err3_norm_2 == 0:
+        return 0.0
+    denom = err5_norm_2 + 0.01 * err3_norm_2
+    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
+
+def solve_ivp(fun, t_span, y0, method="DOP853", rtol=1e-3, atol=1e-6):
+    """y' = fun(t, y) across t_span by DOP853 with adaptive steps.
+
+    A port of scipy's `solve_ivp(method="DOP853")` without dense output,
+    events or `t_eval`: the same initial step, stages, error norm and step
+    control, so it takes the same steps and returns the same state.  The
+    local error of each step is kept below atol + rtol*|y| in the RMS norm.
+    """
+    if method != "DOP853":
+        raise SolverError(f"unknown integration method {method!r}")
+    t, t_end = map(float, t_span)
+    y = np.asarray(y0, dtype=float)
+    nfev = 0
+
+    def f(t, y):
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(fun(t, y), dtype=float)
+
+    direction = np.sign(t_end - t)
+    fy = f(t, y)
+    # initial step (Hairer, Norsett and Wanner, sec. II.4)
+    h_abs = abs(t_end - t)
+    if h_abs > 0:
+        scale = atol + np.abs(y) * rtol
+        d0, d1 = _rms(y / scale), _rms(fy / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, h_abs)
+        f1 = f(t + h0 * direction, y + h0 * direction * fy)
+        d2 = _rms((f1 - fy) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+        h_abs = min(100 * h0, h1, h_abs)
+
+    K = np.empty((13, y.size))
+    while direction * (t - t_end) < 0:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return IvpResult(y[:, None], False, _TOO_SMALL_STEP, nfev)
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_end) > 0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = np.abs(h)
+
+            K[0] = fy
+            for s in range(1, 12):
+                dy = np.dot(K[:s].T, _DOP_A[s, :s]) * h
+                K[s] = f(t + _DOP_C[s] * h, y + dy)
+            y_new = y + h * np.dot(K[:-1].T, _DOP_B)
+            K[-1] = f_new = f(t + h, y_new)
+
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _error_norm(K, h, scale)
+            if error_norm < 1:
+                factor = _MAX_FACTOR if error_norm == 0 else min(
+                    _MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        t, y, fy = t_new, y_new, f_new
+    return IvpResult(y[:, None], True, "The solver successfully reached the "
+                     "end of the integration interval.", nfev)
 
 
 @dataclass(frozen=True)

@@ -234,7 +234,8 @@ def ode_residual(mode, profile, params, rho_m):
     defect shrinks far faster than pointwise derivative errors (a pointwise
     fourth derivative of a cubic is meaningless).  Outside the window the
     strong residual is evaluated directly at 200 points per side: closed
-    tails are exact, sampled tails differentiate their splines.  Returns
+    tails are exact, sampled tails differentiate their cubic Hermite
+    interpolants.  Returns
     (total, inner, outer).
     """
     lam, k, mu, g = mode.lam, params.k, params.mu, params.g

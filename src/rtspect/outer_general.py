@@ -21,10 +21,13 @@ serves a whole array of lambdas, and `OuterSolutions.solve` returns per
 lambda one `DecayingPair` per side: both solutions on the samples, (N, 2,
 4), slow first.  The pairs close the problem on the window between the
 truncation points through the boundary coefficients n_ij, all from one
-array closure (`_closure`).  Both endpoint quadratic forms must be positive
-semidefinite there at every lambda the Chebyshev interpolant in log lambda
-is built from (`BoundaryFit`, the tail source of increasing profiles, whose
-first 17 lambdas are the window's).
+array closure (`_closure`); a glued tail reads them between the samples
+through a C1 cubic Hermite interpolant with exact slopes.  Both endpoint
+quadratic forms must be positive semidefinite there at every lambda the
+Chebyshev interpolant in log lambda is built from (`BoundaryFit`, the tail
+source of increasing profiles, whose first 17 lambdas are the window's).
+The truncation points' level searches use the package's Brent root finder
+(`brent`).
 """
 
 from __future__ import annotations
@@ -34,10 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
-from .assembly import endpoint_block, psd_margins
+from .assembly import _hermite_shapes, endpoint_block, psd_margins
+from .brent import brentq
 from .errors import (CoercivitySearchError, SolverError, TruncationError)
 from .profiles import GL5_NODES, GL5_WEIGHTS
 
@@ -503,11 +505,18 @@ class DecayingPair:
 
     xs are the half line's samples in x (xs[::6] its panel edges) and
     normalized holds e^{phase(x)} U(x) there (it tends to `limit` at the
-    far end); one spline of it and the phase, built on the first
-    `samples_at` call, which only a glued tail makes, rebuilds raw values
-    and derivatives of both solutions without overflow.  The far end of
-    xs is both the reach of the tail and its evaluation limit.
-    updates = (slow, fast) are the Picard update sizes per round.
+    far end).  `samples_at` reads it and the phase between the samples
+    from the C1 cubic Hermite interpolant (`assembly._hermite_shapes`)
+    through their values and exact slopes there, which rebuilds raw
+    values and derivatives of both solutions without overflow.  The slope
+    of e^{phase} U is the system's own right-hand side,
+    (phase' + L(rho0) + rho0' R) e^{phase} U, with phase' = +-(k, sigma0)
+    on the right and left sides; the slopes are computed on the first
+    `samples_at` call, which only a glued tail makes.  At a sample
+    (every panel edge and window end is one) the values and slopes are
+    the stored ones.  The far end of xs is both the reach of the tail and
+    its evaluation limit.  updates = (slow, fast) are the Picard update
+    sizes per round.
     """
 
     side: str
@@ -517,14 +526,40 @@ class DecayingPair:
     phase: np.ndarray               # (N, 2)
     limit: np.ndarray               # (2, 4)
     updates: tuple
-    _spline: object = field(default=None, repr=False)
+    profile: object
+    params: object
+    _slopes: object = field(default=None, repr=False)
+
+    def _exact_slopes(self):
+        """x-derivative of (normalized, phase) at the samples, (N, 2, 5)."""
+        xs, lam, params = self.xs, self.lam, self.params
+        rho = np.asarray(self.profile.rho(xs), dtype=float)
+        A = (_matrix_L(rho, params, lam) + np.asarray(self.profile.drho(xs))
+             [:, None, None] * _matrix_R(params, lam, 1.0))
+        sign = 1.0 if self.side == "right" else -1.0
+        rate = sign * np.stack(np.broadcast_arrays(
+            params.k, _sigma0(rho, params, lam)), axis=-1)
+        v = self.normalized
+        dv = v @ np.swapaxes(A, -1, -2) + rate[..., None] * v
+        return np.concatenate([dv, rate[..., None]], axis=-1)
 
     def samples_at(self, x, nu=0):
-        """nu-th x-derivative of (normalized, phase), shape (..., 2, 5)."""
-        if self._spline is None:
-            self._spline = CubicSpline(self.xs, np.concatenate(
-                [self.normalized, self.phase[..., None]], axis=-1))
-        return self._spline(np.asarray(x, dtype=float), nu)
+        """nu-th (0 or 1) x-derivative of (normalized, phase), shape
+        (..., 2, 5)."""
+        if self._slopes is None:
+            self._slopes = self._exact_slopes()
+        xs = self.xs
+        x = np.asarray(x, dtype=float)
+        i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+        h = xs[i + 1] - xs[i]
+        H = _hermite_shapes((x - xs[i]) / h, nu)[..., None, None]
+        h = h[..., None, None]
+        v = np.concatenate([self.normalized, self.phase[..., None]], axis=-1)
+        d = self._slopes
+        # value shapes scale with h^-nu, slope shapes with h^(1-nu), so a
+        # sample reads its stored value (nu = 0) or slope (nu = 1) exactly
+        return ((H[0] * v[i] + H[2] * v[i + 1]) / h**nu
+                + (H[1] * d[i] + H[3] * d[i + 1]) * h**(1 - nu))
 
     @property
     def reach(self):
@@ -670,7 +705,8 @@ class OuterSolutions:
             limits = limits * _FLIP
         return [DecayingPair(side=hl.side, lam=float(lam), xs=xs,
                              normalized=U[:, i], phase=phases[:, i],
-                             limit=limits[i], updates=tuple(map(tuple, u)))
+                             limit=limits[i], updates=tuple(map(tuple, u)),
+                             profile=self.profile, params=params)
                 for i, (lam, u) in enumerate(zip(lams, updates))]
 
 
@@ -695,7 +731,7 @@ def _closure(S, x):
 def _closure_at(pairs, x):
     """n_ij (m, ..., 4) of m DecayingPairs of one side at the points x
     (...).  They must be samples of its grid (every panel edge is one), so
-    no spline is built."""
+    no interpolant is built."""
     xs = pairs[0].xs
     i = np.minimum(np.searchsorted(xs, x), xs.size - 1)
     off = xs[i] != x
@@ -920,6 +956,8 @@ def decay_envelopes(profile, params, setup, gbounds):
             _scan_weights(rate * (hl.samples - t0)[:, None]),
             np.asarray(profile.rho(sign * _nodes(hl.samples)))[..., None],
             hl.widths)
+        # only `verify` reads the envelopes, so only it loads scipy.interpolate
+        from scipy.interpolate import CubicSpline
         conv = CubicSpline(edges, conv_e[::6, 0])
         anchor_rho = float(profile.rho(sign * t0))
 

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq, minimize_scalar
 
+from .brent import brentq, minimize_bounded
 from .errors import ProfileError
 
 COMPACT = "compact-gradient"
@@ -81,10 +80,10 @@ class ProfileBounds:
     """sup rho0'/rho0 packaged as L0 and the growth-rate ceiling sqrt(g/L0).
 
     x_peak maximizes rho0'/rho0; x_rho_m maximizes rho0', whose maximum is
-    rho_m.  Both come from scipy's bounded Brent, which stops at about
-    sqrt(eps)|x| + xatol/3: about 1e-8 at the bump's x = -0.37, and
-    xatol/3 near x = 0.  L0, rho_m and lambda_max are unaffected, because
-    the location error enters them quadratically.
+    rho_m.  Both come from Brent's bounded minimizer (`brent`), which
+    stops at about sqrt(eps)|x| + xatol/3: about 1e-8 at the bump's
+    x = -0.37, and xatol/3 near x = 0.  L0, rho_m and lambda_max are
+    unaffected, because the location error enters them quadratically.
     """
 
     L0: float
@@ -217,6 +216,8 @@ def make_profile(family, *, rho_minus=None, rho_plus=None, ell=None, a=None,
             raise ProfileError("tabulated density must be positive")
         if rs[-1] <= rs[0]:
             raise ProfileError("need rho(last) > rho(first) for an unstable profile")
+        # only tabulated profiles read scipy.interpolate
+        from scipy.interpolate import PchipInterpolator
         interp = PchipInterpolator(xs, rs, extrapolate=False)
         dinterp = interp.derivative()
         x0, x1 = xs[0], xs[-1]
@@ -261,10 +262,9 @@ def limit_box(profile, rel_tol=_LIMIT_TOL):
 def _refined_max(f, grid, vals, xatol):
     """(x, f(x)) at the maximum of f near the grid maximizer of `vals`."""
     i = int(np.argmax(vals))
-    res = minimize_scalar(lambda t: -float(f(t)), method="bounded",
-                          bounds=(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]),
-                          options={"xatol": xatol})
-    return float(res.x), -float(res.fun)
+    x, fx = minimize_bounded(lambda t: -float(f(t)), grid[max(i - 1, 0)],
+                             grid[min(i + 1, len(grid) - 1)], xatol)
+    return x, -fx
 
 
 def profile_bounds(profile, params):
@@ -273,9 +273,12 @@ def profile_bounds(profile, params):
     Any growth rate of the linearized problem is real and lies below
     lambda_max = sqrt(g * sup(rho0'/rho0)); this caps every root bracket
     downstream.  The supremum is found on a 4096-point grid over the box
-    where the profile is numerically at its limits, then refined by
-    Brent's bounded minimization (the ratio is smooth and unimodal for all
-    families).
+    where the profile is numerically at its limits (`limit_box`, whose
+    ends the package's Brent root finder places), then refined by Brent's
+    bounded minimizer over the two grid steps around the grid maximum (the
+    ratio is smooth and unimodal for all families); both are `brent`'s
+    ports of scipy's methods, so the bounds are the floats scipy's
+    `brentq` and `minimize_scalar(method="bounded")` give.
     """
     x_lo, x_hi = limit_box(profile)
     grid = np.linspace(x_lo, x_hi, _SUP_GRID)

@@ -29,11 +29,11 @@ import numpy as np
 from scipy.linalg import solveh_banded
 from scipy.linalg.blas import dsbmv, dtbsv
 from scipy.linalg.lapack import dpbtrf, dtbtrs
-from scipy.optimize import brentq
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .assembly import (BANDWIDTH, assemble_forms, assemble_volume,
                        coercivity_check, endpoint_derivative)
+from .brent import brentq
 from .errors import (BracketError, DegenerateBasisError, RankError,
                      SolverError, StepSizeError)
 from .profiles import COMPACT

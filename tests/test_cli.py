@@ -156,6 +156,20 @@ def test_non_finite_numbers_exit_2(tmp_path, key, value):
                  "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("tol", ("10", "1", "1e-4"))
+def test_tol_at_the_bracket_floor_exits_2(tmp_path, tol):
+    # tol = 10 solved every mode of the bump config to the bracket floor,
+    # 1e-4 sqrt(g/L0): Brent's step tol*sqrt(g/L0) spans the bracket
+    text = MINIMAL + SMALL_NUMERICS + f"tol = {tol}\n"
+    with pytest.raises(ConfigError, match="tol must be below 0.0001"):
+        parse_config(text)
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(text)
+    assert main(["dispersion", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert parse_config(text.replace(f"tol = {tol}", "tol = 9e-5")) is not None
+
+
 def test_parse_missing_section_names_schema():
     with pytest.raises(ConfigError, match=r"\[physical\]"):
         parse_config("[profile]\nkind = tanh\nrho_minus = 1\nrho_plus = 2\nell = 1\n")

@@ -191,13 +191,53 @@ def _recording_solve_ivp(monkeypatch):
     # wrap the module's solve_ivp; returns the list of (state size, rtol,
     # atol) of every call
     seen = []
+    own = ev.solve_ivp
 
     def recording(*args, **kwargs):
         seen.append((args[2].size, kwargs["rtol"], kwargs["atol"]))
-        return solve_ivp(*args, **kwargs)
+        return own(*args, **kwargs)
 
     monkeypatch.setattr(ev, "solve_ivp", recording)
     return seen
+
+
+@pytest.mark.parametrize("m", [1, 64])
+def test_own_dop853_is_scipys(monkeypatch, tanh_profile, params, m):
+    # on the oracle's own right-hand side, every segment of a scan of m
+    # lambdas ends on the same bytes after the same number of evaluations
+    # as scipy's DOP853
+    own, calls = ev.solve_ivp, []
+
+    def both(fun, t_span, y0, **kwargs):
+        ours = own(fun, t_span, y0, **kwargs)
+        ref = solve_ivp(fun, t_span, y0, **kwargs)
+        calls.append((ours.y[:, -1].tobytes() == ref.y[:, -1].tobytes(),
+                      ours.nfev, ref.nfev, ours.success, ref.success))
+        return ours
+
+    monkeypatch.setattr(ev, "solve_ivp", both)
+    ev.evans_function(tanh_profile, params, np.linspace(0.01, 0.3, m))
+    assert len(calls) == 2          # the tanh window is two segments
+    for same, nfev, ref_nfev, ok, ref_ok in calls:
+        assert same and ok and ref_ok
+        assert type(nfev) is int and nfev == ref_nfev
+
+
+def test_own_dop853_reports_a_failed_step_like_scipy():
+    # y' = y^2 from y(0) = 1 blows up at t = 1, so the step size shrinks
+    # below the spacing of floats there
+    def blow_up(_t, y):
+        return y * y
+
+    ours = ev.solve_ivp(blow_up, (0.0, 1.5), np.ones(1), method="DOP853",
+                        rtol=1e-8, atol=1e-10)
+    ref = solve_ivp(blow_up, (0.0, 1.5), np.ones(1), method="DOP853",
+                    rtol=1e-8, atol=1e-10)
+    assert not ours.success and not ref.success
+    assert ours.message == ref.message
+    assert "step size" in ours.message
+    assert ours.nfev == ref.nfev
+    assert ours.y[:, -1].tobytes() == ref.y[:, -1].tobytes()
 
 
 def test_batch_tolerance_is_per_lambda(monkeypatch, bump_profile, params):

@@ -3,11 +3,17 @@ never uses, imports inside a function from a module it already imports
 from at the top, or defines a function (test or fixture included) taking a
 parameter it never reads, and the package defines nothing, class fields
 included, that the package, the tests and the benchmark never read.  A
-stdlib `ast` scan, so no linter is needed."""
+stdlib `ast` scan, so no linter is needed.  The package imports none of
+scipy's optimize, interpolate, integrate and special subpackages at module
+level, and a fresh process that runs both fixtures loads none of them."""
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -222,3 +228,81 @@ def test_scan_flags_an_unread_definition(tmp_path):
     assert _unread_definitions([src], [src, user]) == [
         (src, 2, "UNUSED"), (src, 9, "unused"), (src, 20, "idle"),
         (src, 26, "unread"), (src, 27, "hidden")]
+
+
+# scipy subpackages the solve path does without; importing any of them
+# costs about 0.2 s and 23 MiB at start-up
+_UNUSED_SCIPY = ("scipy.optimize", "scipy.interpolate", "scipy.integrate",
+                 "scipy.special")
+
+
+def _module_level_scipy_imports(path):
+    """(line, package) of every import of an `_UNUSED_SCIPY` package that
+    runs when the module is imported: any outside a function body."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    in_functions = {id(n) for f in ast.walk(tree)
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for n in ast.walk(f)}
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in in_functions:
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found |= {(node.lineno, pkg) for name in names for pkg in _UNUSED_SCIPY
+                  if name == pkg or name.startswith(pkg + ".")}
+    return sorted(found)
+
+
+def test_no_module_level_import_of_unused_scipy():
+    found = [f"{path.relative_to(ROOT)}:{line}: {pkg}"
+             for path in sorted((ROOT / "src" / "rtspect").glob("*.py"))
+             for line, pkg in _module_level_scipy_imports(path)]
+    assert not found, "module-level imports of " + ", ".join(_UNUSED_SCIPY) \
+        + ":\n" + "\n".join(found)
+
+
+def test_scan_flags_a_module_level_scipy_import(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("import scipy.optimize\nfrom scipy import integrate\n"
+                   "from scipy.interpolate import CubicSpline\n"
+                   "from scipy.linalg import eigh\n"
+                   "import scipy.special as sp\n"
+                   "def f():\n    from scipy.optimize import brentq\n"
+                   "    return brentq\n"
+                   "class C:\n    from scipy.special import gamma\n")
+    assert _module_level_scipy_imports(src) == [
+        (1, "scipy.optimize"), (2, "scipy.integrate"),
+        (3, "scipy.interpolate"), (5, "scipy.special"), (10, "scipy.special")]
+
+
+def test_fixture_runs_load_no_unused_scipy():
+    # both fixture pipelines solve a root and glue its mode (the tanh tail
+    # reads the Hermite interpolant), and the Evans oracle scans both
+    code = textwrap.dedent(f"""
+        import sys
+        import numpy as np
+        from rtspect import (Pipeline, PhysicalParams, SolverOptions,
+                             find_roots, make_profile)
+        params = PhysicalParams(g=1.0, mu=1.0, k=1.0)
+        for profile in (make_profile("tanh", rho_minus=1.0, rho_plus=3.0,
+                                     ell=1.0),
+                        make_profile("bump", rho_minus=1.0, rho_plus=3.0,
+                                     a=1.0)):
+            pipe = Pipeline(profile, params,
+                            SolverOptions(n_elements=64)).build()
+            point, = pipe.solve_mode_index(1)
+            pipe.mode(point)
+            find_roots(profile, params, np.linspace(
+                pipe.eps_star, pipe.bounds.lambda_max, 16))
+        print(" ".join(m for m in {_UNUSED_SCIPY!r} if m in sys.modules))
+        """)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == []

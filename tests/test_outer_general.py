@@ -401,18 +401,64 @@ def test_limits_and_wronskian(ctx):
     assert np.abs(u3[0] - left.limit[0]).max() <= 0.2  # in-span drift only
 
 
-def test_pair_spline_is_the_per_solution_splines(ctx):
-    # one spline over both solutions' stacked samples gives, bit for bit,
-    # what a spline over each solution's own samples gives
+def _stacked(pair):
+    return np.concatenate([pair.normalized, pair.phase[..., None]], axis=-1)
+
+
+def test_pair_interpolant_reads_the_samples_exactly(ctx):
+    # every sample (panel edges and window ends among them) gives back its
+    # stored values, and its slopes are the pair's own slope table
     prof, par, pb, eps, gb, setup, eng = ctx
-    for pair in eng.solve(0.3).values():
-        xs = np.linspace(pair.xs[0], pair.xs[-1], 1001)
-        for j in range(2):
-            one = CubicSpline(pair.xs, np.column_stack(
-                [pair.normalized[:, j], pair.phase[:, j]]))
-            for nu in (0, 1):
-                assert np.array_equal(pair.samples_at(xs, nu)[:, j],
-                                      one(xs, nu))
+    for side, pair in eng.solve(0.3).items():
+        assert np.array_equal(pair.samples_at(pair.xs), _stacked(pair))
+        assert np.array_equal(pair.samples_at(pair.xs, 1), pair._slopes)
+        x_end = setup.x_tilde_plus if side == "right" else setup.x_tilde_minus
+        i = np.searchsorted(pair.xs, x_end)
+        assert pair.xs[i] == x_end
+        assert np.array_equal(pair.samples_at(x_end), _stacked(pair)[i])
+
+
+def test_pair_slopes_are_the_system_right_hand_side(ctx):
+    # d/dx (e^phase U) = (phase' + L(rho0) + rho0' R) e^phase U, written
+    # out here from the mode equation's companion row, phase' = +-(k,
+    # sigma0) on the right and left sides
+    prof, par, pb, eps, gb, setup, eng = ctx
+    lam = 0.3
+    k, mu, g = par.k, par.mu, par.g
+    for side, pair in eng.solve(lam).items():
+        sign = 1.0 if side == "right" else -1.0
+        rho, drho = prof.rho(pair.xs), prof.drho(pair.xs)
+        rate = sign * np.stack([np.full_like(rho, k),
+                                np.sqrt(k * k + lam * rho / mu)], axis=-1)
+        u = pair.normalized
+        last = ((-lam * k * k * rho / mu - k**4
+                 + drho * g * k * k / (lam * mu))[:, None] * u[..., 0]
+                + (drho * lam / mu)[:, None] * u[..., 1]
+                + (lam * rho / mu + 2 * k * k)[:, None] * u[..., 2])
+        du = (np.concatenate([u[..., 1:], last[..., None]], axis=-1)
+              + rate[..., None] * u)
+        slopes = pair.samples_at(pair.xs, 1)
+        assert np.array_equal(slopes[..., 4], rate)
+        # the slopes are small differences of O(rate * u) terms
+        assert np.abs(slopes[..., :4] - du).max() <= \
+            1e-14 * np.abs(rate[..., None] * u).max()
+
+
+def test_pair_interpolant_matches_a_cubic_spline(ctx):
+    # the C1 Hermite interpolant and scipy's not-a-knot cubic spline of the
+    # same samples are both fourth order; here they differ by at most
+    # 1.9e-14 in values and 7.5e-12 in slopes, relative to each column's
+    # largest value (at least 1)
+    prof, par, pb, eps, gb, setup, eng = ctx
+    for lam in (eps, 0.3):
+        for pair in eng.solve(lam).values():
+            spline = CubicSpline(pair.xs, _stacked(pair))
+            xs = np.linspace(pair.xs[0], pair.xs[-1], 1001)
+            for nu, bound in ((0, 1e-13), (1, 1e-10)):
+                ref = spline(xs, nu)
+                size = np.maximum(np.abs(ref).max(axis=0), 1.0)
+                assert (np.abs(pair.samples_at(xs, nu) - ref)
+                        <= bound * size).all()
 
 
 def _raw(pair, x):
@@ -502,12 +548,12 @@ def test_general_matches_compact_formulas_far_out(ctx):
 
 def test_closure_reads_samples_and_builds_no_spline(tanh_profile, params):
     # the window ends are panel edges, so the root search reads the stored
-    # samples and splines none of the cached solutions
+    # samples and builds no interpolant (no slopes) of the cached solutions
     pipe = Pipeline(tanh_profile, params, SolverOptions(n_elements=64))
     pipe.dispersion(3)
     cached = [pair for sides in pipe.engine._cache.values()
               for pair in sides.values()]
-    assert cached and all(pair._spline is None for pair in cached)
+    assert cached and all(pair._slopes is None for pair in cached)
     pair = pipe.engine.solve(0.3)["right"]
     x_plus = pipe.window[1]
     for x in (np.nextafter(x_plus, math.inf), pair.xs[-1] + 1.0):
@@ -523,7 +569,8 @@ def _pair_closed_by(side, x, n):
     rows = ((1.0, 0.0, -n11, -n21), (0.0, 1.0, -n12, -n22))
     return og.DecayingPair(
         side=side, lam=1.0, xs=np.array([x]), normalized=np.array([rows]),
-        phase=np.zeros((1, 2)), limit=np.zeros((2, 4)), updates=((), ()))
+        phase=np.zeros((1, 2)), limit=np.zeros((2, 4)), updates=((), ()),
+        profile=None, params=None)
 
 
 def test_closure_rejects_a_dependent_pair():
@@ -535,7 +582,8 @@ def test_closure_rejects_a_dependent_pair():
                      [1.0, 2.0, 0.5, 2.0]])
     pair = og.DecayingPair(
         side="right", lam=1.0, xs=xs, normalized=np.stack([slow, fast], axis=1),
-        phase=np.zeros((3, 2)), limit=np.zeros((2, 4)), updates=((), ()))
+        phase=np.zeros((3, 2)), limit=np.zeros((2, 4)), updates=((), ()),
+        profile=None, params=None)
     for x in (1.0, xs):
         with pytest.raises(SolverError, match="nearly dependent at x=1"):
             og._closure_at([pair], x)
