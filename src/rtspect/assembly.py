@@ -55,6 +55,20 @@ def _hermite_shapes(t, deriv=0):
         t, np.polynomial.polynomial.polyder(_HERMITE, deriv))
 
 
+def hermite_interpolate(nodes, values, slopes, x, deriv=0):
+    """deriv-th x-derivative (0..3) at x of the C1 piecewise cubic through
+    values and slopes (N, ...) at the ascending nodes (N,), end cubics
+    extended: shape x.shape + values.shape[1:].  With the h-scaling split
+    below, a node reads its stored value (deriv 0) or slope (1) exactly."""
+    x = np.asarray(x, dtype=float)
+    i = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, nodes.size - 2)
+    h = nodes[i + 1] - nodes[i]
+    pad = (...,) + (None,) * (np.ndim(values) - 1)
+    H, h = _hermite_shapes((x - nodes[i]) / h, deriv)[pad], h[pad]
+    return ((H[0] * values[i] + H[2] * values[i + 1]) / h**deriv
+            + (H[1] * slopes[i] + H[3] * slopes[i + 1]) * h**(1 - deriv))
+
+
 @dataclass(frozen=True)
 class Mesh:
     nodes: np.ndarray  # element boundaries, strictly increasing
@@ -147,21 +161,15 @@ class HermiteSpace:
         return 2 * np.arange(self.mesh.n_elements)[:, None] + np.arange(4)
 
     def evaluate(self, dofs, x, deriv=0):
-        """phi^(deriv)(x) of the coefficient vector, piecewise cubic."""
+        """phi^(deriv)(x), a float for a scalar x: `hermite_interpolate` of
+        the nodal (value, slope) DOFs, which a node reads exactly."""
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xv = np.atleast_1d(x)
         nodes = self.mesh.nodes
-        if np.any(xv < nodes[0] - 1e-12) or np.any(xv > nodes[-1] + 1e-12):
+        if np.any(x < nodes[0] - 1e-12) or np.any(x > nodes[-1] + 1e-12):
             raise SolverError("evaluation outside the mesh")
-        e = np.clip(np.searchsorted(nodes, xv, side="right") - 1, 0,
-                    self.mesh.n_elements - 1)
-        h = self.mesh.widths[e]
-        t = (xv - nodes[e]) / h
-        d = np.asarray(dofs, dtype=float)[self.dof_map[e]].T
-        d[1::2] *= h  # slope dofs scale with h
-        out = (d * _hermite_shapes(t, deriv)).sum(axis=0) / h**deriv
-        return float(out[0]) if scalar else out
+        dofs = np.asarray(dofs, dtype=float)
+        out = hermite_interpolate(nodes, dofs[0::2], dofs[1::2], x, deriv)
+        return float(out) if x.ndim == 0 else out
 
     def interpolate(self, f, fprime):
         dofs = np.empty(self.n_dofs)

@@ -166,24 +166,18 @@ def parse_config(text):
     sec = cp["physical"]
     g = _getfloat(sec, "g", "physical", required=True)
     mu = _getfloat(sec, "mu", "physical", required=True)
-    if g <= 0:
-        raise ConfigError("physical.g must be positive")
-    if mu <= 0:
-        raise ConfigError("physical.mu must be positive")
     if "k" in sec:
         k_values = [_getfloat(sec, "k", "physical", required=True)]
     elif {"k_min", "k_max", "k_count"} <= set(sec):
         k_min = _getfloat(sec, "k_min", "physical")
         k_max = _getfloat(sec, "k_max", "physical")
         count = _getint(sec, "k_count", "physical")
-        if not 0 < k_min <= k_max or count < 1:
-            raise ConfigError("physical k range must be increasing and positive")
+        if not k_min <= k_max or count < 1:
+            raise ConfigError("physical needs k_min <= k_max, k_count >= 1")
         k_values = list(np.linspace(k_min, k_max, count))
     else:
         raise ConfigError("physical needs k or k_min/k_max/k_count\n"
                           f"expected schema:\n{_SCHEMA}")
-    if any(k <= 0 for k in k_values):
-        raise ConfigError("physical.k must be positive")
     k_split = None
     if "k1" in sec or "k2" in sec:
         if len(k_values) > 1:
@@ -202,17 +196,17 @@ def parse_config(text):
         opts.eps_star = _getfloat(sec, "eps_star", "numerical", default=None)
         opts.n_modes = _getint(sec, "n_modes", "numerical",
                                default=opts.n_modes)
-        if opts.tol <= 0 or opts.n_elements < 4 or opts.n_modes < 1:
+        if opts.tol <= 0 or opts.n_modes < 1:
             raise ConfigError("numerical values out of range")
         if opts.tol >= LAMBDA_FLOOR_FACTOR:
             # the root search's step tol*sqrt(g/L0) would reach the
             # bracket floor, LAMBDA_FLOOR_FACTOR*sqrt(g/L0)
             raise ConfigError(f"numerical.tol must be below "
                               f"{LAMBDA_FLOOR_FACTOR:g}")
-        try:    # build_mesh parses a grading; [-1, 1] straddles 0 as windows do
+        try:    # build_mesh checks both; [-1, 1] straddles 0 as windows do
             build_mesh(-1.0, 1.0, opts.n_elements, opts.grading)
         except SolverError as exc:
-            raise ConfigError(f"numerical.grading: {exc}") from None
+            raise ConfigError(f"numerical.n_elements/grading: {exc}") from None
         if opts.eps_star is not None and opts.eps_star <= 0:
             raise ConfigError("numerical.eps_star must be positive")
 
@@ -221,8 +215,9 @@ def parse_config(text):
         out_dir = cp["output"].get("directory", ".")
     cfg = RunConfig(profile=profile, k_values=k_values, g=g, mu=mu,
                     k_split=k_split, opts=opts, out_dir=out_dir)
-    try:    # PhysicalParams is the one check of a k1/k2 split
-        cfg.params_for(k_values[0])
+    try:    # PhysicalParams is the one check of g, mu, k and a k1/k2 split
+        for k in k_values:
+            cfg.params_for(k)
     except ProfileError as exc:
         raise ConfigError(f"physical: {exc}") from None
     return cfg

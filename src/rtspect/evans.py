@@ -17,6 +17,7 @@ a scan, and each round of the root refinement, is one integration.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -332,12 +333,13 @@ def _shift_integral(profile, params, lam, x_minus, x_plus):
                    @ _SHIFT_W)
 
 
+@functools.lru_cache(maxsize=8)
 def _matching_bounds(profile):
+    """The integration ends; they depend on the profile alone."""
     if profile.kind == COMPACT:
         pad = 1e-3 * profile.a
         return -profile.a - pad, profile.a + pad
-    lo, hi = limit_box(profile, rel_tol=1e-10)
-    return lo, hi
+    return limit_box(profile, rel_tol=1e-10)
 
 
 def evans_function(profile, params, lam, match_x=None):

@@ -22,7 +22,7 @@ lambda one `DecayingPair` per side: both solutions on the samples, (N, 2,
 4), slow first.  The pairs close the problem on the window between the
 truncation points through the boundary coefficients n_ij, all from one
 array closure (`_closure`); a glued tail reads them between the samples
-through a C1 cubic Hermite interpolant with exact slopes.  Both endpoint
+with exact slopes (`assembly.hermite_interpolate`).  Both endpoint
 quadratic forms must be positive semidefinite there at every lambda the
 Chebyshev interpolant in log lambda is built from (`BoundaryFit`, the tail
 source of increasing profiles, whose first 17 lambdas are the window's).
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval
 
-from .assembly import _hermite_shapes, endpoint_block, psd_margins
+from .assembly import endpoint_block, hermite_interpolate, psd_margins
 from .brent import brentq
 from .errors import (CoercivitySearchError, SolverError, TruncationError)
 from .profiles import GL5_NODES, GL5_WEIGHTS
@@ -236,10 +236,10 @@ def gamma_bounds(profile, params, eps_star, pbounds):
     lmax = pbounds.lambda_max
     if not 0.0 < eps_star < lmax:
         raise SolverError(f"eps_star must lie in (0, {lmax:.6g})")
-    k, mu, g = params.k, params.mu, params.g
+    k, g = params.k, params.g
     L0 = pbounds.L0
-    delta = math.sqrt(k * k + eps_star * profile.rho_minus / mu)
-    delta_s = math.sqrt(k * k + lmax * profile.rho_plus / mu)
+    delta = float(_sigma0(profile.rho_minus, params, eps_star))
+    delta_s = float(_sigma0(profile.rho_plus, params, lmax))
     gamma_p = max(1.0, 1.0 / k, 1.0 / k**2, 1.0 / k**3)
     gamma_m = (1.0 / (profile.rho_minus * eps_star**2)
                * max(g * (k + 1.0 / L0), g * (k**2 / delta + 1.0 / L0))
@@ -266,7 +266,9 @@ def _solve_monotone_level(f, start, scale):
             raise TruncationError(
                 "profile approaches its limit too slowly to truncate; "
                 "use a faster-decaying profile")
-    lo = t - step / 2.0  # f(lo) > 0 unless the loop never ran
+    if t == start:
+        return start
+    lo = t - step / 2.0  # the last t with f(t) > 0, up to rounding
     if f(lo) <= 0:
         return lo
     xtol = 1e-12 * max(1.0, abs(t))
@@ -341,7 +343,7 @@ def truncation_points(profile, params, gbounds):
     Panels are graded geometrically, finest near x_tilde where rho0' is
     largest, and none is wider than w_cap = 1.5/(k + delta_s): past the cap
     equal panels fill the half line.  A panel of width <= 0 raises
-    SolverError.
+    SolverError, an empty window (both x_tilde at 0) TruncationError.
     """
     gm = gbounds.Gamma_m
     w_cap = 1.5 / (params.k + gbounds.delta_s)
@@ -364,6 +366,11 @@ def truncation_points(profile, params, gbounds):
         samples = np.append(np.column_stack([edges[:-1], nodes]), edges[-1])
         lines.append(HalfLine(sign, edges, widths, samples))
     right, left = lines
+    if -left.edges[0] >= right.edges[0]:
+        raise TruncationError(
+            f"empty truncation window: Gamma_m = {gm:.3g} keeps Gamma_m "
+            f"|rho_limit - rho0| <= {TRUNCATION_MARGIN} at x = 0 on both "
+            "sides; lower eps_star, which raises Gamma_m")
     return PicardSetup(
         x_tilde_minus=-left.edges[0], x_tilde_plus=right.edges[0],
         X_min=-left.edges[-1], X_max=right.edges[-1],
@@ -506,10 +513,10 @@ class DecayingPair:
     xs are the half line's samples in x (xs[::6] its panel edges) and
     normalized holds e^{phase(x)} U(x) there (it tends to `limit` at the
     far end).  `samples_at` reads it and the phase between the samples
-    from the C1 cubic Hermite interpolant (`assembly._hermite_shapes`)
-    through their values and exact slopes there, which rebuilds raw
-    values and derivatives of both solutions without overflow.  The slope
-    of e^{phase} U is the system's own right-hand side,
+    with `assembly.hermite_interpolate`, the evaluator of the Galerkin
+    modes, through their values and exact slopes there, which rebuilds
+    raw values and derivatives of both solutions without overflow.  The
+    slope of e^{phase} U is the system's own right-hand side,
     (phase' + L(rho0) + rho0' R) e^{phase} U, with phase' = +-(k, sigma0)
     on the right and left sides; the slopes are computed on the first
     `samples_at` call, which only a glued tail makes.  At a sample
@@ -548,18 +555,8 @@ class DecayingPair:
         (..., 2, 5)."""
         if self._slopes is None:
             self._slopes = self._exact_slopes()
-        xs = self.xs
-        x = np.asarray(x, dtype=float)
-        i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
-        h = xs[i + 1] - xs[i]
-        H = _hermite_shapes((x - xs[i]) / h, nu)[..., None, None]
-        h = h[..., None, None]
         v = np.concatenate([self.normalized, self.phase[..., None]], axis=-1)
-        d = self._slopes
-        # value shapes scale with h^-nu, slope shapes with h^(1-nu), so a
-        # sample reads its stored value (nu = 0) or slope (nu = 1) exactly
-        return ((H[0] * v[i] + H[2] * v[i + 1]) / h**nu
-                + (H[1] * d[i] + H[3] * d[i + 1]) * h**(1 - nu))
+        return hermite_interpolate(self.xs, v, self._slopes, x, nu)
 
     @property
     def reach(self):
@@ -627,18 +624,13 @@ class OuterSolutions:
         its own updates, so its `updates` are those of a batch of one.
         """
         params = self.params
-        k, mu = params.k, params.mu
         ts, widths = hl.samples, hl.widths
         m = lams.size
 
         sig = _sigma0(rho[:, None], params, lams)                   # (N, m)
-        sig_n = _nodes(sig)
-        alpha = k * (ts - ts[0])
-        beta = np.zeros((ts.size, m))
-        np.cumsum(widths[:, None] * (GL5_WEIGHTS @ sig_n), axis=0,
-                  out=beta[6::6])
-        _nodes(beta)[...] = (beta[:-1:6, None]
-                             + widths[:, None, None] * (_S_PARTIAL @ sig_n))
+        alpha = params.k * (ts - ts[0])
+        beta = _scan_prefix(_scan_weights(np.zeros(sig.shape)), _nodes(sig),
+                            widths)
         # rho0' M in the state's component order, transposed so that
         # F = W A^T: A_T[..., l, j] = rho0' M[_ORDER[j], _ORDER[l]]
         M = _matrix_M(_nodes(rho)[..., None], params, lams, hl.sign)
@@ -696,8 +688,8 @@ class OuterSolutions:
         U = np.moveaxis(_apply_P(sig[..., None], params, W), 0, -1)
         phases = np.stack(np.broadcast_arrays(alpha[:, None], beta), axis=-1)
         # columns 0 and 1 of P at the far end: z = k, sigma0(rho_limit)
-        z = np.stack(np.broadcast_arrays(k, np.sqrt(
-            k * k + lams * _rho_limit(self.profile, hl.sign) / mu)), axis=-1)
+        z = np.stack(np.broadcast_arrays(params.k, _sigma0(
+            _rho_limit(self.profile, hl.sign), params, lams)), axis=-1)
         limits = np.stack([-z**-3, z**-2, -z**-1, np.ones_like(z)], axis=-1)
         xs = ts
         if hl.sign < 0:
@@ -939,8 +931,9 @@ def decay_envelopes(profile, params, setup, gbounds):
     t_tilde = sign*x_tilde, the slow envelope is
     2 Gamma_p Gamma_m (gap + rho0(x_tilde) e^{-(delta-k)(t - t_tilde)}
     + |rho0(x) - (delta-k) int_{t_tilde}^{t} rho0(sign*s) e^{-(delta-k)(t-s)} ds|)
-    and the fast one (C_p + 2 Gamma_p Gamma_m) gap.  The convolution is
-    evaluated by panel quadrature on the half line's grid and splined.
+    and the fast one (C_p + 2 Gamma_p Gamma_m) gap.  The convolution is a
+    panel scan on the half line's samples, read between them with its exact
+    slope rho0(sign*t) - (delta-k) conv (`assembly.hermite_interpolate`).
     """
     gp, gm = gbounds.Gamma_p, gbounds.Gamma_m
     delta, delta_s = gbounds.delta_eps, gbounds.delta_s
@@ -950,15 +943,12 @@ def decay_envelopes(profile, params, setup, gbounds):
                                + 9.0 * delta_s**4) / (4.0 * params.mu * delta**8)
 
     def build(hl):
-        sign, edges, t0 = hl.sign, hl.edges, hl.edges[0]
+        sign, ts, t0 = hl.sign, hl.samples, hl.edges[0]
         rho_lim = _rho_limit(profile, sign)
-        conv_e = _scan_prefix(
-            _scan_weights(rate * (hl.samples - t0)[:, None]),
-            np.asarray(profile.rho(sign * _nodes(hl.samples)))[..., None],
-            hl.widths)
-        # only `verify` reads the envelopes, so only it loads scipy.interpolate
-        from scipy.interpolate import CubicSpline
-        conv = CubicSpline(edges, conv_e[::6, 0])
+        rho_t = np.asarray(profile.rho(sign * ts))
+        conv_s = _scan_prefix(_scan_weights(rate * (ts - t0)[:, None]),
+                              _nodes(rho_t)[..., None], hl.widths)[:, 0]
+        slopes = rho_t - rate * conv_s
         anchor_rho = float(profile.rho(sign * t0))
 
         def gap(x):
@@ -966,7 +956,8 @@ def decay_envelopes(profile, params, setup, gbounds):
 
         def env_slow(x):
             t = sign * np.asarray(x, dtype=float)
-            term3 = np.abs(np.asarray(profile.rho(x)) - rate * conv(t))
+            conv = hermite_interpolate(ts, conv_s, slopes, t)
+            term3 = np.abs(np.asarray(profile.rho(x)) - rate * conv)
             return 2.0 * gp * gm * (gap(x) + anchor_rho * np.exp(-rate * (t - t0))
                                     + term3)
 

@@ -41,8 +41,9 @@ class PhysicalParams:
     k2: float | None = None
 
     def __post_init__(self):
-        if self.g <= 0 or self.mu <= 0 or self.k <= 0:
-            raise ProfileError("g, mu and k must all be positive")
+        for name, value in (("g", self.g), ("mu", self.mu), ("k", self.k)):
+            if not value > 0:
+                raise ProfileError(f"{name} must be positive, got {value!r}")
         if self.k1 is None:
             object.__setattr__(self, "k1", self.k)
             object.__setattr__(self, "k2", 0.0)

@@ -36,6 +36,7 @@ from .assembly import (BANDWIDTH, assemble_forms, assemble_volume,
 from .brent import brentq
 from .errors import (BracketError, DegenerateBasisError, RankError,
                      SolverError, StepSizeError)
+from .outer_general import _sigma0
 from .profiles import COMPACT
 
 DEFAULT_TOL = 1e-8
@@ -155,12 +156,11 @@ def exponential_closure(end, k, tau):
 
 
 def compact_outer_basis(profile, params, lam):
-    """(tau_minus, tau_plus), tau = sqrt(k^2 + lam*rho_pm/mu), the fast
+    """(tau_minus, tau_plus), `_sigma0` at rho_minus and rho_plus: the fast
     decay rates past -a and a, at one lambda > 0 or an array of them."""
     if np.count_nonzero(lam <= 0):
         raise SolverError("outer basis needs lambda > 0")
-    k, mu = params.k, params.mu
-    return tuple(np.sqrt(k * k + lam * (rho / mu))
+    return tuple(_sigma0(rho, params, lam)
                  for rho in (profile.rho_minus, profile.rho_plus))
 
 

@@ -11,7 +11,7 @@ from rtspect.assembly import (HermiteSpace, _add_endpoint, _element_form,
                               _scatter, _shape_tables, assemble_forms,
                               assemble_volume, band_to_dense, build_mesh,
                               coercivity_check, endpoint_block,
-                              whole_line_identity_check)
+                              hermite_interpolate, whole_line_identity_check)
 from rtspect.errors import CoercivityError, SolverError
 from rtspect.pipeline import Pipeline, SolverOptions
 from rtspect.profiles import (COMPACT, GL5_WEIGHTS, DensityProfile,
@@ -114,6 +114,32 @@ def test_hermite_reproduces_cubics():
     assert space.evaluate(dofs, xs, 2) == pytest.approx(1.8 * xs - 2, abs=1e-10)
     assert space.evaluate(dofs, xs, 3) == pytest.approx(
         np.full_like(xs, 1.8), abs=1e-9)
+    # the evaluator behind it, on values with a trailing axis
+    nodes = space.mesh.nodes
+    derivs = [np.poly1d([0.3, -1.0, 0.5, -2.0]).deriv(d) for d in range(4)]
+    values = np.stack([derivs[0](nodes), 2.0 * derivs[0](nodes)], axis=-1)
+    slopes = np.stack([derivs[1](nodes), 2.0 * derivs[1](nodes)], axis=-1)
+    for d, tol in zip(range(4), (1e-12, 1e-11, 1e-10, 1e-9)):
+        got = hermite_interpolate(nodes, values, slopes, xs, d)
+        assert got.shape == (xs.size, 2)
+        assert got == pytest.approx(
+            np.outer(derivs[d](xs), [1.0, 2.0]), abs=2.0 * tol)
+
+
+def test_hermite_reads_stored_values_and_slopes_exactly_at_nodes():
+    # tails, envelopes and modes read their samples back bit for bit
+    space = HermiteSpace(build_mesh(-1.0, 2.0, 7, "geometric:1.3"))
+    nodes = space.mesh.nodes
+    rng = np.random.default_rng(5)
+    values, slopes = rng.standard_normal((2, nodes.size, 2, 3))
+    assert np.array_equal(hermite_interpolate(nodes, values, slopes, nodes),
+                          values)
+    assert np.array_equal(
+        hermite_interpolate(nodes, values, slopes, nodes, 1), slopes)
+    dofs = rng.standard_normal(space.n_dofs)
+    assert np.array_equal(space.evaluate(dofs, nodes, 0), dofs[0::2])
+    assert np.array_equal(space.evaluate(dofs, nodes, 1), dofs[1::2])
+    assert space.evaluate(dofs, nodes[3], 1) == dofs[7]
 
 
 def test_shape_tables_and_scatter_match_loop_reference():

@@ -50,9 +50,24 @@ def test_parse_minimal_defaults():
     assert cfg.opts.eps_star is None  # resolved to 0.01*sqrt(g/L0) downstream
 
 
-def test_parse_rejects_negative_mu():
-    with pytest.raises(ConfigError, match="physical.mu|mu"):
-        parse_config(MINIMAL.replace("mu = 1.0", "mu = -1.0"))
+@pytest.mark.parametrize("key, old, new", (
+        ("g", "g = 1.0", "g = 0.0"),
+        ("mu", "mu = 1.0", "mu = -1.0"),
+        ("k", "k = 1.0", "k = 0.0"),
+        ("k", "k = 1.0", "k_min = -0.5\nk_max = 1.0\nk_count = 3"),
+        ("n_elements", "k = 1.0", "k = 1.0\n[numerical]\nn_elements = 3")),
+    ids=("g", "mu", "k", "k_grid", "n_elements"))
+def test_value_out_of_range_named_exit_2(tmp_path, capsys, key, old, new):
+    # one check each: PhysicalParams for g, mu and every k of the grid,
+    # build_mesh for n_elements; the message names the key
+    text = MINIMAL.replace(old, new)
+    with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+        parse_config(text)
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(text)
+    assert main(["dispersion", "--config", str(cfgfile),
+                 "--out", str(tmp_path)]) == 2
+    assert re.search(rf"error: config: .*\b{key}\b", capsys.readouterr().err)
 
 
 def test_parse_rejects_unknown_key():

@@ -6,6 +6,7 @@ from scipy.integrate import solve_ivp
 
 from rtspect import evans as ev
 from rtspect.errors import SolverError, StiffnessError
+from rtspect.profiles import limit_box
 
 from conftest import BUMP_ORACLE_LAM1
 
@@ -163,6 +164,28 @@ def test_scale_invariance_under_plane_rescaling():
     b = ev._pairing(w2, ev._wedge_of(p, q))
     assert math.copysign(1, a) == math.copysign(1, b)
     assert b == pytest.approx(4.0 * a, rel=1e-13)
+
+
+def test_matching_bounds_found_once_per_profile(monkeypatch, tanh_profile,
+                                                params):
+    # the integration ends depend on the profile alone; a root search
+    # evaluates the Evans function many times but finds them once
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return limit_box(*args, **kwargs)
+
+    monkeypatch.setattr(ev, "limit_box", counted)
+    ev._matching_bounds.cache_clear()
+    evals = []
+    real = ev.evans_function
+    monkeypatch.setattr(ev, "evans_function",
+                        lambda *a, **kw: evals.append(1) or real(*a, **kw))
+    ev.find_roots(tanh_profile, params, np.linspace(0.2, 0.3, 8), tol=1e-6)
+    assert len(evals) > 1
+    assert len(calls) == 1
+    ev._matching_bounds.cache_clear()
 
 
 def test_rejects_nonpositive_lambda(bump_profile, params):

@@ -5,7 +5,8 @@ parameter it never reads, and the package defines nothing, class fields
 included, that the package, the tests and the benchmark never read.  A
 stdlib `ast` scan, so no linter is needed.  The package imports none of
 scipy's optimize, interpolate, integrate and special subpackages at module
-level, and a fresh process that runs both fixtures loads none of them."""
+level, imports scipy.interpolate only in `make_profile`'s tabulated branch,
+and a fresh process that runs both fixtures loads none of them."""
 
 import ast
 import importlib
@@ -236,26 +237,42 @@ _UNUSED_SCIPY = ("scipy.optimize", "scipy.interpolate", "scipy.integrate",
                  "scipy.special")
 
 
+def _scipy_imports(path):
+    """(line, package, function, branch) of every import of an
+    `_UNUSED_SCIPY` package in the module, at any depth: the innermost
+    enclosing function ("" outside any) and the test of the innermost `if`
+    branch that holds it ("" in none, "not <test>" in an else branch)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+
+    def visit(nodes, func, branch):
+        for node in nodes:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                names = []
+            found.update((node.lineno, pkg, func, branch) for name in names
+                         for pkg in _UNUSED_SCIPY
+                         if name == pkg or name.startswith(pkg + "."))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(node.body, node.name, "")
+            elif isinstance(node, ast.If):
+                visit(node.body, func, ast.unparse(node.test))
+                visit(node.orelse, func, f"not {ast.unparse(node.test)}")
+            else:
+                visit(ast.iter_child_nodes(node), func, branch)
+
+    visit(tree.body, "", "")
+    return sorted(found)
+
+
 def _module_level_scipy_imports(path):
     """(line, package) of every import of an `_UNUSED_SCIPY` package that
     runs when the module is imported: any outside a function body."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    in_functions = {id(n) for f in ast.walk(tree)
-                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    for n in ast.walk(f)}
-    found = set()
-    for node in ast.walk(tree):
-        if id(node) in in_functions:
-            continue
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            names = [f"{node.module}.{alias.name}" for alias in node.names]
-        else:
-            continue
-        found |= {(node.lineno, pkg) for name in names for pkg in _UNUSED_SCIPY
-                  if name == pkg or name.startswith(pkg + ".")}
-    return sorted(found)
+    return [(line, pkg) for line, pkg, func, _ in _scipy_imports(path)
+            if not func]
 
 
 def test_no_module_level_import_of_unused_scipy():
@@ -280,14 +297,49 @@ def test_scan_flags_a_module_level_scipy_import(tmp_path):
         (3, "scipy.interpolate"), (5, "scipy.special"), (10, "scipy.special")]
 
 
+def test_scipy_interpolate_only_for_tabulated_profiles():
+    # the PCHIP interpolant of a tabulated profile is the one use; modes,
+    # tails and envelopes share the package's Hermite evaluator
+    found = {(path.name, func, branch)
+             for path in (ROOT / "src" / "rtspect").glob("*.py")
+             for _, pkg, func, branch in _scipy_imports(path)
+             if pkg == "scipy.interpolate"}
+    assert found <= {("profiles.py", "make_profile",
+                      "family == 'tabulated'")}, found
+
+
+def test_scan_names_function_and_branch_of_a_scipy_import(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("import scipy.interpolate\n"
+                   "def make_profile(family):\n"
+                   "    if family == 'tabulated':\n"
+                   "        from scipy.interpolate import PchipInterpolator\n"
+                   "    else:\n"
+                   "        from scipy import interpolate\n"
+                   "    try:\n"
+                   "        import scipy.interpolate as si\n"
+                   "    finally:\n"
+                   "        from scipy.linalg import eigh\n"
+                   "class C:\n"
+                   "    def envelopes(self):\n"
+                   "        from scipy.interpolate import CubicSpline\n")
+    interp = "scipy.interpolate"
+    assert _scipy_imports(src) == [
+        (1, interp, "", ""),
+        (4, interp, "make_profile", "family == 'tabulated'"),
+        (6, interp, "make_profile", "not family == 'tabulated'"),
+        (8, interp, "make_profile", ""), (13, interp, "envelopes", "")]
+
+
 def test_fixture_runs_load_no_unused_scipy():
     # both fixture pipelines solve a root and glue its mode (the tanh tail
-    # reads the Hermite interpolant), and the Evans oracle scans both
+    # reads the Hermite interpolant), the tanh fixture's printed envelopes
+    # are read between their samples, and the Evans oracle scans both
     code = textwrap.dedent(f"""
         import sys
         import numpy as np
         from rtspect import (Pipeline, PhysicalParams, SolverOptions,
-                             find_roots, make_profile)
+                             decay_envelopes, find_roots, make_profile)
         params = PhysicalParams(g=1.0, mu=1.0, k=1.0)
         for profile in (make_profile("tanh", rho_minus=1.0, rho_plus=3.0,
                                      ell=1.0),
@@ -297,6 +349,9 @@ def test_fixture_runs_load_no_unused_scipy():
                             SolverOptions(n_elements=64)).build()
             point, = pipe.solve_mode_index(1)
             pipe.mode(point)
+            if profile.family == "tanh":
+                decay_envelopes(profile, params, pipe.setup, pipe.gbounds
+                                ).at("right", pipe.setup.x_tilde_plus + 0.1)
             find_roots(profile, params, np.linspace(
                 pipe.eps_star, pipe.bounds.lambda_max, 16))
         print(" ".join(m for m in {_UNUSED_SCIPY!r} if m in sys.modules))

@@ -7,12 +7,13 @@ from scipy.interpolate import CubicSpline
 
 from rtspect import outer_general as og
 from rtspect.assembly import endpoint_block, psd_margins
-from rtspect.errors import BracketError, CoercivitySearchError, SolverError
+from rtspect.errors import (BracketError, CoercivitySearchError, SolverError,
+                            TruncationError)
 from rtspect.evans import find_roots
 from rtspect.modes import gluing_jumps
 from rtspect.pipeline import Pipeline, SolverOptions
 from rtspect.profiles import (GL5_NODES, GL5_WEIGHTS, PhysicalParams,
-                               make_profile)
+                               make_profile, profile_bounds)
 from rtspect.spectrum import SCAN_POINTS, exponential_closure, mode_count
 
 # frozen regression values (tanh 1..3, ell=1, g=mu=k=1)
@@ -153,6 +154,27 @@ def test_truncation_moves_out_with_gamma_m(ctx):
     gb2 = dataclasses.replace(gb, Gamma_m=2 * gb.Gamma_m)
     setup2 = og.truncation_points(prof, par, gb2)
     assert setup2.x_tilde_plus > setup.x_tilde_plus
+
+
+def test_level_search_never_returns_below_its_start():
+    # the smallest t >= start with f(t) <= 0: start itself when f(start)
+    # <= 0, which used to give start - scale/2
+    assert og._solve_monotone_level(lambda t: -1.0 - t, 0.0, 1.0) == 0.0
+    assert og._solve_monotone_level(lambda t: 0.5 - t, 2.0, 1.0) == 2.0
+    t = og._solve_monotone_level(lambda t: 0.5 - t, 0.0, 1.0)
+    assert 0.5 <= t <= 0.5 + 1e-11
+
+
+def test_empty_truncation_window_says_lower_eps_star():
+    # Gamma_m |rho_limit - rho0| is within the margin at x = 0 on both
+    # sides, so both truncation points are 0; this build used to fail in
+    # the Picard solve with "contraction ratio 0.577 > 1/2"
+    prof = make_profile("tanh", rho_minus=1.0, rho_plus=1.1, ell=1.0)
+    par = PhysicalParams(g=1.0, mu=1.0, k=0.1)
+    eps = 0.9 * profile_bounds(prof, par).lambda_max
+    with pytest.raises(TruncationError,
+                       match="empty truncation window.*lower eps_star"):
+        Pipeline(prof, par, SolverOptions(n_elements=64, eps_star=eps)).build()
 
 
 def test_margin_must_stay_below_half():

@@ -60,6 +60,9 @@ def test_params_consistency():
     assert p.k1 == 1.0
     with pytest.raises(ProfileError):
         PhysicalParams(g=-1.0, mu=1.0, k=1.0)
+    # nan is not positive either; the check names the value it rejects
+    with pytest.raises(ProfileError, match="k must be positive, got nan"):
+        PhysicalParams(g=1.0, mu=1.0, k=math.nan)
 
 
 def test_tanh_bounds_match_golden_oracle(tanh_profile, tanh_bounds):
