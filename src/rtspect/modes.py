@@ -206,19 +206,11 @@ def _window_test(c, w):
     """C1 window sin^2(pi (x - c + w) / (2w)) on [c-w, c+w] and derivatives."""
     f = math.pi / (2.0 * w)
 
-    def th(x):
-        u = np.clip((np.asarray(x) - c + w) * f, 0.0, math.pi)
-        return np.sin(u) ** 2
+    def u(x):
+        return np.clip((np.asarray(x) - c + w) * f, 0.0, math.pi)
 
-    def dth(x):
-        u = np.clip((np.asarray(x) - c + w) * f, 0.0, math.pi)
-        return f * np.sin(2.0 * u)
-
-    def d2th(x):
-        u = np.clip((np.asarray(x) - c + w) * f, 0.0, math.pi)
-        return 2.0 * f * f * np.cos(2.0 * u)
-
-    return th, dth, d2th
+    return (lambda x: np.sin(u(x)) ** 2, lambda x: f * np.sin(2.0 * u(x)),
+            lambda x: 2.0 * f * f * np.cos(2.0 * u(x)))
 
 
 def ode_residual(mode, profile, params, rho_m):

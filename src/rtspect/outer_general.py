@@ -22,16 +22,17 @@ lambda one `DecayingPair` per side: both solutions on the samples, (N, 2,
 4), slow first.  The pairs close the problem on the window between the
 truncation points through the boundary coefficients n_ij, all from one
 array closure (`_closure`); a glued tail reads them between the samples
-with exact slopes (`assembly.hermite_interpolate`).  Both endpoint
-quadratic forms must be positive semidefinite there at every lambda the
-Chebyshev interpolant in log lambda is built from (`BoundaryFit`, the tail
-source of increasing profiles, whose first 17 lambdas are the window's).
+with exact slopes (`assembly.hermite_interpolate`).  `BoundaryFit`, the
+tail source of increasing profiles, interpolates the window's n_ij at 17
+lambdas in log lambda and is refined only where a root check misses; both
+endpoint forms must be positive semidefinite at each of its nodes.
 The truncation points' level searches use the package's Brent root finder
 (`brent`).
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -55,12 +56,14 @@ UPDATE_FLOOR = 1e-10
 TRUNCATION_MARGIN = 0.3
 N_PANELS = 160
 PANEL_RATIO = 1.03
-# boundary-coefficient fit: first degree (17 points, where the window is
-# tested too), degree cap, and the largest relative miss of the direct n_ij,
-# which ends the doubling and which `BoundaryFit.check` allows at a root
+# boundary-coefficient fit: first degree (17 points, the window's), degree
+# cap of its refinement, and the largest relative miss of the direct n_ij
+# that `BoundaryFit.check` allows at a root and that ends the doubling
 FIT_FIRST_DEGREE = 16
 FIT_MAX_DEGREE = 256
 FIT_CHECK_TOL = 1e-10
+
+_log = logging.getLogger("rtspect")
 
 
 def _partial_integration_matrix():
@@ -780,97 +783,96 @@ class BoundaryFit:
     [eps_star, sqrt(g/L0)].  The 1/lambda terms of the system put a pole at
     lambda = 0, just below eps_star; in log lambda it moves to -inf
     (Trefethen, Approximation Theory and Approximation Practice, ch. 8).
-    `rows` (FIT_FIRST_DEGREE + 1, 8) are the coefficients at the window
-    ends at `_fit_lambdas(lam_range, j, FIT_FIRST_DEGREE)`, j = 0..16, as
-    `coercive_window` returns them (`_closure_rows`).  The first call adds
-    the nested midpoints, one batched outer solve per doubling of the
-    degree, none of it in the engine's cache.  Each doubling tests both
-    endpoint forms at the midpoints as the window does (`_require_psd`)
-    and measures the previous interpolant against their direct n_ij by
-    `check`'s relative miss, and the fit stops once that miss is within
-    FIT_CHECK_TOL or fails to halve: there the Picard noise sets the
-    floor, and `check` judges each root.  `n_nodes` and `miss` (the last
-    doubling's miss, an error estimate) describe the fit; they stay 0 and
-    nan until it is built.  It is the tail source of increasing profiles:
-    called at lambda it gives the (8,) row of n_ij at the ends of `window`,
-    (x_minus, x_plus); `pairs` gives the engine's cached DecayingPairs at
-    one lambda, and `check` holds the fit to their direct n_ij there.
+    The fit interpolates `rows` (17, 8), the n_ij at the window ends at
+    `_fit_lambdas(lam_range, j, FIT_FIRST_DEGREE)`, j = 0..16, from
+    `coercive_window`, and holds its rows at the 16 midpoints to the
+    window's PSD test (`_require_psd`).  It is the tail source of
+    increasing profiles: called at lambda it gives the (8,) row of n_ij at
+    the ends of `window`, (x_minus, x_plus); `pairs` gives the engine's
+    cached DecayingPairs at one lambda, and `check` holds the fit to their
+    direct n_ij at every root.  `n_nodes` counts the nodes, and `miss` is
+    the largest relative miss the checks measured on them (nan before one).
     """
 
     def __init__(self, engine, window, rows):
         self.engine = engine
         self.window = window
-        self._rows = rows
         lo, hi = engine.lam_range
         self._log_lo, self._log_span = math.log(lo), math.log(hi / lo)
-        self.coeffs = None          # (degree + 1, 8), Chebyshev series in s
-        self.n_nodes = 0
-        self.miss = math.nan
+        self._set(rows)
+        _require_psd(engine.profile, engine.params, window, *self._midpoints())
 
     def __call__(self, lam):
         """The n_ij row (8,) at lam from the fit, left end then right."""
-        return self._values(lam)
+        s = 2.0 * (math.log(lam) - self._log_lo) / self._log_span - 1.0
+        if abs(s) > 1.0 + 1e-12:
+            raise SolverError(f"lambda={lam:.6g} lies outside the boundary "
+                              "fit's range [eps_star, sqrt(g/L0)]")
+        return chebval(min(max(s, -1.0), 1.0), self.coeffs)
 
     def pairs(self, lam):
         """{"right": DecayingPair, "left": DecayingPair} at lam, cached."""
         return self.engine.solve(lam)
 
     def check(self, lam):
-        """Raise SolverError where the fit misses the direct n_ij at lam.
-
-        The direct n_ij come from `pairs(lam)`; the miss is relative to the
-        largest |n_ij| and may not exceed FIT_CHECK_TOL.
-        """
+        """Hold the fit to the direct n_ij of `pairs(lam)` at a root lam,
+        relative to their largest |n_ij|.  A miss over FIT_CHECK_TOL refines
+        the 17-node fit (`refine`) and returns True, so that the caller
+        searches again; a refined fit that misses raises SolverError."""
         direct = _closure_rows([self.pairs(lam)], self.window)[0]
-        miss = _relative_miss(self._values(lam), direct)
-        if not miss <= FIT_CHECK_TOL:
+        miss = _relative_miss(self(lam), direct)
+        self.miss = float(np.fmax(self.miss, miss))
+        if miss <= FIT_CHECK_TOL:
+            return False
+        if self.n_nodes > FIT_FIRST_DEGREE + 1:
             raise SolverError(
                 f"boundary coefficients from the log-lambda fit miss the direct "
-                f"solve by {miss:.2e} (relative) at lambda={lam:.6g}; "
-                f"fit miss estimate {self.miss:.1e} with {self.n_nodes} nodes")
+                f"solve by {miss:.2e} (relative) at lambda={lam:.6g} with "
+                f"{self.n_nodes} nodes")
+        self.refine()
+        _log.debug("root check at lambda=%.6g: boundary fit missed by %.2e, "
+                   "refined to %d nodes", lam, miss, self.n_nodes)
+        return True
 
     def slopes(self, lams):
         """dn_ij/dlambda (m, 8) at the lambdas (m,) of the fit's range, the
         derivative of the interpolant in s = log lambda times ds/dlambda."""
-        if self.coeffs is None:
-            self._fit()
         s = 2.0 * (np.log(lams) - self._log_lo) / self._log_span - 1.0
         return (chebval(np.clip(s, -1.0, 1.0), chebder(self.coeffs)).T
                 * (2.0 / (self._log_span * lams))[:, None])
 
-    def _values(self, lam):
-        s = 2.0 * (math.log(lam) - self._log_lo) / self._log_span - 1.0
-        if abs(s) > 1.0 + 1e-12:
-            raise SolverError(f"lambda={lam:.6g} lies outside the boundary "
-                              "fit's range [eps_star, sqrt(g/L0)]")
-        if self.coeffs is None:
-            self._fit()
-        return chebval(min(max(s, -1.0), 1.0), self.coeffs)
-
-    def _fit(self):
-        values = self._rows
-        n = values.shape[0] - 1
-        coeffs = _chebyshev_coeffs(values)
+    def refine(self):
+        """Double the nodes, one batched outer solve of the midpoints per
+        doubling (none of it in the engine's cache), each tested as the
+        window is (`_require_psd`), until the fit's relative miss there is
+        within FIT_CHECK_TOL or fails to halve: there the Picard noise sets
+        the floor, and `check` judges each root."""
         miss = math.inf
         while True:
+            n = self.n_nodes - 1
             if n >= FIT_MAX_DEGREE:
                 raise SolverError(
                     f"boundary coefficients not resolved by {n + 1} Chebyshev "
                     f"points in log lambda (miss {miss:.1e})")
-            j = np.arange(1, 2 * n, 2)
-            mids = _fit_lambdas(self.engine.lam_range, j, 2 * n)
+            mids, fitted = self._midpoints()
             direct = _closure_rows(self.engine.solve(mids), self.window)
             _require_psd(self.engine.profile, self.engine.params,
                          self.window, mids, direct)
-            last, miss = miss, _relative_miss(
-                chebval(np.cos(np.pi * j / (2 * n)), coeffs).T, direct)
-            merged = np.empty((2 * n + 1, values.shape[1]))
-            merged[0::2], merged[1::2] = values, direct
-            values, n = merged, 2 * n
-            coeffs = _chebyshev_coeffs(values)
+            last, miss = miss, _relative_miss(fitted, direct)
+            self._set(np.insert(self._rows, np.arange(1, n + 1), direct, 0))
             if miss <= FIT_CHECK_TOL or miss > 0.5 * last:
-                break
-        self.coeffs, self.n_nodes, self.miss = coeffs, n + 1, miss
+                return
+
+    def _set(self, rows):
+        self._rows, self.n_nodes, self.miss = rows, len(rows), math.nan
+        self.coeffs = _chebyshev_coeffs(rows)   # (n_nodes, 8), series in s
+
+    def _midpoints(self):
+        """The n lambdas halfway between the nodes, with the fit there."""
+        n = self.n_nodes - 1
+        j = np.arange(1, 2 * n, 2)
+        return (_fit_lambdas(self.engine.lam_range, j, 2 * n),
+                chebval(np.cos(np.pi * j / (2 * n)), self.coeffs).T)
 
 
 def _require_psd(profile, params, window, lams, rows):
@@ -892,13 +894,13 @@ def _require_psd(profile, params, window, lams, rows):
 
 def coercive_window(profile, params, setup, engine):
     """The window (x_tilde_minus, x_tilde_plus), the truncation points, and
-    its n_ij at the boundary fit's first 17 lambdas.
+    its n_ij at the boundary fit's 17 nodes.
 
     The lambdas are `_fit_lambdas` of j = 0..FIT_FIRST_DEGREE on
     `engine.lam_range`, solved in one batch, which is not cached.  Both
     endpoint forms must be positive semidefinite at each of them
-    (`_require_psd`).  Returns (window, rows): rows (17, 8) are the first
-    round of `BoundaryFit`.
+    (`_require_psd`).  Returns (window, rows): rows (17, 8) are the nodes
+    of `BoundaryFit`.
     """
     lams = _fit_lambdas(engine.lam_range, np.arange(FIT_FIRST_DEGREE + 1),
                         FIT_FIRST_DEGREE)

@@ -51,6 +51,7 @@ class Pipeline:
                               f"(0, sqrt(g/L0) = {lmax:.6g})")
         self.x_mid = self.bounds.x_rho_m
         self.monotone_margin = math.nan     # certificate, increasing kinds
+        self._certified_nodes = 0           # the fit's nodes it was made on
         self._built = False
 
     def build(self):
@@ -58,8 +59,8 @@ class Pipeline:
         nothing and no slice is built.
 
         The tail source is `CompactTails` for compact kinds.  For increasing
-        profiles it is the boundary fit, whose first round is the window's
-        n_ij at 17 lambdas; the first slice adds the rest.
+        profiles it is the boundary fit through the window's n_ij at 17
+        lambdas, which a root check refines only where it misses.
         """
         if self._built:
             return self
@@ -87,16 +88,17 @@ class Pipeline:
     @property
     def monotone(self):
         """Whether every positive gamma_n decreases: proven for compact kinds,
-        `monotone_margin` > 0 (computed once, on the fit) for increasing."""
+        `monotone_margin` > 0 (made again on a refined fit) for increasing."""
         self.build()
         if self.profile.kind == COMPACT:
             return True
-        if math.isnan(self.monotone_margin):
-            self.builder(self.bounds.lambda_max)    # builds the fit too
-            deg = 4 * (self.builder.tails.n_nodes - 1)
+        tails = self.builder.tails
+        if self._certified_nodes != tails.n_nodes:
+            deg = 4 * (tails.n_nodes - 1)
             lams = _fit_lambdas(self.engine.lam_range, np.arange(deg + 1), deg)
-            self.monotone_margin = monotone_margin(
-                self.builder.volume, self.builder.tails.slopes(lams))
+            self.monotone_margin = monotone_margin(self.builder.volume,
+                                                   tails.slopes(lams))
+            self._certified_nodes = tails.n_nodes
         return self.monotone_margin > 0
 
     @property
@@ -110,15 +112,18 @@ class Pipeline:
         """Dispersion root(s) for curve n, scanned at the bracket ends alone
         if `monotone`; compact kinds walk the floor down."""
         par, lmax = self.params, self.bounds.lambda_max
-        n_scan = 2 if self.monotone else SCAN_POINTS
         lo = floor = self.eps_star
         if self.profile.kind == COMPACT:
             lo = LAMBDA_FLOOR_FACTOR * lmax
             floor = 4e-8 * par.k**2 * par.mu / self.profile.rho_plus
         while True:
+            n_scan = 2 if self.monotone else SCAN_POINTS
             try:
-                return solve_dispersion(self.builder, n, (lo, lmax),
-                                        tol=self.opts.tol, n_scan=n_scan)
+                pts = solve_dispersion(self.builder, n, (lo, lmax),
+                                       tol=self.opts.tol, n_scan=n_scan)
+                # a fit refined at a root must certify the two points again
+                if n_scan == SCAN_POINTS or self.monotone:
+                    return pts
             except BracketError:
                 if lo <= floor:
                     raise

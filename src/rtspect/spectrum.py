@@ -13,7 +13,7 @@ derivative E' (`endpoint_derivative`) feeds `monotone_margin` and the
 derivative check.  One root search serves every profile
 (`solve_dispersion`): f_n = g k^2 gamma_n - lambda is scanned on a grid over
 the bracket, Brent's method refines every sign change, and the tail source
-checks every root.
+checks every root; a check that refines the fit starts the search again.
 Where each curve decreases, f_n has at most one root and a two-point scan
 (the bracket ends) suffices.  The paper proves that for compact-gradient
 profiles; for strictly increasing ones `monotone_margin` certifies it on
@@ -203,8 +203,10 @@ class CompactTails:
                                         s * math.inf)
         return out
 
+    n_nodes = 0     # nothing is fitted, so nothing is ever refined
+
     def check(self, _lam):
-        """Nothing to check: the closures are exact."""
+        """Nothing to check or refine: the closures are exact."""
 
     def slopes(self, lams):
         """dn_ij/dlambda (m, 8) at the lambdas (m,), left then right like
@@ -230,7 +232,8 @@ class SliceBuilder:
     dn_ij/dlambda (`tails.slopes(lams)`, (m, 8), the same layout).  The
     n_ij hold at the ends of `tails.window` alone, so the mesh of `space`
     must end exactly there (SolverError otherwise); they do not depend on
-    the mesh, so builders on other meshes of one window may share them.
+    the mesh, so builders on other meshes of one window may share them,
+    and each drops its slices when `tails.n_nodes` changes (a refined fit).
     The lambda-independent forms are assembled once, into `volume`; each
     new slice adds lambda K_rho and the endpoint blocks of its n_ij.
     Every new slice also gets its coercivity margin (`coercivity_check`),
@@ -248,10 +251,12 @@ class SliceBuilder:
         self.volume = assemble_volume(profile, params, space)
         self.n_max = n_max
         self.tails = tails
-        self._cache = {}
+        self._cache, self._nodes = {}, tails.n_nodes
 
     def __call__(self, lam):
         key = float(lam)
+        if self._nodes != self.tails.n_nodes:
+            self._cache, self._nodes = {}, self.tails.n_nodes
         if key not in self._cache:
             if len(self._cache) > 512:
                 self._cache.clear()
@@ -287,9 +292,10 @@ def solve_dispersion(builder, n, bracket, tol=DEFAULT_TOL, n_scan=SCAN_POINTS):
     lambda_hi (n_scan = 2 scans the bracket ends alone), refines every sign
     change by Brent's method and returns the list of DispersionPoint
     (>= 1 expected for n <= N(eps_star)); `builder.tails.check` runs at
-    every root.  Without a sign change the BracketError names the end to
-    move: the floor when f_n < 0 throughout (for a strictly increasing
-    profile that floor is eps_star), the top otherwise.
+    every root and, if it refines the fit, the search starts again.  No
+    sign change raises a BracketError that names the end to move: the
+    floor when f_n < 0 throughout (for a strictly increasing profile that
+    floor is eps_star), the top otherwise.
     """
     params = builder.params
     gk2 = params.g * params.k**2
@@ -300,22 +306,20 @@ def solve_dispersion(builder, n, bracket, tol=DEFAULT_TOL, n_scan=SCAN_POINTS):
     def f(lam):
         return gk2 * builder.gamma(lam, n) - lam
 
-    def root(a, b):
-        # brentq ends on a point it evaluated, so f(lam) is a cache hit
-        lam = brentq(f, a, b, xtol=tol * hi)
-        builder.tails.check(lam)
-        sl = builder(lam)
-        return DispersionPoint(n=n, lam=float(lam), residual=abs(f(lam)),
-                               dofs=sl.vectors[:, n - 1].copy(),
-                               gamma=float(sl.gammas[n - 1]),
-                               margin=sl.margin)
-
     grid = np.linspace(lo, hi, n_scan)
     vals = np.array([f(x) for x in grid])
     roots = []
     for i in range(n_scan - 1):
         if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0:
-            roots.append(root(grid[i], grid[i + 1]))
+            lam = brentq(f, grid[i], grid[i + 1], xtol=tol * hi)
+            if builder.tails.check(lam):
+                return solve_dispersion(builder, n, bracket, tol, n_scan)
+            # brentq ends on a point it evaluated, so f(lam) is a cache hit
+            sl = builder(lam)
+            roots.append(DispersionPoint(
+                n=n, lam=float(lam), residual=abs(f(lam)),
+                dofs=sl.vectors[:, n - 1].copy(),
+                gamma=float(sl.gammas[n - 1]), margin=sl.margin))
     if roots:
         return roots
     if vals[0] < 0:

@@ -97,11 +97,8 @@ def run_verification(pipe, seed=0):
     results.append(("lambda_1 below sqrt(g/L0)", pt.lam <= lmax,
                     f"margin {lmax - pt.lam:.4e}"))
 
-    if prof.kind == COMPACT:
-        scan = np.linspace(0.5 * pt.lam, min(1.5 * pt.lam, 0.999 * lmax), 17)
-    else:
-        scan = np.linspace(max(pipe.eps_star, 0.5 * pt.lam),
-                           min(1.5 * pt.lam, 0.999 * lmax), 17)
+    lo = max(0.5 * pt.lam, 0.0 if prof.kind == COMPACT else pipe.eps_star)
+    scan = np.linspace(lo, min(1.5 * pt.lam, 0.999 * lmax), 17)
     roots = find_roots(prof, par, scan, tol=1e-8)
     agree = min((abs(r / pt.lam - 1.0) for r in roots), default=math.inf)
     results.append(("lambda_1 confirmed by the shooting oracle (1e-4)",

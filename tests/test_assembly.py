@@ -281,15 +281,15 @@ def test_slices_stop_evaluating_the_profile(request, fixture):
         builder = SliceBuilder(profile, pipe.params, pipe.space, 4,
                                CompactTails(profile, pipe.params))
     else:
+        # the fit is built with the pipeline, so no slice adds to it
         builder = SliceBuilder(profile, pipe.params, pipe.space, 4,
                                pipe.builder.tails)
-        builder(lams[0])     # the fit may add its midpoints on a first slice
     assert calls
     before = len(calls)
-    for lam in lams[1:]:
+    for lam in lams:
         builder(lam)
     assert len(calls) == before
-    assert set(lams[1:]) <= set(builder._cache)
+    assert set(lams) <= set(builder._cache)
 
 
 def test_coercivity_margins(bump_pipe, bump_bounds):

@@ -673,13 +673,24 @@ def test_coercive_window_rejects_a_negative_margin(ctx):
     Stub.bad = None
     window, rows = og.coercive_window(prof, par, setup, Stub())
     assert window == (setup.x_tilde_minus, setup.x_tilde_plus)
-    # the fit holds its midpoints to the same test: the third one of the
-    # first doubling fails
+    fit = og.BoundaryFit(Stub(), window, rows)
+    # a refinement holds its direct midpoints to the same test: the third
+    # one of the first doubling fails
     Stub.bad = 2
     mids = og._fit_lambdas(eng.lam_range, np.arange(1, 32, 2), 32)
     with pytest.raises(CoercivitySearchError,
                        match=f"right .* lambda={mids[2]:.6g}$"):
-        og.BoundaryFit(Stub(), window, rows).slopes(mids)
+        fit.refine()
+    # and a new fit holds its interpolated rows at the 16 midpoints of its
+    # nodes to it: the right end's n21 far below the others at node 8 only
+    # adds to A = -n21 there, so every node passes, but the interpolant
+    # overshoots two nodes away, between nodes 6 and 7
+    bent = rows.copy()
+    bent[8, 6] -= 100.0 * np.abs(rows[:, 6]).max()
+    og._require_psd(prof, par, window, lams, bent)
+    with pytest.raises(CoercivitySearchError,
+                       match=f"right .* lambda={mids[6]:.6g}$"):
+        og.BoundaryFit(Stub(), window, bent)
 
 
 def test_decay_envelopes(ctx):

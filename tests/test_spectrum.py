@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -10,9 +11,13 @@ from rtspect import pipeline, spectrum
 from rtspect.errors import BracketError, RankError, SolverError, StepSizeError
 from rtspect.outer_general import FIT_CHECK_TOL
 from rtspect.pipeline import Pipeline, SolverOptions
+from rtspect.profiles import PhysicalParams, make_profile
 from rtspect.spectrum import (SCAN_POINTS, SliceBuilder,
                               gamma_derivative_check, gamma_spectrum,
                               mode_count, monotone_margin, solve_dispersion)
+
+# certificate margin of the noise-floor case on its 17-node fit
+NOISE_FLOOR_MARGIN = 0.0051280882
 
 
 def test_pencil_residual_and_orthonormality(bump_pipe):
@@ -147,19 +152,23 @@ def test_general_roots_reverified(tanh_pipe):
         assert abs(gk2 * sl.gammas[p.n - 1] - p.lam) <= 1e-8 * gk2
 
 
-def test_boundary_fit_is_lazy_and_matches_direct_solves(tanh_profile, params):
+def test_boundary_fit_matches_direct_solves(tanh_profile, params):
     pipe = Pipeline(tanh_profile, params, SolverOptions(n_elements=64)).build()
     fit = pipe.builder.tails
-    assert fit.n_nodes == 0 and math.isnan(fit.miss)    # build pays nothing
-    pipe.builder(0.3)
-    mag = np.abs(fit.coeffs)
-    tail = (mag[3 * (fit.n_nodes - 1) // 4 + 1:].max(axis=0)
-            / mag.max(axis=0)).max()
-    assert fit.n_nodes >= 17 and tail < 1e-13 and fit.miss <= FIT_CHECK_TOL
+    # build fits the window's 17 rows and measures nothing yet
+    assert fit.n_nodes == 17 and math.isnan(fit.miss)
     lo, hi = pipe.engine.lam_range
     lams = np.exp(np.random.default_rng(3).uniform(math.log(lo),
                                                    math.log(hi), 50))
     direct = og._closure_rows(pipe.engine.solve(lams), pipe.window)
+    coarse = np.array([fit(lam) for lam in lams])
+    assert og._relative_miss(coarse, direct) <= FIT_CHECK_TOL
+    # one forced refinement doubles the nodes once, to a resolved series
+    fit.refine()
+    mag = np.abs(fit.coeffs)
+    tail = (mag[3 * (fit.n_nodes - 1) // 4 + 1:].max(axis=0)
+            / mag.max(axis=0)).max()
+    assert fit.n_nodes == 33 and tail < 1e-13
     for lam, ref in zip(lams, direct):
         assert fit(lam).shape == (8,)
         assert fit(lam) == pytest.approx(ref, rel=1e-12)
@@ -167,10 +176,7 @@ def test_boundary_fit_is_lazy_and_matches_direct_solves(tanh_profile, params):
         pipe.builder(0.5 * lo)
 
 
-def test_window_search_and_fit_share_one_batch(tanh_profile, params,
-                                              monkeypatch):
-    # the window test runs at the fit's first 17 nodes and hands the fit
-    # their n_ij, so build and the first slice solve two batches: 17 and 16
+def _recorded_batches(monkeypatch):
     batches = []
     solve = og.OuterSolutions.solve
 
@@ -179,26 +185,100 @@ def test_window_search_and_fit_share_one_batch(tanh_profile, params,
         return solve(self, lam)
 
     monkeypatch.setattr(og.OuterSolutions, "solve", recording)
+    return batches
+
+
+def test_window_search_and_fit_share_one_batch(tanh_profile, params,
+                                              monkeypatch):
+    # the window test runs at the fit's 17 nodes and hands the fit their
+    # n_ij, so build and the first slice solve one batch of 17 and no more
+    batches = _recorded_batches(monkeypatch)
     pipe = Pipeline(tanh_profile, params, SolverOptions(n_elements=64)).build()
     pipe.builder(0.3)
-    assert [b.size for b in batches] == [17, 16]
-    assert pipe.builder.tails.n_nodes == 33
-    # Chebyshev points of the second kind in log lambda: the window's 17 are
-    # the even ones of the fit's 33, the midpoints the odd ones
+    assert [b.size for b in batches] == [17]
+    assert pipe.builder.tails.n_nodes == 17
+    # Chebyshev points of the second kind in log lambda
     lo, hi = pipe.engine.lam_range
-    s = np.cos(np.pi * np.arange(33) / 32)
+    s = np.cos(np.pi * np.arange(17) / 16)
     nodes = np.exp(math.log(lo) + 0.5 * (1.0 + s) * math.log(hi / lo))
-    assert batches[0] == pytest.approx(nodes[0::2], rel=1e-14)
-    assert batches[1] == pytest.approx(nodes[1::2], rel=1e-14)
+    assert batches[0] == pytest.approx(nodes, rel=1e-14)
 
 
-def test_corrupted_fit_fails_the_root_check(tanh_profile, params):
-    pipe = Pipeline(tanh_profile, params, SolverOptions(n_elements=64)).build()
+def test_root_check_miss_refines_the_fit_and_searches_again(
+        tanh_profile, params, monkeypatch, caplog):
+    # a corrupted 17-node series fails the first root check; the fit
+    # doubles from its clean rows, every slice on the old series goes, the
+    # search runs again and the certificate is made again on the new fit
+    opts = SolverOptions(n_elements=64)
+    ref = Pipeline(tanh_profile, params, opts).build()
+    ref.builder.tails.refine()
+    want = ref.solve_mode_index(1)
+    pipe = Pipeline(tanh_profile, params, opts).build()
     fit = pipe.builder.tails
-    fit(pipe.eps_star)                      # builds the fit, no slice
     fit.coeffs[2, 5] += 1e-6 * np.abs(fit.coeffs[:, 5]).max()
-    with pytest.raises(SolverError, match="log-lambda fit"):
+    assert pipe.monotone
+    coarse_margin = pipe.monotone_margin
+    built = []
+    call = SliceBuilder.__call__
+
+    def recording(self, lam):
+        sl = call(self, lam)
+        built.append((fit.n_nodes, sl))
+        return sl
+
+    # a second builder on the same fit, with a slice of its own
+    other = SliceBuilder(pipe.profile, pipe.params, pipe.space, 4, fit)
+    before = other(0.3)
+    monkeypatch.setattr(SliceBuilder, "__call__", recording)
+    with caplog.at_level(logging.DEBUG, logger="rtspect"):
+        got = pipe.solve_mode_index(1)
+    assert fit.n_nodes > 17
+    assert other(0.3) is not before and not np.array_equal(
+        other(0.3).forms.K_band, before.forms.K_band)
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG
+    assert f"refined to {fit.n_nodes} nodes" in record.getMessage()
+    stale = [sl for nodes, sl in built if nodes == 17]
+    assert stale and not {id(sl) for sl in stale} & set(
+        map(id, pipe.builder._cache.values()))
+    assert [p.lam for p in got] == pytest.approx([p.lam for p in want],
+                                                 rel=1e-12)
+    # the certificate was made again, on the refined fit
+    deg = 4 * (fit.n_nodes - 1)
+    lams = og._fit_lambdas(pipe.engine.lam_range, np.arange(deg + 1), deg)
+    assert pipe.monotone and pipe.monotone_margin != coarse_margin
+    assert pipe.monotone_margin == monotone_margin(pipe.builder.volume,
+                                                   fit.slopes(lams))
+    assert fit.miss <= FIT_CHECK_TOL
+
+
+def test_corrupted_fit_fails_the_root_check(tanh_profile, params, caplog):
+    # a corrupted node stays a node of every refinement, so the miss
+    # survives the doubling to its noise-floor stop and the check raises
+    pipe = Pipeline(tanh_profile, params, SolverOptions(n_elements=64)).build()
+    rows = pipe.builder.tails._rows.copy()
+    rows[8, 5] += 1e-6 * np.abs(rows[:, 5]).max()
+    fit = og.BoundaryFit(pipe.engine, pipe.window, rows)
+    pipe.builder.tails = fit
+    with pytest.raises(SolverError, match="log-lambda fit miss"):
         pipe.solve_mode_index(1)
+    assert fit.n_nodes > 17 and fit.miss > FIT_CHECK_TOL
+    # the logger is silent unless asked
+    assert not [r for r in caplog.records if r.name == "rtspect"]
+
+
+def test_noise_floor_case_needs_no_refinement():
+    # tanh (k, mu, rho_plus) = (10, 10, 1.2): the direct n_ij are noisy at
+    # about 4e-10, above the root check; with no root above eps_star
+    # nothing is checked, so the fit keeps its 17 nodes, and build, the
+    # count and the certificate on that fit all succeed
+    prof = make_profile("tanh", rho_minus=1.0, rho_plus=1.2, ell=1.0)
+    par = PhysicalParams(g=1.0, mu=10.0, k=10.0)
+    pipe = Pipeline(prof, par, SolverOptions(n_elements=128)).build()
+    assert pipe.count_modes().N == 0
+    assert pipe.monotone
+    assert pipe.monotone_margin == pytest.approx(NOISE_FLOOR_MARGIN, rel=1e-7)
+    assert pipe.builder.tails.n_nodes == 17
 
 
 @pytest.mark.parametrize("fixture", ("bump_pipe", "tanh_pipe"))
