@@ -1,13 +1,14 @@
-"""Brent's methods: the package's one root finder and its bounded minimizer.
+"""The package's one root finder and the level search built on it.
 
 `brentq` is Brent's root finder (Brent 1973, *Algorithms for Minimization
 without Derivatives*, ch. 4) in the form of scipy's C `brentq`: the same
 half tolerance delta, bisection step sbis, and choice between inverse
 quadratic interpolation, the secant and bisection, so it visits the same
-points.  `minimize_bounded` is Brent's minimizer on a closed interval
-(ch. 5), golden section plus parabolic steps, in the form of scipy's
-`minimize_scalar(method="bounded")`.  Both run on Python floats, so every
-step rounds as the original does and the results are the same floats.
+points.  It runs on Python floats, so every step rounds as the original
+does and the results are the same floats.  `monotone_level` finds where a
+decreasing function first reaches 0 on a half line: where a profile
+has come close enough to its limit, for `profiles.limit_box` and the
+truncation points.
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import SolverError
+from .errors import SolverError, TruncationError
 
 # smallest relative tolerance at which the step test still means something
 _RTOL = 4 * sys.float_info.epsilon
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(2.2e-16)
 
 
 def _value(f, x):
@@ -83,64 +82,29 @@ def brentq(f, a, b, xtol=2e-12, rtol=_RTOL, maxiter=100):
                       f"steps on [{a!r}, {b!r}]")
 
 
-def minimize_bounded(f, a, b, xatol, maxiter=500):
-    """(x, f(x)) at a local minimum of f on [a, b].
+def monotone_level(f, start, scale):
+    """The smallest t >= start with f(t) <= 0, for f decreasing.
 
-    Stops once x is within about 2*(sqrt(eps)|x| + xatol/3) of the minimum,
-    or after maxiter evaluations, keeping the best point found.
+    Steps from start by scale, doubling each step, to the first t with
+    f(t) <= 0, then refines the last step with `brentq`.  A t past
+    1e6*scale raises TruncationError: the level is out of reach.
     """
-    a, b = float(a), float(b)
-    xf = nfc = fulc = a + _GOLDEN * (b - a)
-    rat = e = 0.0
-    fx = ffulc = fnfc = float(f(xf))
-    num = 1
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a) and num < maxiter:
-        golden = True
-        if abs(e) > tol1:
-            # parabola through xf, nfc and fulc
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = -tol1 if xm - xf < 0 else tol1
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = _GOLDEN * e
-
-        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
-        fu = float(f(x))
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-    return xf, fx
+    t = start
+    step = scale
+    while f(t) > 0:
+        t += step
+        step *= 2.0
+        if abs(t) > 1e6 * scale:
+            raise TruncationError(
+                "profile approaches its limit too slowly to truncate; "
+                "use a faster-decaying profile")
+    if t == start:
+        return start
+    lo = t - step / 2.0  # the last t with f(t) > 0, up to rounding
+    if f(lo) <= 0:
+        return lo
+    xtol = 1e-12 * max(1.0, abs(t))
+    root = brentq(f, lo, t, xtol=xtol)
+    # the crossing lies less than 2*xtol from root, on either side; step
+    # past it when needed, since the callers rely on f(t) <= 0
+    return root if f(root) <= 0 else root + 2.0 * xtol

@@ -207,8 +207,6 @@ def parse_config(text):
             build_mesh(-1.0, 1.0, opts.n_elements, opts.grading)
         except SolverError as exc:
             raise ConfigError(f"numerical.n_elements/grading: {exc}") from None
-        if opts.eps_star is not None and opts.eps_star <= 0:
-            raise ConfigError("numerical.eps_star must be positive")
 
     out_dir = "."
     if "output" in cp:

@@ -26,8 +26,8 @@ with exact slopes (`assembly.hermite_interpolate`).  `BoundaryFit`, the
 tail source of increasing profiles, interpolates the window's n_ij at 17
 lambdas in log lambda and is refined only where a root check misses; both
 endpoint forms must be positive semidefinite at each of its nodes.
-The truncation points' level searches use the package's Brent root finder
-(`brent`).
+Each truncation point is where Gamma_m*|rho_limit - rho0| reaches a level,
+found by the package's one level search (`brent.monotone_level`).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval
 
 from .assembly import endpoint_block, hermite_interpolate, psd_margins
-from .brent import brentq
+from .brent import monotone_level
 from .errors import (CoercivitySearchError, SolverError, TruncationError)
 from .profiles import GL5_NODES, GL5_WEIGHTS
 
@@ -235,10 +235,9 @@ class GammaBounds:
 
 
 def gamma_bounds(profile, params, eps_star, pbounds):
-    """Uniform-in-lambda bounds on ||P|| and ||M|| over [eps_star, sqrt(g/L0)]."""
+    """Uniform-in-lambda bounds on ||P|| and ||M|| over [eps_star, sqrt(g/L0)]
+    (0 < eps_star < sqrt(g/L0), which `Pipeline` checks)."""
     lmax = pbounds.lambda_max
-    if not 0.0 < eps_star < lmax:
-        raise SolverError(f"eps_star must lie in (0, {lmax:.6g})")
     k, g = params.k, params.g
     L0 = pbounds.L0
     delta = float(_sigma0(profile.rho_minus, params, eps_star))
@@ -256,29 +255,6 @@ def gamma_bounds(profile, params, eps_star, pbounds):
 
 def _rho_limit(profile, sign):
     return profile.rho_plus if sign > 0 else profile.rho_minus
-
-
-def _solve_monotone_level(f, start, scale):
-    # smallest t >= start with f(t) <= 0, f monotone decreasing
-    t = start
-    step = scale
-    while f(t) > 0:
-        t += step
-        step *= 2.0
-        if abs(t) > 1e6 * scale:
-            raise TruncationError(
-                "profile approaches its limit too slowly to truncate; "
-                "use a faster-decaying profile")
-    if t == start:
-        return start
-    lo = t - step / 2.0  # the last t with f(t) > 0, up to rounding
-    if f(lo) <= 0:
-        return lo
-    xtol = 1e-12 * max(1.0, abs(t))
-    root = brentq(f, lo, t, xtol=xtol)
-    # the crossing lies less than 2*xtol from root, on either side; step
-    # past it when needed, since the callers rely on f(t) <= 0
-    return root if f(root) <= 0 else root + 2.0 * xtol
 
 
 def _nodes(a):
@@ -357,10 +333,10 @@ def truncation_points(profile, params, gbounds):
         def scaled_gap(t, sign=sign, rho_lim=rho_lim):
             return gm * sign * (rho_lim - float(profile.rho(sign * t)))
 
-        t_tilde = _solve_monotone_level(
+        t_tilde = monotone_level(
             lambda t: scaled_gap(t) - TRUNCATION_MARGIN, 0.0, profile.scale)
-        t_end = _solve_monotone_level(lambda t: scaled_gap(t) - TAIL_DROP,
-                                      t_tilde, profile.scale)
+        t_end = monotone_level(lambda t: scaled_gap(t) - TAIL_DROP,
+                               t_tilde, profile.scale)
         edges = _graded_edges(t_tilde, t_end, w_cap)
         widths = np.diff(edges)
         if not widths.min() > 0:

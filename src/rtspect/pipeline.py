@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import HermiteSpace, build_mesh
-from .errors import BracketError, SolverError
+from .errors import BracketError, ConfigError
 from .modes import glue_mode
 from .outer_general import (BoundaryFit, OuterSolutions, _fit_lambdas,
                             coercive_window, gamma_bounds, truncation_points)
@@ -47,7 +47,7 @@ class Pipeline:
         self.eps_star = (0.01 * lmax if self.opts.eps_star is None
                          else self.opts.eps_star)
         if not 0.0 < self.eps_star < lmax:
-            raise SolverError(f"eps_star = {self.eps_star!r} must lie in "
+            raise ConfigError(f"eps_star = {self.eps_star!r} must lie in "
                               f"(0, sqrt(g/L0) = {lmax:.6g})")
         self.x_mid = self.bounds.x_rho_m
         self.monotone_margin = math.nan     # certificate, increasing kinds

@@ -17,7 +17,7 @@ from .assembly import whole_line_identity_check, build_mesh, HermiteSpace
 from .errors import SolverError
 from .evans import find_roots
 from .modes import gluing_jumps, ode_residual, reconstruct_fields
-from .outer_general import decay_envelopes
+from .outer_general import CONTRACTION_SLACK, decay_envelopes
 from .profiles import COMPACT, validate
 from .spectrum import SCAN_POINTS, gamma_derivative_check
 
@@ -81,7 +81,8 @@ def run_verification(pipe, seed=0):
         ratios = [r for pair in pairs.values() for r in pair.contraction_ratios]
         worst = max(ratios, default=0.0)
         results.append(("fixed-point contraction <= 1/2",
-                        worst <= 0.5 + 1e-6, f"max ratio {worst:.4f}"))
+                        worst <= 0.5 + CONTRACTION_SLACK,
+                        f"max ratio {worst:.4f}"))
         env = decay_envelopes(prof, par, pipe.setup, pipe.gbounds)
         env_ratios = []
         for side, pair in pairs.items():

@@ -76,14 +76,28 @@ def test_parse_rejects_unknown_key():
         parse_config(bad)
 
 
-def test_eps_star_not_positive_exit_2(tmp_path):
-    text = MINIMAL + "\n[numerical]\neps_star = 0\n"
-    with pytest.raises(ConfigError, match="eps_star"):
-        parse_config(text)
+def test_eps_star_not_positive_exit_2(tmp_path, capsys):
     cfgfile = tmp_path / "c.ini"
-    cfgfile.write_text(text)
+    cfgfile.write_text(MINIMAL + "\n[numerical]\neps_star = 0\n")
     assert main(["outer-coeffs", "--config", str(cfgfile),
                  "--out", str(tmp_path)]) == 2
+    assert "error: config: eps_star = 0.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("physical, threads", (
+        ("k = 1.0", "1"),
+        ("k_min = 0.5\nk_max = 1.0\nk_count = 2", "2")),
+    ids=("single_k", "k_grid"))
+def test_eps_star_above_bound_exit_2(tmp_path, capsys, physical, threads):
+    # sqrt(g/L0) is about 1 for this profile; Pipeline's range check is
+    # the one check of eps_star, in a worker process too
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(MINIMAL.replace("k = 1.0", physical)
+                       + "\n[numerical]\neps_star = 5\n")
+    assert main(["dispersion", "--config", str(cfgfile), "--out",
+                 str(tmp_path), "--threads", threads]) == 2
+    assert re.search(r"error: config: eps_star = 5\.0 must lie in \(0, "
+                     r"sqrt\(g/L0\)", capsys.readouterr().err)
 
 
 def test_output_formats_key_rejected(tmp_path):

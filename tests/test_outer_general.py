@@ -12,8 +12,9 @@ from rtspect.errors import (BracketError, CoercivitySearchError, SolverError,
 from rtspect.evans import find_roots
 from rtspect.modes import gluing_jumps
 from rtspect.pipeline import Pipeline, SolverOptions
-from rtspect.profiles import (GL5_NODES, GL5_WEIGHTS, PhysicalParams,
-                               make_profile, profile_bounds)
+from rtspect.profiles import (GL5_NODES, GL5_WEIGHTS, INCREASING,
+                               DensityProfile, PhysicalParams, make_profile,
+                               profile_bounds)
 from rtspect.spectrum import SCAN_POINTS, exponential_closure, mode_count
 
 # frozen regression values (tanh 1..3, ell=1, g=mu=k=1)
@@ -131,9 +132,6 @@ def test_gamma_m_regression(tanh_profile, params, tanh_bounds):
     gb = og.gamma_bounds(tanh_profile, params, 0.01, tanh_bounds)
     assert gb.Gamma_m == pytest.approx(GAMMA_M_EPS001, rel=1e-6)
     assert gb.delta_eps < gb.delta_s
-    with pytest.raises(SolverError):
-        og.gamma_bounds(tanh_profile, params, 2 * tanh_bounds.lambda_max,
-                        tanh_bounds)
 
 
 def test_truncation_points_tanh_inversion(ctx):
@@ -156,13 +154,20 @@ def test_truncation_moves_out_with_gamma_m(ctx):
     assert setup2.x_tilde_plus > setup.x_tilde_plus
 
 
-def test_level_search_never_returns_below_its_start():
-    # the smallest t >= start with f(t) <= 0: start itself when f(start)
-    # <= 0, which used to give start - scale/2
-    assert og._solve_monotone_level(lambda t: -1.0 - t, 0.0, 1.0) == 0.0
-    assert og._solve_monotone_level(lambda t: 0.5 - t, 2.0, 1.0) == 2.0
-    t = og._solve_monotone_level(lambda t: 0.5 - t, 0.0, 1.0)
-    assert 0.5 <= t <= 0.5 + 1e-11
+def test_slow_approach_to_the_limits_is_a_truncation_error(params):
+    # rho0 - rho_limit ~ (2/pi)/|x|: within 1e-8 of the jump only at
+    # |x| ~ 3e7, past the level search's 1e6 scales
+    rho = lambda x: 2.0 + (2.0 / math.pi) * np.arctan(x)
+    drho = lambda x: (2.0 / math.pi) / (1.0 + np.asarray(x, dtype=float)**2)
+    prof = DensityProfile(INCREASING, rho, drho, 1.0, 3.0)
+    with pytest.raises(TruncationError, match="too slowly"):
+        profile_bounds(prof, params)
+    # with Gamma_m = 1, x_tilde (margin 0.3) is near 2 and X, the
+    # TAIL_DROP level, near 6e9
+    gb = og.GammaBounds(eps_star=0.01, delta_eps=1.0, delta_s=2.0,
+                        Gamma_p=1.0, Gamma_m=1.0, lambda_max=1.0)
+    with pytest.raises(TruncationError, match="too slowly"):
+        og.truncation_points(prof, params, gb)
 
 
 def test_empty_truncation_window_says_lower_eps_star():

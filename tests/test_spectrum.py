@@ -8,7 +8,8 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from rtspect import outer_general as og
 from rtspect import pipeline, spectrum
-from rtspect.errors import BracketError, RankError, SolverError, StepSizeError
+from rtspect.errors import (BracketError, ConfigError, RankError, SolverError,
+                            StepSizeError)
 from rtspect.outer_general import FIT_CHECK_TOL
 from rtspect.pipeline import Pipeline, SolverOptions
 from rtspect.profiles import PhysicalParams, make_profile
@@ -125,7 +126,7 @@ def test_compact_root_search_cost(bump_profile, params):
 def test_pipeline_rejects_eps_star_outside_bound(bump_profile, params,
                                                   bump_bounds):
     for eps in (0.0, -0.01, bump_bounds.lambda_max):
-        with pytest.raises(SolverError, match="eps_star"):
+        with pytest.raises(ConfigError, match="eps_star"):
             Pipeline(bump_profile, params, SolverOptions(eps_star=eps))
     pipe = Pipeline(bump_profile, params, SolverOptions(eps_star=0.02))
     assert pipe.eps_star == 0.02
