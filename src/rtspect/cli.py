@@ -203,7 +203,7 @@ def parse_config(text):
             # bracket floor, LAMBDA_FLOOR_FACTOR*sqrt(g/L0)
             raise ConfigError(f"numerical.tol must be below "
                               f"{LAMBDA_FLOOR_FACTOR:g}")
-        try:    # build_mesh checks both; [-1, 1] straddles 0 as windows do
+        try:    # build_mesh checks both, on any window
             build_mesh(-1.0, 1.0, opts.n_elements, opts.grading)
         except SolverError as exc:
             raise ConfigError(f"numerical.n_elements/grading: {exc}") from None

@@ -135,7 +135,7 @@ def _error_norm(K, h, scale):
     return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
-def solve_ivp(fun, t_span, y0, method="DOP853", rtol=1e-3, atol=1e-6):
+def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6):
     """y' = fun(t, y) across t_span by DOP853 with adaptive steps.
 
     A port of scipy's `solve_ivp(method="DOP853")` without dense output,
@@ -143,8 +143,6 @@ def solve_ivp(fun, t_span, y0, method="DOP853", rtol=1e-3, atol=1e-6):
     control, so it takes the same steps and returns the same state.  The
     local error of each step is kept below atol + rtol*|y| in the RMS norm.
     """
-    if method != "DOP853":
-        raise SolverError(f"unknown integration method {method!r}")
     t, t_end = map(float, t_span)
     y = np.asarray(y0, dtype=float)
     nfev = 0
@@ -306,8 +304,8 @@ def _integrate(profile, params, lam, x_ends, match, w0):
     ts = np.linspace(0.0, 1.0, n_seg + 1)
     w, log_scale = w0, np.zeros(shape[1:])
     for a, b in zip(ts[:-1], ts[1:]):
-        sol = solve_ivp(rhs, (a, b), w.ravel(), method="DOP853",
-                        rtol=_RTOL / scale, atol=_RTOL * 1e-2 / scale)
+        sol = solve_ivp(rhs, (a, b), w.ravel(), rtol=_RTOL / scale,
+                        atol=_RTOL * 1e-2 / scale)
         if not sol.success:
             sides = " and ".join(f"[{p:.3g}, {q:.3g}]" for p, q in
                                  zip((x0 + a * span).flat, (x0 + b * span).flat))
@@ -337,8 +335,9 @@ def _shift_integral(profile, params, lam, x_minus, x_plus):
 def _matching_bounds(profile):
     """The integration ends; they depend on the profile alone."""
     if profile.kind == COMPACT:
-        pad = 1e-3 * profile.a
-        return -profile.a - pad, profile.a + pad
+        lo, hi = profile.support
+        pad = 1e-3 * 0.5 * (hi - lo)
+        return lo - pad, hi + pad
     return limit_box(profile, rel_tol=1e-10)
 
 

@@ -24,8 +24,9 @@ truncation points through the boundary coefficients n_ij, all from one
 array closure (`_closure`); a glued tail reads them between the samples
 with exact slopes (`assembly.hermite_interpolate`).  `BoundaryFit`, the
 tail source of increasing profiles, interpolates the window's n_ij at 17
-lambdas in log lambda and is refined only where a root check misses; both
-endpoint forms must be positive semidefinite at each of its nodes.
+lambdas in log lambda; a root check that misses doubles its nodes once,
+and a miss on the doubled fit raises.  Both endpoint forms must be positive
+semidefinite at each node and at the interpolant's midpoints.
 Each truncation point is where Gamma_m*|rho_limit - rho0| reaches a level,
 found by the package's one level search (`brent.monotone_level`).
 """
@@ -56,11 +57,10 @@ UPDATE_FLOOR = 1e-10
 TRUNCATION_MARGIN = 0.3
 N_PANELS = 160
 PANEL_RATIO = 1.03
-# boundary-coefficient fit: first degree (17 points, the window's), degree
-# cap of its refinement, and the largest relative miss of the direct n_ij
-# that `BoundaryFit.check` allows at a root and that ends the doubling
+# boundary-coefficient fit: first degree (17 points, the window's) and the
+# largest relative miss of the direct n_ij that `BoundaryFit.check` allows
+# at a root
 FIT_FIRST_DEGREE = 16
-FIT_MAX_DEGREE = 256
 FIT_CHECK_TOL = 1e-10
 
 _log = logging.getLogger("rtspect")
@@ -761,8 +761,9 @@ class BoundaryFit:
     (Trefethen, Approximation Theory and Approximation Practice, ch. 8).
     The fit interpolates `rows` (17, 8), the n_ij at the window ends at
     `_fit_lambdas(lam_range, j, FIT_FIRST_DEGREE)`, j = 0..16, from
-    `coercive_window`, and holds its rows at the 16 midpoints to the
-    window's PSD test (`_require_psd`).  It is the tail source of
+    `coercive_window`; every interpolant it builds, refined or not, holds
+    its rows at the midpoints of its nodes to the window's PSD test
+    (`_require_psd`).  It is the tail source of
     increasing profiles: called at lambda it gives the (8,) row of n_ij at
     the ends of `window`, (x_minus, x_plus); `pairs` gives the engine's
     cached DecayingPairs at one lambda, and `check` holds the fit to their
@@ -776,7 +777,6 @@ class BoundaryFit:
         lo, hi = engine.lam_range
         self._log_lo, self._log_span = math.log(lo), math.log(hi / lo)
         self._set(rows)
-        _require_psd(engine.profile, engine.params, window, *self._midpoints())
 
     def __call__(self, lam):
         """The n_ij row (8,) at lam from the fit, left end then right."""
@@ -792,9 +792,10 @@ class BoundaryFit:
 
     def check(self, lam):
         """Hold the fit to the direct n_ij of `pairs(lam)` at a root lam,
-        relative to their largest |n_ij|.  A miss over FIT_CHECK_TOL refines
-        the 17-node fit (`refine`) and returns True, so that the caller
-        searches again; a refined fit that misses raises SolverError."""
+        relative to their largest |n_ij|, the fit's one judge.  A miss over
+        FIT_CHECK_TOL refines the 17-node fit once (`refine`) and returns
+        True, so that the caller searches again; a miss on the refined fit
+        raises SolverError."""
         direct = _closure_rows([self.pairs(lam)], self.window)[0]
         miss = _relative_miss(self(lam), direct)
         self.miss = float(np.fmax(self.miss, miss))
@@ -818,30 +819,23 @@ class BoundaryFit:
                 * (2.0 / (self._log_span * lams))[:, None])
 
     def refine(self):
-        """Double the nodes, one batched outer solve of the midpoints per
-        doubling (none of it in the engine's cache), each tested as the
-        window is (`_require_psd`), until the fit's relative miss there is
-        within FIT_CHECK_TOL or fails to halve: there the Picard noise sets
-        the floor, and `check` judges each root."""
-        miss = math.inf
-        while True:
-            n = self.n_nodes - 1
-            if n >= FIT_MAX_DEGREE:
-                raise SolverError(
-                    f"boundary coefficients not resolved by {n + 1} Chebyshev "
-                    f"points in log lambda (miss {miss:.1e})")
-            mids, fitted = self._midpoints()
-            direct = _closure_rows(self.engine.solve(mids), self.window)
-            _require_psd(self.engine.profile, self.engine.params,
-                         self.window, mids, direct)
-            last, miss = miss, _relative_miss(fitted, direct)
-            self._set(np.insert(self._rows, np.arange(1, n + 1), direct, 0))
-            if miss <= FIT_CHECK_TOL or miss > 0.5 * last:
-                return
+        """Double the nodes: one batched outer solve of the midpoints (none
+        of it in the engine's cache), whose direct rows are tested as the
+        window is (`_require_psd`) and become nodes.  Whether the new fit
+        is good enough is for `check` to judge at each root."""
+        mids, _ = self._midpoints()
+        direct = _closure_rows(self.engine.solve(mids), self.window)
+        _require_psd(self.engine.profile, self.engine.params, self.window,
+                     mids, direct)
+        self._set(np.insert(self._rows, np.arange(1, self.n_nodes), direct, 0))
 
     def _set(self, rows):
+        """Interpolate the node rows (n_nodes, 8) and hold the interpolant
+        at the midpoints of the nodes to the window's PSD test."""
         self._rows, self.n_nodes, self.miss = rows, len(rows), math.nan
         self.coeffs = _chebyshev_coeffs(rows)   # (n_nodes, 8), series in s
+        _require_psd(self.engine.profile, self.engine.params, self.window,
+                     *self._midpoints())
 
     def _midpoints(self):
         """The n lambdas halfway between the nodes, with the fit there."""

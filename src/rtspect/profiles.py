@@ -3,7 +3,7 @@
 A profile is the background density rho0(x) of a heavy-over-light viscous
 two-fluid column, increasing from rho_minus at -inf to rho_plus at +inf.
 Two families of behaviour are distinguished: profiles whose gradient is
-compactly supported on [-a, a] (constant density outside), and profiles
+supported on a bounded interval (constant density outside), and profiles
 with rho0' > 0 everywhere.  The two cases feed different boundary-condition
 machinery downstream, so the classification is part of the data and is
 never inferred.
@@ -59,8 +59,8 @@ class DensityProfile:
     """Background density rho0 with its derivative and limits.
 
     rho and drho are vectorized callables.  For kind == COMPACT, drho
-    vanishes for |x| >= a and rho equals its limits there; for
-    kind == INCREASING, drho > 0 everywhere.  scale is a characteristic
+    vanishes outside support = (lo, hi) and rho equals its limits there;
+    for kind == INCREASING, drho > 0 everywhere.  scale is a characteristic
     length used for truncation searches and diagnostics.
     """
 
@@ -69,7 +69,7 @@ class DensityProfile:
     drho: Callable[[np.ndarray], np.ndarray]
     rho_minus: float
     rho_plus: float
-    a: float | None = None
+    support: tuple | None = None
     scale: float = 1.0
     family: str = "custom"
     knots: tuple = ()
@@ -149,9 +149,9 @@ def make_profile(family, *, rho_minus=None, rho_plus=None, ell=None, a=None,
 
     family: "tanh" (strictly increasing, length ell), "bump" (compact
     gradient on [-a, a], C-infinity), or "tabulated" (monotone shape-
-    preserving interpolant of (x, rho) samples, constant beyond the data;
-    the limits are read off the samples and the rho_minus/rho_plus
-    arguments are ignored).
+    preserving interpolant of (x, rho) samples, constant beyond the data,
+    so its support is (first x, last x); the limits are read off the
+    samples and the rho_minus/rho_plus arguments are ignored).
     """
     if family != "tabulated":
         if rho_minus is None or rho_plus is None:
@@ -175,7 +175,7 @@ def make_profile(family, *, rho_minus=None, rho_plus=None, ell=None, a=None,
             return (half / ell) / np.cosh(np.asarray(x, dtype=float) / ell) ** 2
 
         return DensityProfile(INCREASING, rho, drho, float(rho_minus),
-                              float(rho_plus), a=None, scale=ell, family="tanh")
+                              float(rho_plus), scale=ell, family="tanh")
 
     if family == "bump":
         if a is None or a <= 0:
@@ -195,7 +195,8 @@ def make_profile(family, *, rho_minus=None, rho_plus=None, ell=None, a=None,
             return lo + amp * a * _bump_cumulative(u)
 
         return DensityProfile(COMPACT, rho, drho, float(rho_minus),
-                              float(rho_plus), a=a, scale=a, family="bump")
+                              float(rho_plus), support=(-a, a), scale=a,
+                              family="bump")
 
     if family == "tabulated":
         if samples is None:
@@ -229,9 +230,9 @@ def make_profile(family, *, rho_minus=None, rho_plus=None, ell=None, a=None,
             xc = np.clip(xa, x0, x1)
             return np.where((xa >= x0) & (xa <= x1), dinterp(xc), 0.0)
 
-        half_width = max(abs(x0), abs(x1))
         return DensityProfile(COMPACT, rho, drho, float(rs[0]), float(rs[-1]),
-                              a=half_width, scale=float(x1 - x0) / 2.0,
+                              support=(float(x0), float(x1)),
+                              scale=float(x1 - x0) / 2.0,
                               family="tabulated", knots=tuple(xs))
 
     raise ProfileError(f"unknown profile family '{family}'")
@@ -241,8 +242,8 @@ def limit_box(profile, rel_tol=_LIMIT_TOL):
     """Interval outside which rho0 sits within rel_tol*(rho+ - rho-) of its
     limits: on each half line, the level search (`brent.monotone_level`)
     from t = 0 in the outward coordinate t = sign*x."""
-    if profile.kind == COMPACT and profile.a is not None:
-        return -profile.a, profile.a
+    if profile.kind == COMPACT and profile.support is not None:
+        return profile.support
     tol = rel_tol * profile.delta
 
     def end(sign, lim):
@@ -325,9 +326,11 @@ def validate(profile):
         checks.append(("rho0' > 0 everywhere (strictly increasing kind)", ok_pos,
                        f"min rho0' = {float(np.min(d)):.3e}"))
     elif profile.kind == COMPACT:
-        outside = np.abs(xs) >= (profile.a or 0.0) * (1.0 + 1e-12)
+        lo, hi = profile.support or (0.0, 0.0)
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        outside = np.abs(xs - mid) >= half * (1.0 + 1e-12)
         ok_out = bool((np.abs(d[outside]) <= tol_r / profile.scale).all())
-        checks.append(("rho0' = 0 outside [-a, a] (compact kind)", ok_out,
+        checks.append(("rho0' = 0 outside its support (compact kind)", ok_out,
                        f"max |rho0'| outside = {float(np.max(np.abs(d[outside]))):.3e}"))
     else:
         checks.append(("known kind", False, f"unknown kind '{profile.kind}'"))

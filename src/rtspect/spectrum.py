@@ -166,11 +166,11 @@ def compact_outer_basis(profile, params, lam):
 
 class CompactTails:
     """Tail source of a compact-gradient profile, the exact exponentials
-    past the ends of `window` = (-a, a).  Outside the support of rho0' the
-    mode equation has constant coefficients, and the solutions decaying
-    past a are spanned by e^{-k(x-a)} and e^{-tau_plus(x-a)}, mirrored past
-    -a.  Called at lambda it gives the n_ij that close the problem on the
-    window as one (8,) row, (n11, n12, n21, n22) at -a and then at a
+    past the ends of `window` = (lo, hi), the support of rho0'.  Outside it
+    the mode equation has constant coefficients, and the solutions decaying
+    past hi are spanned by e^{-k(x-hi)} and e^{-tau_plus(x-hi)}, mirrored
+    past lo.  Called at lambda it gives the n_ij that close the problem on
+    the window as one (8,) row, (n11, n12, n21, n22) at lo and then at hi
     (`exponential_closure`), `pairs(lam)` the `ExponentialPair` of each
     side and `slopes(lams)` the closed-form dn_ij/dlambda."""
 
@@ -179,7 +179,7 @@ class CompactTails:
             raise SolverError("compact tails need a compact-gradient profile")
         self.profile = profile
         self.params = params
-        self.window = (-profile.a, profile.a)
+        self.window = profile.support
 
     def __call__(self, lam):
         k = self.params.k
@@ -190,16 +190,17 @@ class CompactTails:
     def pairs(self, lam):
         """{"right": ExponentialPair, "left": ExponentialPair}, shaped like
         `OuterSolutions.solve`."""
-        k, a = self.params.k, self.window[1]
+        k, (lo, hi) = self.params.k, self.window
         tau_m, tau_p = compact_outer_basis(self.profile, self.params, lam)
         out = {}
-        for side, tau, s in (("right", tau_p, 1.0), ("left", tau_m, -1.0)):
+        for side, tau, s, end in (("right", tau_p, 1.0, hi),
+                                  ("left", tau_m, -1.0, lo)):
             if tau - k < DEGENERATE_REL * k:
                 raise DegenerateBasisError(
                     f"tau - k = {tau - k:.3e} at lambda = {lam:.6e}: "
                     "outer exponentials numerically collinear")
-            reach = s * a + s * 12.0 / k    # sup |phi| scan: 12 slow lengths
-            out[side] = ExponentialPair(side, (k, tau), s * a, reach,
+            reach = end + s * 12.0 / k    # sup |phi| scan: 12 slow lengths
+            out[side] = ExponentialPair(side, (k, tau), end, reach,
                                         s * math.inf)
         return out
 

@@ -20,22 +20,22 @@ from rtspect.spectrum import (CompactTails, SliceBuilder, compact_outer_basis,
                               exponential_closure)
 
 
-def constant_profile(value=1.0, a=1.0):
+def constant_profile(value=1.0):
     # degenerate stub: rho0 = const, rho0' = 0 (only for assembly algebra)
     return DensityProfile(
         kind=COMPACT,
         rho=lambda x, v=value: np.full_like(np.asarray(x, dtype=float), v),
         drho=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        rho_minus=value, rho_plus=value, a=a)
+        rho_minus=value, rho_plus=value, support=(-1.0, 1.0))
 
 
-def poly_profile(c0=2.0, c1=0.3, c2=0.1, a=1.0):
+def poly_profile(c0=2.0, c1=0.3, c2=0.1):
     return DensityProfile(
         kind=COMPACT,
         rho=lambda x: c0 + c1 * np.asarray(x, dtype=float)
         + c2 * np.asarray(x, dtype=float)**2,
         drho=lambda x: c1 + 2 * c2 * np.asarray(x, dtype=float),
-        rho_minus=c0 - c1 + c2, rho_plus=c0 + c1 + c2, a=a)
+        rho_minus=c0 - c1 + c2, rho_plus=c0 + c1 + c2, support=(-1.0, 1.0))
 
 
 def forms_at(profile, params, lam, bc, space):

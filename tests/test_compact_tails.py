@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from rtspect.errors import DegenerateBasisError, SolverError
 from rtspect.modes import Tail, glue_tail
-from rtspect.profiles import PhysicalParams, make_profile
+from rtspect.pipeline import Pipeline, SolverOptions
+from rtspect.profiles import PhysicalParams, limit_box, make_profile
 from rtspect.spectrum import (CompactTails, ExponentialPair,
                               compact_outer_basis, exponential_closure)
 
@@ -41,6 +42,27 @@ def test_rejects_nonpositive_lambda():
     for lam in (0.0, -1.0, np.array([0.5, 0.0, 1.0])):
         with pytest.raises(SolverError, match="lambda > 0"):
             compact_outer_basis(BUMP, par, lam)
+
+
+def test_tabulated_window_is_the_support_of_its_data():
+    # the same table shifted by s: the window is the span of the samples,
+    # not a box about 0 (that grew to (-22, 22) at s = 20 and lost the
+    # roots, and at s = 100 left M_rho short of rank), so the roots move
+    # only at round-off
+    par = PhysicalParams(g=1.0, mu=1.0, k=1.0)
+    roots = []
+    for s in (0.0, 20.0, 100.0):
+        xs = np.linspace(s - 2.0, s + 2.0, 41)
+        prof = make_profile("tabulated", samples=list(zip(
+            xs, 2.0 + np.tanh(1.5 * (xs - s)))))
+        pipe = Pipeline(prof, par, SolverOptions(n_elements=128)).build()
+        window = (xs[0], xs[-1])
+        assert prof.support == limit_box(prof) == pipe.window == window
+        assert {type(x) for x in pipe.window} == {float}
+        roots.append([p.lam for n in (1, 2) for p in pipe.solve_mode_index(n)])
+    assert len(roots[0]) == 2
+    for shifted in roots[1:]:
+        assert shifted == pytest.approx(roots[0], rel=1e-8)
 
 
 def test_rejects_increasing_profile():

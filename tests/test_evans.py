@@ -233,7 +233,7 @@ def test_own_dop853_is_scipys(monkeypatch, tanh_profile, params, m):
 
     def both(fun, t_span, y0, **kwargs):
         ours = own(fun, t_span, y0, **kwargs)
-        ref = solve_ivp(fun, t_span, y0, **kwargs)
+        ref = solve_ivp(fun, t_span, y0, method="DOP853", **kwargs)
         calls.append((ours.y[:, -1].tobytes() == ref.y[:, -1].tobytes(),
                       ours.nfev, ref.nfev, ours.success, ref.success))
         return ours
@@ -252,8 +252,8 @@ def test_own_dop853_reports_a_failed_step_like_scipy():
     def blow_up(_t, y):
         return y * y
 
-    ours = ev.solve_ivp(blow_up, (0.0, 1.5), np.ones(1), method="DOP853",
-                        rtol=1e-8, atol=1e-10)
+    ours = ev.solve_ivp(blow_up, (0.0, 1.5), np.ones(1), rtol=1e-8,
+                        atol=1e-10)
     ref = solve_ivp(blow_up, (0.0, 1.5), np.ones(1), method="DOP853",
                     rtol=1e-8, atol=1e-10)
     assert not ours.success and not ref.success

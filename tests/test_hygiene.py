@@ -2,8 +2,9 @@
 never uses, imports inside a function from a module it already imports
 from at the top, or defines a function (test or fixture included) taking a
 parameter it never reads, and the package defines nothing, class fields
-included, that the package, the tests and the benchmark never read.  A
-stdlib `ast` scan, so no linter is needed.  The package imports none of
+included, that the package, the tests and the benchmark never read, nor a
+keyword or dataclass field default that all their calls set to one value.
+A stdlib `ast` scan, so no linter is needed.  The package imports none of
 scipy's optimize, interpolate, integrate and special subpackages at module
 level, imports scipy.interpolate only in `make_profile`'s tabulated branch,
 and a fresh process that runs both fixtures loads none of them."""
@@ -229,6 +230,177 @@ def test_scan_flags_an_unread_definition(tmp_path):
     assert _unread_definitions([src], [src, user]) == [
         (src, 2, "UNUSED"), (src, 9, "unused"), (src, 20, "idle"),
         (src, 26, "unread"), (src, 27, "hidden")]
+
+
+_VARIES = object()      # an argument that is not a literal
+
+
+def _literal(node):
+    """The literal an expression is, as its repr, or _VARIES."""
+    try:
+        return repr(ast.literal_eval(node))
+    except (ValueError, TypeError, SyntaxError):
+        return _VARIES
+
+
+def _signature(fn, skip):
+    """(positional [(name, default)], keyword-only [(name, default)],
+    takes **kwargs) of a function without its first `skip` parameters;
+    a default is None when there is none."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    defaults = [None] * (len(positional) - len(a.defaults)) + a.defaults
+    return ([(p.arg, d) for p, d in zip(positional, defaults)][skip:],
+            [(p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults)],
+            a.kwarg is not None)
+
+
+def _keyword_definitions(path):
+    """(line, name, positional, keyword-only, takes **kwargs, is fields) of
+    every module-level function, method and class of a module: a dataclass
+    by its fields, another class by its __init__; a method's first
+    parameter is its instance."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found.append((node.lineno, node.name, *_signature(node, 0), False))
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if any(ast.unparse(getattr(d, "func", d)).endswith("dataclass")
+               for d in node.decorator_list):
+            fields = [(f.target.id, f.value) for f in node.body
+                      if isinstance(f, ast.AnnAssign)
+                      and isinstance(f.target, ast.Name)]
+            found.append((node.lineno, node.name, fields, [], False, True))
+        for f in node.body:
+            if not isinstance(f, ast.FunctionDef):
+                continue
+            if f.name == "__init__":
+                found.append((node.lineno, node.name, *_signature(f, 1),
+                              False))
+            elif not (f.name.startswith("__") and f.name.endswith("__")):
+                found.append((f.lineno, f.name, *_signature(f, 1), False))
+    return found
+
+
+def _given(call, positional, keyword_only, kwargs):
+    """{parameter: argument} of a call bound to a signature, or None when
+    the call forwards *args or **kwargs or does not fit it (a call of
+    another function of the same name)."""
+    names = [p for p, _ in positional]
+    if (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg is None for k in call.keywords)
+            or len(call.args) > len(names)):
+        return None
+    given = dict(zip(names, call.args))
+    known = set(names) | {p for p, _ in keyword_only}
+    for k in call.keywords:
+        if (k.arg not in known and not kwargs) or k.arg in given:
+            return None
+        given[k.arg] = k.value
+    return given
+
+
+def _one_value_keywords(sources, callers):
+    """(path, line, name, parameter, literal) of every keyword parameter,
+    and every dataclass field with a default, of the sources' functions
+    and classes that all calls in the callers, and at least one, give the
+    same literal; a call that omits it gives its default.  Calls match by
+    name, and a call that forwards *args or **kwargs tells nothing.  A
+    field that the callers assign as an attribute varies."""
+    calls, stores = {}, set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+                calls.setdefault(name, []).append(node)
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                stores |= {t.attr for t in targets
+                           if isinstance(t, ast.Attribute)}
+    found = []
+    for path in sources:
+        for line, name, positional, keyword_only, kwargs, fields in \
+                _keyword_definitions(path):
+            defaults = {p: d for p, d in positional + keyword_only
+                        if d is not None}
+            bound = [g for g in (_given(call, positional, keyword_only,
+                                        kwargs)
+                                 for call in calls.get(name, ()))
+                     if g is not None]
+            for param, default in defaults.items():
+                values = {_literal(g.get(param, default)) for g in bound}
+                if fields and param in stores:
+                    values.add(_VARIES)
+                if len(values) == 1 and _VARIES not in values:
+                    found.append((path, line, name, param, *values))
+    return sorted(found)
+
+
+def test_no_one_value_keywords():
+    # a keyword that every call in the package, the tests and the
+    # benchmark sets to one value is a knob that nothing turns
+    sources = [path for path in _modules() if path.parent.name == "rtspect"]
+    callers = [path for top in ("src/rtspect", "tests", "perfbench")
+               for path in sorted((ROOT / top).glob("*.py"))]
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}({param}={value})"
+             for path, line, name, param, value in
+             _one_value_keywords(sources, callers)]
+    assert not found, "keywords that every call gives one value:\n" + \
+        "\n".join(found)
+
+
+def test_scan_flags_a_one_value_keyword(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(textwrap.dedent("""\
+        from dataclasses import dataclass, field
+
+
+        def f(x, mode="a", tol=1e-3, *, flag=False):
+            return x
+
+
+        def idle(x, mode="a"):
+            return x
+
+
+        def g(x, mode=None, **kw):
+            return x, kw
+
+
+        class C:
+            def __init__(self, size=2):
+                self.size = size
+
+            def run(self, step=1.0):
+                return step
+
+
+        @dataclass
+        class D:
+            n: int = 4
+            m: int = 2
+            k: int = 1
+            xs: list = field(default_factory=list)
+
+
+        f(1)
+        f(2, "a", flag=False)
+        f(3, tol=1e-6)
+        f(*[4], tol=1.0)
+        g(1, mode=-1.0)
+        g(2, mode=-1.0, extra=3)
+        C(size=2).run(step=0.5)
+        C().run(step=len([]))
+        D(m=3)
+        d = D()
+        d.k = 5
+        """))
+    assert [found[1:] for found in _one_value_keywords([src], [src])] == [
+        (4, "f", "flag", "False"), (4, "f", "mode", "'a'"),
+        (12, "g", "mode", "-1.0"), (16, "C", "size", "2"), (25, "D", "n", "4")]
 
 
 # scipy subpackages the solve path does without; importing any of them

@@ -68,7 +68,7 @@ def test_eval_matches_tail_formula(bump_mode, bump_profile, params):
     mode, _ = bump_mode
     a1, a2 = mode.outer_right.amps
     _, tau = compact_outer_basis(bump_profile, params, mode.lam)
-    k, a = params.k, bump_profile.a
+    k, a = params.k, bump_profile.support[1]
     x = mode.x_plus + 10.0
     expect = a1 * math.exp(-k * (x - a)) + a2 * math.exp(-tau * (x - a))
     assert mode.eval(x)[0] == pytest.approx(expect, rel=1e-12)
@@ -81,7 +81,7 @@ def test_tail_matches_closed_form_beyond_reach(bump_mode, bump_profile,
     mode, _ = bump_mode
     tail = mode.outer_right
     _, tau = compact_outer_basis(bump_profile, params, mode.lam)
-    k, a = params.k, bump_profile.a
+    k, a = params.k, bump_profile.support[1]
     xs = a + np.linspace(0.0, 20.0 / k, 101)[1:]
     assert xs[-1] > tail.reach
     a1, a2 = tail.amps

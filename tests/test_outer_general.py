@@ -646,18 +646,19 @@ def test_coercive_window_is_the_truncation_points(ctx):
     assert np.array_equal(rows, ref)
 
 
-def test_coercive_window_rejects_a_negative_margin(ctx):
-    # a stub engine that closes both ends with the exact tails at sigma0
-    # there (every margin positive), except n21 > 0 at the right end at
-    # one lambda, where A = -n21 < 0
-    prof, par, pb, eps, gb, setup, eng = ctx
+def _exact_tail_engine(ctx):
+    """A stub engine class that closes both ends with the exact tails at
+    sigma0 there (every margin positive).  In the `bad`-th lambda of a
+    batch it puts n21 > 0 at the right end, where A = -n21 < 0; in the
+    `bent`-th it lowers n21 there by `depth`, which only adds to A."""
+    prof, par, *_, setup, eng = ctx
     xm, xp = setup.x_tilde_minus, setup.x_tilde_plus
-    lams = og._fit_lambdas(eng.lam_range, np.arange(17), 16)
 
     class Stub:
         lam_range = eng.lam_range
         profile, params = prof, par
-        bad = 5
+        bad = bent = None
+        depth = 0.0
 
         def solve(self, lams):
             out = []
@@ -668,10 +669,20 @@ def test_coercive_window_rejects_a_negative_margin(ctx):
                     n = exponential_closure(side, par.k, tau)
                     if side == "right" and i == self.bad:
                         n[2] = 1.0
+                    if side == "right" and i == self.bent:
+                        n[2] -= self.depth
                     sides[side] = _pair_closed_by(side, x, n)
                 out.append(sides)
             return out
 
+    return Stub
+
+
+def test_coercive_window_rejects_a_negative_margin(ctx):
+    prof, par, pb, eps, gb, setup, eng = ctx
+    lams = og._fit_lambdas(eng.lam_range, np.arange(17), 16)
+    Stub = _exact_tail_engine(ctx)
+    Stub.bad = 5
     with pytest.raises(CoercivitySearchError,
                        match=f"right .* lambda={lams[Stub.bad]:.6g}$"):
         og.coercive_window(prof, par, setup, Stub())
@@ -696,6 +707,25 @@ def test_coercive_window_rejects_a_negative_margin(ctx):
     with pytest.raises(CoercivitySearchError,
                        match=f"right .* lambda={mids[6]:.6g}$"):
         og.BoundaryFit(Stub(), window, bent)
+
+
+def test_refined_fit_holds_its_interpolant_to_the_window_test(ctx):
+    # the first doubling's direct row at midpoint 8, node 17 of the 33,
+    # has the right end's n21 far below the others: that row passes, but
+    # the 33-node interpolant overshoots two nodes away, between nodes 15
+    # and 16, and the refined fit is held to the test there
+    prof, par, pb, eps, gb, setup, eng = ctx
+    Stub = _exact_tail_engine(ctx)
+    window, rows = og.coercive_window(prof, par, setup, Stub())
+    fit = og.BoundaryFit(Stub(), window, rows)
+    Stub.bent, Stub.depth = 8, 100.0 * np.abs(rows[:, 6]).max()
+    new_nodes = og._fit_lambdas(eng.lam_range, np.arange(1, 32, 2), 32)
+    og._require_psd(prof, par, window, new_nodes,
+                    og._closure_rows(Stub().solve(new_nodes), window))
+    mids = og._fit_lambdas(eng.lam_range, np.arange(1, 64, 2), 64)
+    with pytest.raises(CoercivitySearchError,
+                       match=f"right .* lambda={mids[15]:.6g}$"):
+        fit.refine()
 
 
 def test_decay_envelopes(ctx):

@@ -78,8 +78,9 @@ def test_tanh_bounds_match_golden_oracle(tanh_profile, tanh_bounds):
 
 
 def test_bump_sup_sits_inside_support(bump_profile, bump_bounds):
-    assert abs(bump_bounds.x_peak) < bump_profile.a
-    assert bump_profile.drho(bump_profile.a + 0.5) == 0.0
+    lo, hi = bump_profile.support
+    assert lo < bump_bounds.x_peak < hi
+    assert bump_profile.drho(hi + 0.5) == 0.0
 
 
 def test_lambda_max_scales_with_sqrt_g(tanh_profile):
@@ -130,7 +131,7 @@ def test_validate_flags_mislabeled_kind(bump_profile):
     mislabeled = DensityProfile(
         kind=INCREASING, rho=bump_profile.rho, drho=bump_profile.drho,
         rho_minus=bump_profile.rho_minus, rho_plus=bump_profile.rho_plus,
-        a=None, scale=bump_profile.scale, family="bump")
+        scale=bump_profile.scale, family="bump")
     rep = validate(mislabeled)
     assert not rep.passed
 
@@ -138,6 +139,7 @@ def test_validate_flags_mislabeled_kind(bump_profile):
 def test_bounds_reject_flat_profile(params):
     flat = DensityProfile(kind=COMPACT, rho=lambda x: np.full_like(
         np.asarray(x, dtype=float), 2.0), drho=lambda x: np.zeros_like(
-        np.asarray(x, dtype=float)), rho_minus=2.0, rho_plus=2.0, a=1.0)
+        np.asarray(x, dtype=float)), rho_minus=2.0, rho_plus=2.0,
+        support=(-1.0, 1.0))
     with pytest.raises(ProfileError):
         profile_bounds(flat, params)

@@ -233,7 +233,7 @@ def test_root_check_miss_refines_the_fit_and_searches_again(
     monkeypatch.setattr(SliceBuilder, "__call__", recording)
     with caplog.at_level(logging.DEBUG, logger="rtspect"):
         got = pipe.solve_mode_index(1)
-    assert fit.n_nodes > 17
+    assert fit.n_nodes == 33
     assert other(0.3) is not before and not np.array_equal(
         other(0.3).forms.K_band, before.forms.K_band)
     [record] = caplog.records
@@ -254,8 +254,8 @@ def test_root_check_miss_refines_the_fit_and_searches_again(
 
 
 def test_corrupted_fit_fails_the_root_check(tanh_profile, params, caplog):
-    # a corrupted node stays a node of every refinement, so the miss
-    # survives the doubling to its noise-floor stop and the check raises
+    # a corrupted node stays a node of the doubled fit, so the miss
+    # survives the one refinement and the check raises
     pipe = Pipeline(tanh_profile, params, SolverOptions(n_elements=64)).build()
     rows = pipe.builder.tails._rows.copy()
     rows[8, 5] += 1e-6 * np.abs(rows[:, 5]).max()
@@ -263,7 +263,7 @@ def test_corrupted_fit_fails_the_root_check(tanh_profile, params, caplog):
     pipe.builder.tails = fit
     with pytest.raises(SolverError, match="log-lambda fit miss"):
         pipe.solve_mode_index(1)
-    assert fit.n_nodes > 17 and fit.miss > FIT_CHECK_TOL
+    assert fit.n_nodes == 33 and fit.miss > FIT_CHECK_TOL
     # the logger is silent unless asked
     assert not [r for r in caplog.records if r.name == "rtspect"]
 
@@ -280,6 +280,20 @@ def test_noise_floor_case_needs_no_refinement():
     assert pipe.monotone
     assert pipe.monotone_margin == pytest.approx(NOISE_FLOOR_MARGIN, rel=1e-7)
     assert pipe.builder.tails.n_nodes == 17
+
+
+def test_refinement_is_one_doubling_at_the_noise_floor(monkeypatch):
+    # at the noise floor a further doubling cannot meet the root check, so
+    # a refinement is one batch of the 16 midpoints and leaves 33 nodes;
+    # the root check alone judges the result
+    prof = make_profile("tanh", rho_minus=1.0, rho_plus=1.2, ell=1.0)
+    par = PhysicalParams(g=1.0, mu=10.0, k=10.0)
+    pipe = Pipeline(prof, par, SolverOptions(n_elements=128)).build()
+    batches = _recorded_batches(monkeypatch)
+    fit = pipe.builder.tails
+    fit.refine()
+    assert [b.size for b in batches] == [16]
+    assert fit.n_nodes == 33 and math.isnan(fit.miss)
 
 
 @pytest.mark.parametrize("fixture", ("bump_pipe", "tanh_pipe"))
