@@ -12,12 +12,16 @@ pair.  The stepper is the module's own `solve_ivp`, a port of scipy's
 DOP853 that takes the same steps, so the oracle needs no
 `scipy.integrate`.  The system is linear in the state and cheap per
 lambda, so both sides of an array of lambdas are integrated as one state:
-a scan, and each round of the root refinement, is one integration.
+a scan, and each round of the root refinement, is one integration.  The
+refinement reads the values, not only their signs: after one uniform
+round it clusters a bracket's points about the inverse cubic interpolant
+of its last round, which closes most brackets in that round.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from dataclasses import dataclass
 
@@ -39,6 +43,7 @@ _SHIFT_XI, _SHIFT_W = np.polynomial.legendre.leggauss(128)
 _SECTIONS = 15
 # relative bracket width below which a round could add no new float
 _ROUNDOFF = 4 * np.finfo(float).eps
+_log = logging.getLogger("rtspect")
 
 
 # Dormand-Prince 8(5,3) (Hairer, Norsett and Wanner, Solving Ordinary
@@ -258,17 +263,12 @@ def _wedge_rhs(profile, params, lam, x, w, direction):
                      -a0 * w02 - a1 * w12]) - s * w
 
 
-def _decay_rates(profile, params, lam, side):
-    k, mu = params.k, params.mu
-    rho = profile.rho_plus if side == "right" else profile.rho_minus
-    sig = np.sqrt(k * k + lam * rho / mu)
-    return k, sig
-
-
 def _initial_plane(profile, params, lam, side):
     """Unit wedge of the decaying pair at the truncation point, one column
     per lambda, and the log of the norm removed."""
-    k, sig = _decay_rates(profile, params, lam, side)
+    k = params.k
+    rho = profile.rho_plus if side == "right" else profile.rho_minus
+    sig = np.sqrt(k * k + lam * rho / params.mu)
     r = -1.0 if side == "right" else 1.0
     u = np.array([1.0, r * k, k * k, r * k**3])
     v = np.array([np.ones_like(sig), r * sig, sig * sig, r * sig**3])
@@ -375,43 +375,98 @@ def evans_function(profile, params, lam, match_x=None):
     return samples if np.ndim(lam) else samples[0]
 
 
-def _signs(profile, params, lams):
-    return np.array([s.sign for s in evans_function(profile, params, lams)])
+def _inverse_cubic(x, d):
+    """Zero of the cubic lambda(D) through the 4 points (x, d) of each row."""
+    with np.errstate(all="ignore"):
+        return x[:, 0] + sum((x[:, k] - x[:, 0]) * np.prod(
+            [d[:, m] / (d[:, m] - d[:, k]) for m in range(4) if m != k],
+            axis=0) for k in range(1, 4))
 
 
 def find_roots(profile, params, scan_grid, tol=1e-10):
-    """Every sign change of the Evans value over `scan_grid`, refined by
-    batched k-section.
+    """Every sign change of the Evans value over `scan_grid`, refined in
+    batched rounds of `_SECTIONS` points per open bracket.
 
-    The scan is one batched evaluation.  Each round then evaluates
-    `_SECTIONS` equally spaced interior points of every open bracket in one
-    batched call and keeps the first sign change in each; an exact zero
-    closes its bracket.  A bracket is open while it is wider than tol (plus
-    round-off), and each root is returned as its midpoint, so within tol/2
-    (plus round-off) of a sign change.  A scan point where the value is
-    exactly zero is returned as it is.
+    The scan is one batched evaluation, and so is each round, which keeps
+    each bracket's first sign change (an exact zero closes it).  A
+    bracket's first round, and any after one that shrank it less than
+    (`_SECTIONS` + 1)-fold, is a uniform k-section, so at most twice
+    k-section's rounds are made.  Its other rounds place the points at r
+    and r +- (t/4) rho^j, j = 0..6: r is Brent's inverse cubic interpolant
+    through the 4 points of the last round nearest the change (or the
+    midpoint), t the closing width, and rho^7 t/4 reaches each end.  A
+    bracket is open while wider than tol (plus round-off), and each root
+    is its midpoint, so within tol/2 (plus round-off) of a sign change; a
+    scan point with an exact zero is returned as it is.  A DEBUG record on
+    the `rtspect` logger counts rounds, lambdas evaluated, brackets closed
+    by a clustered round and those where a round saw more than one change.
     """
+    tol = float(tol)
+    if not 0 <= tol < math.inf:
+        raise SolverError(f"find_roots needs a finite tol >= 0, got {tol}")
     grid = np.sort(np.asarray(scan_grid, dtype=float))
-    s = _signs(profile, params, grid)
-    # one bracket [lo, hi] per root, in grid order, with the sign s_lo at
-    # lo; an exact zero is a closed bracket of width 0
+
+    def evaluate(lams):
+        samples = evans_function(profile, params, lams.ravel())
+        return np.array([(s.value, s.scale_exponent) for s in samples]
+                        ).T.reshape((2,) + lams.shape)
+
+    v, e = evaluate(grid)
+    s = np.sign(v)
+    # one bracket [lo, hi] per root, in grid order; an exact zero is a
+    # closed bracket of width 0.  Its points are kept as D = value
+    # exp(scale_exponent - ref), one ref per bracket: D at both ends, and
+    # the 4 points (lambda, D) of its last round nearest the sign change;
+    # the exponent is clipped to the float range, so D keeps the sign
     starts = np.flatnonzero((s == 0) | (s * np.append(s[1:], 0.0) < 0))
-    lo = grid[starts]
-    hi = np.where(s[starts] == 0, lo,
-                  grid[np.minimum(starts + 1, grid.size - 1)])
-    s_lo = s[starts]
+    ends = np.column_stack([starts, starts + (s[starts] != 0)])
+    lo, hi = grid[ends].T.copy()
+    ref = e[starts, None]
+    end_d = v[ends] * np.exp(np.clip(e[ends] - ref, -700, 700))
+    near = np.zeros((2, lo.size, 4))
+    uniform = np.ones(lo.size, dtype=bool)
+    last, passed = np.zeros((2, lo.size), dtype=bool)
     frac = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
+    rounds, n_evals = 0, grid.size
     while True:
-        live = np.flatnonzero(hi - lo > tol + _ROUNDOFF * np.abs(hi))
+        width = tol + _ROUNDOFF * np.abs(hi)
+        live = np.flatnonzero(hi - lo > width)
         if live.size == 0:
+            _log.debug("find_roots: %d scan points, %d rounds, %d lambdas "
+                       "evaluated, %d brackets closed by a clustered round, "
+                       "%d where a round saw more than one sign change",
+                       grid.size, rounds, n_evals, np.count_nonzero(last),
+                       np.count_nonzero(passed))
             return [float(r) for r in 0.5 * (lo + hi)]
-        pts = lo[live, None] + (hi - lo)[live, None] * frac
+        w = hi[live] - lo[live]
+        pts = lo[live, None] + w[:, None] * frac
+        clustered = ~uniform[live]
+        if clustered.any():
+            c = live[clustered]
+            r = _inverse_cubic(*near[:, c])
+            r = np.where((r > lo[c]) & (r < hi[c]), r, 0.5 * (lo[c] + hi[c]))
+            d = np.stack([r - lo[c], hi[c] - r])[..., None]
+            h = np.minimum(0.25 * width[c, None], d)
+            off = h * (d / h) ** (np.arange(7) / 7)
+            pts[clustered] = np.column_stack([r[:, None] - off[0, :, ::-1],
+                                              r, r[:, None] + off[1]])
+        v, e = evaluate(pts)
+        rounds, n_evals = rounds + 1, n_evals + pts.size
         q = np.column_stack([lo[live], pts, hi[live]])
-        s_pts = _signs(profile, params, pts.ravel()).reshape(pts.shape)
-        sq = np.column_stack([s_lo[live], s_pts, -s_lo[live]])
-        # every sign before the first change equals s_lo, so the first
+        v = v * np.exp(np.clip(e - ref[live], -700, 700))
+        d = np.column_stack([end_d[live, 0], v, end_d[live, 1]])
+        sq = np.sign(d)
+        passed[live] |= np.count_nonzero(sq[:, 1:] * sq[:, :-1] < 0,
+                                         axis=1) > 1
+        # every sign before the first change equals lo's, so the first
         # change is a sign flip or an exact zero
-        i = np.argmax(sq[:, 1:] != sq[:, :-1], axis=1)
-        rows = np.arange(live.size)
-        hi[live] = q[rows, i + 1]
-        lo[live] = np.where(sq[rows, i + 1] == 0, hi[live], q[rows, i])
+        i = np.argmax(sq[:, 1:] != sq[:, :-1], axis=1)[:, None]
+        rows = np.arange(live.size)[:, None]
+        j = np.column_stack([i + (sq[rows, i + 1] == 0), i + 1])
+        lo[live], hi[live] = q[rows, j].T
+        end_d[live] = d[rows, j]
+        k = np.clip(i - 1, 0, _SECTIONS - 2) + np.arange(4)
+        near[:, live] = q[rows, k], d[rows, k]
+        last[live] = clustered
+        uniform[live] = clustered & ((_SECTIONS + 1) * (hi[live] - lo[live])
+                                     > w)

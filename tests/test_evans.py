@@ -8,7 +8,7 @@ from rtspect import evans as ev
 from rtspect.errors import SolverError, StiffnessError
 from rtspect.profiles import limit_box
 
-from conftest import BUMP_ORACLE_LAM1
+from conftest import BUMP_ORACLE_LAM1, TANH_ORACLE_ROOTS
 
 
 def test_pairing_equals_full_determinant():
@@ -345,3 +345,138 @@ def test_root_set_stable_under_matching_shift(tanh_profile, params):
                                                  match_x=m)]
              for m in (0.0, 0.8)]
     assert signs[0] == signs[1]
+
+
+def _fake_evans(monkeypatch, value, exponent=lambda _lam: 0.0, cap=200):
+    # replace the Evans function by value(lam) exp(exponent(lam)); returns
+    # the list of batch sizes, and stops a search that makes `cap` batches
+    calls = []
+
+    def fake(_profile, _params, lam):
+        calls.append(np.size(lam))
+        if len(calls) > cap:
+            raise RuntimeError(f"more than {cap} batches")
+        return tuple(ev.EvansSample(lam=float(l), value=float(value(l)),
+                                    scale_exponent=float(exponent(l)))
+                     for l in lam)
+
+    monkeypatch.setattr(ev, "evans_function", fake)
+    return calls
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_find_roots_rejects_a_tol_that_is_not_finite_and_nonnegative(
+        monkeypatch, params, tol):
+    calls = _fake_evans(monkeypatch, lambda lam: lam - 0.3)
+    with pytest.raises(SolverError, match="finite tol >= 0"):
+        ev.find_roots(None, params, np.linspace(0.1, 0.5, 3), tol=tol)
+    assert calls == []
+
+
+def test_find_roots_accepts_a_zero_tol(monkeypatch, params):
+    # tol = 0 refines a root off the scan grid until round-off stops it
+    calls = _fake_evans(monkeypatch, lambda lam: math.tanh(lam - 0.3 - 1e-12))
+    (root,) = ev.find_roots(None, params, np.linspace(0.1, 0.5, 3), tol=0.0)
+    assert abs(root - (0.3 + 1e-12)) <= 4 * np.finfo(float).eps
+    assert len(calls) < 200
+
+
+def test_tanh_fixture_roots_in_four_batches(monkeypatch, tanh_profile,
+                                            params):
+    from rtspect.pipeline import Pipeline
+    pipe = Pipeline(tanh_profile, params)
+    grid = np.linspace(pipe.eps_star, pipe.bounds.lambda_max, 64)
+    calls = []
+    real = ev.evans_function
+    monkeypatch.setattr(ev, "evans_function",
+                        lambda *a: calls.append(1) or real(*a))
+    tol = 1e-9
+    roots = ev.find_roots(tanh_profile, params, grid, tol=tol)
+    assert len(calls) <= 4
+    assert roots == pytest.approx(sorted(TANH_ORACLE_ROOTS), abs=tol)
+    for r in roots:
+        lo = real(tanh_profile, params, r - 0.5 * tol)
+        hi = real(tanh_profile, params, r + 0.5 * tol)
+        assert lo.sign * hi.sign < 0
+
+
+@pytest.mark.parametrize("z", [0.3, 0.3 + 1e-3 / 7, 0.5 + 3e-8, 0.375 - 2e-8])
+def test_step_like_value_keeps_the_contract_in_twice_k_section(
+        monkeypatch, params, z):
+    # a sign change much sharper than the bracket defeats the interpolant;
+    # the uniform rounds that follow a poor one bound the rounds made
+    calls = _fake_evans(monkeypatch, lambda lam: math.tanh((lam - z) / 1e-7))
+    tol, grid = 1e-9, np.linspace(0.0, 1.0, 9)
+    (root,) = ev.find_roots(None, params, grid, tol=tol)
+    assert abs(root - z) <= 0.5 * tol
+    k_section = math.ceil(math.log((grid[1] - grid[0]) / tol,
+                                   ev._SECTIONS + 1))
+    assert len(calls) - 1 <= 2 * k_section
+
+
+def test_root_placement_reads_the_scale_exponent(monkeypatch, params):
+    # the same Evans value, once as it is and once with most of it moved
+    # into scale exponents far beyond the float range
+    def value(lam):
+        return (lam - 0.3) * (lam + 1.0) ** 3
+
+    tol, grid = 1e-12, np.linspace(0.1, 0.5, 5)
+    plain = _fake_evans(monkeypatch, value)
+    expected = ev.find_roots(None, params, grid, tol=tol)
+    split = _fake_evans(monkeypatch,
+                        lambda lam: value(lam) * math.exp(-600 * lam),
+                        lambda lam: 1000 + 600 * lam)
+    assert ev.find_roots(None, params, grid, tol=tol) == expected
+    assert len(split) == len(plain) <= 4
+
+
+def test_first_round_keeps_the_first_of_three_sign_changes():
+    # the scan bracket [0.01513, 0.02438] holds sign changes near 0.01703,
+    # 0.01948 and 0.02235; the uniform first round keeps the first one, as
+    # the k-section did, so every root equals the k-section's within tol
+    from rtspect.pipeline import Pipeline
+    from rtspect.profiles import PhysicalParams, make_profile
+    profile = make_profile("tanh", rho_minus=1.0, rho_plus=10.0, ell=3.0)
+    par = PhysicalParams(g=1.0, mu=0.1, k=1.0)
+    pipe = Pipeline(profile, par)
+    grid = np.linspace(pipe.eps_star, pipe.bounds.lambda_max, 64)
+    k_section = [
+        0.017057990601671826, 0.04624388536937088, 0.05390352688184691,
+        0.06299624295760312, 0.0738185221644321, 0.08674020075803282,
+        0.10223033992004649, 0.12089690701927039, 0.14355034753982845,
+        0.1713105280893138, 0.20579684584917507, 0.24948715908435554,
+        0.30643754819323393, 0.38379768579685986, 0.49498978702612434]
+    tol = 1e-9
+    roots = ev.find_roots(profile, par, grid, tol=tol)
+    assert roots == pytest.approx(k_section, abs=tol)
+
+
+def test_find_roots_logs_one_debug_record(monkeypatch, params, caplog):
+    # three sign changes in one scan bracket: the first round passes over
+    # two roots, and the record says so; logging changes no number
+    zeros = (0.3, 0.33, 0.36, 0.8)
+    calls = _fake_evans(monkeypatch, lambda lam: np.prod([lam - z
+                                                          for z in zeros]))
+    grid = np.linspace(0.0, 1.0, 5)
+    quiet = ev.find_roots(None, params, grid, tol=1e-9)
+    assert caplog.records == []
+    n_quiet = len(calls)
+    with caplog.at_level("DEBUG", logger="rtspect"):
+        loud = ev.find_roots(None, params, grid, tol=1e-9)
+    assert loud == quiet and len(calls) == 2 * n_quiet
+    (record,) = caplog.records
+    assert record.levelname == "DEBUG" and record.name == "rtspect"
+    assert record.getMessage() == (
+        f"find_roots: 5 scan points, {n_quiet - 1} rounds, "
+        f"{sum(calls[:n_quiet])} lambdas evaluated, 2 brackets closed by a "
+        f"clustered round, 1 where a round saw more than one sign change")
+
+
+@pytest.mark.parametrize("slope", [-2e4, 2e4])
+def test_root_keeps_its_sign_where_the_exponent_leaves_the_float_range(
+        monkeypatch, params, slope):
+    # across the scan bracket the scale exponent moves by 2000, more than
+    # one float can scale, yet each point keeps the sign of its value
+    _fake_evans(monkeypatch, lambda lam: 0.38 - lam, lambda lam: slope * lam)
+    (root,) = ev.find_roots(None, params, np.linspace(0.1, 0.5, 5), tol=1e-9)
+    assert abs(root - 0.38) <= 0.5e-9
