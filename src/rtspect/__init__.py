@@ -10,9 +10,10 @@ and every root is cross-checkable against an independent compound-matrix
 shooting oracle.
 """
 
-from .assembly import (DiscreteForms, HermiteSpace, Mesh, VolumeForms,
-                       assemble_forms, assemble_volume, build_mesh,
-                       coercivity_check, whole_line_identity_check)
+from .assembly import (DiscreteForms, HermiteSpace, KFreeForms, Mesh,
+                       VolumeForms, assemble_forms, assemble_k_free,
+                       assemble_volume, build_mesh, coercivity_check,
+                       whole_line_identity_check)
 from .errors import (BracketError, CoercivityError, CoercivitySearchError,
                      ConfigError, DegenerateBasisError, ExtrapolationError,
                      GluingError, ProfileError, RankError, SolverError,
@@ -24,7 +25,7 @@ from .outer_general import (BoundaryFit, DecayingPair, GammaBounds,
                             OuterSolutions, PicardSetup, SystemMatrices,
                             coercive_window, decay_envelopes, gamma_bounds,
                             system_matrices, truncation_points)
-from .pipeline import Pipeline, SolverOptions
+from .pipeline import KGridWork, Pipeline, SolverOptions, k_grid_work
 from .profiles import (COMPACT, INCREASING, DensityProfile, PhysicalParams,
                        ProfileBounds, make_profile, profile_bounds, validate)
 from .spectrum import (CompactTails, DispersionPoint, ExponentialPair,

@@ -14,9 +14,11 @@ matrix.  Assembled objects:
   G     int (th rh + th' rh' + th'' rh'')   (H2 Gram, for the coercivity
         floor mu * min(k^4, 2k^2, 1))
 
-K_mu, K_rho, M_rho and G do not depend on lam: `assemble_volume` integrates
-them at the Gauss points once per slice builder, and `assemble_forms` costs
-one band sum and two endpoint blocks per lam.  An element couples the four
+K_mu, K_rho, M_rho and G do not depend on lam, and M_rho and G not on k
+either: `assemble_k_free` integrates M_rho and G at the Gauss points once
+per space (a k grid on one window shares them), `assemble_volume` adds K_mu
+and K_rho once per slice builder, and `assemble_forms` costs one band sum
+and two endpoint blocks per lam.  An element couples the four
 unknowns of its two nodes, so every matrix has half-bandwidth 3.  They are
 assembled straight into LAPACK lower band storage, ab[i - j, j] = A[i, j]
 for 0 <= i - j <= 3 (shape 4 x n_dofs), and every solver downstream works
@@ -190,6 +192,42 @@ def band_to_dense(ab):
 
 
 @dataclass(frozen=True)
+class KFreeForms:
+    """The bands of one profile on one space that no k changes: M_rho and
+    G, read-only, rho0 at the Gauss points (`rho`) and at the window ends
+    (`rho_ends`), and the rank of M_rho.  A k grid on one window (compact
+    profiles) assembles them once and shares them across its k."""
+
+    space: HermiteSpace
+    rho: np.ndarray
+    M_band: np.ndarray
+    G_band: np.ndarray
+    rho_ends: tuple
+    rank: int
+
+
+def _band(space, *coeffs):
+    """Read-only band of sum over d of int coeffs[d] th^(d) rh^(d)."""
+    w = space.mesh.widths[:, None] * GL5_WEIGHTS
+    ab = _scatter(space, sum(_element_form(N, c * w) for N, c in
+                             zip(_shape_tables(space.mesh.widths), coeffs)))
+    ab.flags.writeable = False
+    return ab
+
+
+def assemble_k_free(profile, space):
+    """Integrate M_rho and G at the Gauss points and take M_rho's rank."""
+    M_band = _band(space, np.asarray(profile.drho(space.quad_x)))
+    ev = eig_banded(M_band, lower=True, eigvals_only=True)
+    return KFreeForms(
+        space, np.asarray(profile.rho(space.quad_x)), M_band,
+        _band(space, 1.0, 1.0, 1.0),
+        tuple(float(profile.rho(x)) for x in (space.mesh.x_minus,
+                                              space.mesh.x_plus)),
+        int(np.count_nonzero(ev > max(ev[-1], 0.0) * 1e-12)))
+
+
+@dataclass(frozen=True)
 class VolumeForms:
     """The lambda-independent bands of one profile on one space (module
     docstring), read-only and shared by every slice; `rho_ends` is rho0 at
@@ -205,27 +243,13 @@ class VolumeForms:
     rank: int
 
 
-def assemble_volume(profile, params, space):
-    """Integrate K_mu, K_rho, M_rho and G at the Gauss points, once."""
-    k, mu = params.k, params.mu
-    tables = _shape_tables(space.mesh.widths)
-    w = space.mesh.widths[:, None] * GL5_WEIGHTS
-
-    def band(*coeffs):  # sum over d of int coeffs[d] th^(d) rh^(d)
-        ab = _scatter(space, sum(_element_form(N, c * w)
-                                 for N, c in zip(tables, coeffs)))
-        ab.flags.writeable = False
-        return ab
-
-    rho = np.asarray(profile.rho(space.quad_x))
-    M_band = band(np.asarray(profile.drho(space.quad_x)))
-    ev = eig_banded(M_band, lower=True, eigvals_only=True)
+def assemble_volume(params, free):
+    """K_mu and K_rho at the Gauss points, next to the `KFreeForms`."""
+    k, mu, space = params.k, params.mu, free.space
     return VolumeForms(
-        params, space, band(mu * k**4, 2.0 * mu * k**2, mu),
-        band(k**2 * rho, rho), M_band, band(1.0, 1.0, 1.0),
-        tuple(float(profile.rho(x)) for x in (space.mesh.x_minus,
-                                              space.mesh.x_plus)),
-        int(np.count_nonzero(ev > max(ev[-1], 0.0) * 1e-12)))
+        params, space, _band(space, mu * k**4, 2.0 * mu * k**2, mu),
+        _band(space, k**2 * free.rho, free.rho), free.M_band, free.G_band,
+        free.rho_ends, free.rank)
 
 
 @dataclass
@@ -371,6 +395,21 @@ def dump_forms(forms, path):
                 fh.write(f"{name} {i} {j} {mat[i, j]:.17g}\n")
 
 
+def _definite(forms, s):
+    """Whether K - s G has a banded Cholesky factor, i.e. s < eta_min."""
+    return dpbtrf(forms.K_band - s * forms.G_band, lower=1)[1] == 0
+
+
+def coercive(forms):
+    """Whether K - threshold*G factors, the threshold lying below every
+    diagonal ratio K_ii / G_ii: one factorization, and the test with which
+    `coercivity_check` starts its bisection.  When it holds, that margin is
+    nonnegative and the check cannot raise."""
+    thr = forms.threshold
+    return (thr < float(np.min(forms.K_band[0] / forms.G_band[0]))
+            and _definite(forms, thr))
+
+
 def coercivity_check(forms):
     """Margin of the discrete lower bound K >= mu*min(k^4, 2k^2, 1)*G.
 
@@ -378,23 +417,21 @@ def coercivity_check(forms):
     of (K, G); raises if it dips below the round-off allowance -1e-8*||K||_2.
     Because G is positive definite, the banded Cholesky factorization of
     K - s G succeeds exactly when s < eta_min (Sylvester's law of inertia),
-    so eta_min is bisected to COERCIVITY_RTOL between the threshold (or a
-    point below it, when the margin is negative) and the smallest diagonal
-    ratio K_ii / G_ii, a Rayleigh quotient and hence an upper bound.  The
-    returned margin is the bisection's lower end, so it is nonnegative
-    exactly when K - threshold*G factors.
+    so eta_min is bisected to COERCIVITY_RTOL, about 30 factorizations,
+    between the threshold (or a point below it, when the margin is
+    negative) and the smallest diagonal ratio K_ii / G_ii, a Rayleigh
+    quotient and hence an upper bound.  The returned margin is the
+    bisection's lower end, so it is nonnegative exactly when `coercive`
+    holds.  A slice builder tests `coercive` on every slice and runs this
+    check at once only where it fails; elsewhere the margin is bisected
+    when it is first read (`SpectrumSlice.margin`).
     """
-    K, G = forms.K_band, forms.G_band
-
-    def definite(s):
-        return dpbtrf(K - s * G, lower=1)[1] == 0
-
     thr = forms.threshold
-    lo, hi = thr, float(np.min(K[0] / G[0]))
-    if not (lo < hi and definite(lo)):
+    lo, hi = thr, float(np.min(forms.K_band[0] / forms.G_band[0]))
+    if not coercive(forms):
         hi = min(lo, hi)
         step = 1e-8 * max(1.0, abs(thr))
-        while not definite(thr - step):
+        while not _definite(forms, thr - step):
             hi = thr - step
             step *= 16.0
             if not np.isfinite(step):  # only for non-finite K or G
@@ -403,13 +440,13 @@ def coercivity_check(forms):
         lo = thr - step
     while hi - lo > COERCIVITY_RTOL * max(1.0, abs(hi)):
         mid = 0.5 * (lo + hi)
-        if definite(mid):
+        if _definite(forms, mid):
             lo = mid
         else:
             hi = mid
     margin = float(lo - thr)
     if margin < 0.0:
-        knorm = float(np.abs(eig_banded(K, lower=True,
+        knorm = float(np.abs(eig_banded(forms.K_band, lower=True,
                                         eigvals_only=True)).max())
         if margin < -1e-8 * knorm:
             mesh = forms.volume.space.mesh

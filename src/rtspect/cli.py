@@ -25,7 +25,8 @@ from .errors import ConfigError, ProfileError, SolverError
 from .evans import evans_function
 from .modes import reconstruct_fields
 from .outer_general import _closure_at
-from .pipeline import LAMBDA_FLOOR_FACTOR, Pipeline, SolverOptions
+from .pipeline import (LAMBDA_FLOOR_FACTOR, Pipeline, SolverOptions,
+                       k_grid_work)
 from .profiles import COMPACT, PhysicalParams, make_profile
 from .verification import format_results, run_verification
 
@@ -236,8 +237,8 @@ def _write_csv(path, header, rows):
         raise
 
 
-def _dispersion_rows(cfg, k, dump_dir=None):
-    pipe = Pipeline(cfg.profile, cfg.params_for(k), cfg.opts)
+def _dispersion_rows(cfg, k, dump_dir=None, shared=None):
+    pipe = Pipeline(cfg.profile, cfg.params_for(k), cfg.opts, shared)
     points = pipe.dispersion()
     count = pipe.count_modes()
     rows = []
@@ -251,29 +252,31 @@ def _dispersion_rows(cfg, k, dump_dir=None):
     return rows
 
 
-_WORKER_ARGS = None    # (cfg, dump_dir) of a forked dispersion worker
+_WORKER_ARGS = None    # (cfg, dump_dir, shared) of a forked dispersion worker
 
 
-def _init_worker(cfg, dump_dir):
+def _init_worker(cfg, dump_dir, shared):
     global _WORKER_ARGS
-    _WORKER_ARGS = (cfg, dump_dir)
+    _WORKER_ARGS = (cfg, dump_dir, shared)
 
 
 def _worker_rows(k):
-    cfg, dump_dir = _WORKER_ARGS
-    return _dispersion_rows(cfg, k, dump_dir)
+    cfg, dump_dir, shared = _WORKER_ARGS
+    return _dispersion_rows(cfg, k, dump_dir, shared)
 
 
 def _solve_k_grid(cfg, ks, threads, dump_dir):
     """Row lists per k, in k order.  Up to `threads` forked processes, capped
     at the grid size and the CPU count; serial where fork is unavailable.
 
-    The config (whose profiles hold closures and cannot be pickled) reaches
-    the workers by fork through the pool initializer; only the k values and
-    the rows of strings and ints cross the pipes.  Fork is safe here because
-    the CLI starts no threads, and the pool forks all its workers before it
-    starts its own manager thread.
+    The work that no k changes (`k_grid_work`) is built once, before the
+    fork.  It and the config (whose profiles hold closures and cannot be
+    pickled) reach the workers by fork through the pool initializer; only
+    the k values and the rows of strings and ints cross the pipes.  Fork
+    is safe here because the CLI starts no threads, and the pool forks all
+    its workers before it starts its own manager thread.
     """
+    shared = k_grid_work(cfg.profile, cfg.params_for(ks[0]), cfg.opts)
     workers = min(threads, len(ks), os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing
@@ -283,9 +286,9 @@ def _solve_k_grid(cfg, ks, threads, dump_dir):
                     max_workers=workers,
                     mp_context=multiprocessing.get_context("fork"),
                     initializer=_init_worker,
-                    initargs=(cfg, dump_dir)) as pool:
+                    initargs=(cfg, dump_dir, shared)) as pool:
                 return list(pool.map(_worker_rows, ks))
-    return [_dispersion_rows(cfg, k, dump_dir) for k in ks]
+    return [_dispersion_rows(cfg, k, dump_dir, shared) for k in ks]
 
 
 def cmd_dispersion(cfg, out_dir, threads, dump_dir=None):

@@ -62,6 +62,7 @@ PANEL_RATIO = 1.03
 # at a root
 FIT_FIRST_DEGREE = 16
 FIT_CHECK_TOL = 1e-10
+OUTER_CACHE_LIMIT = 1024  # OuterSolutions clears its cache past this many
 
 _log = logging.getLogger("rtspect")
 
@@ -558,7 +559,8 @@ class OuterSolutions:
     the mirrored half line, reflected back into x.  `lam_range` is
     [eps_star, sqrt(g/L0)], the interval the truncation is sized for; the
     contraction itself is checked round by round, and a ratio above 1/2
-    raises SolverError.
+    raises SolverError.  The cache of single lambdas is cleared past
+    OUTER_CACHE_LIMIT entries, with a DEBUG record on the `rtspect` logger.
     """
 
     def __init__(self, profile, params, setup):
@@ -584,7 +586,9 @@ class OuterSolutions:
             return self._solve(np.asarray(lam, dtype=float))
         key = float(lam)
         if key not in self._cache:
-            if len(self._cache) > 1024:
+            if len(self._cache) > OUTER_CACHE_LIMIT:
+                _log.debug("outer solution cache cleared at %d entries",
+                           len(self._cache))
                 self._cache.clear()
             self._cache[key] = self._solve(np.array([key]))[0]
         return self._cache[key]

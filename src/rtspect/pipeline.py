@@ -2,9 +2,10 @@
 
 Wraps the per-module machinery with the default numerical policy: the
 reduction window, mesh, builders, source of decaying tail pairs and mode
-count grid are set up once per (profile, k) and the root search walks mode
-indices with an adaptive bracket floor (deep modes of compact-gradient
-profiles sit orders of magnitude below the first one).
+count grid are set up once per (profile, k), or once per k grid where no k
+changes them (`k_grid_work`), and the root search walks mode indices with
+an adaptive bracket floor (deep modes of compact-gradient profiles sit
+orders of magnitude below the first one).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import HermiteSpace, build_mesh
+from .assembly import HermiteSpace, assemble_k_free, build_mesh
 from .errors import BracketError, ConfigError
 from .modes import glue_mode
 from .outer_general import (BoundaryFit, OuterSolutions, _fit_lambdas,
@@ -35,14 +36,39 @@ class SolverOptions:
     n_modes: int = 8
 
 
-class Pipeline:
-    """Stateful solver context for one (profile, params) pair."""
+@dataclass(frozen=True)
+class KGridWork:
+    """What no k changes in the Pipelines of one profile, g and options:
+    the profile's `bounds`, and the k-free forms (`assemble_k_free`) on the
+    mesh of a compact profile's window, its support whatever k; None for
+    an increasing profile, whose window moves with k."""
 
-    def __init__(self, profile, params, opts=None):
+    bounds: object
+    free: object
+
+
+def k_grid_work(profile, params, opts):
+    """`KGridWork` of a k grid, built once; only params.g is read."""
+    bounds = profile_bounds(profile, params)
+    free = None
+    if profile.kind == COMPACT:
+        free = assemble_k_free(profile, HermiteSpace(build_mesh(
+            *profile.support, opts.n_elements, opts.grading)))
+    return KGridWork(bounds, free)
+
+
+class Pipeline:
+    """Stateful solver context for one (profile, params) pair; `shared`
+    is the `KGridWork` of a k grid of this profile, g and options, or None
+    to build it all here."""
+
+    def __init__(self, profile, params, opts=None, shared=None):
         self.profile = profile
         self.params = params
         self.opts = opts or SolverOptions()
-        self.bounds = profile_bounds(profile, params)
+        self.bounds = (shared.bounds if shared
+                       else profile_bounds(profile, params))
+        self._free = shared.free if shared else None
         lmax = self.bounds.lambda_max
         self.eps_star = (0.01 * lmax if self.opts.eps_star is None
                          else self.opts.eps_star)
@@ -78,10 +104,10 @@ class Pipeline:
             tails = BoundaryFit(self.engine, *coercive_window(
                 self.profile, self.params, self.setup, self.engine))
         self.window = tails.window
-        mesh = build_mesh(*self.window, opts.n_elements, opts.grading)
-        self.space = HermiteSpace(mesh)
+        self.space = (self._free.space if self._free else HermiteSpace(
+            build_mesh(*self.window, opts.n_elements, opts.grading)))
         self.builder = SliceBuilder(self.profile, self.params, self.space,
-                                    max(opts.n_modes, 8), tails)
+                                    max(opts.n_modes, 8), tails, self._free)
         self._built = True
         return self
 

@@ -22,6 +22,8 @@ sampled lambdas, and an uncertified profile keeps the finer scan.
 
 from __future__ import annotations
 
+import functools
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -31,8 +33,9 @@ from scipy.linalg.blas import dsbmv, dtbsv
 from scipy.linalg.lapack import dpbtrf, dtbtrs
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .assembly import (BANDWIDTH, assemble_forms, assemble_volume,
-                       coercivity_check, endpoint_derivative)
+from .assembly import (BANDWIDTH, assemble_forms, assemble_k_free,
+                       assemble_volume, coercive, coercivity_check,
+                       endpoint_derivative)
 from .brent import brentq
 from .errors import (BracketError, DegenerateBasisError, RankError,
                      SolverError, StepSizeError)
@@ -41,17 +44,27 @@ from .profiles import COMPACT
 
 DEFAULT_TOL = 1e-8
 SCAN_POINTS = 64
+SLICE_CACHE_LIMIT = 512  # a SliceBuilder clears its cache past this many
+
+_log = logging.getLogger("rtspect")
 
 
 @dataclass
 class SpectrumSlice:
-    """Largest pencil eigenvalues at one lambda, vectors M_rho-orthonormal."""
+    """Largest pencil eigenvalues at one lambda, vectors M_rho-orthonormal.
+
+    `margin` is the coercivity margin of `forms` (`coercivity_check`),
+    bisected when it is first read, unless the slice builder had to bisect
+    it at once because K - threshold*G did not factor."""
 
     lam: float
     gammas: np.ndarray            # descending, length n_max
     vectors: np.ndarray           # (n_dofs, n_max)
-    margin: float = math.nan      # coercivity margin, set by SliceBuilder
     forms: object = field(default=None, repr=False)
+
+    @functools.cached_property
+    def margin(self):
+        return coercivity_check(self.forms)
 
 
 @dataclass
@@ -235,13 +248,18 @@ class SliceBuilder:
     must end exactly there (SolverError otherwise); they do not depend on
     the mesh, so builders on other meshes of one window may share them,
     and each drops its slices when `tails.n_nodes` changes (a refined fit).
-    The lambda-independent forms are assembled once, into `volume`; each
-    new slice adds lambda K_rho and the endpoint blocks of its n_ij.
-    Every new slice also gets its coercivity margin (`coercivity_check`),
-    which raises CoercivityError when the closed form is not coercive.
+    The lambda-independent forms are assembled once, into `volume`, from
+    the k-free forms `free` on `space` (`assemble_k_free`, which a k grid
+    on one window shares; built here when None); each new slice adds
+    lambda K_rho and the endpoint blocks of its n_ij.  Every new slice is
+    checked for coercivity by one factorization (`coercive`); where that
+    fails, `coercivity_check` runs at once and raises CoercivityError when
+    the closed form is not coercive, and elsewhere the margin is bisected
+    when it is read.  Past SLICE_CACHE_LIMIT slices the cache is cleared,
+    with a DEBUG record on the `rtspect` logger.
     """
 
-    def __init__(self, profile, params, space, n_max, tails):
+    def __init__(self, profile, params, space, n_max, tails, free=None):
         mesh, (w0, w1) = space.mesh, tails.window
         if (mesh.x_minus, mesh.x_plus) != (w0, w1):
             raise SolverError(
@@ -249,7 +267,8 @@ class SliceBuilder:
                 f"not the tail source's window [{w0:.17g}, {w1:.17g}]")
         self.profile = profile
         self.params = params
-        self.volume = assemble_volume(profile, params, space)
+        self.volume = assemble_volume(
+            params, free or assemble_k_free(profile, space))
         self.n_max = n_max
         self.tails = tails
         self._cache, self._nodes = {}, tails.n_nodes
@@ -259,11 +278,14 @@ class SliceBuilder:
         if self._nodes != self.tails.n_nodes:
             self._cache, self._nodes = {}, self.tails.n_nodes
         if key not in self._cache:
-            if len(self._cache) > 512:
+            if len(self._cache) > SLICE_CACHE_LIMIT:
+                _log.debug("slice cache cleared at %d entries",
+                           len(self._cache))
                 self._cache.clear()
             forms = assemble_forms(self.volume, key, self.tails(key))
             sl = gamma_spectrum(forms, self.n_max)
-            sl.margin = coercivity_check(forms)
+            if not coercive(forms):
+                sl.margin = coercivity_check(forms)
             self._cache[key] = sl
         return self._cache[key]
 
@@ -339,11 +361,18 @@ def mode_count(builder, eps_star, lambda_grid):
     """N(eps_star) = largest n whose curve infimum stays above eps_star/(g k^2).
 
     The infimum b_n is a grid infimum, the minimum over `lambda_grid` only.
+    Only the builder's n_max curves are computed, so N is known only when
+    it is below n_max: when every computed curve stays above, SolverError
+    says that N(eps_star) >= n_max.
     """
     gk2 = builder.params.g * builder.params.k**2
     gam = np.stack([builder(lam).gammas for lam in lambda_grid])
     b = gam.min(axis=0)
     above = b > eps_star / gk2
+    if above.all():
+        raise SolverError(
+            f"N(eps_star) >= {builder.n_max}: all {builder.n_max} computed "
+            "curves stay above eps_star/(g k^2); raise [numerical] n_modes")
     N = int(np.max(np.nonzero(above)[0]) + 1) if above.any() else 0
     return ModeCount(eps_star=float(eps_star), b=b, N=N)
 

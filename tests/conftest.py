@@ -46,3 +46,18 @@ def bump_pipe(bump_profile, params):
 def tanh_pipe(tanh_profile, params):
     return Pipeline(tanh_profile, params,
                     SolverOptions(n_elements=160, n_modes=4)).build()
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, name): a list of the arguments of every later
+    call of module.name, which still runs."""
+    def install(module, name):
+        calls, real = [], getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+        return calls
+    return install

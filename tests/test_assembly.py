@@ -9,8 +9,8 @@ from scipy.linalg import eigh
 
 from rtspect.assembly import (HermiteSpace, _add_endpoint, _element_form,
                               _scatter, _shape_tables, assemble_forms,
-                              assemble_volume, band_to_dense, build_mesh,
-                              coercivity_check, endpoint_block,
+                              assemble_k_free, assemble_volume, band_to_dense,
+                              build_mesh, coercivity_check, endpoint_block,
                               hermite_interpolate, whole_line_identity_check)
 from rtspect.errors import CoercivityError, SolverError
 from rtspect.pipeline import Pipeline, SolverOptions
@@ -39,7 +39,8 @@ def poly_profile(c0=2.0, c1=0.3, c2=0.1):
 
 
 def forms_at(profile, params, lam, bc, space):
-    return assemble_forms(assemble_volume(profile, params, space), lam, bc)
+    return assemble_forms(
+        assemble_volume(params, assemble_k_free(profile, space)), lam, bc)
 
 
 def direct_forms(profile, params, lam, bc, space):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import TANH_ORACLE_ROOTS
-from rtspect import cli
+from rtspect import assembly, cli, pipeline, spectrum
 from rtspect.cli import main, parse_config
 from rtspect.evans import evans_function
 from rtspect.errors import ConfigError, SolverError
@@ -395,6 +395,33 @@ def test_threads_output_byte_identical(tmp_path):
         assert tables[0] == tables[1]
 
 
+def test_k_free_work_is_built_once_per_grid(tmp_path, count_calls):
+    # profile_bounds and M_rho's rank (eig_banded) do not depend on k
+    bounds = count_calls(pipeline, "profile_bounds")
+    ranks = count_calls(assembly, "eig_banded")
+    cfgfile = _k_grid_file(tmp_path, 0.5, 2.0, 3, n_modes=3)
+    assert main(["dispersion", "--config", str(cfgfile), "--out",
+                 str(tmp_path), "--threads", "1"]) == 0
+    assert len(bounds) == len(ranks) == 1
+
+
+def test_serial_bump_grid_bisects_only_root_margins(tmp_path, count_calls):
+    # the bump k grid of the benchmark (8 k, 128 elements, 3 modes) builds
+    # 104 slices; the margin is bisected only for the 24 rows it reports
+    built = count_calls(spectrum, "assemble_forms")
+    checks = count_calls(spectrum, "coercivity_check")
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(MINIMAL.replace(
+        "k = 1.0", "k_min = 0.5\nk_max = 4.0\nk_count = 8")
+        + "\n[numerical]\nn_elements = 128\nn_modes = 3\n")
+    assert main(["dispersion", "--config", str(cfgfile), "--out",
+                 str(tmp_path), "--threads", "1"]) == 0
+    with open(tmp_path / "dispersion.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(built) == 104
+    assert len(checks) == len(rows) == 24
+
+
 @needs_pool
 def test_threads_capped_at_grid_size(tmp_path, monkeypatch):
     # --threads 8 on a 2-point grid starts 2 worker processes
@@ -433,10 +460,10 @@ def test_dead_worker_exit_1(tmp_path, monkeypatch, capsys):
 def test_worker_solver_error_matches_serial(tmp_path, monkeypatch, capsys):
     rows = cli._dispersion_rows
 
-    def failing_rows(cfg, k, dump_dir=None):
+    def failing_rows(cfg, k, *args):
         if k > 1.5:
             raise SolverError(f"no bracket at k={k:g}")
-        return rows(cfg, k, dump_dir)
+        return rows(cfg, k, *args)
 
     monkeypatch.setattr(cli, "_dispersion_rows", failing_rows)
     cfgfile = _k_grid_file(tmp_path, 1.0, 2.0, 2, n_modes=2)

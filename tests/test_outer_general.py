@@ -333,9 +333,11 @@ SWEEP_BELOW_EPS_STAR = ((3.0, 10.0, 1.2), (10.0, 1.0, 1.2), (10.0, 10.0, 1.2),
 
 
 def _sweep_pipe(k, mu, rho_plus):
+    # 16 curves: at (10, 0.05, 1.2) N(eps_star) is 9, past the default 8
     prof = make_profile("tanh", rho_minus=1.0, rho_plus=rho_plus, ell=1.0)
     par = PhysicalParams(g=1.0, mu=mu, k=k)
-    return Pipeline(prof, par, SolverOptions(n_elements=128)).build()
+    return Pipeline(prof, par, SolverOptions(n_elements=128,
+                                             n_modes=16)).build()
 
 
 def _assert_certified_count(pipe):

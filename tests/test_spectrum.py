@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -8,10 +9,11 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from rtspect import outer_general as og
 from rtspect import pipeline, spectrum
-from rtspect.errors import (BracketError, ConfigError, RankError, SolverError,
-                            StepSizeError)
+from rtspect.assembly import coercivity_check
+from rtspect.errors import (BracketError, CoercivityError, ConfigError,
+                            RankError, SolverError, StepSizeError)
 from rtspect.outer_general import FIT_CHECK_TOL
-from rtspect.pipeline import Pipeline, SolverOptions
+from rtspect.pipeline import Pipeline, SolverOptions, k_grid_work
 from rtspect.profiles import PhysicalParams, make_profile
 from rtspect.spectrum import (SCAN_POINTS, SliceBuilder,
                               gamma_derivative_check, gamma_spectrum,
@@ -341,6 +343,110 @@ def test_mode_count_monotonicity(tanh_pipe, tanh_bounds):
     lower = mode_count(tanh_pipe.builder, eps1 / 2, grid)
     higher = mode_count(tanh_pipe.builder, 4 * eps1, grid)
     assert lower.N >= base.N >= higher.N
+
+
+@pytest.mark.parametrize("fixture, n_elements, n_slices", (
+    ("tanh_profile", 256, 15), ("bump_profile", 128, 15)))
+def test_margin_is_bisected_only_where_it_is_read(
+        request, params, count_calls, fixture, n_elements, n_slices):
+    # roots 1-3 and the count: every slice is built, but only the three
+    # root slices read their margin; the others bisect it on a later read,
+    # bit for bit the margin an eager check gives
+    pipe = Pipeline(request.getfixturevalue(fixture), params,
+                    SolverOptions(n_elements=n_elements)).build()
+    checks = count_calls(spectrum, "coercivity_check")
+    pts = [p for n in (1, 2, 3) for p in pipe.solve_mode_index(n)]
+    pipe.count_modes()
+    cached = list(pipe.builder._cache.values())
+    assert len(cached) == n_slices
+    assert len(checks) == len(pts) == 3
+    late = [sl.margin.hex() for sl in cached]
+    assert len(checks) == n_slices
+    assert late == [coercivity_check(sl.forms).hex() for sl in cached]
+    assert {p.margin.hex() for p in pts} <= set(late)
+
+
+def test_slice_that_does_not_factor_is_checked_when_built(bump_pipe,
+                                                         monkeypatch,
+                                                         count_calls):
+    # a threshold raised past eta_min: K - threshold*G does not factor, so
+    # the builder bisects at once; a margin just below zero is returned,
+    # one past the -1e-8 ||K||_2 allowance raises CoercivityError
+    forms = bump_pipe.builder(0.3).forms
+    knorm = float(np.linalg.norm(forms.K, 2))
+    eta = eigh(forms.K, forms.G, subset_by_index=[0, 0], eigvals_only=True)[0]
+    assemble = spectrum.assemble_forms
+    checks = count_calls(spectrum, "coercivity_check")
+    for deficit, raises in ((1e-10, False), (1e-7, True)):
+        def raised(*args, threshold=eta + deficit * knorm):
+            return dataclasses.replace(assemble(*args), threshold=threshold)
+        monkeypatch.setattr(spectrum, "assemble_forms", raised)
+        builder = SliceBuilder(bump_pipe.profile, bump_pipe.params,
+                               bump_pipe.space, 4, bump_pipe.builder.tails)
+        checks.clear()
+        if raises:
+            with pytest.raises(CoercivityError, match="coercivity failed"):
+                builder(0.3)
+        else:
+            sl = builder(0.3)
+            assert len(checks) == 1
+            assert sl.margin == pytest.approx(-deficit * knorm, rel=1e-6)
+        assert len(checks) == 1
+
+
+def test_shared_k_free_forms_give_the_same_bands(bump_profile, tanh_profile):
+    # a k grid's shared bounds and k-free forms against a Pipeline's own
+    opts = SolverOptions(n_elements=64, n_modes=3)
+    shared = k_grid_work(bump_profile, PhysicalParams(g=1.0, mu=1.0, k=0.5),
+                         opts)
+    for k in (0.5, 2.0):
+        par = PhysicalParams(g=1.0, mu=2.0, k=k)
+        own = Pipeline(bump_profile, par, opts).build()
+        grid = Pipeline(bump_profile, par, opts, shared).build()
+        assert grid.space is shared.free.space
+        assert grid.bounds == own.bounds
+        a, b = own.builder.volume, grid.builder.volume
+        for name in ("K_mu", "K_rho", "M_band", "G_band"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert (a.rho_ends, a.rank) == (b.rho_ends, b.rank)
+    # an increasing profile's window moves with k: only its bounds are shared
+    assert k_grid_work(tanh_profile, PhysicalParams(g=1.0, mu=1.0, k=1.0),
+                       opts).free is None
+
+
+def test_mode_count_at_the_curve_cap_raises(bump_profile):
+    # bump, k = 4, eps_star = 1e-4 sqrt(g/L0): N(eps_star) is 13, so when
+    # 8 or 12 curves are computed, all of them stay above eps_star/(g k^2)
+    par = PhysicalParams(g=1.0, mu=1.0, k=4.0)
+
+    def count(n_modes):
+        return Pipeline(bump_profile, par, SolverOptions(
+            n_elements=128, n_modes=n_modes, eps_star=5.7735e-5)
+            ).build().count_modes()
+
+    for n_modes, n_max in ((3, 8), (8, 8), (12, 12)):
+        with pytest.raises(SolverError, match=rf"N\(eps_star\) >= {n_max}: "
+                           r".*\[numerical\] n_modes"):
+            count(n_modes)
+    assert count(16).N == 13
+
+
+def test_cache_clears_are_logged(bump_pipe, tanh_pipe, monkeypatch, caplog):
+    monkeypatch.setattr(spectrum, "SLICE_CACHE_LIMIT", 2)
+    monkeypatch.setattr(og, "OUTER_CACHE_LIMIT", 1)
+    builder = SliceBuilder(bump_pipe.profile, bump_pipe.params,
+                           bump_pipe.space, 4, bump_pipe.builder.tails)
+    engine = og.OuterSolutions(tanh_pipe.profile, tanh_pipe.params,
+                               tanh_pipe.setup)
+    with caplog.at_level(logging.DEBUG, logger="rtspect"):
+        for lam in (0.1, 0.2, 0.3, 0.4):
+            builder(lam)
+        for lam in (0.1, 0.2, 0.3):
+            engine.solve(lam)
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.DEBUG, "slice cache cleared at 3 entries"),
+        (logging.DEBUG, "outer solution cache cleared at 2 entries")]
+    assert list(builder._cache) == [0.4] and list(engine._cache) == [0.3]
 
 
 @pytest.mark.parametrize("fixture, n_roots", (("tanh_profile", 3),
