@@ -10,21 +10,41 @@ orders of magnitude below the first one).
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import HermiteSpace, assemble_k_free, build_mesh
 from .errors import BracketError, ConfigError
-from .modes import glue_mode
-from .outer_general import (BoundaryFit, OuterSolutions, _fit_lambdas,
-                            coercive_window, gamma_bounds, truncation_points)
 from .profiles import COMPACT, profile_bounds
-from .spectrum import (SCAN_POINTS, CompactTails, ModeCount, SliceBuilder,
-                       mode_count, monotone_margin, solve_dispersion)
 
 LAMBDA_FLOOR_FACTOR = 1e-4     # default bracket floor, fraction of sqrt(g/L0)
+
+# names from the Galerkin modules, which load scipy: bound on the first build
+_GALERKIN = {
+    "assembly": ("HermiteSpace", "assemble_k_free", "build_mesh"),
+    "modes": ("glue_mode",),
+    "outer_general": ("BoundaryFit", "OuterSolutions", "_fit_lambdas",
+                      "coercive_window", "gamma_bounds", "truncation_points"),
+    "spectrum": ("SCAN_POINTS", "CompactTails", "ModeCount", "SliceBuilder",
+                 "mode_count", "monotone_margin", "solve_dispersion"),
+}
+
+
+def _load():
+    """Bind the `_GALERKIN` names; one already set here (a patch) is kept."""
+    for module, names in _GALERKIN.items():
+        mod = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            globals().setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name):
+    if any(name in names for names in _GALERKIN.values()):
+        _load()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -49,6 +69,7 @@ class KGridWork:
 
 def k_grid_work(profile, params, opts):
     """`KGridWork` of a k grid, built once; only params.g is read."""
+    _load()
     bounds = profile_bounds(profile, params)
     free = None
     if profile.kind == COMPACT:
@@ -90,6 +111,7 @@ class Pipeline:
         """
         if self._built:
             return self
+        _load()
         opts = self.opts
         if self.profile.kind == COMPACT:
             self.engine = None
@@ -181,6 +203,7 @@ class Pipeline:
         The grid is the top slice when the curves decrease (`monotone`), and
         the 64-point scan grid otherwise, whose slices the search reuses.
         """
+        self.build()
         return mode_count(self.builder, self.eps_star, self.count_grid)
 
     def mode(self, point):

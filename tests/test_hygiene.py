@@ -7,7 +7,10 @@ keyword or dataclass field default that all their calls set to one value.
 A stdlib `ast` scan, so no linter is needed.  The package imports none of
 scipy's optimize, interpolate, integrate and special subpackages at module
 level, imports scipy.interpolate only in `make_profile`'s tabulated branch,
-and a fresh process that runs both fixtures loads none of them."""
+and a fresh process that runs both fixtures loads none of them.  A fresh
+process that imports rtspect, makes a Pipeline and runs the Evans oracle
+loads no scipy at all, and every exported name resolves where it is
+defined, the lazily bound ones included."""
 
 import ast
 import importlib
@@ -16,6 +19,11 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+
+import pytest
+
+import rtspect
+from rtspect import pipeline
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -133,14 +141,19 @@ def test_scan_flags_a_redundant_local_import(tmp_path):
     assert _redundant_local_imports(src) == [(6, ".a"), (11, ".a")]
 
 
+def _span_tables():
+    """perfbench/spans.py's FUNCTIONS and METHODS, read with `ast`, so
+    nothing under perfbench/ runs."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    return {node.targets[0].id: ast.literal_eval(node.value)
+            for node in tree.body if isinstance(node, ast.Assign)
+            and node.targets[0].id in ("FUNCTIONS", "METHODS")}
+
+
 def test_benchmark_hooks_resolve():
     # the traced benchmark run wraps these names from outside the package;
-    # a refactor that moves one would otherwise break that run silently.
-    # The tables are read with `ast`, so nothing under perfbench/ runs.
-    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
-    tables = {node.targets[0].id: ast.literal_eval(node.value)
-              for node in tree.body if isinstance(node, ast.Assign)
-              and node.targets[0].id in ("FUNCTIONS", "METHODS")}
+    # a refactor that moves one would otherwise break that run silently
+    tables = _span_tables()
     assert tables["FUNCTIONS"] and tables["METHODS"]
     missing = [f"{mod}.{attr}" for mod, attr, _ in tables["FUNCTIONS"]
                if not hasattr(importlib.import_module(mod), attr)]
@@ -507,7 +520,7 @@ def test_fixture_runs_load_no_unused_scipy():
     # both fixture pipelines solve a root and glue its mode (the tanh tail
     # reads the Hermite interpolant), the tanh fixture's printed envelopes
     # are read between their samples, and the Evans oracle scans both
-    code = textwrap.dedent(f"""
+    code = f"""
         import sys
         import numpy as np
         from rtspect import (Pipeline, PhysicalParams, SolverOptions,
@@ -527,9 +540,115 @@ def test_fixture_runs_load_no_unused_scipy():
             find_roots(profile, params, np.linspace(
                 pipe.eps_star, pipe.bounds.lambda_max, 16))
         print(" ".join(m for m in {_UNUSED_SCIPY!r} if m in sys.modules))
-        """)
+        """
+    assert _run_fresh(code) == [""]
+
+
+def _run_fresh(code):
+    """The output lines of `code` run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
-                         capture_output=True, text=True, timeout=300)
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                         env=env, cwd=ROOT, capture_output=True, text=True,
+                         timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == []
+    return out.stdout.splitlines()
+
+
+def test_oracle_path_loads_no_scipy():
+    # import, a Pipeline never built and the Evans oracle on the tanh
+    # fixture's 64-point grid need numpy only; the first build loads the
+    # Galerkin path's scipy.linalg and ARPACK
+    before, after = _run_fresh("""
+        import sys
+        import numpy as np
+        import rtspect
+        profile = rtspect.make_profile("tanh", rho_minus=1.0, rho_plus=3.0,
+                                       ell=1.0)
+        params = rtspect.PhysicalParams(g=1.0, mu=1.0, k=1.0)
+        pipe = rtspect.Pipeline(profile, params)
+        rtspect.find_roots(profile, params, np.linspace(
+            pipe.eps_star, pipe.bounds.lambda_max, 64))
+        print(" ".join(m for m in sys.modules
+                       if m == "scipy" or m.startswith("scipy.")))
+        pipe.build()
+        print(" ".join(m for m in ("scipy.linalg", "scipy.sparse.linalg")
+                       if m in sys.modules))
+        """)
+    assert before == ""
+    assert after == "scipy.linalg scipy.sparse.linalg"
+
+
+# the names `import rtspect` exports, by the module that defines each
+_EXPORTS = {
+    "assembly": ("DiscreteForms", "HermiteSpace", "KFreeForms", "Mesh",
+                 "VolumeForms", "assemble_forms", "assemble_k_free",
+                 "assemble_volume", "build_mesh", "coercivity_check",
+                 "whole_line_identity_check"),
+    "errors": ("BracketError", "CoercivityError", "CoercivitySearchError",
+               "ConfigError", "DegenerateBasisError", "ExtrapolationError",
+               "GluingError", "ProfileError", "RankError", "SolverError",
+               "StepSizeError", "StiffnessError", "TruncationError"),
+    "evans": ("EvansSample", "evans_function", "find_roots"),
+    "modes": ("GlobalMode", "PerturbationField", "glue_mode", "gluing_jumps",
+              "ode_residual", "raw_trace_defects", "reconstruct_fields"),
+    "outer_general": ("BoundaryFit", "DecayingPair", "GammaBounds",
+                      "OuterSolutions", "PicardSetup", "SystemMatrices",
+                      "coercive_window", "decay_envelopes", "gamma_bounds",
+                      "system_matrices", "truncation_points"),
+    "pipeline": ("KGridWork", "Pipeline", "SolverOptions", "k_grid_work"),
+    "profiles": ("COMPACT", "INCREASING", "DensityProfile", "PhysicalParams",
+                 "ProfileBounds", "make_profile", "profile_bounds",
+                 "validate"),
+    "spectrum": ("CompactTails", "DispersionPoint", "ExponentialPair",
+                 "ModeCount", "SliceBuilder", "SpectrumSlice",
+                 "compact_outer_basis", "gamma_derivative_check",
+                 "gamma_spectrum", "mode_count", "solve_dispersion"),
+}
+
+
+def test_public_names_resolve_where_defined():
+    # in a fresh process every exported name, loaded eagerly or on first
+    # use, is the object of its defining module, and `import *` binds them
+    listed, misplaced, starred = _run_fresh(f"""
+        import importlib
+        import rtspect
+        print(" ".join(sorted(rtspect.__all__)))
+        print(" ".join(name for module, names in {_EXPORTS!r}.items()
+                       for name in names if getattr(rtspect, name) is not
+                       getattr(importlib.import_module("rtspect." + module),
+                               name)))
+        space = {{}}
+        exec("from rtspect import *", space)
+        print(" ".join(sorted(set(space) - {{"__builtins__"}})))
+        """)
+    exported = " ".join(sorted(n for names in _EXPORTS.values()
+                               for n in names))
+    assert listed == exported
+    assert misplaced == ""
+    assert starred == exported
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rtspect.no_such_name
+
+
+def test_pipeline_hooks_resolve_before_a_build():
+    # the tracer wraps these names on a fresh `import rtspect.pipeline`,
+    # before any Pipeline is built
+    targets = [attr for mod, attr, _ in _span_tables()["FUNCTIONS"]
+               if mod == "rtspect.pipeline"]
+    missing, = _run_fresh(f"""
+        import rtspect.pipeline
+        print(" ".join(a for a in {targets!r}
+                       if not hasattr(rtspect.pipeline, a)))
+        """)
+    assert targets and missing == ""
+
+
+def test_patch_before_the_first_build_is_kept(tanh_profile, params,
+                                              count_calls):
+    # build binds the Galerkin names it reads only where none is set, so a
+    # wrapper set before it is the one the search calls
+    pipe = pipeline.Pipeline(tanh_profile, params,
+                             pipeline.SolverOptions(n_elements=64))
+    calls = count_calls(pipeline, "solve_dispersion")
+    pipe.solve_mode_index(1)
+    assert calls and calls[0][0] is pipe.builder

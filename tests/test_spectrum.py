@@ -284,6 +284,15 @@ def test_noise_floor_case_needs_no_refinement():
     assert pipe.builder.tails.n_nodes == 17
 
 
+def test_count_modes_builds_first(tanh_profile, params):
+    # like its siblings, count_modes builds an unbuilt Pipeline itself
+    opts = SolverOptions(n_elements=64)
+    got = Pipeline(tanh_profile, params, opts).count_modes()
+    want = Pipeline(tanh_profile, params, opts).build().count_modes()
+    assert (got.eps_star, got.N) == (want.eps_star, want.N)
+    assert np.array_equal(got.b, want.b)
+
+
 def test_refinement_is_one_doubling_at_the_noise_floor(monkeypatch):
     # at the noise floor a further doubling cannot meet the root check, so
     # a refinement is one batch of the 16 midpoints and leaves 33 nodes;
